@@ -42,6 +42,7 @@ from .presheaf import (
     cap,
     coskeleton,
     empty_presheaf,
+    extend_map,
     hom_presheaf,
     identity_map,
     loads_presheaf,
@@ -348,6 +349,9 @@ def _cmd_lift(args) -> int:
     site = _site(args)
     left = load_map_spec(args.left, site, args.limit)
     right = load_map_spec(args.right, site, args.limit)
+    # a square commutes only where all four maps are stored
+    N = max(left.src.N, left.dst.N, right.src.N, right.dst.N)
+    left, right = extend_map(left, N), extend_map(right, N)
     tops = hom_presheaf(left.src, right.src, args.limit)
     bottoms = hom_presheaf(left.dst, right.dst, args.limit)
     rep = Report(f"right lifting property of {args.right} against {args.left}")

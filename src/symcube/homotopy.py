@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .monoidal import (
     ConvolutionResult,
+    _class_map,
     convolve,
     symmetrize_comparison,
     symmetrize_structure,
@@ -113,7 +114,7 @@ def cap_inclusion(
     s = symmetrize_structure(cap_q, limit)
     incl = symmetrize_comparison(s, representable(n, SiteTag.QSIGMA))
     assert incl.is_injective()
-    return s.presheaf, incl
+    return s.product, incl
 
 
 def _extends(v: PresheafMap, incl: PresheafMap, u: PresheafMap) -> bool:
@@ -226,17 +227,14 @@ def projection_homotopy(
     """The constant homotopy from f to itself: collapse the cube factor
     with the projection, then apply f."""
     cr, e0, e1 = cylinder(f.src, n, limit)
-    t = cr.product
-    ye = f.dst.extend_to(t.N)
-    mapping: dict[int, dict[str, str]] = {k: {} for k in range(t.N + 1)}
-    for key, cid in cr.class_of.items():
-        fs, i, x, j, _y = key
-        arrow = cr.arrows[fs]
+    ye = f.dst.extend_to(cr.product.N)
+
+    def value(key):
+        fs, i, x, j, _ = key
         drop = tensor(identity(i), constant([], j))
-        val = ye.act(compose(drop, arrow), f.mapping[i][x])
-        row = mapping[arrow.src]
-        assert row.setdefault(cid, val) == val, "projection not constant"
-    h = PresheafMap(t, ye, mapping)
+        return ye.act(compose(drop, cr.arrows[fs]), f.mapping[i][x])
+
+    h = _class_map(cr, ye, value)
     out = Homotopy(n, h, f, f, e0, e1)
     assert out.verify()
     return out

@@ -1,39 +1,44 @@
 """Day convolution, pushout-products, and the symmetrization adjunction.
 
-Level k of X (x) Y is a coend: the disjoint union of triples
-(f, x, y) with f: [k] -> [i+j], x in X_i, y in Y_j, glued by
-naturality in each factor separately.  Truncating the index ranges at
-the stored bounds is sound because a stored presheaf is a colimit of
-representables of bounded degree.
+The products here are tagged coends, all computed by the one engine
+presheaf.tagged_coend: level k is the set of members
+(f, n_1, x_1, ..., n_r, x_r) with f: [k] -> [n_1 + ... + n_r] an arrow
+of the chosen site and x_t a section of the t-th factor, glued by
+naturality in each factor separately; site generators act by
+precomposing f.  Day convolution X (x) Y is the coend of two factors
+over their common site, the unbracketed triple product behind the
+associator is that of three.  Truncating the index ranges at the stored
+bounds is sound because a stored presheaf is a colimit of representables
+of bounded degree.
 
 symmetrize and restrict realize the adjunction between cubical sets
-and their symmetric extensions: the left adjoint tags a section with
-an arbitrary symmetric arrow and quotients by naturality over the
-plain cubical generators, the right adjoint forgets the extra
-actions.  The unit tags with the identity; the counit evaluates tags.
+and their symmetric extensions: the left adjoint is the coend of one
+plain cubical factor tagged by symmetric arrows, the right adjoint
+forgets the extra actions.  The unit tags with the identity; the
+counit evaluates tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import InputError, ResourceBound
+from .errors import InputError, ResourceBound, SymcubeError
 from .presheaf import (
     PresheafMap,
     SectionRef,
     SkeletalPresheaf,
     TruncatedPresheaf,
-    _UnionFind,
     generator_morphisms,
     identity_map,
     pushout,
+    tagged_coend,
 )
 from .report import Report
 from .site import (
     Morphism,
     SiteTag,
     compose,
-    enumerate_hom,
     hom_count,
     identity,
     parse_morphism,
@@ -42,38 +47,55 @@ from .site import (
 )
 
 
-# -- Day convolution ---------------------------------------------------------
+# -- tagged coends -----------------------------------------------------------
 
 
 @dataclass
 class ConvolutionResult:
-    """A convolution product together with its coend bookkeeping.
+    """A tagged-coend product together with its coend bookkeeping.
 
-    class_of collapses every index triple onto its class id; reps
-    picks the least triple of each class.  Together they realize the
-    quotient of the indexed disjoint union, so callers can both
-    include a triple and choose a witness for a class.
+    class_of collapses every member (f, n_1, x_1, ..., n_r, x_r) onto
+    its class id; reps picks the least member of each class; arrows
+    parses the printed arrow components.  Together they realize the
+    quotient of the indexed disjoint union, so callers can both include
+    a member and choose a witness for a class.
     """
 
     product: SkeletalPresheaf
-    left: SkeletalPresheaf
-    right: SkeletalPresheaf
+    factors: tuple
     class_of: dict
     reps: dict
     arrows: dict
 
     @property
-    def structure(self):
-        return (self.class_of, self.reps)
+    def left(self) -> SkeletalPresheaf:
+        return self.factors[0]
+
+    @property
+    def right(self) -> SkeletalPresheaf:
+        return self.factors[-1]
 
     def pair(self, f: Morphism, x: SectionRef, y: SectionRef) -> SectionRef:
-        """The class of the triple (f, x, y) as a product section."""
+        """The class of the member (f, x, y) as a product section."""
         cid = self.class_of[(str(f), x.level, x.id, y.level, y.id)]
         return SectionRef(f.src, cid)
 
 
-def _class_id(key) -> str:
-    return "&".join(str(part) for part in key)
+def _tagged_product(factors: list, site: SiteTag, name: str,
+                    limit: int | None = None) -> ConvolutionResult:
+    """The coend of the factors tagged by arrows of site, truncated at
+    the sum of their truncations."""
+    N = sum(X.N for X in factors)
+    levels, class_of, reps, arrows = tagged_coend(factors, site, range(N + 1), limit)
+    action: dict[Morphism, dict[str, str]] = {}
+    for _, h in generator_morphisms(site, N):
+        tab = {}
+        for cid in levels[h.dst]:
+            rep = reps[cid]
+            tab[cid] = class_of[(str(compose(arrows[rep[0]], h)),) + rep[1:]]
+        action[h] = tab
+    product = SkeletalPresheaf(site, N, levels, action, name=name)
+    return ConvolutionResult(product, tuple(factors), class_of, reps, arrows)
 
 
 def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf,
@@ -81,71 +103,7 @@ def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf,
     """Day convolution X (x) Y, truncated at N_X + N_Y."""
     if X.site is not Y.site:
         raise InputError(f"{X.name} and {Y.name} live over different sites")
-    site = X.site
-    N = X.N + Y.N
-    gens_x = [g for _, g in generator_morphisms(site, X.N)]
-    gens_y = [g for _, g in generator_morphisms(site, Y.N)]
-
-    arrows: dict[str, Morphism] = {}
-    class_of: dict = {}
-    reps: dict = {}
-    levels: dict[int, tuple] = {}
-    for k in range(N + 1):
-        uf = _UnionFind()
-        for i in range(X.N + 1):
-            for j in range(Y.N + 1):
-                for f in enumerate_hom(k, i + j, site, limit):
-                    fs = str(f)
-                    arrows[fs] = f
-                    for x in X.levels[i]:
-                        for y in Y.levels[j]:
-                            uf.add((fs, i, x, j, y))
-        # glue along naturality in the left factor
-        for u in gens_x:
-            a, b = u.src, u.dst
-            tab = X.action[u]
-            for j in range(Y.N + 1):
-                lift = tensor(u, identity(j))
-                for f in enumerate_hom(k, a + j, site, limit):
-                    fs = str(f)
-                    lf = str(compose(lift, f))
-                    for xb in X.levels[b]:
-                        xa = tab[xb]
-                        for y in Y.levels[j]:
-                            uf.union((lf, b, xb, j, y), (fs, a, xa, j, y))
-        # and in the right factor
-        for v in gens_y:
-            a, b = v.src, v.dst
-            tab = Y.action[v]
-            for i in range(X.N + 1):
-                lift = tensor(identity(i), v)
-                for f in enumerate_hom(k, i + a, site, limit):
-                    fs = str(f)
-                    lf = str(compose(lift, f))
-                    for x in X.levels[i]:
-                        for yb in Y.levels[b]:
-                            uf.union((lf, i, x, b, yb), (fs, i, x, a, tab[yb]))
-        ids = []
-        for _, members in uf.classes().items():
-            least = min(members)
-            cid = _class_id(least)
-            reps[cid] = least
-            ids.append(cid)
-            for m in members:
-                class_of[m] = cid
-        levels[k] = tuple(sorted(ids))
-
-    action: dict[Morphism, dict[str, str]] = {}
-    for _, h in generator_morphisms(site, N):
-        tab = {}
-        for cid in levels[h.dst]:
-            fs, i, x, j, y = reps[cid]
-            tab[cid] = class_of[(str(compose(arrows[fs], h)), i, x, j, y)]
-        action[h] = tab
-    product = SkeletalPresheaf(
-        site, N, levels, action, name=f"{X.name}(x){Y.name}"
-    )
-    return ConvolutionResult(product, X, Y, class_of, reps, arrows)
+    return _tagged_product([X, Y], X.site, f"{X.name}(x){Y.name}", limit)
 
 
 def _constant_map(items, fn) -> dict:
@@ -153,16 +111,19 @@ def _constant_map(items, fn) -> dict:
     out: dict = {}
     for key, cid in items:
         v = fn(key)
-        prev = out.setdefault(cid, v)
-        assert prev == v, f"value not constant on class {cid}"
+        if out.setdefault(cid, v) != v:
+            raise SymcubeError(f"value not constant on class {cid}")
     return out
 
 
-def _per_level(product: SkeletalPresheaf, values: dict) -> dict:
-    return {
-        n: {cid: values[cid] for cid in product.levels[n]}
-        for n in range(product.N + 1)
-    }
+def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
+               fn) -> PresheafMap:
+    """CR.product -> target, sending the class of each member to fn of
+    that member; fn must be constant on classes."""
+    values = _constant_map(CR.class_of.items(), fn)
+    P = CR.product
+    mapping = {n: {cid: values[cid] for cid in P.levels[n]} for n in range(P.N + 1)}
+    return PresheafMap(P, target, mapping)
 
 
 def verify_convolution(CR: ConvolutionResult) -> Report:
@@ -192,20 +153,13 @@ def pairing_map(CR: ConvolutionResult, target: SkeletalPresheaf) -> PresheafMap:
     """The canonical comparison (f, x, y) -> (x (+) y) o f into a
     presheaf whose sections are printed arrows (a representable or a
     subpresheaf of one)."""
-    parsed: dict[str, Morphism] = {}
-
-    def arrow(s: str) -> Morphism:
-        m = parsed.get(s)
-        if m is None:
-            m = parsed[s] = parse_morphism(s)
-        return m
+    arrow = cache(parse_morphism)
 
     def value(key):
         fs, _, x, _, y = key
         return str(compose(tensor(arrow(x), arrow(y)), CR.arrows[fs]))
 
-    values = _constant_map(CR.class_of.items(), value)
-    return PresheafMap(CR.product, target, _per_level(CR.product, values))
+    return _class_map(CR, target, value)
 
 
 def unit_comparison(CR: ConvolutionResult) -> PresheafMap:
@@ -217,8 +171,7 @@ def unit_comparison(CR: ConvolutionResult) -> PresheafMap:
         fs, _, x, _, _ = key
         return CR.left.act(CR.arrows[fs], x)
 
-    values = _constant_map(CR.class_of.items(), value)
-    return PresheafMap(CR.product, CR.left, _per_level(CR.product, values))
+    return _class_map(CR, CR.left, value)
 
 
 def braiding_comparison(CR_XY: ConvolutionResult,
@@ -230,10 +183,7 @@ def braiding_comparison(CR_XY: ConvolutionResult,
         g = compose(symmetry(i, j), CR_XY.arrows[fs])
         return CR_YX.class_of[(str(g), j, y, i, x)]
 
-    values = _constant_map(CR_XY.class_of.items(), value)
-    return PresheafMap(
-        CR_XY.product, CR_YX.product, _per_level(CR_XY.product, values)
-    )
+    return _class_map(CR_XY, CR_YX.product, value)
 
 
 def convolve_map(u: PresheafMap, v: PresheafMap,
@@ -244,115 +194,10 @@ def convolve_map(u: PresheafMap, v: PresheafMap,
         fs, i, x, j, y = key
         return CR2.class_of[(fs, i, u.mapping[i][x], j, v.mapping[j][y])]
 
-    values = _constant_map(CR.class_of.items(), value)
-    return PresheafMap(CR.product, CR2.product, _per_level(CR.product, values))
+    return _class_map(CR, CR2.product, value)
 
 
-# -- triple products and the associator --------------------------------------
-
-
-@dataclass
-class _TripleConvolution:
-    product: SkeletalPresheaf
-    class_of: dict
-    reps: dict
-    arrows: dict
-
-
-def convolve_triple(X, Y, Z, limit: int | None = None) -> _TripleConvolution:
-    """The unbracketed three-factor coend, used to compare bracketings."""
-    if not (X.site is Y.site is Z.site):
-        raise InputError("triple convolution needs a common site")
-    site = X.site
-    N = X.N + Y.N + Z.N
-    gens = {
-        "x": [g for _, g in generator_morphisms(site, X.N)],
-        "y": [g for _, g in generator_morphisms(site, Y.N)],
-        "z": [g for _, g in generator_morphisms(site, Z.N)],
-    }
-    arrows: dict[str, Morphism] = {}
-    class_of: dict = {}
-    reps: dict = {}
-    levels: dict[int, tuple] = {}
-    for k in range(N + 1):
-        uf = _UnionFind()
-        for i in range(X.N + 1):
-            for j in range(Y.N + 1):
-                for l in range(Z.N + 1):
-                    for f in enumerate_hom(k, i + j + l, site, limit):
-                        fs = str(f)
-                        arrows[fs] = f
-                        for x in X.levels[i]:
-                            for y in Y.levels[j]:
-                                for z in Z.levels[l]:
-                                    uf.add((fs, i, x, j, y, l, z))
-
-        for u in gens["x"]:
-            a, b = u.src, u.dst
-            tab = X.action[u]
-            for j in range(Y.N + 1):
-                for l in range(Z.N + 1):
-                    lift = tensor(u, identity(j + l))
-                    for f in enumerate_hom(k, a + j + l, site, limit):
-                        fs, lf = str(f), str(compose(lift, f))
-                        for x in X.levels[b]:
-                            for y in Y.levels[j]:
-                                for z in Z.levels[l]:
-                                    uf.union(
-                                        (lf, b, x, j, y, l, z),
-                                        (fs, a, tab[x], j, y, l, z),
-                                    )
-        for u in gens["y"]:
-            a, b = u.src, u.dst
-            tab = Y.action[u]
-            for i in range(X.N + 1):
-                for l in range(Z.N + 1):
-                    lift = tensor(tensor(identity(i), u), identity(l))
-                    for f in enumerate_hom(k, i + a + l, site, limit):
-                        fs, lf = str(f), str(compose(lift, f))
-                        for x in X.levels[i]:
-                            for y in Y.levels[b]:
-                                for z in Z.levels[l]:
-                                    uf.union(
-                                        (lf, i, x, b, y, l, z),
-                                        (fs, i, x, a, tab[y], l, z),
-                                    )
-        for u in gens["z"]:
-            a, b = u.src, u.dst
-            tab = Z.action[u]
-            for i in range(X.N + 1):
-                for j in range(Y.N + 1):
-                    lift = tensor(identity(i + j), u)
-                    for f in enumerate_hom(k, i + j + a, site, limit):
-                        fs, lf = str(f), str(compose(lift, f))
-                        for x in X.levels[i]:
-                            for y in Y.levels[j]:
-                                for z in Z.levels[b]:
-                                    uf.union(
-                                        (lf, i, x, j, y, b, z),
-                                        (fs, i, x, j, y, a, tab[z]),
-                                    )
-        ids = []
-        for _, members in uf.classes().items():
-            least = min(members)
-            cid = _class_id(least)
-            reps[cid] = least
-            ids.append(cid)
-            for m in members:
-                class_of[m] = cid
-        levels[k] = tuple(sorted(ids))
-
-    action: dict[Morphism, dict[str, str]] = {}
-    for _, h in generator_morphisms(site, N):
-        tab = {}
-        for cid in levels[h.dst]:
-            fs, i, x, j, y, l, z = reps[cid]
-            tab[cid] = class_of[(str(compose(arrows[fs], h)), i, x, j, y, l, z)]
-        action[h] = tab
-    product = SkeletalPresheaf(
-        site, N, levels, action, name=f"{X.name}(x){Y.name}(x){Z.name}"
-    )
-    return _TripleConvolution(product, class_of, reps, arrows)
+# -- the associator ----------------------------------------------------------
 
 
 def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
@@ -367,7 +212,9 @@ def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
     CR_L = convolve(CR_XY.product, Z, limit)
     CR_YZ = convolve(Y, Z, limit)
     CR_R = convolve(X, CR_YZ.product, limit)
-    T3 = convolve_triple(X, Y, Z, limit)
+    T3 = _tagged_product(
+        [X, Y, Z], X.site, f"{X.name}(x){Y.name}(x){Z.name}", limit
+    )
 
     def left_value(key):
         fs, _, cxy, j, z = key
@@ -385,10 +232,8 @@ def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
         )
         return T3.class_of[(str(flat), i, x, j, y, m, z)]
 
-    lv = _constant_map(CR_L.class_of.items(), left_value)
-    left = PresheafMap(CR_L.product, T3.product, _per_level(CR_L.product, lv))
-    rv = _constant_map(CR_R.class_of.items(), right_value)
-    right = PresheafMap(CR_R.product, T3.product, _per_level(CR_R.product, rv))
+    left = _class_map(CR_L, T3.product, left_value)
+    right = _class_map(CR_R, T3.product, right_value)
     report.check("left bracketing flattens naturally", left.verify_natural())
     report.check("left bracketing flattens bijectively", left.is_bijective())
     report.check("right bracketing flattens naturally", right.verify_natural())
@@ -416,90 +261,34 @@ def pushout_product(f: PresheafMap, g: PresheafMap,
     side = convolve_map(f, identity_map(L), CR_AL, CR_BL)
     mapping: dict[int, dict[str, str]] = {n: {} for n in range(P.N + 1)}
     for n in range(P.N + 1):
-        for sid in CR_BK.product.levels[n]:
-            p = from_bk.mapping[n][sid]
-            val = top.mapping[n][sid]
-            assert mapping[n].setdefault(p, val) == val
-        for sid in CR_AL.product.levels[n]:
-            p = from_al.mapping[n][sid]
-            val = side.mapping[n][sid]
-            assert mapping[n].setdefault(p, val) == val
+        for leg, value in ((from_bk, top), (from_al, side)):
+            for sid, p in leg.mapping[n].items():
+                val = value.mapping[n][sid]
+                if mapping[n].setdefault(p, val) != val:
+                    raise SymcubeError(f"corner map not constant on {p}")
     return PresheafMap(P, CR_BL.product, mapping)
 
 
 # -- the symmetrization adjunction -------------------------------------------
 
 
-@dataclass
-class SymmetrizeResult:
-    """A symmetrized presheaf with its coend bookkeeping: class_of
-    collapses pairs (arrow, section), reps picks least members."""
-
-    presheaf: SkeletalPresheaf
-    class_of: dict
-    reps: dict
-    arrows: dict
-
-
 def symmetrize_structure(X: SkeletalPresheaf,
-                         limit: int | None = None) -> SymmetrizeResult:
+                         limit: int | None = None) -> ConvolutionResult:
     """Left Kan extension along the site inclusion, with bookkeeping.
 
-    Level n is the set of pairs (g, x), g a symmetric arrow [n] -> [m]
-    and x a stored section at m, glued by naturality over the plain
-    cubical generators; new symmetric generators act by precomposing
-    the arrow component.
+    Level n is the set of members (g, m, x), g a symmetric arrow
+    [n] -> [m] and x a stored section at m, glued by naturality over the
+    plain cubical generators; the symmetric generators act by
+    precomposing the arrow component.
     """
     if X.site is not SiteTag.Q:
         raise InputError(f"{X.name} is not a presheaf over the plain site")
-    N = X.N
-    gens = [g for _, g in generator_morphisms(SiteTag.Q, N)]
-    arrows: dict[str, Morphism] = {}
-    class_of: dict = {}
-    reps: dict = {}
-    levels: dict[int, tuple] = {}
-    for n in range(N + 1):
-        uf = _UnionFind()
-        for m in range(N + 1):
-            for g in enumerate_hom(n, m, SiteTag.QSIGMA, limit):
-                gs = str(g)
-                arrows[gs] = g
-                for x in X.levels[m]:
-                    uf.add((gs, m, x))
-        for u in gens:
-            a, b = u.src, u.dst
-            tab = X.action[u]
-            for g in enumerate_hom(n, a, SiteTag.QSIGMA, limit):
-                gs = str(g)
-                ug = str(compose(u, g))
-                for xb in X.levels[b]:
-                    uf.union((ug, b, xb), (gs, a, tab[xb]))
-        ids = []
-        for _, members in uf.classes().items():
-            least = min(members)
-            cid = _class_id(least)
-            reps[cid] = least
-            ids.append(cid)
-            for m in members:
-                class_of[m] = cid
-        levels[n] = tuple(sorted(ids))
-
-    action: dict[Morphism, dict[str, str]] = {}
-    for _, h in generator_morphisms(SiteTag.QSIGMA, N):
-        tab = {}
-        for cid in levels[h.dst]:
-            gs, m, x = reps[cid]
-            tab[cid] = class_of[(str(compose(arrows[gs], h)), m, x)]
-        action[h] = tab
-    presheaf = SkeletalPresheaf(
-        SiteTag.QSIGMA, N, levels, action, name=f"i!{X.name}"
-    )
-    return SymmetrizeResult(presheaf, class_of, reps, arrows)
+    return _tagged_product([X], SiteTag.QSIGMA, f"i!{X.name}", limit)
 
 
 def symmetrize(X: SkeletalPresheaf, limit: int | None = None) -> SkeletalPresheaf:
     """The symmetric extension of a plain cubical set."""
-    return symmetrize_structure(X, limit).presheaf
+    return symmetrize_structure(X, limit).product
 
 
 def symmetrize_map(u: PresheafMap, limit: int | None = None) -> PresheafMap:
@@ -511,25 +300,20 @@ def symmetrize_map(u: PresheafMap, limit: int | None = None) -> PresheafMap:
         gs, m, x = key
         return T.class_of[(gs, m, u.mapping[m][x])]
 
-    values = _constant_map(S.class_of.items(), value)
-    return PresheafMap(S.presheaf, T.presheaf, _per_level(S.presheaf, values))
+    return _class_map(S, T.product, value)
 
 
-def symmetrize_comparison(S: SymmetrizeResult,
+def symmetrize_comparison(S: ConvolutionResult,
                           target: SkeletalPresheaf) -> PresheafMap:
     """(g, x) -> x o g for a symmetrized subpresheaf of a representable,
     landing in the symmetric presheaf with printed-arrow sections."""
-    parsed: dict[str, Morphism] = {}
+    arrow = cache(parse_morphism)
 
     def value(key):
         gs, _, x = key
-        px = parsed.get(x)
-        if px is None:
-            px = parsed[x] = parse_morphism(x)
-        return str(compose(px, S.arrows[gs]))
+        return str(compose(arrow(x), S.arrows[gs]))
 
-    values = _constant_map(S.class_of.items(), value)
-    return PresheafMap(S.presheaf, target, _per_level(S.presheaf, values))
+    return _class_map(S, target, value)
 
 
 def restrict(X: SkeletalPresheaf, up_to: int,
@@ -559,7 +343,7 @@ def adjunction_unit(X: SkeletalPresheaf, up_to: int,
     if X.site is not SiteTag.Q:
         raise InputError(f"{X.name} is not a presheaf over the plain site")
     S = symmetrize_structure(X, limit)
-    dst = restrict(S.presheaf, max(up_to, X.N), limit)
+    dst = restrict(S.product, max(up_to, X.N), limit)
     mapping = {
         n: {
             x: S.class_of[(str(identity(n)), n, x)]
@@ -583,8 +367,7 @@ def adjunction_counit(Y: SkeletalPresheaf, up_to: int,
         gs, _, y = key
         return Ye.act(S.arrows[gs], y)
 
-    values = _constant_map(S.class_of.items(), value)
-    return PresheafMap(S.presheaf, Ye, _per_level(S.presheaf, values))
+    return _class_map(S, Ye, value)
 
 
 def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int,
@@ -634,7 +417,7 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf,
     L = symmetrize_structure(CQ.product, limit)
     SX = symmetrize_structure(X, limit)
     SY = symmetrize_structure(Y, limit)
-    CS = convolve(SX.presheaf, SY.presheaf, limit)
+    CS = convolve(SX.product, SY.product, limit)
 
     def value(key):
         gs, _, cq = key
@@ -644,5 +427,4 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf,
         yj = SY.class_of[(str(identity(j)), j, y)]
         return CS.class_of[(str(flat), i, xi, j, yj)]
 
-    values = _constant_map(L.class_of.items(), value)
-    return PresheafMap(L.presheaf, CS.product, _per_level(L.presheaf, values))
+    return _class_map(L, CS.product, value)

@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     InputError,
     ResourceBound,
+    SymcubeError,
     TruncationMismatch,
 )
 from .report import Report
@@ -38,6 +39,7 @@ from .site import (
     parse_morphism,
     pi,
     sigma,
+    tensor,
 )
 
 
@@ -322,9 +324,6 @@ class PresheafMap:
     def apply(self, ref: SectionRef) -> SectionRef:
         return SectionRef(ref.level, self.mapping[ref.level][ref.id])
 
-    def level_map(self, n: int) -> dict[str, str]:
-        return self.mapping[n]
-
     def is_injective(self) -> bool:
         return all(
             len(set(m.values())) == len(m) for m in self.mapping.values()
@@ -354,15 +353,29 @@ class PresheafMap:
         }
         return PresheafMap(self.src, other.dst, new)
 
-    def key(self):
-        return tuple(
-            (n, tuple(sorted(self.mapping[n].items())))
-            for n in sorted(self.mapping)
-        )
-
 
 def identity_map(X: SkeletalPresheaf) -> PresheafMap:
     return PresheafMap(X, X, {n: {x: x for x in X.level(n)} for n in range(X.N + 1)})
+
+
+def extend_map(u: PresheafMap, N: int) -> PresheafMap:
+    """u between the skeletal extensions of its ends to level N: a new
+    section, the EZ pair e|x, goes to the action of e on u(x).  Raises
+    TruncationMismatch when an end is truncated below N or the extended
+    map is not natural."""
+    if u.src.N == u.dst.N == N:
+        return u
+    src, dst = u.src.extend_to(N), u.dst.extend_to(N)
+    mapping = dict(u.mapping)
+    for n in range(u.src.N + 1, N + 1):
+        mapping[n] = {}
+        for pid in src.level(n):
+            e, yid = _split_pair(pid)
+            mapping[n][pid] = dst.act(e, u.mapping[e.dst][yid])
+    v = PresheafMap(src, dst, mapping)
+    if not v.verify_natural():
+        raise TruncationMismatch(f"a map into {u.dst.name} does not extend to level {N}")
+    return v
 
 
 def inclusion_map(sub: SkeletalPresheaf, amb: SkeletalPresheaf) -> PresheafMap:
@@ -661,6 +674,89 @@ class _UnionFind:
         return groups
 
 
+def quotient_classes(uf: _UnionFind, name, class_of: dict, reps: dict) -> list:
+    """Record the classes of uf: each is named name(least member),
+    class_of sends every member to that id and reps sends the id to the
+    least member.  Returns the ids in class order."""
+    ids = []
+    for members in uf.classes().values():
+        least = min(members)
+        cid = name(least)
+        reps[cid] = least
+        ids.append(cid)
+        for m in members:
+            class_of[m] = cid
+    return ids
+
+
+def _class_id(key) -> str:
+    return "&".join(str(part) for part in key)
+
+
+def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
+                 limit: int | None = None):
+    """Levels ks of the coend of the factors tagged by arrows of site.
+
+    A member at level k is (f, n_1, x_1, ..., n_r, x_r): a printed
+    arrow f: [k] -> [n_1 + ... + n_r] of site and a section x_t of the
+    t-th factor at level n_t.  Members are glued by naturality over each
+    factor's own generators: for u: [a] -> [b] of factor t,
+    ((id (+) u (+) id) o f, ..., b, x, ...) ~ (f, ..., a, u*x, ...).
+    Returns (levels, class_of, reps, arrows): the sorted class ids of
+    each level, the class id of every member, the least member of every
+    class, and the arrow behind every printed one.
+    """
+    # the section tails and the relations' tail pairs depend neither on
+    # the level nor on the arrow, so they are built once
+    tails = {}
+    for dims in itertools.product(*(range(X.N + 1) for X in factors)):
+        sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
+        tails[dims] = [tuple(itertools.chain(*zip(dims, xs))) for xs in sections]
+    relations = []
+    for t, X in enumerate(factors):
+        for _, u in generator_morphisms(X.site, X.N):
+            tab = X.action[u]
+            for dims, dst_tails in tails.items():
+                if dims[t] != u.dst:
+                    continue
+                lift = tensor(
+                    tensor(identity(sum(dims[:t])), u), identity(sum(dims[t + 1:]))
+                )
+                pairs = [
+                    (tail, tail[:2 * t] + (u.src, tab[tail[2 * t + 1]])
+                     + tail[2 * t + 2:])
+                    for tail in dst_tails
+                ]
+                relations.append((lift, lift.src, pairs))
+
+    levels: dict[int, tuple] = {}
+    class_of: dict = {}
+    reps: dict = {}
+    arrows: dict[str, Morphism] = {}
+    for k in ks:
+        uf = _UnionFind()
+        add, union = uf.add, uf.union
+        for dims, dim_tails in tails.items():
+            for f in enumerate_hom(k, sum(dims), site, limit):
+                fs = str(f)
+                arrows[fs] = f
+                key = (fs,)
+                for tail in dim_tails:
+                    add(key + tail)
+        for lift, n, pairs in relations:
+            for f in enumerate_hom(k, n, site, limit):
+                src = (str(f),)
+                dst = (str(compose(lift, f)),)
+                for dst_tail, src_tail in pairs:
+                    union(dst + dst_tail, src + src_tail)
+        levels[k] = tuple(sorted(quotient_classes(uf, _class_id, class_of, reps)))
+    return levels, class_of, reps, arrows
+
+
+def _pushout_tag(member) -> str:
+    return f"{member[0]}:{member[1]}"
+
+
 def pushout(f: PresheafMap, g: PresheafMap):
     """Levelwise pushout of B <- A -> C; returns (P, B -> P, C -> P)."""
     A, B, C = f.src, f.dst, g.dst
@@ -668,41 +764,36 @@ def pushout(f: PresheafMap, g: PresheafMap):
         raise InputError("pushout legs must share a source")
     if not (A.N == B.N == C.N) or not (A.site == B.site == C.site):
         raise TruncationMismatch("pushout needs matching sites and truncations")
-    uf = {n: _UnionFind() for n in range(A.N + 1)}
+    class_of: dict[int, dict] = {}
+    levels = {}
     for n in range(A.N + 1):
+        uf = _UnionFind()
         for x in B.level(n):
-            uf[n].add(("B", x))
+            uf.add(("B", x))
         for x in C.level(n):
-            uf[n].add(("C", x))
+            uf.add(("C", x))
         for a in A.level(n):
-            uf[n].union(("B", f.mapping[n][a]), ("C", g.mapping[n][a]))
-    rep = {
-        n: {x: uf[n].find(x) for x in uf[n].parent} for n in range(A.N + 1)
-    }
-    def tag(t):
-        return f"{t[0]}:{t[1]}"
-    levels = {
-        n: tuple(sorted({tag(r) for r in rep[n].values()}))
-        for n in range(A.N + 1)
-    }
+            uf.union(("B", f.mapping[n][a]), ("C", g.mapping[n][a]))
+        class_of[n] = {}
+        levels[n] = tuple(sorted(quotient_classes(uf, _pushout_tag, class_of[n], {})))
     action = {}
     for _, gen in generator_morphisms(A.site, A.N):
         table = {}
-        for x, r in rep[gen.dst].items():
+        for x, cid in class_of[gen.dst].items():
             side, sid = x
             source = B if side == "B" else C
-            img = tag(rep[gen.src][(side, source.act(gen, sid))])
-            prev = table.setdefault(tag(r), img)
+            img = class_of[gen.src][(side, source.act(gen, sid))]
             # glued sections must act compatibly; guaranteed when the
             # legs are natural
-            assert prev == img, (gen, x)
+            if table.setdefault(cid, img) != img:
+                raise SymcubeError(f"pushout legs glue incompatibly at {x} under {gen}")
         action[gen] = table
     P = SkeletalPresheaf(A.site, A.N, levels, action, "pushout")
     into_B = PresheafMap(
-        B, P, {n: {x: tag(rep[n][("B", x)]) for x in B.level(n)} for n in rep}
+        B, P, {n: {x: class_of[n][("B", x)] for x in B.level(n)} for n in levels}
     )
     into_C = PresheafMap(
-        C, P, {n: {x: tag(rep[n][("C", x)]) for x in C.level(n)} for n in rep}
+        C, P, {n: {x: class_of[n][("C", x)] for x in C.level(n)} for n in levels}
     )
     return P, into_B, into_C
 
@@ -957,24 +1048,17 @@ def _split_pair(pid: str):
     return parse_morphism(sigma_str), yid
 
 
-def coend_level(X: SkeletalPresheaf, n: int):
-    """Level n of the left Kan extension as a colimit: pairs (g, x) with
-    g: [n] -> [m], x in X_m, modulo naturality relations, by union-find."""
+def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
+    """Level n of the left Kan extension as a colimit: members (g, m, x)
+    with g: [n] -> [m], x in X_m, modulo naturality; returns the classes
+    in id order."""
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
-    uf = _UnionFind()
-    for m in range(X.N + 1):
-        for g in enumerate_hom(n, m, X.site):
-            for sid in X.level(m):
-                uf.add((str(g), sid))
-    for _, u in generator_morphisms(X.site, X.N):
-        # (u o g, x) ~ (g, act(u)(x)) for g: [n] -> [u.src]
-        for g in enumerate_hom(n, u.src, X.site):
-            ug = str(compose(u, g))
-            gs = str(g)
-            for xid in X.level(u.dst):
-                uf.union((ug, xid), (gs, X.act(u, xid)))
-    return [frozenset(v) for v in sorted(sorted(c) for c in uf.classes().values())]
+    levels, class_of, _, _ = tagged_coend([X], X.site, [n])
+    members: dict[str, set] = {cid: set() for cid in levels[n]}
+    for member, cid in class_of.items():
+        members[cid].add(member)
+    return [frozenset(members[cid]) for cid in levels[n]]
 
 
 def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
@@ -989,7 +1073,7 @@ def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
     hit = set()
     for pid in ids:
         e, yid = pairs[pid]
-        c = class_of.get((str(e), yid))
+        c = class_of.get((str(e), e.dst, yid))
         if c is None or c in hit:
             return False
         hit.add(c)

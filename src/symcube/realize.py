@@ -18,12 +18,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, SymcubeError
 from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
     _UnionFind,
     generator_morphisms,
+    quotient_classes,
 )
 from .report import Report
 from .site import Const, Morphism, SiteTag, compose, enumerate_hom
@@ -260,33 +261,23 @@ def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
     nondegenerate simplices only up to its own dimension).
     """
     K = X.N + 1 if up_to is None else up_to
-    class_of = _realize_classes(X, K)
-    # the same id string can name different classes at different
-    # levels (thresholds print alike), so representatives are keyed by
-    # both level and id
-    found: dict[int, set] = {k: set() for k in range(K + 1)}
-    reps: dict[tuple, tuple] = {}
-    for (k, n, x, s), cid in class_of.items():
-        found[k].add(cid)
-        prev = reps.get((k, cid))
-        if prev is None or (n, x, s) < prev:
-            reps[(k, cid)] = (n, x, s)
-    levels = {k: tuple(sorted(found[k])) for k in range(K + 1)}
+    classes = _realize_classes(X, K)
+    levels = {k: tuple(sorted(classes[k][1])) for k in range(K + 1)}
     faces = {}
     degeneracies = {}
     for k in range(1, K + 1):
         for i in range(k + 1):
             tab = {}
             for cid in levels[k]:
-                n, x, s = reps[(k, cid)]
-                tab[cid] = class_of[(k - 1, n, x, simplex_face(s, i))]
+                n, x, s = classes[k][1][cid]
+                tab[cid] = classes[k - 1][0][(n, x, simplex_face(s, i))]
             faces[(k, i)] = tab
     for k in range(K):
         for j in range(k + 1):
             tab = {}
             for cid in levels[k]:
-                n, x, s = reps[(k, cid)]
-                tab[cid] = class_of[(k + 1, n, x, simplex_degeneracy(s, j))]
+                n, x, s = classes[k][1][cid]
+                tab[cid] = classes[k + 1][0][(n, x, simplex_degeneracy(s, j))]
             degeneracies[(k, j)] = tab
     S = SimplicialSet(K, levels, faces, degeneracies, name=f"|{X.name}|")
     if up_to is None:
@@ -303,15 +294,22 @@ def realize_map(u: PresheafMap, S_src: SimplicialSet | None = None,
     src_classes = _realize_classes(u.src, S_src.K)
     dst_classes = _realize_classes(u.dst, S_dst.K)
     mapping: dict[int, dict[str, str]] = {k: {} for k in range(S_src.K + 1)}
-    for (k, n, x, s), cid in src_classes.items():
-        val = dst_classes[(k, n, u.mapping[n][x], s)]
-        assert mapping[k].setdefault(cid, val) == val
+    for k in mapping:
+        for (n, x, s), cid in src_classes[k][0].items():
+            val = dst_classes[k][0][(n, u.mapping[n][x], s)]
+            if mapping[k].setdefault(cid, val) != val:
+                raise SymcubeError(f"realized map not constant on {cid}")
     return SimplicialMap(S_src, S_dst, mapping)
 
 
-def _realize_classes(X: SkeletalPresheaf, K: int) -> dict:
-    """Level-tagged class table of the realization (same glueing as
-    realize, exposed for transporting maps)."""
+def _simplex_class_id(member) -> str:
+    return f"{member[1]}@{_threshold_id(member[2])}"
+
+
+def _realize_classes(X: SkeletalPresheaf, K: int) -> dict[int, tuple]:
+    """Per level k, (class_of, reps) of the realization's glueing, whose
+    members (n, x, s) are a section x at level n and a k-simplex s of its
+    interval power.  Ids of different levels can print alike."""
     gens = [g for _, g in generator_morphisms(X.site, X.N)]
     out: dict = {}
     for k in range(K + 1):
@@ -328,11 +326,10 @@ def _realize_classes(X: SkeletalPresheaf, K: int) -> dict:
                 moved = tab[x]
                 for s in simplices(a, k):
                     uf.union((a, moved, s), (b, x, push(s)))
-        for _, members in uf.classes().items():
-            least = min(members)
-            cid = f"{least[1]}@{_threshold_id(least[2])}"
-            for n, x, s in members:
-                out[(k, n, x, s)] = cid
+        class_of: dict = {}
+        reps: dict = {}
+        quotient_classes(uf, _simplex_class_id, class_of, reps)
+        out[k] = (class_of, reps)
     return out
 
 

@@ -24,6 +24,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import (
+    BadDimension,
     CompositionMismatch,
     IndexOutOfRange,
     MorphismSyntaxError,
@@ -66,7 +67,8 @@ class Const(Entry):
     __slots__ = ("bit",)
 
     def __init__(self, bit: int):
-        assert bit in (0, 1), bit
+        if bit not in (0, 1):
+            raise MorphismSyntaxError(f"constant {bit!r} is not a bit")
         object.__setattr__(self, "bit", bit)
 
     def key(self):
@@ -93,9 +95,12 @@ class Conj(Entry):
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
-        assert symbols, "conjunctions are nonempty"
-        assert all(isinstance(s, int) and s >= 1 for s in symbols), symbols
-        assert len(set(symbols)) == len(symbols), f"repeated symbol in {symbols}"
+        if not symbols:
+            raise MorphismSyntaxError("conjunctions are nonempty")
+        if not all(isinstance(s, int) and s >= 1 for s in symbols):
+            raise MorphismSyntaxError(f"bad symbols {symbols}")
+        if len(set(symbols)) != len(symbols):
+            raise MorphismSyntaxError(f"repeated symbol in {symbols}")
         object.__setattr__(self, "symbols", symbols)
 
     def key(self):
@@ -127,15 +132,20 @@ class Morphism:
 
     def __init__(self, src: CubeObject, dst: CubeObject, entries):
         entries = tuple(entries)
-        assert src >= 0 and dst >= 0
-        assert len(entries) == dst, f"expected {dst} entries, got {len(entries)}"
+        if src < 0 or dst < 0:
+            raise BadDimension(f"negative dimension in {src}->{dst}")
+        if len(entries) != dst:
+            raise MorphismSyntaxError(f"expected {dst} entries, got {len(entries)}")
         seen = set()
         for e in entries:
-            assert isinstance(e, Entry), e
+            if not isinstance(e, Entry):
+                raise MorphismSyntaxError(f"{e!r} is not an entry")
             if isinstance(e, Conj):
                 for s in e.symbols:
-                    assert 1 <= s <= src, f"symbol x{s} outside 1..{src}"
-                    assert s not in seen, f"symbol x{s} used twice"
+                    if not 1 <= s <= src:
+                        raise MorphismSyntaxError(f"symbol x{s} outside 1..{src}")
+                    if s in seen:
+                        raise MorphismSyntaxError(f"symbol x{s} used twice")
                     seen.add(s)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
@@ -181,26 +191,21 @@ class Morphism:
                 f"cannot parse morphism {text!r}; expected e.g. (x1^x2,0):2->2"
             )
         body, src, dst = m.group(1), int(m.group(2)), int(m.group(3))
-        try:
-            entries = []
-            if body.strip():
-                for part in body.split(","):
-                    part = part.strip()
-                    if part == "0":
-                        entries.append(ZERO)
-                    elif part == "1":
-                        entries.append(ONE)
-                    elif _CONJ_RE.fullmatch(part):
-                        entries.append(
-                            Conj(int(s) for s in re.findall(r"x(\d+)", part))
-                        )
-                    else:
-                        raise MorphismSyntaxError(
-                            f"bad entry {part!r} in {text!r}"
-                        )
-            return cls(src, dst, entries)
-        except AssertionError as exc:
-            raise MorphismSyntaxError(f"invalid morphism {text!r}: {exc}") from exc
+        entries = []
+        if body.strip():
+            for part in body.split(","):
+                part = part.strip()
+                if part == "0":
+                    entries.append(ZERO)
+                elif part == "1":
+                    entries.append(ONE)
+                elif _CONJ_RE.fullmatch(part):
+                    entries.append(
+                        Conj(int(s) for s in re.findall(r"x(\d+)", part))
+                    )
+                else:
+                    raise MorphismSyntaxError(f"bad entry {part!r} in {text!r}")
+        return cls(src, dst, entries)
 
 
 parse_morphism = Morphism.parse
@@ -213,7 +218,8 @@ class Permutation:
 
     def __init__(self, one_line):
         one_line = tuple(one_line)
-        assert sorted(one_line) == list(range(1, len(one_line) + 1)), one_line
+        if sorted(one_line) != list(range(1, len(one_line) + 1)):
+            raise MorphismSyntaxError(f"{one_line} is not a permutation")
         object.__setattr__(self, "one_line", one_line)
 
     @property

@@ -266,6 +266,14 @@ def test_lift_detects_missing_filler(capsys):
     assert "no filler" in out
 
 
+def test_lift_extends_maps_to_common_truncation(capsys):
+    # the right map is stored to level 1 only, the top maps reach level 2
+    code, out = invoke(capsys, "lift", "cap:2:1:0", "terminal:cube:1")
+    assert code == 1
+    assert "no filler" in out
+    assert "commuting squares found  [7]" in out
+
+
 def test_fibrant_point(capsys):
     code, out = invoke(capsys, "fibrant", "point", "--dim", "2")
     assert code == 0
@@ -311,3 +319,14 @@ def test_module_invocation_exit_codes():
         [sys.executable, "-m", "symcube.cli"], capture_output=True, text=True
     )
     assert bad.returncode == 2
+
+
+def test_morphism_contracts_hold_without_asserts():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "symcube.cli", "compose",
+         "(x1,x1):1->2", "(x1):1->1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "used twice" in proc.stderr

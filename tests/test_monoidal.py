@@ -1,9 +1,17 @@
 """Day convolution, pushout-products, and the symmetrization adjunction."""
 
+from pathlib import Path
+
 import pytest
 
-from symcube.errors import InputError, ResourceBound, TruncationMismatch
+from symcube.errors import (
+    InputError,
+    ResourceBound,
+    SymcubeError,
+    TruncationMismatch,
+)
 from symcube.monoidal import (
+    _constant_map,
     adjunction_counit,
     adjunction_unit,
     associator_comparison,
@@ -29,6 +37,7 @@ from symcube.presheaf import (
     boundary,
     cap,
     coproduct,
+    dumps_presheaf,
     empty_presheaf,
     find_isomorphism,
     identity_map,
@@ -47,6 +56,7 @@ R1 = representable(1, QS)
 R2 = representable(2, QS)
 BD1, BD1_INCL = boundary(1, QS)
 CR11 = convolve(R1, R1)
+DATA = Path(__file__).parent / "data"
 
 
 # -- convolution -------------------------------------------------------------
@@ -172,6 +182,22 @@ def test_corner_unit():
         assert image == set(BD1.levels[n])
 
 
+# -- coend bookkeeping -------------------------------------------------------
+
+
+def test_coend_ids_are_stable():
+    # class ids name least members, so the printed products are frozen
+    conv = convolve(representable(1, Q), boundary(1, Q)[0]).product
+    assert dumps_presheaf(conv) == (DATA / "cube1_x_bd1_Q.txt").read_text()
+    sym = symmetrize(boundary(2, Q)[0])
+    assert dumps_presheaf(sym) == (DATA / "sym_bd2.txt").read_text()
+
+
+def test_constant_map_rejects_non_constant_value():
+    with pytest.raises(SymcubeError, match="not constant on class c"):
+        _constant_map([("a", "c"), ("b", "c")], lambda key: key)
+
+
 # -- symmetrization ----------------------------------------------------------
 
 
@@ -193,7 +219,7 @@ def test_symmetrize_boundary(n):
 
 def test_symmetrize_cap_regression():
     S = symmetrize_structure(cap(2, 1, 0, Q)[0])
-    assert [len(S.presheaf.levels[n]) for n in range(3)] == [4, 7, 16]
+    assert [len(S.product.levels[n]) for n in range(3)] == [4, 7, 16]
     comparison = symmetrize_comparison(S, R2)
     assert comparison.verify_natural()
     assert comparison.is_injective()

@@ -40,6 +40,7 @@ from symcube.presheaf import (
     restrict_skeletal,
     skeleton,
     stabilizer,
+    tagged_coend,
     terminal_map,
     terminal_presheaf,
     truncate,
@@ -447,6 +448,23 @@ def test_extension_methods_agree_on_corpus():
 def test_coend_level_of_interval():
     classes = coend_level(C1, 2)
     assert len(classes) == 6
+
+
+@pytest.mark.parametrize(
+    "X",
+    [C0, C1, C2, BD2, QUOT, representable(2, Q), cap(2, 1, 0, Q)[0]],
+    ids=lambda x: f"{x.name}-{x.site}",
+)
+def test_one_factor_coend_is_co_yoneda(X):
+    # the coend of Hom(-, [m]) x X_m over X's own site is X again: its
+    # levels have X's sizes and the identity-tagged members (id_n, n, x)
+    # meet every class exactly once
+    levels, class_of, _, _ = tagged_coend([X], X.site, range(X.N + 1))
+    assert tuple(len(levels[n]) for n in range(X.N + 1)) == X.size()
+    for n in range(X.N + 1):
+        tagged = [class_of[(str(identity(n)), n, x)] for x in X.level(n)]
+        assert len(set(tagged)) == len(tagged)
+        assert set(tagged) == set(levels[n])
 
 
 def test_extend_level_guards():
