@@ -165,11 +165,13 @@ class SkeletalPresheaf:
                 gens.append(gamma(args[0], n))
             else:
                 gens.append(pi(Permutation.transposition(args[0], args[0] + 1, n)))
+        # contravariance: last applied acts first
+        steps = [self.action[g] for g in reversed(gens)]
         result = {}
         for x in self.levels[f.dst]:
             v = x
-            for g in reversed(gens):  # contravariance: last applied acts first
-                v = self.action[g][v]
+            for step in steps:
+                v = step[v]
             result[x] = v
         self._tables[f] = result
         return result
@@ -800,9 +802,11 @@ def pushout(f: PresheafMap, g: PresheafMap):
 
 def coproduct(parts: list[SkeletalPresheaf]):
     """Disjoint union; returns (X, list of injections)."""
-    assert parts, "need at least one part"
+    if not parts:
+        raise InputError("a coproduct needs at least one part")
     site_tag, N = parts[0].site, parts[0].N
-    assert all(p.site == site_tag and p.N == N for p in parts)
+    if any(p.site != site_tag or p.N != N for p in parts):
+        raise InputError("coproduct parts need matching sites and truncations")
     levels = {
         n: tuple(
             f"{i}:{sid}" for i, p in enumerate(parts) for sid in p.level(n)

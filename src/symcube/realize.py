@@ -5,7 +5,11 @@ maps [k] -> {0,1}, stored as thresholds: t means the map is 1 from
 vertex t onward, so t ranges over 0..k+1 and pointwise minimum is
 componentwise maximum of thresholds.  A formal product acts on these
 tuples coordinate-by-coordinate, which realizes a cubical set as a
-simplicial set one level at a time.
+simplicial set one level at a time.  A level is not glued from every
+(section, simplex) pair: each of its simplices has one EZ normal form,
+a nondegenerate section with a constant-free simplex taken up to the
+cosymmetries of its level, so the levels are listed from those and
+faces and degeneracies land by normalizing.
 
 Homology is computed from normalized chains (nondegenerate bases,
 faces landing on degenerate simplices dropped) by exact integer
@@ -19,15 +23,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError
-from .presheaf import (
-    PresheafMap,
-    SkeletalPresheaf,
-    _UnionFind,
-    generator_morphisms,
-    quotient_classes,
-)
+from .presheaf import PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms
 from .report import Report
-from .site import Const, Morphism, SiteTag, compose, enumerate_hom
+from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
 
 
 # -- the interval-power action -----------------------------------------------
@@ -254,83 +252,130 @@ class SimplicialMap:
 def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
     """The simplicial set of a stored cubical set.
 
-    Level k glues one copy of the interval-power simplices per
-    section: a simplex in the copy of a pushforward X(f)(x) is the
-    f-image of the same simplex in the copy of x.  Levels run to
-    N + 1, where everything is degenerate (each copy contributes
-    nondegenerate simplices only up to its own dimension).
+    Level k glues one copy of the interval-power k-simplices per
+    section: a simplex s in the copy of a pushforward X(f)(x) is the
+    f-image of s in the copy of x.  Each class has a normal form, a
+    nondegenerate section with a constant-free simplex, unique up to the
+    cosymmetries of its level (the EZ structure), so a level is listed
+    from those alone and named by the least member of each class.
+    Levels run to N + 1, where everything is degenerate (each copy
+    contributes nondegenerate simplices only up to its own dimension).
     """
     K = X.N + 1 if up_to is None else up_to
-    classes = _realize_classes(X, K)
-    levels = {k: tuple(sorted(classes[k][1])) for k in range(K + 1)}
+    forms = _NormalForms(X)
+    reps = [dict(forms.normal(n, x, s, k) for n, x, s in forms.cells(k))
+            for k in range(K + 1)]
+    levels = {k: tuple(sorted(reps[k])) for k in range(K + 1)}
     faces = {}
     degeneracies = {}
     for k in range(1, K + 1):
         for i in range(k + 1):
-            tab = {}
-            for cid in levels[k]:
-                n, x, s = classes[k][1][cid]
-                tab[cid] = classes[k - 1][0][(n, x, simplex_face(s, i))]
-            faces[(k, i)] = tab
+            faces[(k, i)] = {
+                cid: forms.normal(n, x, simplex_face(s, i), k - 1)[0]
+                for cid, (n, x, s) in reps[k].items()
+            }
     for k in range(K):
         for j in range(k + 1):
-            tab = {}
-            for cid in levels[k]:
-                n, x, s = classes[k][1][cid]
-                tab[cid] = classes[k + 1][0][(n, x, simplex_degeneracy(s, j))]
-            degeneracies[(k, j)] = tab
+            degeneracies[(k, j)] = {
+                cid: forms.normal(n, x, simplex_degeneracy(s, j), k + 1)[0]
+                for cid, (n, x, s) in reps[k].items()
+            }
     S = SimplicialSet(K, levels, faces, degeneracies, name=f"|{X.name}|")
-    if up_to is None:
-        assert not S.nondegenerate(K), "top realization level not degenerate"
+    if up_to is None and S.nondegenerate(K):
+        raise SymcubeError(f"top realization level of {X.name} not degenerate")
     return S
 
 
 def realize_map(u: PresheafMap, S_src: SimplicialSet | None = None,
                 S_dst: SimplicialSet | None = None) -> SimplicialMap:
-    """Realization of a presheaf map: rename the copy, keep the simplex."""
+    """Realization of a presheaf map: rename the copy, keep the simplex.
+
+    A natural map is constant on classes, so each class is sent through
+    any one of its normal forms."""
+    if not u.verify_natural():
+        raise SymcubeError(
+            f"cannot realize the non-natural map {u.src.name} -> {u.dst.name}"
+        )
     S_src = S_src if S_src is not None else realize(u.src)
     S_dst = S_dst if S_dst is not None else realize(u.dst)
-    # recompute the class tables of both sides to place members
-    src_classes = _realize_classes(u.src, S_src.K)
-    dst_classes = _realize_classes(u.dst, S_dst.K)
-    mapping: dict[int, dict[str, str]] = {k: {} for k in range(S_src.K + 1)}
-    for k in mapping:
-        for (n, x, s), cid in src_classes[k][0].items():
-            val = dst_classes[k][0][(n, u.mapping[n][x], s)]
-            if mapping[k].setdefault(cid, val) != val:
-                raise SymcubeError(f"realized map not constant on {cid}")
+    src, dst = _NormalForms(u.src), _NormalForms(u.dst)
+    mapping = {
+        k: {
+            src.normal(n, x, s, k)[0]: dst.normal(n, u.mapping[n][x], s, k)[0]
+            for n, x, s in src.cells(k)
+        }
+        for k in range(S_src.K + 1)
+    }
     return SimplicialMap(S_src, S_dst, mapping)
 
 
-def _simplex_class_id(member) -> str:
-    return f"{member[1]}@{_threshold_id(member[2])}"
+class _NormalForms:
+    """The classes of the realization of X by EZ normal form.
 
+    A member (n, x, s) of level k is a section x at level n and a
+    k-simplex s of its interval power.  Every class holds members
+    (m, y, t) with y nondegenerate and t free of constants, unique up to
+    the cosymmetries of [m]; they are the members of least dimension, so
+    the least of them is the least member of the class.
+    """
 
-def _realize_classes(X: SkeletalPresheaf, K: int) -> dict[int, tuple]:
-    """Per level k, (class_of, reps) of the realization's glueing, whose
-    members (n, x, s) are a section x at level n and a k-simplex s of its
-    interval power.  Ids of different levels can print alike."""
-    gens = [g for _, g in generator_morphisms(X.site, X.N)]
-    out: dict = {}
-    for k in range(K + 1):
-        uf = _UnionFind()
-        for n in range(X.N + 1):
-            for x in X.levels[n]:
-                for s in simplices(n, k):
-                    uf.add((n, x, s))
-        for u in gens:
-            a, b = u.src, u.dst
-            tab = X.action[u]
-            push = act_on_cube(u, k)
-            for x in X.levels[b]:
-                moved = tab[x]
-                for s in simplices(a, k):
-                    uf.union((a, moved, s), (b, x, push(s)))
-        class_of: dict = {}
-        reps: dict = {}
-        quotient_classes(uf, _simplex_class_id, class_of, reps)
-        out[k] = (class_of, reps)
-    return out
+    def __init__(self, X: SkeletalPresheaf):
+        self.X = X
+        self.nondegenerate = {
+            n: [x for x in X.levels[n] if X.is_nondegenerate(SectionRef(n, x))]
+            for n in range(X.N + 1)
+        }
+        self._faces: dict[tuple, Morphism] = {}
+        self._orbits: dict[int, list] = {}
+
+    def cells(self, k: int):
+        """The members of level k in normal form, each class at least once."""
+        for n, xs in self.nondegenerate.items():
+            for s in itertools.product(range(1, k + 1), repeat=n):
+                for x in xs:
+                    yield n, x, s
+
+    def _face(self, pattern: tuple) -> Morphism:
+        # pattern holds a bit per constant coordinate, None per free one
+        d = self._faces.get(pattern)
+        if d is None:
+            free = itertools.count(1)
+            entries = [Conj((next(free),)) if b is None else Const(b)
+                       for b in pattern]
+            d = Morphism(pattern.count(None), len(pattern), entries)
+            self._faces[pattern] = d
+        return d
+
+    def _orbit(self, m: int) -> list:
+        # (action of pi(th), zero-based one-line of th) per cosymmetry:
+        # (m, pi(th)*y, (t[th(1)], ..., t[th(m)])) ~ (m, y, t)
+        got = self._orbits.get(m)
+        if got is None:
+            got = self._orbits[m] = [
+                (self.X.table(pi(th)), tuple(i - 1 for i in th.one_line))
+                for th in _cosymmetry_perms(self.X.site, m)
+            ]
+        return got
+
+    def normal(self, n: int, x: str, s: tuple, k: int) -> tuple:
+        """(class id, least member) of the member (n, x, s) of level k:
+        pull the constant coordinates of s out through the face they
+        define, push s through the EZ epi of the section, and take the
+        least member over the cosymmetry orbit."""
+        top = k + 1
+        if 0 in s or top in s:
+            d = self._face(tuple(1 if t == 0 else 0 if t == top else None
+                                 for t in s))
+            x = self.X.act(d, x)
+            s = tuple(t for t in s if 0 < t < top)
+            n = len(s)
+        epi, y = self.X.ez_decompose(SectionRef(n, x))
+        if y.level < n:
+            s = act_on_cube(epi, k)(s)
+        best = min(
+            (tab[y.id], tuple(s[i] for i in line)) for tab, line in self._orbit(y.level)
+        )
+        return f"{best[0]}@{_threshold_id(best[1])}", (y.level,) + best
 
 
 # -- chains and homology -----------------------------------------------------
@@ -344,18 +389,20 @@ class ChainComplex:
     boundaries: dict[int, list]  # k -> matrix (len(bases[k-1]) x len(bases[k]))
 
     def verify_square_zero(self) -> bool:
-        degrees = sorted(self.boundaries)
-        for k in degrees:
+        for k in sorted(self.boundaries):
             if k - 1 not in self.boundaries:
                 continue
             a, b = self.boundaries[k - 1], self.boundaries[k]
-            rows = len(a)
-            mid = len(b)
-            cols = len(b[0]) if b else 0
-            for r in range(rows):
-                for c in range(cols):
-                    if sum(a[r][m] * b[m][c] for m in range(mid)) != 0:
-                        return False
+            # multiply row by row over the nonzero entries only
+            b_rows = [[(c, v) for c, v in enumerate(row) if v] for row in b]
+            for row in a:
+                product: dict[int, int] = {}
+                for m, v in enumerate(row):
+                    if v:
+                        for c, w in b_rows[m]:
+                            product[c] = product.get(c, 0) + v * w
+                if any(product.values()):
+                    return False
         return True
 
 
@@ -376,7 +423,8 @@ def normalized_chains(S: SimplicialSet) -> ChainComplex:
                     M[r][c] += -1 if i % 2 else 1
         boundaries[k] = M
     C = ChainComplex(bases, boundaries)
-    assert C.verify_square_zero(), "boundary does not square to zero"
+    if not C.verify_square_zero():
+        raise SymcubeError(f"boundary of {S.name} does not square to zero")
     return C
 
 
@@ -415,13 +463,20 @@ def smith_normal_form(M: list) -> tuple:
 
     t = 0
     while t < min(rows, cols):
-        # pick the smallest nonzero entry of the remaining block
+        # pick the first smallest nonzero entry of the remaining block;
+        # nothing is smaller than a unit, so the scan stops at one
         pivot = None
+        least = 0
         for r in range(t, rows):
+            row = D[r]
             for c in range(t, cols):
-                v = abs(D[r][c])
-                if v and (pivot is None or v < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
+                v = abs(row[c])
+                if v and (pivot is None or v < least):
+                    pivot, least = (r, c), v
+                    if v == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])

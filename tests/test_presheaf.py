@@ -1,6 +1,9 @@
 """Presheaf layer: representables, boundaries, caps, skeleta, quotients,
 colimits, EZ decomposition, extension, and the serialization format."""
 
+import subprocess
+import sys
+
 import pytest
 
 from symcube.errors import (
@@ -359,6 +362,26 @@ def test_coproduct():
     X, (i0, i1) = coproduct([C1, C1])
     assert X.size() == (4, 6)
     assert i0.verify_natural() and i1.is_injective()
+
+
+def test_coproduct_rejects_empty_and_mismatched_parts():
+    with pytest.raises(InputError, match="at least one part"):
+        coproduct([])
+    with pytest.raises(InputError, match="matching sites"):
+        coproduct([C1, representable(1, SiteTag.Q)])
+    with pytest.raises(InputError, match="matching sites"):
+        coproduct([C1, representable(1, QS, up_to=2)])
+
+
+def test_coproduct_contracts_hold_without_asserts():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from symcube.presheaf import coproduct; coproduct([])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "InputError: a coproduct needs at least one part" in proc.stderr
 
 
 # -- quotients and stabilizers -----------------------------------------------

@@ -5,14 +5,23 @@ import json
 
 import pytest
 
-from symcube.monoidal import symmetrize
+from symcube.errors import SymcubeError
+from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
+    SubgroupSpec,
+    _UnionFind,
     boundary,
     cap,
+    coproduct,
+    coskeleton,
+    generator_morphisms,
     identity_map,
     pushout,
+    quotient_classes,
+    quotient_presheaf,
     representable,
+    skeleton,
     terminal_map,
     terminal_presheaf,
 )
@@ -34,8 +43,17 @@ from symcube.realize import (
     verify_cubical_monoid_delta1,
     verify_snf,
 )
-from symcube.site import SiteTag, identity, parse_morphism
-from symcube.presheaf import _UnionFind
+from symcube.site import (
+    Permutation,
+    SiteTag,
+    compose,
+    constant,
+    delta,
+    gamma,
+    identity,
+    parse_morphism,
+    sigma,
+)
 
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
@@ -183,6 +201,214 @@ def test_realize_after_symmetrize_matches():
         assert plain.size() == extended.size()
         assert [len(plain.nondegenerate(k)) for k in range(plain.K + 1)] == \
             [len(extended.nondegenerate(k)) for k in range(extended.K + 1)]
+
+
+# -- the union-find oracle ---------------------------------------------------
+
+
+def oracle_classes(X, K):
+    """Per level k, (class_of, reps) of the realization's glueing by
+    union-find over every (section, simplex) pair, each class named by
+    its least member: the exhaustive route the normal forms replace."""
+    out = []
+    for k in range(K + 1):
+        uf = _UnionFind()
+        for n in range(X.N + 1):
+            for x in X.levels[n]:
+                for s in simplices(n, k):
+                    uf.add((n, x, s))
+        for _, u in generator_morphisms(X.site, X.N):
+            push = act_on_cube(u, k)
+            for x in X.levels[u.dst]:
+                moved = X.action[u][x]
+                for s in simplices(u.src, k):
+                    uf.union((u.src, moved, s), (u.dst, x, push(s)))
+        class_of, reps = {}, {}
+        quotient_classes(
+            uf, lambda m: f"{m[1]}@{','.join(map(str, m[2])) or 'pt'}",
+            class_of, reps,
+        )
+        out.append((class_of, reps))
+    return out
+
+
+def oracle_realize(X):
+    """(levels, faces, degeneracies) of the realization from the oracle."""
+    K = X.N + 1
+    classes = oracle_classes(X, K)
+    levels = {k: tuple(sorted(classes[k][1])) for k in range(K + 1)}
+    faces = {
+        (k, i): {
+            cid: classes[k - 1][0][(n, x, simplex_face(s, i))]
+            for cid, (n, x, s) in classes[k][1].items()
+        }
+        for k in range(1, K + 1) for i in range(k + 1)
+    }
+    degeneracies = {
+        (k, j): {
+            cid: classes[k + 1][0][(n, x, simplex_degeneracy(s, j))]
+            for cid, (n, x, s) in classes[k][1].items()
+        }
+        for k in range(K) for j in range(k + 1)
+    }
+    return levels, faces, degeneracies
+
+
+def oracle_mapping(u, K):
+    """The realized map from the oracle: every member of a class must
+    land in one class of the target."""
+    src, dst = oracle_classes(u.src, K), oracle_classes(u.dst, K)
+    mapping = {k: {} for k in range(K + 1)}
+    for k in mapping:
+        for (n, x, s), cid in src[k][0].items():
+            val = dst[k][0][(n, u.mapping[n][x], s)]
+            assert mapping[k].setdefault(cid, val) == val
+    return mapping
+
+
+# the edges of a square as faces [1] -> [2]
+LEFT, RIGHT = delta(1, 0, 1), delta(1, 1, 1)
+BOTTOM, TOP = delta(2, 0, 1), delta(2, 1, 1)
+
+
+def _postcompose(A, B, h):
+    """The map of representables A -> B given by composing with h."""
+    return PresheafMap(A, B, {
+        n: {s: str(compose(h, parse_morphism(s))) for s in A.level(n)}
+        for n in range(A.N + 1)
+    })
+
+
+def square_grid(count, glue, site):
+    """count squares with edges identified: glue(edge, collapsed) lists
+    pairs of maps interval -> squares, where edge(c, face) is a side of
+    square c and collapsed(c, face) the constant edge at its start.
+    The identification is one coequalizer, the pushout of the pair map
+    along the fold."""
+    square = representable(2, site)
+    interval = representable(1, site, up_to=2)
+    Y, inj = coproduct([square] * count)
+    to_point = terminal_map(interval)
+
+    def edge(c, face):
+        return _postcompose(interval, square, face).then(inj[c])
+
+    def collapsed(c, face):
+        start = _postcompose(to_point.dst, square, compose(face, constant([0])))
+        return to_point.then(start).then(inj[c])
+
+    pairs = glue(edge, collapsed)
+    m = len(pairs)
+    E = coproduct([interval] * m)[0]
+    E2 = coproduct([interval] * (2 * m))[0]
+    to_Y = {n: {} for n in range(3)}
+    fold = {n: {} for n in range(3)}
+    for r, u in enumerate([f for f, _ in pairs] + [g for _, g in pairs]):
+        for n in range(3):
+            for s, v in u.mapping[n].items():
+                to_Y[n][f"{r}:{s}"] = v
+                fold[n][f"{r}:{s}"] = f"{r % m}:{s}"
+    return pushout(PresheafMap(E2, Y, to_Y), PresheafMap(E2, E, fold))[0]
+
+
+def torus_2x2():
+    def glue(edge, collapsed):
+        pairs = []
+        for i in range(2):
+            for j in range(2):
+                pairs.append((edge(2 * i + j, RIGHT), edge(2 * ((i + 1) % 2) + j, LEFT)))
+                pairs.append((edge(2 * i + j, TOP), edge(2 * i + (j + 1) % 2, BOTTOM)))
+        return pairs
+    return square_grid(4, glue, QS)
+
+
+def moore_2x1():
+    # two squares side by side whose bottoms are one loop and whose
+    # other outer edges collapse: the boundary reads the loop twice
+    def glue(edge, collapsed):
+        rim = [(0, TOP), (1, TOP), (0, LEFT), (1, RIGHT)]
+        return [(edge(0, RIGHT), edge(1, LEFT)), (edge(1, BOTTOM), edge(0, BOTTOM))] + [
+            (edge(c, face), collapsed(c, face)) for c, face in rim
+        ]
+    return square_grid(2, glue, Q)
+
+
+def pinched_cube(collapse, site):
+    """The 3-cube with its top face squeezed onto an interval by the
+    epi collapse: [2] -> [1], a face that is degenerate above level 0."""
+    A = representable(2, site, up_to=3)
+    top = _postcompose(A, representable(3, site), delta(3, 1, 2))
+    squeeze = _postcompose(A, representable(1, site, up_to=3), collapse)
+    return pushout(top, squeeze)[0]
+
+
+REALIZE_CORPUS = {
+    **{
+        f"{name}:{n}:{site}": (lambda b=build, n=n, site=site: b(n, site))
+        for name, build in [
+            ("boundary", lambda n, site: boundary(n, site)[0]),
+            ("cube", representable),
+        ]
+        for n in (2, 3)
+        for site in (Q, QS)
+    },
+    "quotient:3:(1 2 3)": lambda: quotient_presheaf(
+        R3, SubgroupSpec(3, (Permutation.from_cycles("(1 2 3)", 3),)))[0],
+    "quotient:2:(1 2)": lambda: quotient_presheaf(
+        representable(2, QS), SubgroupSpec(2, (Permutation.from_cycles("(1 2)", 2),)))[0],
+    "cap:2:1:0:Q": lambda: cap(2, 1, 0, Q)[0],
+    "cap:2:1:0:QSigma": lambda: cap(2, 1, 0, QS)[0],
+    "circle": lambda: CIRCLE,
+    "coproduct": lambda: coproduct([representable(1, QS, up_to=2), BD2])[0],
+    "coskeleton": lambda: coskeleton(boundary(2, Q)[0], 1),
+    "skeleton": lambda: skeleton(R3, 1)[0],
+    "symmetrize-bd2": lambda: symmetrize(boundary(2, Q)[0]),
+    "symmetrize-cap": lambda: symmetrize(cap(2, 1, 0, Q)[0]),
+    "bd1(x)bd1": lambda: convolve(boundary(1, QS)[0], boundary(1, QS)[0]).product,
+    "torus-2x2": torus_2x2,
+    "pinched-cube:Q": lambda: pinched_cube(sigma(1, 1), Q),
+    "pinched-cube:QSigma": lambda: pinched_cube(gamma(1, 1), QS),
+    "moore-2x1": moore_2x1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZE_CORPUS))
+def test_realize_matches_union_find_oracle(name):
+    X = REALIZE_CORPUS[name]()
+    S = realize(X)
+    assert (S.levels, S.faces, S.degeneracies) == oracle_realize(X)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: boundary(2, QS)[1],
+        lambda: cap(2, 1, 0, Q)[1],
+        lambda: terminal_map(BD2),
+        lambda: identity_map(REALIZE_CORPUS["quotient:2:(1 2)"]()),
+    ],
+    ids=["boundary", "cap", "terminal", "identity"],
+)
+def test_realize_map_matches_union_find_oracle(make):
+    u = make()
+    rm = realize_map(u)
+    assert rm.mapping == oracle_mapping(u, rm.src.K)
+    assert rm.verify_simplicial()
+
+
+def test_realize_map_rejects_non_natural_map():
+    X = representable(1, QS)
+    bad = identity_map(X)
+    ends = X.level(0)
+    bad.mapping[0] = {ends[0]: ends[1], ends[1]: ends[0]}
+    with pytest.raises(SymcubeError, match="non-natural"):
+        realize_map(bad)
+
+
+def test_grid_homology():
+    # Kunneth for the torus; the Moore space M(Z/2, 1) has torsion
+    assert homology(torus_2x2()).groups == ((1, ()), (2, ()), (1, ()))
+    assert homology(moore_2x1()).groups == ((1, ()), (0, (2,)))
 
 
 # -- chains ------------------------------------------------------------------
