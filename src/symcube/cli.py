@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InputError, ResourceBound
+from .errors import InputError, ResourceBound, SymcubeError
 from .homotopy import (
     LiftingProblem,
     cap_inclusion,
@@ -42,7 +42,6 @@ from .presheaf import (
     cap,
     coskeleton,
     empty_presheaf,
-    extend_map,
     hom_presheaf,
     identity_map,
     loads_presheaf,
@@ -85,7 +84,7 @@ def _site(args) -> SiteTag:
     return SiteTag.parse(args.site)
 
 
-def load_spec(spec: str, site: SiteTag, limit: int) -> SkeletalPresheaf:
+def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
     """A presheaf from a builtin description or a file path.
 
     Builtins: point, empty, cube:N, boundary:N, cap:N:J:E,
@@ -135,11 +134,11 @@ def load_map_spec(spec: str, site: SiteTag, limit: int) -> PresheafMap:
                 return cap_inclusion(n, j, eps, limit)[1]
             return cap(n, j, eps, site)[1]
         if head == "identity":
-            return identity_map(load_spec(rest, site, limit))
+            return identity_map(load_spec(rest, site))
         if head == "terminal":
-            return terminal_map(load_spec(rest, site, limit))
+            return terminal_map(load_spec(rest, site))
         if head == "empty":
-            X = load_spec(rest, site, limit)
+            X = load_spec(rest, site)
             empty = empty_presheaf(site, 0)
             return PresheafMap(empty, X, {0: {}})
     except ValueError as exc:
@@ -198,7 +197,8 @@ def _cmd_compose(args) -> int:
 def _cmd_factor(args) -> int:
     f = parse_morphism(args.f)
     fac = factor(f)
-    assert fac.evaluate() == f
+    if fac.evaluate() != f:
+        raise SymcubeError(f"normal form {fac} does not evaluate to {f}")
     if args.json:
         _print_json(
             {
@@ -252,35 +252,35 @@ def _cmd_verify_pushouts(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    X = load_spec(args.left, _site(args), args.limit)
-    Y = load_spec(args.right, _site(args), args.limit)
+    X = load_spec(args.left, _site(args))
+    Y = load_spec(args.right, _site(args))
     cr = convolve(X, Y, args.limit)
     return _emit_object(args, cr.product)
 
 
 def _cmd_symmetrize(args) -> int:
-    X = load_spec(args.spec, SiteTag.Q, args.limit)
+    X = load_spec(args.spec, SiteTag.Q)
     return _emit_object(args, symmetrize(X, args.limit))
 
 
 def _cmd_restrict(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     bound = X.N if args.dim is None else args.dim
     return _emit_object(args, restrict(X, bound, args.limit))
 
 
 def _cmd_skeleton(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
+    X = load_spec(args.spec, _site(args))
     return _emit_object(args, skeleton(X, args.k)[0])
 
 
 def _cmd_coskeleton(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
+    X = load_spec(args.spec, _site(args))
     return _emit_object(args, coskeleton(X, args.k))
 
 
 def _cmd_quotient(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     ambient = parse_morphism(X.level(0)[0]).dst
     group = SubgroupSpec(
         ambient, (Permutation.from_cycles(args.cycles, ambient),)
@@ -297,7 +297,7 @@ def _cmd_cap(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
+    X = load_spec(args.spec, _site(args))
     S = realize(X)
     nondeg = {
         str(k): len(S.nondegenerate(k)) for k in range(len(S.levels))
@@ -325,7 +325,7 @@ def _cmd_homology(args) -> int:
     if (args.spec is None) == (args.file is None):
         raise InputError("give exactly one of a presheaf spec or --file")
     spec = args.spec if args.spec is not None else args.file
-    X = load_spec(spec, _site(args), args.limit)
+    X = load_spec(spec, _site(args))
     res = homology(X)
     if args.json:
         _print_json(
@@ -349,9 +349,6 @@ def _cmd_lift(args) -> int:
     site = _site(args)
     left = load_map_spec(args.left, site, args.limit)
     right = load_map_spec(args.right, site, args.limit)
-    # a square commutes only where all four maps are stored
-    N = max(left.src.N, left.dst.N, right.src.N, right.dst.N)
-    left, right = extend_map(left, N), extend_map(right, N)
     tops = hom_presheaf(left.src, right.src, args.limit)
     bottoms = hom_presheaf(left.dst, right.dst, args.limit)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
@@ -373,12 +370,12 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_fibrant(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     return _emit_report(args, is_fibrant(X, args.dim, args.limit))
 
 
 def _cmd_homotopic(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     for v in (args.start, args.end):
         if v not in X.level(0):
             raise InputError(f"{v!r} is not a vertex of {X.name}")

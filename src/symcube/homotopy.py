@@ -4,16 +4,17 @@ The cylinder on X is the convolution X (x) cube^n with its two endpoint
 inclusions; a homotopy is a map off the cylinder restricting to its source
 and target on the ends.  Cap inclusions are transported from the classical
 site along the symmetrization, so fibrancy questions are always posed
-against the symmetric cube.  Every search is exhaustive over a finite hom
-set in a fixed order, so a None answer is a refutation at the stored
-truncation, not a timeout.
+against the symmetric cube.  Every search is exhaustive over the maps of
+a finite hom set that take the values the question prescribes, in a fixed
+order, so a None answer is a refutation at the stored truncation, not a
+timeout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, SymcubeError
 from .monoidal import (
     ConvolutionResult,
     _class_map,
@@ -25,6 +26,7 @@ from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
     cap,
+    extend_map,
     hom_presheaf,
     representable,
 )
@@ -56,7 +58,9 @@ class LiftingProblem:
         v          v
         B -bottom> Y
 
-    A filler is a map B -> X making both triangles commute.
+    A filler is a map B -> X making both triangles commute.  The four
+    maps are brought to the largest truncation among their ends, since a
+    square commutes only where all four are stored.
     """
 
     left: PresheafMap
@@ -64,41 +68,27 @@ class LiftingProblem:
     top: PresheafMap
     bottom: PresheafMap
 
+    def __post_init__(self):
+        maps = (self.left, self.right, self.top, self.bottom)
+        N = max(X.N for u in maps for X in (u.src, u.dst))
+        self.left, self.right, self.top, self.bottom = (
+            extend_map(u, N) for u in maps
+        )
+
     def commutes(self) -> bool:
-        for n, row in self.top.mapping.items():
-            if n not in self.left.mapping:
-                return False
-            for a, x in row.items():
-                lower = self.bottom.mapping[n][self.left.mapping[n][a]]
-                if self.right.mapping[n][x] != lower:
-                    return False
-        return True
-
-
-def _fills(p: LiftingProblem, w: PresheafMap) -> bool:
-    for n, row in p.top.mapping.items():
-        for a, x in row.items():
-            if w.mapping[n][p.left.mapping[n][a]] != x:
-                return False
-    for n, row in p.bottom.mapping.items():
-        if n not in p.right.mapping:
-            return False
-        for b, y in row.items():
-            if p.right.mapping[n][w.mapping[n][b]] != y:
-                return False
-    return True
+        return self.top.then(self.right).mapping == self.left.then(self.bottom).mapping
 
 
 def solve_lifting(p: LiftingProblem, limit: int | None = None):
     """The first filler in the canonical order, or None after exhausting
-    every map from the lower-left corner to the upper-right one."""
+    every map from the lower-left corner to the upper-right one that
+    agrees with the top along left."""
     if not p.commutes():
         raise InputError("lifting square does not commute")
-    for w in hom_presheaf(p.left.dst, p.right.src, limit):
-        if _fills(p, w):
-            assert w.verify_natural()
-            return w
-    return None
+    fillers = hom_presheaf(p.left.dst, p.right.src, limit, [(p.left, p.top)])
+    return next(
+        (w for w in fillers if w.then(p.right).mapping == p.bottom.mapping), None
+    )
 
 
 # -- cap filling and fibrancy ------------------------------------------------
@@ -113,16 +103,9 @@ def cap_inclusion(
     cap_q, _ = cap(n, j, eps, SiteTag.Q)
     s = symmetrize_structure(cap_q, limit)
     incl = symmetrize_comparison(s, representable(n, SiteTag.QSIGMA))
-    assert incl.is_injective()
+    if not incl.is_injective():
+        raise SymcubeError(f"cap ({n},{j},{eps}) is not a subobject of the cube")
     return s.product, incl
-
-
-def _extends(v: PresheafMap, incl: PresheafMap, u: PresheafMap) -> bool:
-    return all(
-        v.mapping[k][incl.mapping[k][c]] == val
-        for k, row in u.mapping.items()
-        for c, val in row.items()
-    )
 
 
 def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> Report:
@@ -140,11 +123,9 @@ def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> R
         for j in range(1, n + 1):
             for eps in (0, 1):
                 box, incl = cap_inclusion(n, j, eps, limit)
-                stuck = 0
+                filled = [incl.then(v).mapping for v in extensions]
                 horns = hom_presheaf(box, X, limit)
-                for u in horns:
-                    if not any(_extends(v, incl, u) for v in extensions):
-                        stuck += 1
+                stuck = sum(u.mapping not in filled for u in horns)
                 rep.check(
                     f"cap ({n},{j},{eps})",
                     stuck == 0,
@@ -169,17 +150,10 @@ class Homotopy:
     end: PresheafMap
 
     def verify(self) -> bool:
-        return _restricts(self.h, self.start, self.source) and _restricts(
-            self.h, self.end, self.target
+        return (
+            self.start.then(self.h).mapping == self.source.mapping
+            and self.end.then(self.h).mapping == self.target.mapping
         )
-
-
-def _restricts(h: PresheafMap, e: PresheafMap, f: PresheafMap) -> bool:
-    return all(
-        h.mapping[k][e.mapping[k][x]] == f.mapping[k][x]
-        for k, row in e.mapping.items()
-        for x in row
-    )
 
 
 def cylinder(
@@ -215,10 +189,8 @@ def find_homotopy(
     if not (f.dst is g.dst or f.dst.same_data(g.dst)):
         raise InputError("homotopy endpoints have different targets")
     cr, e0, e1 = cylinder(f.src, n, limit)
-    for h in hom_presheaf(cr.product, f.dst, limit):
-        if _restricts(h, e0, f) and _restricts(h, e1, g):
-            return Homotopy(n, h, f, g, e0, e1)
-    return None
+    hs = hom_presheaf(cr.product, f.dst, limit, [(e0, f), (e1, g)])
+    return Homotopy(n, hs[0], f, g, e0, e1) if hs else None
 
 
 def projection_homotopy(
@@ -236,7 +208,8 @@ def projection_homotopy(
 
     h = _class_map(cr, ye, value)
     out = Homotopy(n, h, f, f, e0, e1)
-    assert out.verify()
+    if not out.verify():
+        raise SymcubeError("projection homotopy does not restrict to its map")
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -572,16 +573,36 @@ def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[SectionRef]:
 
 
 def hom_presheaf(
-    X: SkeletalPresheaf, Y: SkeletalPresheaf, limit: int | None = None
+    X: SkeletalPresheaf,
+    Y: SkeletalPresheaf,
+    limit: int | None = None,
+    fixed: Sequence[tuple[PresheafMap, PresheafMap]] = (),
 ) -> list[PresheafMap]:
-    """All presheaf maps X -> Y, by backtracking over values on the
-    nondegenerate sections of X, with face constraints for pruning and a
-    full naturality check on each completed candidate."""
+    """All presheaf maps X -> Y that agree with a partial map, by
+    backtracking over values on the nondegenerate sections of X, with face
+    constraints for pruning and a full naturality check on each completed
+    candidate.
+
+    fixed is the partial map a question prescribes, as pairs (i, u) of
+    maps A -> X and A -> Y: w is kept when w o i = u for every pair, and
+    without pairs every map is kept.  Each prescribed value u(a) on the
+    section x = i(a) = e*y of X is pushed onto the nondegenerate y, whose
+    value must then satisfy e*w(y) = u(a); two different prescriptions
+    for one section leave no map.  The maps come in the same order as
+    without fixed, and limit bounds how many are returned, so it counts
+    only the maps that agree.
+    """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
     nd = []
     for k in range(X.N + 1):
         nd.extend(nondegenerate_sections(X, k))
+    pinned: dict[tuple[int, str], list[tuple[Morphism, str]]] = {}
+    for i, u in fixed:
+        for k, row in i.mapping.items():
+            for a, x in row.items():
+                e, y = X.ez_decompose(SectionRef(k, x))
+                pinned.setdefault((y.level, y.id), []).append((e, u.mapping[k][a]))
     results: list[PresheafMap] = []
     assigned: dict[tuple[int, str], str] = {}
 
@@ -591,6 +612,8 @@ def hom_presheaf(
 
     def consistent(ref: SectionRef, v: str) -> bool:
         k = ref.level
+        if any(Y.act(e, v) != want for e, want in pinned.get((k, ref.id), ())):
+            return False
         for i in range(1, k + 1):
             for eps in (0, 1):
                 d = delta(i, eps, k - 1)
@@ -1220,46 +1243,49 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
     """Parse the text or JSON presheaf format, validate structure and
     the relation instances; raise InputError with the first failure."""
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-        site_tag = SiteTag.parse(data["site"])
-        N = int(data["truncation"])
-        levels = {int(n): tuple(ids) for n, ids in data["levels"].items()}
-        action = {
-            parse_generator_name(gname, site_tag): dict(table)
-            for gname, table in data["action"].items()
-        }
-    else:
-        site_tag, N = None, None
-        levels, action = {}, {}
-        current = None
-        for raw in text.splitlines():
-            line = raw.rstrip()
-            if not line.strip() or line.strip().startswith("#"):
-                continue
-            stripped = line.strip()
-            if stripped.startswith("site:"):
-                site_tag = SiteTag.parse(stripped.split(":", 1)[1])
-            elif stripped.startswith("truncation:"):
-                N = int(stripped.split(":", 1)[1])
-            elif stripped.startswith("level "):
-                head, _, rest = stripped.partition(":")
-                n = int(head.split()[1])
-                levels[n] = tuple(rest.split())
-            elif line.startswith((" ", "\t")) and "->" in stripped:
-                if current is None:
-                    raise InputError(f"action pair outside a block: {stripped!r}")
-                x, _, v = stripped.partition(" -> ")
-                action[current][x.strip()] = v.strip()
-            elif stripped.endswith(":"):
-                if site_tag is None:
-                    raise InputError("generator block before site header")
-                current = parse_generator_name(stripped[:-1], site_tag)
-                action.setdefault(current, {})
-            else:
-                raise InputError(f"cannot parse line {stripped!r}")
-        if site_tag is None or N is None:
-            raise InputError("missing site or truncation header")
+    try:
+        if text.startswith("{"):
+            data = json.loads(text)
+            site_tag = SiteTag.parse(data["site"])
+            N = int(data["truncation"])
+            levels = {int(n): tuple(ids) for n, ids in data["levels"].items()}
+            action = {
+                parse_generator_name(gname, site_tag): dict(table)
+                for gname, table in data["action"].items()
+            }
+        else:
+            site_tag, N = None, None
+            levels, action = {}, {}
+            current = None
+            for raw in text.splitlines():
+                line = raw.rstrip()
+                if not line.strip() or line.strip().startswith("#"):
+                    continue
+                stripped = line.strip()
+                if stripped.startswith("site:"):
+                    site_tag = SiteTag.parse(stripped.split(":", 1)[1])
+                elif stripped.startswith("truncation:"):
+                    N = int(stripped.split(":", 1)[1])
+                elif stripped.startswith("level "):
+                    head, _, rest = stripped.partition(":")
+                    n = int(head.split()[1])
+                    levels[n] = tuple(rest.split())
+                elif line.startswith((" ", "\t")) and "->" in stripped:
+                    if current is None:
+                        raise InputError(f"action pair outside a block: {stripped!r}")
+                    x, _, v = stripped.partition(" -> ")
+                    action[current][x.strip()] = v.strip()
+                elif stripped.endswith(":"):
+                    if site_tag is None:
+                        raise InputError("generator block before site header")
+                    current = parse_generator_name(stripped[:-1], site_tag)
+                    action.setdefault(current, {})
+                else:
+                    raise InputError(f"cannot parse line {stripped!r}")
+            if site_tag is None or N is None:
+                raise InputError("missing site or truncation header")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed presheaf: {type(exc).__name__}: {exc}") from exc
     X = SkeletalPresheaf(site_tag, N, levels, action, name)
     audit = verify_functorial(X)
     if not audit.ok:

@@ -223,12 +223,6 @@ class SimplicialMap:
     def is_injective(self) -> bool:
         return all(len(set(m.values())) == len(m) for m in self.mapping.values())
 
-    def is_bijective(self) -> bool:
-        return self.is_injective() and all(
-            set(self.mapping[k].values()) == set(self.dst.levels[k])
-            for k in self.mapping
-        )
-
     def verify_simplicial(self) -> bool:
         K = min(self.src.K, self.dst.K)
         for k in range(1, K + 1):

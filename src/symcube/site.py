@@ -27,6 +27,7 @@ from .errors import (
     BadDimension,
     CompositionMismatch,
     IndexOutOfRange,
+    InputError,
     MorphismSyntaxError,
     NotEpi,
     ResourceBound,
@@ -373,22 +374,6 @@ def endpoint(eps: int, n: CubeObject) -> Morphism:
     return constant([eps] * n)
 
 
-def generator(kind: str, n: CubeObject, *args) -> Morphism:
-    """Build a generator by name: ('delta', n, i, eps), ('sigma', n, i),
-    ('gamma', n, i), ('pi', n, p)."""
-    if kind == "delta":
-        return delta(args[0], args[1], n)
-    if kind == "sigma":
-        return sigma(args[0], n)
-    if kind == "gamma":
-        return gamma(args[0], n)
-    if kind == "pi":
-        (p,) = args
-        assert p.n == n
-        return pi(p)
-    raise IndexOutOfRange(f"unknown generator kind {kind!r}")
-
-
 # -- composition and monoidal structure --------------------------------------
 
 
@@ -470,14 +455,18 @@ class Factorization:
         object.__setattr__(self, "conjs", tuple(self.conjs))
         object.__setattr__(self, "degens", tuple(self.degens))
         ell = self.ell
-        assert all(i1 > i2 for (i1, _), (i2, _) in zip(faces, faces[1:]))
-        assert all(1 <= i <= self.dst and e in (0, 1) for i, e in faces)
-        assert list(self.conjs) == sorted(set(self.conjs))
-        assert all(1 <= k <= ell - 1 for k in self.conjs)
-        assert list(self.degens) == sorted(set(self.degens))
-        assert all(1 <= j <= self.src for j in self.degens)
-        assert self.perm.n == ell
-        assert self.dst == ell - len(self.conjs) + len(faces), "arity mismatch"
+        for ok, what in (
+            (all(i1 > i2 for (i1, _), (i2, _) in zip(faces, faces[1:])), "faces"),
+            (all(1 <= i <= self.dst and e in (0, 1) for i, e in faces), "faces"),
+            (list(self.conjs) == sorted(set(self.conjs)), "conjs"),
+            (all(1 <= k <= ell - 1 for k in self.conjs), "conjs"),
+            (list(self.degens) == sorted(set(self.degens)), "degens"),
+            (all(1 <= j <= self.src for j in self.degens), "degens"),
+            (self.perm.n == ell, "perm"),
+            (self.dst == ell - len(self.conjs) + len(faces), "arity"),
+        ):
+            if not ok:
+                raise InputError(f"malformed factorization: bad {what}")
 
     @property
     def ell(self) -> int:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from symcube.cli import run
-from symcube.presheaf import boundary, dumps_presheaf
+from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json
 from symcube.site import SiteTag
 
 
@@ -233,6 +233,28 @@ def test_presheaf_file_roundtrip(tmp_path):
     text = dumps_presheaf(X)
     again = dumps_presheaf(loads_presheaf(text, name=X.name))
     assert text == again
+
+
+def _without_truncation(X):
+    data = json.loads(dumps_presheaf_json(X))
+    del data["truncation"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _without_truncation,
+        lambda X: dumps_presheaf_json(X)[:200],
+        lambda X: dumps_presheaf(X).replace("truncation: 1", "truncation: x"),
+    ],
+    ids=["json-missing-key", "json-truncated", "text-bad-truncation"],
+)
+def test_malformed_presheaf_file_is_input_error(tmp_path, capsys, spoil):
+    path = tmp_path / "bad.cub"
+    path.write_text(spoil(boundary(1, SiteTag.QSIGMA)[0]))
+    assert run(["realize", str(path)]) == 2
+    assert "malformed presheaf" in capsys.readouterr().err
 
 
 # -- homotopy commands -------------------------------------------------------

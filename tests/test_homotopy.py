@@ -19,7 +19,9 @@ from symcube.presheaf import (
     boundary,
     empty_presheaf,
     extension_methods_agree,
+    hom_presheaf,
     identity_map,
+    pushout,
     representable,
     terminal_map,
 )
@@ -231,6 +233,28 @@ def test_lifting_rejects_noncommuting_square():
         solve_lifting(p)
 
 
+def test_lifting_aligns_mixed_truncations():
+    # the cap is stored to level 2, the interval and the point to level 1
+    box, incl = cap_inclusion(2, 1, 0)
+    t = terminal_map(R1S)
+    top = hom_presheaf(box, R1S)[0]
+    bottom = hom_presheaf(incl.dst, t.dst)[0]
+    p = LiftingProblem(incl, t, top, bottom)
+    assert {u.src.N for u in (p.left, p.right, p.top, p.bottom)} == {2}
+    w = solve_lifting(p)
+    assert w is not None
+    assert p.left.then(w).mapping == p.top.mapping
+
+
+def test_conflicting_prescriptions_leave_no_map():
+    # a zero-dimensional cylinder has one end, asked to be both vertices
+    assert find_homotopy(vertex_map(R1S, V0), vertex_map(R1S, V1), 0) is None
+    # both vertices of the boundary go to the point, which must go back to each
+    t = terminal_map(BD1S)
+    p = LiftingProblem(t, t, identity_map(BD1S), identity_map(t.dst))
+    assert solve_lifting(p) is None
+
+
 def test_lifting_respects_limit():
     p = LiftingProblem(BD1S_INCL, identity_map(R1S), BD1S_INCL, identity_map(R1S))
     with pytest.raises(ResourceBound):
@@ -284,3 +308,112 @@ def test_fibrancy_guards():
 )
 def test_extension_methods_agree_on_corpus(X):
     assert extension_methods_agree(X, X.N + 1)
+
+
+# -- the constrained search against the filter it replaced ------------------
+
+
+def agrees(w, i, u):
+    """w o i = u, checked entry by entry."""
+    return all(
+        w.mapping[k][i.mapping[k][a]] == x
+        for k, row in u.mapping.items()
+        for a, x in row.items()
+    )
+
+
+def fills(p, w):
+    return agrees(w, p.left, p.top) and all(
+        p.right.mapping[n][w.mapping[n][b]] == y
+        for n, row in p.bottom.mapping.items()
+        for b, y in row.items()
+    )
+
+
+def lifting_squares():
+    box1, incl1 = cap_inclusion(1, 1, 0)
+    box2, incl2 = cap_inclusion(2, 1, 0)
+    t_bd1, t_r1, t_r2 = terminal_map(BD1S), terminal_map(R1S), terminal_map(R2S)
+    empty = empty_presheaf(QS, 0)
+    squares = [
+        LiftingProblem(BD1S_INCL, identity_map(R1S), BD1S_INCL, identity_map(R1S)),
+        LiftingProblem(
+            PresheafMap(empty, R0, {0: {}}),
+            t_r1,
+            PresheafMap(empty, R1S, {0: {}}),
+            PresheafMap(R0, t_r1.dst, {0: {PT: t_r1.dst.level(0)[0]}}),
+        ),
+        LiftingProblem(BD1S_INCL, t_bd1, identity_map(BD1S), t_r1),
+        LiftingProblem(t_bd1, t_bd1, identity_map(BD1S), identity_map(t_bd1.dst)),
+        LiftingProblem(incl2, t_r1, hom_presheaf(box2, R1S)[0],
+                       hom_presheaf(R2S, t_r1.dst)[0]),
+    ]
+    squares += [
+        LiftingProblem(incl1, t_bd1, top, t_r1) for top in hom_presheaf(box1, BD1S)
+    ]
+    squares += [
+        LiftingProblem(incl2, t_r2, top, terminal_map(R2S))
+        for top in hom_presheaf(box2, R2S)
+    ]
+    # collapsing the interval to a point: a top that wraps the edge around
+    # the circle is prescribed only on sections degenerate in the point
+    circle = pushout(BD1S_INCL, t_bd1)[0]
+    squares += [
+        LiftingProblem(t_r1, terminal_map(circle), top, identity_map(t_r1.dst))
+        for top in hom_presheaf(R1S, circle)
+    ]
+    return squares
+
+
+def test_lifting_search_matches_filtered_oracle():
+    unconstrained = {}
+    for p in lifting_squares():
+        B, X = p.left.dst, p.right.src
+        key = (B.name, B.N, X.name, X.N)
+        if key not in unconstrained:
+            unconstrained[key] = hom_presheaf(B, X)
+        expected = [w for w in unconstrained[key] if agrees(w, p.left, p.top)]
+        got = hom_presheaf(B, X, fixed=[(p.left, p.top)])
+        assert [w.mapping for w in got] == [w.mapping for w in expected]
+        first = next((w for w in expected if fills(p, w)), None)
+        w = solve_lifting(p)
+        assert (w.mapping if w else None) == (first.mapping if first else None)
+
+
+@pytest.mark.parametrize(
+    "target, a, b, n",
+    [
+        (R1S, V0, V1, 1),
+        (R1S, V0, V1, 0),
+        (R1S, V1, V1, 0),
+        (BD1S, V0, V1, 1),
+        (BD1S, V0, V0, 1),
+        (R2S, "(0,0):0->2", "(1,1):0->2", 1),
+        (R2S, "(0,0):0->2", "(1,1):0->2", 2),
+        (R2S, "(0,1):0->2", "(1,1):0->2", 1),
+    ],
+)
+def test_homotopy_search_matches_filtered_oracle(target, a, b, n):
+    f, g = vertex_map(target, a), vertex_map(target, b)
+    cr, e0, e1 = cylinder(R0, n)
+    expected = [
+        h.mapping
+        for h in hom_presheaf(cr.product, target)
+        if agrees(h, e0, f) and agrees(h, e1, g)
+    ]
+    got = hom_presheaf(cr.product, target, fixed=[(e0, f), (e1, g)])
+    assert [h.mapping for h in got] == expected
+    h = find_homotopy(f, g, n)
+    assert (h.h.mapping if h else None) == (expected[0] if expected else None)
+
+
+@pytest.mark.parametrize("u", [BD1S_INCL, identity_map(R1S)], ids=["incl", "id"])
+def test_self_homotopy_search_matches_filtered_oracle(u):
+    cr, e0, e1 = cylinder(u.src, 1)
+    expected = [
+        h.mapping
+        for h in hom_presheaf(cr.product, u.dst)
+        if agrees(h, e0, u) and agrees(h, e1, u)
+    ]
+    got = hom_presheaf(cr.product, u.dst, fixed=[(e0, u), (e1, u)])
+    assert [h.mapping for h in got] == expected and expected

@@ -6,6 +6,8 @@ here as regression oracles.
 """
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from symcube import site
 from symcube.errors import (
     CompositionMismatch,
     IndexOutOfRange,
+    InputError,
     MorphismSyntaxError,
     NotEpi,
     ResourceBound,
@@ -22,6 +25,7 @@ from symcube.errors import (
 from symcube.site import (
     Conj,
     Const,
+    Factorization,
     Morphism,
     Permutation,
     SiteTag,
@@ -147,13 +151,6 @@ def test_generator_bounds():
         gamma(2, 1)
     with pytest.raises(IndexOutOfRange):
         gamma(1, 0)
-
-
-def test_generator_dispatcher():
-    assert site.generator("delta", 2, 2, 1) == delta(2, 1, 2)
-    assert site.generator("sigma", 1, 1) == sigma(1, 1)
-    assert site.generator("gamma", 1, 1) == gamma(1, 1)
-    assert site.generator("pi", 2, Permutation((2, 1))) == pi(Permutation((2, 1)))
 
 
 # -- composition -------------------------------------------------------------
@@ -298,6 +295,37 @@ def test_plus_minus_structure():
 @given(morphisms())
 def test_factor_round_trip_random(f):
     assert factor(f).evaluate() == f
+
+
+# the normal form of (x3,1,x1^x5^x2,0):5->4 with one field spoiled at a time
+@pytest.mark.parametrize(
+    "faces, conjs, perm, degens, dst",
+    [
+        (((2, 1), (4, 0)), (2, 3), (2, 4, 1, 3), (4,), 4),
+        (((4, 2), (2, 1)), (2, 3), (2, 4, 1, 3), (4,), 4),
+        (((4, 0), (2, 1)), (3, 2), (2, 4, 1, 3), (4,), 4),
+        (((4, 0), (2, 1)), (2, 4), (2, 4, 1, 3), (4,), 4),
+        (((4, 0), (2, 1)), (2, 3), (2, 4, 1, 3), (6,), 4),
+        (((4, 0), (2, 1)), (2, 3), (2, 1, 3), (4,), 4),
+        (((4, 0), (2, 1)), (2, 3), (2, 4, 1, 3), (4,), 3),
+    ],
+)
+def test_factorization_rejects_malformed_fields(faces, conjs, perm, degens, dst):
+    Factorization(((4, 0), (2, 1)), (2, 3), Permutation((2, 4, 1, 3)), (4,), 5, 4)
+    with pytest.raises(InputError):
+        Factorization(faces, conjs, Permutation(perm), degens, 5, dst)
+
+
+def test_factorization_contracts_hold_without_asserts():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from symcube.site import Factorization, Permutation; "
+         "Factorization((), (), Permutation((1,)), (), 1, 2)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "InputError: malformed factorization: bad arity" in proc.stderr
 
 
 # -- permutations ------------------------------------------------------------
