@@ -30,6 +30,7 @@ from .site import (
     Morphism,
     Permutation,
     SiteTag,
+    _UnionFind,
     classify,
     compose,
     delta,
@@ -112,7 +113,7 @@ class SkeletalPresheaf:
         self.action = action
         self.name = name
         self._tables: dict[Morphism, dict[str, str]] = {}
-        self._ez_cache: dict[tuple[int, str], tuple[Morphism, SectionRef]] = {}
+        self._ez_levels: dict[int, dict[str, tuple[Morphism, SectionRef]]] = {}
         self._check_structure()
 
     def _check_structure(self):
@@ -155,19 +156,8 @@ class SkeletalPresheaf:
         cached = self._tables.get(f)
         if cached is not None:
             return cached
-        word = factor(f).generator_word()
-        gens = []
-        for kind, n, *args in word:
-            if kind == "delta":
-                gens.append(delta(args[0], args[1], n))
-            elif kind == "sigma":
-                gens.append(sigma(args[0], n))
-            elif kind == "gamma":
-                gens.append(gamma(args[0], n))
-            else:
-                gens.append(pi(Permutation.transposition(args[0], args[0] + 1, n)))
         # contravariance: last applied acts first
-        steps = [self.action[g] for g in reversed(gens)]
+        steps = [self.action[g] for g in reversed(factor(f).generators())]
         result = {}
         for x in self.levels[f.dst]:
             v = x
@@ -182,48 +172,53 @@ class SkeletalPresheaf:
 
     # -- EZ decomposition ---------------------------------------------------
 
-    def ez_decompose(self, ref: SectionRef) -> tuple[Morphism, SectionRef]:
-        """The section as (epi, nondegenerate): act(epi)(y) = ref.id.
+    def _ez_level(self, n: int) -> dict[str, tuple[Morphism, SectionRef]]:
+        """Level n of the EZ table, built once after the levels below.
 
-        Greedy descent through the corank-one epis.  A single section
-        per epi suffices: if the section lies in the image of the epi
-        action at all, any section of the epi recovers a preimage.  The
-        twisted collapses (epis with a nontrivial cosymmetry part) must
-        be tried too; generator images alone miss, for example, the
-        section (x2^x1):2->1 of the extended interval.
+        A section that some corank-one epi e: [n] -> [n-1] reaches is e*y
+        for a section y one level down, already decomposed as (e2, z), so
+        it is (e2 o e, z).  The twisted collapses (epis with a nontrivial
+        cosymmetry part) count too; generator images alone miss, for
+        example, the section (x2^x1):2->1 of the extended interval.  The
+        sections no such epi reaches are the nondegenerate ones, each
+        paired with the identity.
         """
-        key = (ref.level, ref.id)
-        cached = self._ez_cache.get(key)
-        if cached is not None:
-            return cached
-        epi = identity(ref.level)
-        level, sid = ref.level, ref.id
-        progress = True
-        while progress and level > 0:
-            progress = False
-            for g, d in _descent_steps(self.site, level):
-                y = self.act(d, sid)
-                if self.act(g, y) == sid:
-                    epi = compose(g, epi)
-                    level, sid = level - 1, y
-                    progress = True
-                    break
-        result = (epi, SectionRef(level, sid))
-        self._ez_cache[key] = result
-        return result
+        got = self._ez_levels.get(n)
+        if got is None:
+            ids = self.level(n)
+            got = {}
+            if n > 0:
+                below = self._ez_level(n - 1)
+                for e in enumerate_hom(n, n - 1, self.site):
+                    if classify(e).is_epi:
+                        for y, x in self.table(e).items():
+                            if x not in got:
+                                e2, z = below[y]
+                                got[x] = (compose(e2, e), z)
+            ident = identity(n)
+            for x in ids:
+                got.setdefault(x, (ident, SectionRef(n, x)))
+            self._ez_levels[n] = got
+        return got
+
+    def ez_decompose(self, ref: SectionRef) -> tuple[Morphism, SectionRef]:
+        """The section as (epi, nondegenerate): act(epi)(y) = ref.id."""
+        return self._ez_level(ref.level)[ref.id]
 
     def is_nondegenerate(self, ref: SectionRef) -> bool:
-        return self.ez_decompose(ref)[0] == identity(ref.level)
+        return self.ez_decompose(ref)[1] == ref
 
     # -- skeletal extension -------------------------------------------------
 
     def extend_to(self, N2: int) -> "SkeletalPresheaf":
-        if N2 <= self.N:
-            return self
         X = self
-        for n in range(self.N + 1, N2 + 1):
-            X = X._extend_one()
+        while X.N < N2:
+            X = X._one_level_up
         return X
+
+    @cached_property
+    def _one_level_up(self) -> "SkeletalPresheaf":
+        return self._extend_one()
 
     def _canonical_pair(self, epi: Morphism, ref: SectionRef) -> str:
         """Canonical id for the extended section act(epi)(ref), as the
@@ -241,15 +236,12 @@ class SkeletalPresheaf:
     def _extend_one(self) -> "SkeletalPresheaf":
         n = self.N + 1
         pairs = {}
-        for m in range(self.N + 1):
+        for m in range(n):
+            nd = nondegenerate_sections(self, m)
             for e in enumerate_hom(n, m, self.site):
-                if not classify(e).is_epi:
-                    continue
-                for sid in self.levels[m]:
-                    ref = SectionRef(m, sid)
-                    if self.is_nondegenerate(ref):
-                        pid = self._canonical_pair(e, ref)
-                        pairs[pid] = (e, ref)
+                if classify(e).is_epi:
+                    for ref in nd:
+                        pairs[self._canonical_pair(e, ref)] = (e, ref)
         new_levels = dict(self.levels)
         new_levels[n] = tuple(sorted(pairs))
         new_action = dict(self.action)
@@ -293,26 +285,6 @@ class TruncatedPresheaf(SkeletalPresheaf):
         raise TruncationMismatch(
             f"{self.name} is truncated at {self.N}; cannot extend to {N2}"
         )
-
-
-_DESCENT_CACHE: dict[tuple[SiteTag, int], tuple[tuple[Morphism, Morphism], ...]] = {}
-
-
-def _descent_steps(site: SiteTag, level: int):
-    """All corank-one epis [level] -> [level-1] paired with one section
-    each, the candidates for one degeneracy step."""
-    key = (site, level)
-    cached = _DESCENT_CACHE.get(key)
-    if cached is None:
-        from .site import sections_of
-
-        cached = tuple(
-            (e, sections_of(e)[0])
-            for e in enumerate_hom(level, level - 1, site)
-            if classify(e).is_epi
-        )
-        _DESCENT_CACHE[key] = cached
-    return cached
 
 
 # -- presheaf maps -----------------------------------------------------------
@@ -603,6 +575,14 @@ def hom_presheaf(
             for a, x in row.items():
                 e, y = X.ez_decompose(SectionRef(k, x))
                 pinned.setdefault((y.level, y.id), []).append((e, u.mapping[k][a]))
+    # the face and adjacent-swap actions of X and Y, paired by level
+    faces: dict[int, list[tuple[dict, dict]]] = {}
+    swaps: dict[int, list[tuple[dict, dict]]] = {}
+    for _, g in generator_morphisms(X.site, X.N):
+        if g.src < g.dst:
+            faces.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
+        elif g.src == g.dst:
+            swaps.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
     results: list[PresheafMap] = []
     assigned: dict[tuple[int, str], str] = {}
 
@@ -611,22 +591,18 @@ def hom_presheaf(
         return Y.act(e, assigned[(y.level, y.id)])
 
     def consistent(ref: SectionRef, v: str) -> bool:
-        k = ref.level
-        if any(Y.act(e, v) != want for e, want in pinned.get((k, ref.id), ())):
+        k, x = ref.level, ref.id
+        if any(Y.act(e, v) != want for e, want in pinned.get((k, x), ())):
             return False
-        for i in range(1, k + 1):
-            for eps in (0, 1):
-                d = delta(i, eps, k - 1)
-                if Y.act(d, v) != value_of(SectionRef(k - 1, X.act(d, ref.id))):
-                    return False
-        if X.site is SiteTag.QSIGMA:
-            for i in range(1, k):
-                s = pi(Permutation.transposition(i, i + 1, k))
-                mate = X.act(s, ref.id)
-                if (mate == ref.id and Y.act(s, v) != v) or (
-                    (k, mate) in assigned and Y.act(s, v) != assigned[(k, mate)]
-                ):
-                    return False
+        for xd, yd in faces.get(k, ()):
+            if yd[v] != value_of(SectionRef(k - 1, xd[x])):
+                return False
+        for xs, ys in swaps.get(k, ()):
+            mate = xs[x]
+            if (mate == x and ys[v] != v) or (
+                (k, mate) in assigned and ys[v] != assigned[(k, mate)]
+            ):
+                return False
         return True
 
     def finish():
@@ -668,35 +644,6 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
 
 
 # -- colimits ----------------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # least representative wins, for deterministic output
-            lo, hi = sorted((rx, ry))
-            self.parent[hi] = lo
-
-    def classes(self):
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return groups
 
 
 def quotient_classes(uf: _UnionFind, name, class_of: dict, reps: dict) -> list:

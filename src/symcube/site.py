@@ -31,6 +31,7 @@ from .errors import (
     MorphismSyntaxError,
     NotEpi,
     ResourceBound,
+    SymcubeError,
 )
 from .report import Report
 
@@ -265,7 +266,10 @@ class Permutation:
 
     def after(self, other: "Permutation") -> "Permutation":
         """The composite self o other (other applied first)."""
-        assert self.n == other.n
+        if self.n != other.n:
+            raise CompositionMismatch(
+                f"cannot compose permutations of {self.n} and {other.n} letters"
+            )
         return Permutation(self(other(i)) for i in range(1, self.n + 1))
 
     def is_identity(self) -> bool:
@@ -472,40 +476,29 @@ class Factorization:
     def ell(self) -> int:
         return self.src - len(self.degens)
 
-    def generator_word(self) -> list[tuple]:
-        """Generators in application (first-to-last) order, each a tuple
-        ('sigma'|'swap'|'gamma'|'delta', n, i[, eps]) with n the dimension
-        subscript (sigma/gamma act [n+1]->[n], delta acts [n]->[n+1])."""
+    def generators(self) -> list[Morphism]:
+        """The generators in application (first-to-last) order: the
+        degeneracies, the adjacent swaps of the permutation, the
+        conjunctions, then the faces."""
         word = []
         d = self.src
         for j in reversed(self.degens):
-            word.append(("sigma", d - 1, j))
             d -= 1
-        assert d == self.ell
+            word.append(sigma(j, d))
         for t in reversed(self.perm.adjacent_word()):
-            word.append(("swap", d, t))
+            word.append(pi(Permutation.transposition(t, t + 1, d)))
         for k in reversed(self.conjs):
-            word.append(("gamma", d - 1, k))
             d -= 1
+            word.append(gamma(k, d))
         for i, eps in reversed(self.faces):
-            word.append(("delta", d, i, eps))
+            word.append(delta(i, eps, d))
             d += 1
-        assert d == self.dst
         return word
 
     def evaluate(self) -> Morphism:
         result = identity(self.src)
-        d = self.src
-        for j in reversed(self.degens):
-            result = compose(sigma(j, d - 1), result)
-            d -= 1
-        result = compose(pi(self.perm), result)
-        for k in reversed(self.conjs):
-            result = compose(gamma(k, d - 1), result)
-            d -= 1
-        for i, eps in reversed(self.faces):
-            result = compose(delta(i, eps, d), result)
-            d += 1
+        for g in self.generators():
+            result = compose(g, result)
         return result
 
     def __str__(self):
@@ -689,6 +682,38 @@ def ez_factor(f: Morphism) -> tuple[Morphism, Morphism]:
     return epi, mono
 
 
+# -- union-find --------------------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            # least representative wins, for deterministic output
+            lo, hi = sorted((rx, ry))
+            self.parent[hi] = lo
+
+    def classes(self):
+        groups: dict = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return groups
+
+
 # -- split pushouts ----------------------------------------------------------
 
 
@@ -859,7 +884,8 @@ def _generator_pushout(a1: Morphism, a2: Morphism) -> SplitPushout:
         return SplitPushout(a1, a2, p2, p1, SplitWitness(d0, d1, d2p))
     # mirrored orientation: flip the square, keep the pinned cocone
     flipped = _witness_table(a2, a1)
-    assert flipped is not None, (a1, a2)
+    if flipped is None:
+        raise SymcubeError(f"no pinned split pushout for {a1} and {a2}")
     fp1, fp2, *_ = flipped
     p1, p2 = fp2, fp1
     return SplitPushout(a1, a2, p2, p1, _search_witness(a1, a2, p1, p2))
@@ -876,16 +902,9 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
     exactly and terminates on arbitrary composite epis.
     """
     N = a1.src
-    parent = list(range(N + 1))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = _UnionFind()
+    for s in range(1, N + 1):
+        uf.add(s)
     supp1 = {s for e in a1.entries for s in e.symbols}
     supp2 = {s for e in a2.entries for s in e.symbols}
     alive = supp1 & supp2
@@ -894,13 +913,11 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
         for e in f.entries:
             for s, t in zip(e.symbols, e.symbols[1:]):
                 links.append((s, t))
-                parent[find(s)] = find(t)
-    classes: dict[int, list[int]] = {}
-    for s in range(1, N + 1):
-        classes.setdefault(find(s), []).append(s)
+                uf.union(s, t)
+    classes = uf.classes()
     buckets: dict[int, list[tuple[int, int]]] = {}
     for s, t in links:
-        buckets.setdefault(find(s), []).append((s, t))
+        buckets.setdefault(uf.find(s), []).append((s, t))
     chosen = []
     for root, members in classes.items():
         if not all(m in alive for m in members):
@@ -938,7 +955,8 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
         return Morphism(f.dst, len(chosen), entries)
 
     tau1, tau2 = leg(a1), leg(a2)
-    assert compose(tau1, a1) == compose(tau2, a2), (a1, a2, tau1, tau2)
+    if compose(tau1, a1) != compose(tau2, a2):
+        raise SymcubeError(f"the join cocone of {a1} and {a2} does not commute")
     return tau1, tau2
 
 

@@ -13,11 +13,13 @@ from symcube.errors import (
     ResourceBound,
     TruncationMismatch,
 )
+from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
     SectionRef,
     SkeletalPresheaf,
     SubgroupSpec,
+    _cosymmetry_perms,
     boundary,
     cap,
     coend_level,
@@ -62,6 +64,7 @@ from symcube.site import (
     identity,
     parse_morphism,
     pi,
+    sections_of,
 )
 
 QS = SiteTag.QSIGMA
@@ -275,6 +278,56 @@ def test_twisted_degeneracy_detected():
     for sid in ext.level(2):
         e, y = ext.ez_decompose(SectionRef(2, sid))
         assert y.level <= 1
+
+
+def _descent_oracle(X, ref):
+    """EZ pair by greedy descent: while some corank-one epi g reaches the
+    section, step down to its preimage through a section of g."""
+    epi, level, sid = identity(ref.level), ref.level, ref.id
+    progress = True
+    while progress and level > 0:
+        progress = False
+        for g in enumerate_hom(level, level - 1, X.site):
+            if classify(g).is_epi:
+                y = X.act(sections_of(g)[0], sid)
+                if X.act(g, y) == sid:
+                    epi, level, sid = compose(g, epi), level - 1, y
+                    progress = True
+                    break
+    return epi, SectionRef(level, sid)
+
+
+def test_ez_table_matches_descent_oracle():
+    BD1, _ = boundary(1, QS)
+    # built one at a time, so that a wrong table fails the comparison on
+    # C2 before it can break an extension further down the list
+    corpus = [
+        lambda: C2,
+        lambda: BD3,
+        lambda: QUOT,
+        lambda: representable(3, QS),
+        lambda: representable(3, Q),
+        lambda: C1.extend_to(3),
+        lambda: cap(2, 1, 0, Q)[0],
+        lambda: symmetrize(boundary(2, Q)[0]),
+        lambda: convolve(BD1, BD1).product,
+        lambda: coskeleton(C2, 1, up_to=2),
+    ]
+    for make in corpus:
+        X = make()
+        oracle = {ref: _descent_oracle(X, ref) for ref in X.sections()}
+        for k in range(X.N + 1):
+            assert nondegenerate_sections(X, k) == [
+                SectionRef(k, x) for x in X.level(k) if oracle[SectionRef(k, x)][1].level == k
+            ]
+        for ref, (e2, y2) in oracle.items():
+            e1, y1 = X.ez_decompose(ref)
+            for e, y in ((e1, y1), (e2, y2)):
+                assert classify(e).is_epi and X.act(e, y.id) == ref.id
+            assert y1.level == y2.level
+            assert y2.id in {
+                X.act(pi(th), y1.id) for th in _cosymmetry_perms(X.site, y1.level)
+            }
 
 
 def test_nondegenerate_counts():

@@ -272,16 +272,18 @@ def test_factorization_bijection():
 
 
 def test_generator_word_recomposes():
-    gens = {
-        "sigma": lambda n, i: sigma(i, n),
-        "gamma": lambda n, i: gamma(i, n),
-        "delta": lambda n, i, eps: delta(i, eps, n),
-        "swap": lambda n, t: pi(Permutation.transposition(t, t + 1, n)),
-    }
+    # every letter is a face, degeneracy, conjunction or adjacent swap
+    letters = set()
+    for n in range(4):
+        letters |= {delta(i, eps, n) for i in range(1, n + 2) for eps in (0, 1)}
+        letters |= {sigma(i, n) for i in range(1, n + 2)}
+        letters |= {gamma(i, n) for i in range(1, n + 1)}
+        letters |= {pi(Permutation.transposition(t, t + 1, n)) for t in range(1, n)}
     for f in all_morphisms(3):
         result = identity(f.src)
-        for kind, n, *args in factor(f).generator_word():
-            result = compose(gens[kind](n, *args), result)
+        for g in factor(f).generators():
+            assert g in letters
+            result = compose(g, result)
         assert result == f
 
 
@@ -317,15 +319,20 @@ def test_factorization_rejects_malformed_fields(faces, conjs, perm, degens, dst)
 
 
 def test_factorization_contracts_hold_without_asserts():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from symcube.site import Factorization, Permutation; "
-         "Factorization((), (), Permutation((1,)), (), 1, 2)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert "InputError: malformed factorization: bad arity" in proc.stderr
+    for call, error in (
+        ("Factorization((), (), Permutation((1,)), (), 1, 2)",
+         "InputError: malformed factorization: bad arity"),
+        ("Permutation((2, 1)).after(Permutation((1, 2, 3)))",
+         "CompositionMismatch: cannot compose permutations of 2 and 3 letters"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             f"from symcube.site import Factorization, Permutation; {call}"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert error in proc.stderr
 
 
 # -- permutations ------------------------------------------------------------
