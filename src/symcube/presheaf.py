@@ -646,17 +646,20 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
 # -- colimits ----------------------------------------------------------------
 
 
-def quotient_classes(uf: _UnionFind, name, class_of: dict, reps: dict) -> list:
-    """Record the classes of uf: each is named name(least member),
-    class_of sends every member to that id and reps sends the id to the
-    least member.  Returns the ids in class order."""
+def quotient_classes(uf: _UnionFind, members: list, name, class_of: dict,
+                     reps: dict) -> list:
+    """Record the classes of uf, whose number i stands for members[i]:
+    each class is named name(least member), class_of sends every member
+    to that id and reps sends the id to the least member.  Returns the
+    ids in class order."""
     ids = []
-    for members in uf.classes().values():
-        least = min(members)
+    for numbers in uf.classes().values():
+        group = [members[i] for i in numbers]
+        least = min(group)
         cid = name(least)
         reps[cid] = least
         ids.append(cid)
-        for m in members:
+        for m in group:
             class_of[m] = cid
     return ids
 
@@ -677,9 +680,14 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
     Returns (levels, class_of, reps, arrows): the sorted class ids of
     each level, the class id of every member, the least member of every
     class, and the arrow behind every printed one.
+
+    Each level's members are numbered block by block: the block of
+    dims = (n_1, ..., n_r) and arrow f holds (f,) + tail for the tails
+    of dims in order, so the union-find works on integers.  A level with
+    more than limit members raises ResourceBound before it is built.
     """
-    # the section tails and the relations' tail pairs depend neither on
-    # the level nor on the arrow, so they are built once
+    # the section tails and the relations' tail index pairs depend
+    # neither on the level nor on the arrow, so they are built once
     tails = {}
     for dims in itertools.product(*(range(X.N + 1) for X in factors)):
         sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
@@ -691,37 +699,47 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
             for dims, dst_tails in tails.items():
                 if dims[t] != u.dst:
                     continue
+                src_dims = dims[:t] + (u.src,) + dims[t + 1:]
+                number = {tail: i for i, tail in enumerate(tails[src_dims])}
                 lift = tensor(
                     tensor(identity(sum(dims[:t])), u), identity(sum(dims[t + 1:]))
                 )
                 pairs = [
-                    (tail, tail[:2 * t] + (u.src, tab[tail[2 * t + 1]])
-                     + tail[2 * t + 2:])
-                    for tail in dst_tails
+                    (i, number[tail[:2 * t] + (u.src, tab[tail[2 * t + 1]])
+                               + tail[2 * t + 2:]])
+                    for i, tail in enumerate(dst_tails)
                 ]
-                relations.append((lift, lift.src, pairs))
+                relations.append((lift, dims, src_dims, pairs))
 
     levels: dict[int, tuple] = {}
     class_of: dict = {}
     reps: dict = {}
     arrows: dict[str, Morphism] = {}
     for k in ks:
-        uf = _UnionFind()
-        add, union = uf.add, uf.union
+        homs = {}
+        for n in {sum(dims) for dims in tails}:
+            homs[n] = [(str(f), f) for f in enumerate_hom(k, n, site, limit)]
+        size = sum(len(homs[sum(dims)]) * len(t) for dims, t in tails.items())
+        if limit is not None and size > limit:
+            raise ResourceBound(
+                f"coend level {k} has {size} members, more than limit {limit}"
+            )
+        members = []
+        start = {}
         for dims, dim_tails in tails.items():
-            for f in enumerate_hom(k, sum(dims), site, limit):
-                fs = str(f)
+            for fs, f in homs[sum(dims)]:
                 arrows[fs] = f
+                start[dims, fs] = len(members)
                 key = (fs,)
-                for tail in dim_tails:
-                    add(key + tail)
-        for lift, n, pairs in relations:
-            for f in enumerate_hom(k, n, site, limit):
-                src = (str(f),)
-                dst = (str(compose(lift, f)),)
-                for dst_tail, src_tail in pairs:
-                    union(dst + dst_tail, src + src_tail)
-        levels[k] = tuple(sorted(quotient_classes(uf, _class_id, class_of, reps)))
+                members.extend([key + tail for tail in dim_tails])
+        uf = _UnionFind(len(members))
+        for lift, dims, src_dims, pairs in relations:
+            for fs, f in homs[lift.src]:
+                src = start[src_dims, fs]
+                dst = start[dims, str(compose(lift, f))]
+                uf.union_all(pairs, dst, src)
+        ids = quotient_classes(uf, members, _class_id, class_of, reps)
+        levels[k] = tuple(sorted(ids))
     return levels, class_of, reps, arrows
 
 
@@ -739,15 +757,16 @@ def pushout(f: PresheafMap, g: PresheafMap):
     class_of: dict[int, dict] = {}
     levels = {}
     for n in range(A.N + 1):
-        uf = _UnionFind()
-        for x in B.level(n):
-            uf.add(("B", x))
-        for x in C.level(n):
-            uf.add(("C", x))
-        for a in A.level(n):
-            uf.union(("B", f.mapping[n][a]), ("C", g.mapping[n][a]))
+        members = [("B", x) for x in B.level(n)] + [("C", x) for x in C.level(n)]
+        number = {m: i for i, m in enumerate(members)}
+        uf = _UnionFind(len(members))
+        uf.union_all(
+            (number["B", f.mapping[n][a]], number["C", g.mapping[n][a]])
+            for a in A.level(n)
+        )
         class_of[n] = {}
-        levels[n] = tuple(sorted(quotient_classes(uf, _pushout_tag, class_of[n], {})))
+        ids = quotient_classes(uf, members, _pushout_tag, class_of[n], {})
+        levels[n] = tuple(sorted(ids))
     action = {}
     for _, gen in generator_morphisms(A.site, A.N):
         table = {}
@@ -1186,6 +1205,12 @@ def dumps_presheaf_json(X: SkeletalPresheaf) -> str:
     )
 
 
+def _section_ids(ids) -> tuple[str, ...]:
+    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+        raise TypeError(f"a level must be a list of section ids, not {ids!r}")
+    return tuple(ids)
+
+
 def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
     """Parse the text or JSON presheaf format, validate structure and
     the relation instances; raise InputError with the first failure."""
@@ -1195,7 +1220,7 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
             data = json.loads(text)
             site_tag = SiteTag.parse(data["site"])
             N = int(data["truncation"])
-            levels = {int(n): tuple(ids) for n, ids in data["levels"].items()}
+            levels = {int(n): _section_ids(ids) for n, ids in data["levels"].items()}
             action = {
                 parse_generator_name(gname, site_tag): dict(table)
                 for gname, table in data["action"].items()
@@ -1233,6 +1258,9 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                 raise InputError("missing site or truncation header")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed presheaf: {type(exc).__name__}: {exc}") from exc
+    stray = sorted(n for n in levels if not 0 <= n <= N)
+    if stray:
+        raise InputError(f"malformed presheaf: level {stray[0]} outside truncation {N}")
     X = SkeletalPresheaf(site_tag, N, levels, action, name)
     audit = verify_functorial(X)
     if not audit.ok:

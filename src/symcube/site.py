@@ -686,31 +686,46 @@ def ez_factor(f: Morphism) -> tuple[Morphism, Morphism]:
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+    """Union-find over range(n) with path halving.  The smaller root wins
+    each union, so parent[x] <= x always and every class is rooted at its
+    least number."""
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # least representative wins, for deterministic output
-            lo, hi = sorted((rx, ry))
-            self.parent[hi] = lo
+    def union_all(self, pairs, x0: int = 0, y0: int = 0):
+        """Merge the classes of x0 + x and y0 + y for every (x, y) in pairs."""
+        parent = self.parent
+        for x, y in pairs:
+            x += x0
+            y += y0
+            # find, inlined: this loop carries every coend's gluing
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
 
-    def classes(self):
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
+    def classes(self) -> dict[int, list[int]]:
+        """Root -> members in increasing order, roots in increasing order."""
+        parent = self.parent
+        groups: dict[int, list[int]] = {}
+        for x in range(len(parent)):
+            # parent[x] < x is already compressed onto its root
+            root = parent[x] = parent[parent[x]]
+            if root == x:
+                groups[x] = [x]
+            else:
+                groups[root].append(x)
         return groups
 
 
@@ -902,9 +917,7 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
     exactly and terminates on arbitrary composite epis.
     """
     N = a1.src
-    uf = _UnionFind()
-    for s in range(1, N + 1):
-        uf.add(s)
+    uf = _UnionFind(N)  # symbol s is number s - 1
     supp1 = {s for e in a1.entries for s in e.symbols}
     supp2 = {s for e in a2.entries for s in e.symbols}
     alive = supp1 & supp2
@@ -913,13 +926,13 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
         for e in f.entries:
             for s, t in zip(e.symbols, e.symbols[1:]):
                 links.append((s, t))
-                uf.union(s, t)
-    classes = uf.classes()
+    uf.union_all(links, -1, -1)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for s, t in links:
-        buckets.setdefault(uf.find(s), []).append((s, t))
+        buckets.setdefault(uf.find(s - 1), []).append((s, t))
     chosen = []
-    for root, members in classes.items():
+    for root, numbers in uf.classes().items():
+        members = [m + 1 for m in numbers]
         if not all(m in alive for m in members):
             continue
         succ: dict[int, int] = {}

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from symcube.cli import run
+from symcube.cli import build_parser, run
 from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json
 from symcube.site import SiteTag
 
@@ -247,8 +247,12 @@ def _without_truncation(X):
         _without_truncation,
         lambda X: dumps_presheaf_json(X)[:200],
         lambda X: dumps_presheaf(X).replace("truncation: 1", "truncation: x"),
+        # a string level would otherwise split into one-character ids
+        lambda X: '{"site":"Q","truncation":0,"levels":{"0":"ab"},"action":{}}',
+        lambda X: dumps_presheaf(X).replace("truncation: 1", "level 5: z\ntruncation: 1"),
     ],
-    ids=["json-missing-key", "json-truncated", "text-bad-truncation"],
+    ids=["json-missing-key", "json-truncated", "text-bad-truncation",
+         "json-string-level", "text-level-above-truncation"],
 )
 def test_malformed_presheaf_file_is_input_error(tmp_path, capsys, spoil):
     path = tmp_path / "bad.cub"
@@ -352,3 +356,62 @@ def test_morphism_contracts_hold_without_asserts():
     )
     assert proc.returncode == 2
     assert "used twice" in proc.stderr
+
+
+# every subcommand on a small input, with the exit code it gives; the
+# failing ones exercise the contracts that must hold without asserts
+EVERY_SUBCOMMAND = [
+    (["compose", "(x1):1->1", "(x1):1->1"], 0),
+    (["compose", "(x1):1->1", "(0):0->2"], 2),
+    (["factor", "(x1,0):1->2"], 0),
+    (["factor", "(x3):1->1"], 2),
+    (["tensor", "(x1):1->1", "(0):0->1"], 0),
+    (["enum-hom", "1", "1"], 0),
+    (["verify-relations", "--dim", "2"], 0),
+    (["verify-ez", "--dim", "2"], 0),
+    (["verify-pushouts", "--dim", "2"], 0),
+    (["convolve", "cube:1", "boundary:1"], 0),
+    (["--limit", "10", "convolve", "cube:1", "cube:1"], 3),
+    (["symmetrize", "boundary:1"], 0),
+    (["restrict", "cube:1"], 0),
+    (["skeleton", "cube:1", "0"], 0),
+    (["coskeleton", "boundary:1", "0"], 0),
+    (["quotient", "cube:2", "(1 2)"], 0),
+    (["boundary", "1"], 0),
+    (["boundary", "0"], 2),
+    (["cap", "1", "1", "0"], 0),
+    (["cap", "1", "2", "0"], 2),
+    (["realize", "cube:1"], 0),
+    (["homology", "boundary:1"], 0),
+    (["lift", "boundary:1", "terminal:cube:1"], 1),
+    (["fibrant", "cube:1"], 0),
+    (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),
+    (["verify-all", "--dim", "1"], 0),
+]
+
+_RUN_EACH = """
+import contextlib, io, json, sys
+from symcube.cli import build_parser, run
+codes = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(run(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_exits_alike_without_asserts():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    covered = {next(a for a in argv if not a.startswith("-") and not a.isdigit())
+               for argv, _ in EVERY_SUBCOMMAND}
+    assert covered == set(commands)
+    argvs = [argv for argv, _ in EVERY_SUBCOMMAND]
+    expected = [code for _, code in EVERY_SUBCOMMAND]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _RUN_EACH],
+            input=json.dumps(argvs), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected, flags

@@ -1,6 +1,7 @@
 """Presheaf layer: representables, boundaries, caps, skeleta, quotients,
 colimits, EZ decomposition, extension, and the serialization format."""
 
+import itertools
 import subprocess
 import sys
 
@@ -32,6 +33,7 @@ from symcube.presheaf import (
     extension_methods_agree,
     ez_decompose_section,
     find_isomorphism,
+    generator_morphisms,
     hom_presheaf,
     identity_map,
     in_boundary,
@@ -65,6 +67,7 @@ from symcube.site import (
     parse_morphism,
     pi,
     sections_of,
+    tensor,
 )
 
 QS = SiteTag.QSIGMA
@@ -541,6 +544,112 @@ def test_one_factor_coend_is_co_yoneda(X):
         tagged = [class_of[(str(identity(n)), n, x)] for x in X.level(n)]
         assert len(set(tagged)) == len(tagged)
         assert set(tagged) == set(levels[n])
+
+
+class _TupleUnionFind:
+    """Union-find keyed by the members themselves, the least root winning
+    each union: the dict-keyed structure the numbered one replaces."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            lo, hi = sorted((rx, ry))
+            self.parent[hi] = lo
+
+    def classes(self):
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return groups
+
+
+def oracle_tagged_coend(factors, site, ks):
+    """tagged_coend by union-find keyed by the member tuples themselves,
+    every relation glued member by member: the route numbering replaces."""
+    tails = {}
+    for dims in itertools.product(*(range(X.N + 1) for X in factors)):
+        sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
+        tails[dims] = [tuple(itertools.chain(*zip(dims, xs))) for xs in sections]
+    levels, class_of, reps, arrows = {}, {}, {}, {}
+    for k in ks:
+        uf = _TupleUnionFind()
+        for dims, dim_tails in tails.items():
+            for f in enumerate_hom(k, sum(dims), site):
+                arrows[str(f)] = f
+                for tail in dim_tails:
+                    uf.add((str(f),) + tail)
+        for t, X in enumerate(factors):
+            for _, u in generator_morphisms(X.site, X.N):
+                for dims, dst_tails in tails.items():
+                    if dims[t] != u.dst:
+                        continue
+                    lift = tensor(
+                        tensor(identity(sum(dims[:t])), u), identity(sum(dims[t + 1:]))
+                    )
+                    for f in enumerate_hom(k, lift.src, site):
+                        for tail in dst_tails:
+                            moved = X.act(u, tail[2 * t + 1])
+                            uf.union(
+                                (str(compose(lift, f)),) + tail,
+                                (str(f),) + tail[:2 * t] + (u.src, moved) + tail[2 * t + 2:],
+                            )
+        ids = []
+        for members in uf.classes().values():
+            least = min(members)
+            cid = "&".join(str(part) for part in least)
+            reps[cid] = least
+            ids.append(cid)
+            for m in members:
+                class_of[m] = cid
+        levels[k] = tuple(sorted(ids))
+    return levels, class_of, reps, arrows
+
+
+def _coend_cases():
+    cases = []
+    for site in (Q, QS):
+        # products with the square stay over Q, where they are small
+        parts = [representable(1, site), boundary(1, site)[0]]
+        if site is Q:
+            parts.append(representable(2, site))
+        for X in parts:
+            for Y in parts:
+                if X.N + Y.N <= 3:
+                    cases.append((f"{X.name}(x){Y.name}-{site}", [X, Y], site))
+        bd1 = boundary(1, site)[0]
+        cases.append(
+            (f"associator-{site}", [bd1, representable(1, site), bd1], site)
+        )
+    # quotient:2:(1 2), whose top section has stabilizer Sigma_2
+    cases.append(("quot(x)cube1", [QUOT, C1], QS))
+    cases.append(("quot", [QUOT], QS))
+    for X in (representable(3, Q), boundary(3, Q)[0], cap(2, 1, 0, Q)[0]):
+        cases.append((f"i!{X.name}", [X], QS))
+    return cases
+
+
+@pytest.mark.parametrize("name,factors,site", _coend_cases(),
+                         ids=[c[0] for c in _coend_cases()])
+def test_tagged_coend_matches_union_find_oracle(name, factors, site):
+    N = sum(X.N for X in factors)
+    got = tagged_coend(factors, site, range(N + 1))
+    want = oracle_tagged_coend(factors, site, range(N + 1))
+    for part, a, b in zip(("levels", "class_of", "reps", "arrows"), got, want):
+        assert a == b, part
 
 
 def test_extend_level_guards():

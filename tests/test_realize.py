@@ -183,13 +183,13 @@ def test_realize_preserves_pushouts():
     left = realize_map(incl, SA, SB)
     right = realize_map(to_point, SA, SC)
     for k in range(SP.K + 1):
-        uf = _UnionFind()
-        for s in SB.levels[k]:
-            uf.add(("B", s))
-        for s in SC.levels[k]:
-            uf.add(("C", s))
-        for s in SA.levels[k]:
-            uf.union(("B", left.mapping[k][s]), ("C", right.mapping[k][s]))
+        members = [("B", s) for s in SB.levels[k]] + [("C", s) for s in SC.levels[k]]
+        number = {m: i for i, m in enumerate(members)}
+        uf = _UnionFind(len(members))
+        uf.union_all(
+            (number["B", left.mapping[k][s]], number["C", right.mapping[k][s]])
+            for s in SA.levels[k]
+        )
         assert len(uf.classes()) == len(SP.levels[k])
 
 
@@ -212,20 +212,23 @@ def oracle_classes(X, K):
     its least member: the exhaustive route the normal forms replace."""
     out = []
     for k in range(K + 1):
-        uf = _UnionFind()
-        for n in range(X.N + 1):
-            for x in X.levels[n]:
-                for s in simplices(n, k):
-                    uf.add((n, x, s))
+        members = [
+            (n, x, s)
+            for n in range(X.N + 1) for x in X.levels[n] for s in simplices(n, k)
+        ]
+        number = {m: i for i, m in enumerate(members)}
+        uf = _UnionFind(len(members))
         for _, u in generator_morphisms(X.site, X.N):
             push = act_on_cube(u, k)
             for x in X.levels[u.dst]:
                 moved = X.action[u][x]
-                for s in simplices(u.src, k):
-                    uf.union((u.src, moved, s), (u.dst, x, push(s)))
+                uf.union_all(
+                    (number[u.src, moved, s], number[u.dst, x, push(s)])
+                    for s in simplices(u.src, k)
+                )
         class_of, reps = {}, {}
         quotient_classes(
-            uf, lambda m: f"{m[1]}@{','.join(map(str, m[2])) or 'pt'}",
+            uf, members, lambda m: f"{m[1]}@{','.join(map(str, m[2])) or 'pt'}",
             class_of, reps,
         )
         out.append((class_of, reps))
