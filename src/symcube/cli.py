@@ -298,7 +298,7 @@ def _cmd_cap(args) -> int:
 
 def _cmd_realize(args) -> int:
     X = load_spec(args.spec, _site(args))
-    S = realize(X)
+    S = realize(X, limit=args.limit)
     nondeg = {
         str(k): len(S.nondegenerate(k)) for k in range(len(S.levels))
     }
@@ -326,7 +326,7 @@ def _cmd_homology(args) -> int:
         raise InputError("give exactly one of a presheaf spec or --file")
     spec = args.spec if args.spec is not None else args.file
     X = load_spec(spec, _site(args))
-    res = homology(X)
+    res = homology(X, args.limit)
     if args.json:
         _print_json(
             {
@@ -447,23 +447,23 @@ def _suite_symmetrization(dim: int, limit: int) -> Report:
     return rep
 
 
-def _suite_homology(dim: int) -> Report:
+def _suite_homology(dim: int, limit: int) -> Report:
     rep = Report("homology")
     qs = SiteTag.QSIGMA
     for n in range(min(dim, 3) + 1):
-        res = homology(representable(n, qs))
+        res = homology(representable(n, qs), limit)
         rep.check(f"cube{n} has point homology", res.groups == ((1, ()),))
     if dim >= 2:
-        res = homology(boundary(2, qs)[0])
+        res = homology(boundary(2, qs)[0], limit)
         rep.check("boundary2 is a circle", res.groups == ((1, ()), (1, ())))
         bd1, incl = boundary(1, qs)
         circle = pushout(incl, terminal_map(bd1))[0]
-        res = homology(circle)
+        res = homology(circle, limit)
         rep.check(
             "collapsed interval is a circle", res.groups == ((1, ()), (1, ()))
         )
     if dim >= 3:
-        res = homology(boundary(3, qs)[0])
+        res = homology(boundary(3, qs)[0], limit)
         rep.check(
             "boundary3 is a sphere", res.groups == ((1, ()), (0, ()), (1, ()))
         )
@@ -538,7 +538,7 @@ def _cmd_verify_all(args) -> int:
         verify_act_naturality(),
         _suite_convolution(dim, limit),
         _suite_symmetrization(dim, limit),
-        _suite_homology(dim),
+        _suite_homology(dim, limit),
         _suite_snf(),
         verify_cubical_monoid_delta1(dim),
         _suite_homotopy(dim, limit),

@@ -1148,18 +1148,18 @@ def verify_functorial(X: SkeletalPresheaf, triples: bool = True) -> Report:
     gens = [g for _, g in named]
     name_of = {g: gname for gname, g in named}
 
-    def word_action(word, x):
-        for g in word:
-            x = X.action[g][x]
-        return x
-
     def check_word(word):
         m = word[0]
         for g in word[1:]:
             m = compose(m, g)
-        ok = all(
-            word_action(word, x) == X.act(m, x) for x in X.level(m.dst)
-        )
+        # the tables are looked up once per word, not once per section
+        xs = X.level(m.dst)
+        got = list(xs)
+        for g in word:
+            step = X.action[g]
+            got = [step[x] for x in got]
+        want = X.table(m)
+        ok = got == [want[x] for x in xs]
         label = " o ".join(name_of[g] for g in word)
         return report.check(label, ok)
 

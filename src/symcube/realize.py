@@ -13,16 +13,19 @@ faces and degeneracies land by normalizing.
 
 Homology is computed from normalized chains (nondegenerate bases,
 faces landing on degenerate simplices dropped) by exact integer
-Smith reduction.
+elimination: sparse unit pivots first, then Smith reduction of the
+unit-free block that remains.  The witnessed Smith normal form, with
+its transforms U and V, is verify_snf's route.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import InputError, SymcubeError
+from .errors import InputError, ResourceBound, SymcubeError
 from .presheaf import PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms
 from .report import Report
 from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
@@ -243,7 +246,8 @@ class SimplicialMap:
 # -- realization -------------------------------------------------------------
 
 
-def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
+def realize(X: SkeletalPresheaf, up_to: int | None = None,
+            limit: int | None = None) -> SimplicialSet:
     """The simplicial set of a stored cubical set.
 
     Level k glues one copy of the interval-power k-simplices per
@@ -254,11 +258,19 @@ def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
     from those alone and named by the least member of each class.
     Levels run to N + 1, where everything is degenerate (each copy
     contributes nondegenerate simplices only up to its own dimension).
+    A level of more than limit normal-form members raises ResourceBound
+    before it is built.
     """
     K = X.N + 1 if up_to is None else up_to
     forms = _NormalForms(X)
-    reps = [dict(forms.normal(n, x, s, k) for n, x, s in forms.cells(k))
-            for k in range(K + 1)]
+    reps = []
+    for k in range(K + 1):
+        size = sum(len(xs) * k ** n for n, xs in forms.nondegenerate.items())
+        if limit is not None and size > limit:
+            raise ResourceBound(
+                f"realization level {k} has {size} members, more than limit {limit}"
+            )
+        reps.append(dict(forms.normal(n, x, s, k) for n, x, s in forms.cells(k)))
     levels = {k: tuple(sorted(reps[k])) for k in range(K + 1)}
     faces = {}
     degeneracies = {}
@@ -323,7 +335,8 @@ class _NormalForms:
         self._orbits: dict[int, list] = {}
 
     def cells(self, k: int):
-        """The members of level k in normal form, each class at least once."""
+        """The members of level k in normal form, each class at least
+        once: len(nondegenerate[n]) * k**n of them at each n."""
         for n, xs in self.nondegenerate.items():
             for s in itertools.product(range(1, k + 1), repeat=n):
                 for x in xs:
@@ -495,19 +508,86 @@ def smith_normal_form(M: list) -> tuple:
         if D[t][t] < 0:
             negate_row(t)
         # restore divisibility: fold any non-multiple into the pivot
+        # (everything is a multiple of a unit pivot)
         offender = None
-        for r in range(t + 1, rows):
-            for c in range(t + 1, cols):
-                if D[r][c] % D[t][t]:
-                    offender = r
+        if D[t][t] != 1:
+            for r in range(t + 1, rows):
+                for c in range(t + 1, cols):
+                    if D[r][c] % D[t][t]:
+                        offender = r
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(t, offender, 1)
             continue
         t += 1
     return D, U, V
+
+
+def invariant_factors(M: list) -> list:
+    """The nonzero invariant factors of an integer matrix, in order:
+    the nonzero diagonal of smith_normal_form(M), without U and V.
+
+    Rows are held sparse.  While some entry is a unit, one of least
+    Markowitz cost (row weight - 1) * (column weight - 1), a cost being
+    refreshed when it is popped from the heap, is a pivot: row
+    operations clear the rest of its column, after which column
+    operations would clear its row without touching any other row, so
+    the pivot row and column split off as one factor 1.  The unit-free
+    block left over goes through the dense Smith normal form.
+    """
+    rows = {}
+    cols: dict[int, set] = {}
+    for r, row in enumerate(M):
+        entries = {c: int(v) for c, v in enumerate(row) if v}
+        if entries:
+            rows[r] = entries
+            for c in entries:
+                cols.setdefault(c, set()).add(r)
+    heap = [(0, r, c) for r, row in rows.items()
+            for c, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, p, c = heapq.heappop(heap)
+        prow = rows.get(p)
+        if prow is None or prow.get(c) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, p, c))
+            continue
+        del rows[p]
+        for j in prow:
+            cols[j].discard(p)
+        unit = prow[c]
+        for r in cols.pop(c):
+            row = rows[r]
+            q = row[c] * unit
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    if j not in row:
+                        cols[j].add(r)
+                    row[j] = w
+                    if w in (1, -1):
+                        heapq.heappush(heap, (0, r, j))
+                else:
+                    del row[j]
+                    if j != c:
+                        cols[j].discard(r)
+            if not row:
+                del rows[r]
+        units += 1
+    kept = sorted(c for c, rs in cols.items() if rs)
+    if not kept:
+        return [1] * units
+    D, _, _ = smith_normal_form(
+        [[row.get(c, 0) for c in kept] for _, row in sorted(rows.items())]
+    )
+    diagonal = (D[i][i] for i in range(min(len(D), len(kept))))
+    return [1] * units + [d for d in diagonal if d]
 
 
 def _unimodular(M: list) -> bool:
@@ -536,7 +616,8 @@ def _unimodular(M: list) -> bool:
 
 
 def verify_snf(M: list) -> Report:
-    """U*M*V = D, divisibility, unimodularity: the full contract."""
+    """U*M*V = D, divisibility, unimodularity: the full contract, and
+    the transform-free route of invariant_factors against D."""
     report = Report("smith normal form")
     D, U, V = smith_normal_form(M)
     rows, cols = len(M), len(M[0]) if M else 0
@@ -568,6 +649,10 @@ def verify_snf(M: list) -> Report:
     report.check("divisibility chain", chain)
     report.check("U unimodular", _unimodular(U))
     report.check("V unimodular", _unimodular(V))
+    report.check(
+        "invariant_factors equals the nonzero diagonal",
+        invariant_factors(M) == [d for d in diag if d],
+    )
     return report
 
 
@@ -602,34 +687,21 @@ class HomologyResult:
 
 def homology_of_chains(C: ChainComplex) -> HomologyResult:
     top = max(C.bases)
-    ranks = {}
-    divisors = {}
-    for k in range(1, top + 1):
-        M = C.boundaries[k]
-        if not M or not M[0]:
-            ranks[k] = 0
-            divisors[k] = []
-            continue
-        D, _, _ = smith_normal_form(M)
-        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-        nonzero = [d for d in diag if d]
-        ranks[k] = len(nonzero)
-        divisors[k] = nonzero
+    divisors = {k: invariant_factors(C.boundaries[k]) for k in range(1, top + 1)}
     groups = []
     for k in range(top + 1):
         n_k = len(C.bases[k])
-        below = ranks.get(k, 0)
-        above = ranks.get(k + 1, 0)
-        betti = n_k - below - above
-        torsion = tuple(d for d in divisors.get(k + 1, []) if d > 1)
+        above = divisors.get(k + 1, ())
+        betti = n_k - len(divisors.get(k, ())) - len(above)
+        torsion = tuple(d for d in above if d > 1)
         groups.append((betti, torsion))
     while len(groups) > 1 and groups[-1] == (0, ()):
         groups.pop()
     return HomologyResult(tuple(groups))
 
 
-def homology(X: SkeletalPresheaf) -> HomologyResult:
-    return homology_of_chains(normalized_chains(realize(X)))
+def homology(X: SkeletalPresheaf, limit: int | None = None) -> HomologyResult:
+    return homology_of_chains(normalized_chains(realize(X, limit=limit)))
 
 
 def euler_characteristic(S: SimplicialSet) -> int:

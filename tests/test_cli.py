@@ -383,6 +383,7 @@ EVERY_SUBCOMMAND = [
     (["cap", "1", "2", "0"], 2),
     (["realize", "cube:1"], 0),
     (["homology", "boundary:1"], 0),
+    (["--limit", "1", "homology", "cube:3"], 3),
     (["lift", "boundary:1", "terminal:cube:1"], 1),
     (["fibrant", "cube:1"], 0),
     (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),

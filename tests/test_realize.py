@@ -1,11 +1,14 @@
 """Realization to simplicial sets, integer chains, Smith reduction,
 homology, and the interval monoid."""
 
+import importlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symcube.errors import SymcubeError
+from symcube.errors import ResourceBound, SymcubeError
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
@@ -32,6 +35,7 @@ from symcube.realize import (
     euler_characteristic,
     homology,
     homology_of_chains,
+    invariant_factors,
     normalized_chains,
     realize,
     realize_map,
@@ -54,6 +58,9 @@ from symcube.site import (
     parse_morphism,
     sigma,
 )
+
+# the package exports the function realize under the module's name
+realize_module = importlib.import_module("symcube.realize")
 
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
@@ -325,15 +332,16 @@ def torus_2x2():
     return square_grid(4, glue, QS)
 
 
-def moore_2x1():
-    # two squares side by side whose bottoms are one loop and whose
-    # other outer edges collapse: the boundary reads the loop twice
+def moore_row(d):
+    # M(Z/d, 1): d squares side by side whose bottoms are one loop and
+    # whose other outer edges collapse, so the boundary reads the loop
+    # d times
     def glue(edge, collapsed):
-        rim = [(0, TOP), (1, TOP), (0, LEFT), (1, RIGHT)]
-        return [(edge(0, RIGHT), edge(1, LEFT)), (edge(1, BOTTOM), edge(0, BOTTOM))] + [
-            (edge(c, face), collapsed(c, face)) for c, face in rim
-        ]
-    return square_grid(2, glue, Q)
+        pairs = [(edge(c, RIGHT), edge(c + 1, LEFT)) for c in range(d - 1)]
+        pairs += [(edge(c, BOTTOM), edge(0, BOTTOM)) for c in range(1, d)]
+        rim = [(c, TOP) for c in range(d)] + [(0, LEFT), (d - 1, RIGHT)]
+        return pairs + [(edge(c, face), collapsed(c, face)) for c, face in rim]
+    return square_grid(d, glue, Q)
 
 
 def pinched_cube(collapse, site):
@@ -371,7 +379,7 @@ REALIZE_CORPUS = {
     "torus-2x2": torus_2x2,
     "pinched-cube:Q": lambda: pinched_cube(sigma(1, 1), Q),
     "pinched-cube:QSigma": lambda: pinched_cube(gamma(1, 1), QS),
-    "moore-2x1": moore_2x1,
+    "moore-2x1": lambda: moore_row(2),
 }
 
 
@@ -411,7 +419,36 @@ def test_realize_map_rejects_non_natural_map():
 def test_grid_homology():
     # Kunneth for the torus; the Moore space M(Z/2, 1) has torsion
     assert homology(torus_2x2()).groups == ((1, ()), (2, ()), (1, ()))
-    assert homology(moore_2x1()).groups == ((1, ()), (0, (2,)))
+    assert homology(moore_row(2)).groups == ((1, ()), (0, (2,)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_moore_space_torsion_from_residual_block(d, monkeypatch):
+    # every unit pivot splits off a factor 1, so the d that makes the
+    # torsion comes out of the dense Smith form of the unit-free rest
+    residuals = []
+
+    def spy(M):
+        residuals.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(realize_module, "smith_normal_form", spy)
+    C = normalized_chains(realize(moore_row(d)))
+    assert homology_of_chains(C).groups == ((1, ()), (0, (d,)))
+    assert residuals
+    assert all(abs(v) != 1 for M in residuals for row in M for v in row)
+    assert invariant_factors(C.boundaries[2])[-1] == d
+
+
+def test_realize_honours_limit():
+    with pytest.raises(ResourceBound, match="realization level 0"):
+        realize(R3, limit=1)
+    # level k of the 3-cube holds sum_n |ND_n| * k**n normal-form
+    # members, 8 + 12k + 12k^2 + 6k^3: 632 at its top level 4; the
+    # bound is on one level, not on their sum
+    assert realize(R3, limit=632).levels == SR3.levels
+    with pytest.raises(ResourceBound, match="realization level 4 has 632 members"):
+        realize(R3, limit=631)
 
 
 # -- chains ------------------------------------------------------------------
@@ -476,6 +513,43 @@ def test_snf_divisibility_fixup():
 )
 def test_snf_contract(M):
     assert verify_snf(M).ok
+
+
+def snf_factors(M):
+    # the witnessed route: the nonzero diagonal of the full Smith form
+    D, _, _ = smith_normal_form(M)
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
+
+
+@pytest.mark.parametrize(
+    "M, factors",
+    [
+        ([], []),
+        ([[]], []),
+        ([[0, 0], [0, 0]], []),
+        ([[2, 4], [6, 8]], [2, 4]),
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[1, 1], [1, 1]], [1]),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+        ([[6], [10]], [2]),
+    ],
+)
+def test_invariant_factors_cases(M, factors):
+    assert invariant_factors(M) == factors == snf_factors(M)
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 9])
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_smith_normal_form(M):
+    assert invariant_factors(M) == snf_factors(M)
 
 
 # -- homology ----------------------------------------------------------------
