@@ -281,6 +281,8 @@ def _cmd_coskeleton(args) -> int:
 
 def _cmd_quotient(args) -> int:
     X = load_spec(args.spec, SiteTag.QSIGMA)
+    if not X.level(0):
+        raise InputError(f"{X.name} has no vertex to name the ambient cube")
     ambient = parse_morphism(X.level(0)[0]).dst
     group = SubgroupSpec(
         ambient, (Permutation.from_cycles(args.cycles, ambient),)

@@ -32,6 +32,7 @@ from .presheaf import (
     generator_morphisms,
     identity_map,
     pushout,
+    restriction,
     tagged_coend,
 )
 from .report import Report
@@ -331,10 +332,7 @@ def restrict(X: SkeletalPresheaf, up_to: int,
                 )
     Xe = X.extend_to(up_to) if up_to > X.N else X
     levels = {n: Xe.levels[n] for n in range(up_to + 1)}
-    action = {
-        u: dict(Xe.action[u]) for _, u in generator_morphisms(SiteTag.Q, up_to)
-    }
-    return TruncatedPresheaf(SiteTag.Q, up_to, levels, action, f"i*{X.name}")
+    return restriction(Xe, levels, f"i*{X.name}", TruncatedPresheaf, SiteTag.Q)
 
 
 def adjunction_unit(X: SkeletalPresheaf, up_to: int,

@@ -14,7 +14,7 @@ import itertools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     BadDimension,
@@ -45,12 +45,14 @@ from .site import (
 )
 
 
-def generator_morphisms(site: SiteTag, N: int) -> list[tuple[str, Morphism]]:
+@cache
+def generator_morphisms(site: SiteTag, N: int) -> tuple[tuple[str, Morphism], ...]:
     """Named generators with both dimensions <= N, in a fixed order.
 
     Names follow the constructor arguments: delta(i,eps,n) maps level
     n+1 data to level n, sigma(i,n) and gamma(i,n) map level n data to
-    level n+1, swap(i,n) permutes level n.
+    level n+1, swap(i,n) permutes level n.  Built once per (site, N), so
+    action tables keyed by these generators are found by identity.
     """
     out = []
     for n in range(N):
@@ -68,7 +70,7 @@ def generator_morphisms(site: SiteTag, N: int) -> list[tuple[str, Morphism]]:
                 out.append(
                     (f"swap({i},{n})", pi(Permutation.transposition(i, i + 1, n)))
                 )
-    return out
+    return tuple(out)
 
 
 def parse_generator_name(name: str, site: SiteTag) -> Morphism:
@@ -313,11 +315,10 @@ class PresheafMap:
     def verify_natural(self) -> bool:
         N = min(self.src.N, self.dst.N)
         for _, g in generator_morphisms(self.src.site, N):
-            for x in self.src.level(g.dst):
-                lhs = self.dst.act(g, self.mapping[g.dst][x])
-                rhs = self.mapping[g.src][self.src.act(g, x)]
-                if lhs != rhs:
-                    return False
+            down, up = self.src.action[g], self.dst.action[g]
+            before, after = self.mapping[g.dst], self.mapping[g.src]
+            if any(up[before[x]] != after[v] for x, v in down.items()):
+                return False
         return True
 
     def then(self, other: "PresheafMap") -> "PresheafMap":
@@ -330,7 +331,7 @@ class PresheafMap:
 
 
 def identity_map(X: SkeletalPresheaf) -> PresheafMap:
-    return PresheafMap(X, X, {n: {x: x for x in X.level(n)} for n in range(X.N + 1)})
+    return inclusion_map(X, X)
 
 
 def extend_map(u: PresheafMap, N: int) -> PresheafMap:
@@ -362,26 +363,60 @@ def inclusion_map(sub: SkeletalPresheaf, amb: SkeletalPresheaf) -> PresheafMap:
 # -- basic constructions -----------------------------------------------------
 
 
-def _precompose_action(site, N, level_sets):
-    """Generator actions by precomposition for levels of morphism ids."""
+def restriction(X: SkeletalPresheaf, levels: dict[int, tuple[str, ...]], name: str,
+                kind: type = SkeletalPresheaf, site: SiteTag | None = None):
+    """X's own action tables cut down to the ids levels[n], n = 0..N, which
+    must be closed under the action.  A table keeps X's key order and is
+    X's own where its level is kept whole; site picks the generators kept,
+    the plain site's giving a symmetric presheaf's underlying cubical set."""
+    if not levels:
+        raise BadDimension(f"{X.name} cannot be restricted below level 0")
+    N = len(levels) - 1
+    site = X.site if site is None else site
     action = {}
-    by_level = {n: [parse_morphism(s) for s in level_sets[n]] for n in level_sets}
     for _, g in generator_morphisms(site, N):
-        action[g] = {str(x): str(compose(x, g)) for x in by_level[g.dst]}
-    return action
+        table, keep = X.action[g], levels[g.dst]
+        if len(keep) < len(table):
+            keep = set(keep)
+            table = {x: v for x, v in table.items() if x in keep}
+        action[g] = table
+    return kind(site, N, levels, action, name)
+
+
+def _cube(n: int, site: SiteTag, up_to: int | None):
+    """The standard n-cube with the arrow behind each section id: levels
+    are hom-sets in printed order, and a generator acts by precomposing
+    the arrows enumerate_hom returns, each printed once."""
+    N = n if up_to is None else max(n, up_to)
+    homs = {
+        m: sorted((str(f), f) for f in enumerate_hom(m, n, site))
+        for m in range(N + 1)
+    }
+    id_of = {f: fs for m in homs for fs, f in homs[m]}
+    levels = {m: tuple(fs for fs, _ in homs[m]) for m in homs}
+    action = {
+        g: {fs: id_of[compose(f, g)] for fs, f in homs[g.dst]}
+        for _, g in generator_morphisms(site, N)
+    }
+    cube = SkeletalPresheaf(site, N, levels, action, f"cube{n}")
+    return cube, {fs: f for f, fs in id_of.items()}
 
 
 def representable(n: int, site: SiteTag = SiteTag.QSIGMA,
                   up_to: int | None = None) -> SkeletalPresheaf:
     """The standard n-cube; levels are hom-sets, action is precomposition."""
-    N = n if up_to is None else max(n, up_to)
+    return _cube(n, site, up_to)[0]
+
+
+def _subcube(n: int, site: SiteTag, up_to: int | None, keep, name: str):
+    """The sub-presheaf of the n-cube on the arrows keep accepts, with
+    its inclusion."""
+    cube, arrows = _cube(n, site, up_to)
     levels = {
-        m: tuple(sorted(str(f) for f in enumerate_hom(m, n, site)))
-        for m in range(N + 1)
+        m: tuple(fs for fs in cube.levels[m] if keep(arrows[fs])) for m in cube.levels
     }
-    return SkeletalPresheaf(
-        site, N, levels, _precompose_action(site, N, levels), f"cube{n}"
-    )
+    X = restriction(cube, levels, name)
+    return X, inclusion_map(X, cube)
 
 
 def in_boundary(f: Morphism) -> bool:
@@ -395,19 +430,7 @@ def boundary(n: int, site: SiteTag = SiteTag.QSIGMA,
     """The union of the proper faces, with its inclusion into the cube."""
     if n < 1:
         raise BadDimension("the 0-cube has empty boundary")
-    N = n if up_to is None else max(n, up_to)
-    levels = {
-        m: tuple(
-            sorted(
-                str(f) for f in enumerate_hom(m, n, site) if in_boundary(f)
-            )
-        )
-        for m in range(N + 1)
-    }
-    X = SkeletalPresheaf(
-        site, N, levels, _precompose_action(site, N, levels), f"bd{n}"
-    )
-    return X, inclusion_map(X, representable(n, site, up_to=N))
+    return _subcube(n, site, up_to, in_boundary, f"bd{n}")
 
 
 def in_cap(f: Morphism, i: int, eps: int) -> bool:
@@ -424,21 +447,9 @@ def cap(n: int, i: int, eps: int, site: SiteTag = SiteTag.Q,
     """All faces of the n-cube except the (i, eps) one."""
     if not (1 <= i <= n) or eps not in (0, 1):
         raise IndexOutOfRange(f"cap({n},{i},{eps}) out of range")
-    N = n if up_to is None else max(n, up_to)
-    levels = {
-        m: tuple(
-            sorted(
-                str(f)
-                for f in enumerate_hom(m, n, site)
-                if in_cap(f, i, eps)
-            )
-        )
-        for m in range(N + 1)
-    }
-    X = SkeletalPresheaf(
-        site, N, levels, _precompose_action(site, N, levels), f"cap{n}_{i}_{eps}"
+    return _subcube(
+        n, site, up_to, lambda f: in_cap(f, i, eps), f"cap{n}_{i}_{eps}"
     )
-    return X, inclusion_map(X, representable(n, site, up_to=N))
 
 
 def empty_presheaf(site: SiteTag, N: int = 0) -> SkeletalPresheaf:
@@ -466,26 +477,19 @@ def skeleton(X: SkeletalPresheaf, k: int) -> tuple[SkeletalPresheaf, PresheafMap
     """The subpresheaf of sections with nondegenerate part in degree <= k."""
     if k >= X.N:
         return X, identity_map(X)
-    levels = {}
-    for n in range(X.N + 1):
-        levels[n] = tuple(
-            sid
-            for sid in X.level(n)
-            if X.ez_decompose(SectionRef(n, sid))[1].level <= k
+    levels = {
+        n: tuple(
+            sid for sid in X.level(n) if X.ez_decompose(SectionRef(n, sid))[1].level <= k
         )
-    keep = {n: set(levels[n]) for n in levels}
-    action = {
-        g: {x: v for x, v in X.action[g].items() if x in keep[g.dst]}
-        for g in X.action
+        for n in range(X.N + 1)
     }
-    S = SkeletalPresheaf(X.site, X.N, levels, action, f"sk{k}_{X.name}")
+    S = restriction(X, levels, f"sk{k}_{X.name}")
     return S, inclusion_map(S, X)
 
 
 def truncate(X: SkeletalPresheaf, k: int) -> TruncatedPresheaf:
     levels = {n: X.level(n) for n in range(k + 1)}
-    action = {g: dict(X.action[g]) for _, g in generator_morphisms(X.site, k)}
-    return TruncatedPresheaf(X.site, k, levels, action, f"tr{k}_{X.name}")
+    return restriction(X, levels, f"tr{k}_{X.name}", TruncatedPresheaf)
 
 
 def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> TruncatedPresheaf:
@@ -493,9 +497,11 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
     N = X.N if up_to is None else up_to
     level_maps: dict[int, dict[str, PresheafMap]] = {}
     skeletons = {}
+    arrows: dict[str, Morphism] = {}
     for r in range(N + 1):
         # materialize to the common bound so composites below stay total
-        cube_r = representable(r, X.site, up_to=N)
+        cube_r, cube_arrows = _cube(r, X.site, N)
+        arrows.update(cube_arrows)
         sk_r, _ = skeleton(cube_r, k)
         skeletons[r] = sk_r
         maps = hom_presheaf(sk_r, X)
@@ -504,17 +510,18 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
     action = {}
     for _, g in generator_morphisms(X.site, N):
         # act(g): level g.dst -> level g.src by precomposing with sk_k(g o -)
-        table = {}
         src_sk = skeletons[g.src]
-        for uid, u in level_maps[g.dst].items():
-            new_mapping = {}
-            for m in range(src_sk.N + 1):
-                new_mapping[m] = {
-                    sid: u.mapping[m][str(compose(g, parse_morphism(sid)))]
-                    for sid in src_sk.level(m)
-                }
-            table[uid] = _map_id(PresheafMap(src_sk, X, new_mapping))
-        action[g] = table
+        moved = {
+            m: [(sid, str(compose(g, arrows[sid]))) for sid in src_sk.level(m)]
+            for m in range(src_sk.N + 1)
+        }
+        action[g] = {
+            uid: _map_id(PresheafMap(src_sk, X, {
+                m: {sid: u.mapping[m][gsid] for sid, gsid in pairs}
+                for m, pairs in moved.items()
+            }))
+            for uid, u in level_maps[g.dst].items()
+        }
     return TruncatedPresheaf(X.site, N, levels, action, f"ck{k}_{X.name}")
 
 
@@ -527,10 +534,6 @@ def _map_id(u: PresheafMap) -> str:
 
 
 # -- spec-level wrappers -----------------------------------------------------
-
-
-def ez_decompose_section(X: SkeletalPresheaf, x: SectionRef):
-    return X.ez_decompose(x)
 
 
 def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[SectionRef]:
@@ -926,8 +929,7 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
         seen |= orbit
         reps.append(SectionRef(k, min(orbit)))
 
-    parts_A, parts_B = [], []
-    maps_A_to_B, attach_data = [], []
+    parts_A, parts_B, values = [], [], []
     cell_cache: dict = {}
     for ref in reps:
         S = stabilizer(X, ref)
@@ -940,37 +942,26 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
                 QA, _ = quotient_presheaf(bd, S, name="SA")
             else:
                 QA = empty_presheaf(X.site, X.N)
-            cell_cache[cache_key] = (QA, QB)
-        QA, QB = cell_cache[cache_key]
+            # a cell section is an arrow into the k-cube; the boundary
+            # quotient's ids are among the cube quotient's
+            arrows = {x.id: parse_morphism(x.id) for x in QB.sections()}
+            cell_cache[cache_key] = (QA, QB, arrows)
+        QA, QB, arrows = cell_cache[cache_key]
         parts_A.append(QA)
         parts_B.append(QB)
-        incl = {
-            n: {sid: sid for sid in QA.level(n)} for n in range(X.N + 1)
-        }
-        maps_A_to_B.append(incl)
-        attach_data.append(ref)
+        # where the cell attached along ref sends each of its sections
+        values.append({sid: X.act(f, ref.id) for sid, f in arrows.items()})
 
     if reps:
-        A, injA = coproduct(parts_A)
-        B, injB = coproduct(parts_B)
-        f_map = PresheafMap(
-            A,
-            B,
-            {
-                n: {
-                    f"{i}:{sid}": f"{i}:{maps_A_to_B[i][n][sid]}"
-                    for i, QA in enumerate(parts_A)
-                    for sid in QA.level(n)
-                }
-                for n in range(X.N + 1)
-            },
-        )
+        A, _ = coproduct(parts_A)
+        B, _ = coproduct(parts_B)
+        f_map = inclusion_map(A, B)
         g_map = PresheafMap(
             A,
             prev,
             {
                 n: {
-                    f"{i}:{sid}": X.act(parse_morphism(sid), attach_data[i].id)
+                    f"{i}:{sid}": values[i][sid]
                     for i, QA in enumerate(parts_A)
                     for sid in QA.level(n)
                 }
@@ -989,7 +980,7 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
             for i, QB in enumerate(parts_B):
                 for sid in QB.level(n):
                     pid = into_B.mapping[n][f"{i}:{sid}"]
-                    val = X.act(parse_morphism(sid), attach_data[i].id)
+                    val = values[i][sid]
                     if cmp_val[n].setdefault(pid, val) != val:
                         ok_welldef = False
             for sid in prev.level(n):
@@ -1078,8 +1069,7 @@ def restrict_skeletal(X: SkeletalPresheaf, k: int) -> SkeletalPresheaf:
     whose extension is sk_k X."""
     k = min(k, X.N)
     levels = {n: X.level(n) for n in range(k + 1)}
-    action = {g: dict(X.action[g]) for _, g in generator_morphisms(X.site, k)}
-    return SkeletalPresheaf(X.site, k, levels, action, f"res{k}_{X.name}")
+    return restriction(X, levels, f"res{k}_{X.name}")
 
 
 def verify_restriction_roundtrip(X: SkeletalPresheaf, k: int) -> bool:

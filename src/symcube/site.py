@@ -770,7 +770,7 @@ def _as_epi_generator(f: Morphism):
     return None
 
 
-def sections_of(e: Morphism, search_site: SiteTag = SiteTag.QSIGMA) -> list[Morphism]:
+def sections_of(e: Morphism) -> list[Morphism]:
     """All sections of an epi, in canonical order.
 
     Single sigma/gamma generators have exactly two, produced in closed
@@ -783,7 +783,7 @@ def sections_of(e: Morphism, search_site: SiteTag = SiteTag.QSIGMA) -> list[Morp
         return [delta(kind[1], 1, n), delta(kind[1] + 1, 1, n)]
     if not classify(e).is_epi:
         raise NotEpi(f"{e} is not an epimorphism")
-    return [s for s in enumerate_hom(e.dst, e.src, search_site) if compose(e, s) == identity(n)]
+    return [s for s in enumerate_hom(e.dst, e.src) if compose(e, s) == identity(n)]
 
 
 def check_split_witness(

@@ -374,9 +374,11 @@ EVERY_SUBCOMMAND = [
     (["--limit", "10", "convolve", "cube:1", "cube:1"], 3),
     (["symmetrize", "boundary:1"], 0),
     (["restrict", "cube:1"], 0),
+    (["restrict", "cube:1", "--dim", "-1"], 2),
     (["skeleton", "cube:1", "0"], 0),
     (["coskeleton", "boundary:1", "0"], 0),
     (["quotient", "cube:2", "(1 2)"], 0),
+    (["quotient", "empty", "(1 2)"], 2),
     (["boundary", "1"], 0),
     (["boundary", "0"], 2),
     (["cap", "1", "1", "0"], 0),

@@ -14,12 +14,13 @@ from symcube.errors import (
     ResourceBound,
     TruncationMismatch,
 )
-from symcube.monoidal import convolve, symmetrize
+from symcube.monoidal import convolve, restrict, symmetrize
 from symcube.presheaf import (
     PresheafMap,
     SectionRef,
     SkeletalPresheaf,
     SubgroupSpec,
+    TruncatedPresheaf,
     _cosymmetry_perms,
     boundary,
     cap,
@@ -31,12 +32,12 @@ from symcube.presheaf import (
     empty_presheaf,
     extend_level,
     extension_methods_agree,
-    ez_decompose_section,
     find_isomorphism,
     generator_morphisms,
     hom_presheaf,
     identity_map,
     in_boundary,
+    in_cap,
     inclusion_map,
     loads_presheaf,
     nondegenerate_sections,
@@ -210,6 +211,122 @@ def test_truncated_presheaf_refuses_extension():
         T.extend_to(1)
 
 
+# -- cubes and restrictions, both routes -------------------------------------
+
+
+def oracle_cube(n, site, up_to=None):
+    """The n-cube built by printing every arrow, parsing every id back
+    and printing every precomposite: the route that building cubes from
+    their arrows replaced."""
+    N = n if up_to is None else max(n, up_to)
+    levels = {
+        m: tuple(sorted(str(f) for f in enumerate_hom(m, n, site))) for m in range(N + 1)
+    }
+    by_level = {m: [parse_morphism(s) for s in levels[m]] for m in levels}
+    action = {
+        g: {str(x): str(compose(x, g)) for x in by_level[g.dst]}
+        for _, g in generator_morphisms(site, N)
+    }
+    return SkeletalPresheaf(site, N, levels, action, f"cube{n}")
+
+
+def oracle_keep(X, levels, name, kind=SkeletalPresheaf, site=None):
+    """X's action copied generator by generator, keeping the ids of
+    levels: the loop each sub-presheaf and truncation wrote out."""
+    site = site or X.site
+    N = max(levels)
+    keep = {n: set(levels[n]) for n in levels}
+    action = {
+        g: {x: v for x, v in X.action[g].items() if x in keep[g.dst]}
+        for _, g in generator_morphisms(site, N)
+    }
+    return kind(site, N, levels, action, name)
+
+
+def assert_same_object(got, want):
+    assert type(got) is type(want)
+    assert got.name == want.name
+    assert dumps_presheaf_json(got) == dumps_presheaf_json(want)
+    assert dumps_presheaf(got) == dumps_presheaf(want)
+
+
+def _cube_cases():
+    cases = []
+    for site in (Q, QS):
+        for n in range(4):
+            for up_to in (None, n + 1):
+                cases.append((site, n, up_to))
+    return cases
+
+
+@pytest.mark.parametrize("site,n,up_to", _cube_cases(),
+                         ids=[f"{s}-{n}-{u}" for s, n, u in _cube_cases()])
+def test_cubes_match_print_and_parse_oracle(site, n, up_to):
+    cube = oracle_cube(n, site, up_to)
+    assert_same_object(representable(n, site, up_to), cube)
+    subs = []
+    if n >= 1:
+        subs.append((boundary(n, site, up_to), in_boundary, f"bd{n}"))
+    for i in range(1, n + 1):
+        for eps in (0, 1):
+            subs.append((
+                cap(n, i, eps, site, up_to),
+                lambda f, i=i, eps=eps: in_cap(f, i, eps),
+                f"cap{n}_{i}_{eps}",
+            ))
+    for (X, incl), keep, name in subs:
+        levels = {
+            m: tuple(x for x in cube.level(m) if keep(parse_morphism(x)))
+            for m in range(cube.N + 1)
+        }
+        assert_same_object(X, oracle_keep(cube, levels, name))
+        assert incl.src is X
+        assert_same_object(incl.dst, cube)
+        assert incl.mapping == {m: {x: x for x in levels[m]} for m in levels}
+
+
+def test_restrictions_match_keep_oracle():
+    # the extended quotient stores tables out of level order, some of
+    # which its 2-skeleton cuts down
+    ext = quotient_by_group(3, SubgroupSpec.full(3))[0].extend_to(4)
+    corpus = [C2, BD3, QUOT, ext, cap(2, 1, 0, Q)[0]]
+    for X in corpus:
+        for k in range(X.N):
+            levels = {
+                n: tuple(
+                    x for x in X.level(n) if X.ez_decompose(SectionRef(n, x))[1].level <= k
+                )
+                for n in range(X.N + 1)
+            }
+            S, incl = skeleton(X, k)
+            assert_same_object(S, oracle_keep(X, levels, f"sk{k}_{X.name}"))
+            assert incl.src is S and incl.dst is X
+            assert incl.mapping == {n: {x: x for x in levels[n]} for n in levels}
+        for k in range(X.N + 1):
+            levels = {n: X.level(n) for n in range(k + 1)}
+            assert_same_object(
+                truncate(X, k),
+                oracle_keep(X, levels, f"tr{k}_{X.name}", TruncatedPresheaf),
+            )
+            assert_same_object(
+                restrict_skeletal(X, k), oracle_keep(X, levels, f"res{k}_{X.name}")
+            )
+        if X.site is QS:
+            for up_to in range(min(X.N + 1, 4) + 1):
+                Xe = X.extend_to(up_to)
+                levels = {n: Xe.level(n) for n in range(up_to + 1)}
+                assert_same_object(
+                    restrict(X, up_to),
+                    oracle_keep(Xe, levels, f"i*{X.name}", TruncatedPresheaf, Q),
+                )
+
+
+def test_restriction_below_level_zero_rejected():
+    for build in (lambda: truncate(C1, -1), lambda: restrict(C1, -1)):
+        with pytest.raises(BadDimension):
+            build()
+
+
 # -- coskeleta ---------------------------------------------------------------
 
 
@@ -266,7 +383,7 @@ def test_skeleton_coskeleton_adjunction_counts():
 def test_ez_decomposition_properties():
     for X in (C2, BD3, QUOT):
         for ref in X.sections():
-            e, y = ez_decompose_section(X, ref)
+            e, y = X.ez_decompose(ref)
             assert e.src == ref.level and e.dst == y.level
             assert classify(e).is_epi
             assert X.is_nondegenerate(y)
