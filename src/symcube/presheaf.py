@@ -252,7 +252,8 @@ class SkeletalPresheaf:
                 continue
             table = {}
             if g.dst == n:  # action from the new level downward or sideways
-                for pid, (e, ref) in pairs.items():
+                for pid in new_levels[n]:
+                    e, ref = pairs[pid]
                     h = compose(e, g)  # [g.src] -> [ref.level]
                     if g.src == n:
                         table[pid] = self._canonical_pair(h, ref)

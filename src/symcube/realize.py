@@ -12,10 +12,15 @@ cosymmetries of its level, so the levels are listed from those and
 faces and degeneracies land by normalizing.
 
 Homology is computed from normalized chains (nondegenerate bases,
-faces landing on degenerate simplices dropped) by exact integer
-elimination: sparse unit pivots first, then Smith reduction of the
-unit-free block that remains.  The witnessed Smith normal form, with
-its transforms U and V, is verify_snf's route.
+faces landing on degenerate simplices dropped).  nondegenerate_chains
+builds them from the normal forms whose simplex takes every value,
+the nondegenerate ones, with no degenerate simplex and no
+degeneracy table; normalized_chains reads them off a realized
+simplicial set, for explicit simplicial sets and as the check.  The
+groups come by exact integer elimination: sparse unit pivots first,
+then Smith reduction of the unit-free block that remains.  The
+witnessed Smith normal form, with its transforms U and V, is
+verify_snf's route.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceBound, SymcubeError
@@ -332,7 +338,21 @@ class _NormalForms:
             for n in range(X.N + 1)
         }
         self._faces: dict[tuple, Morphism] = {}
-        self._orbits: dict[int, list] = {}
+        # per nondegenerate (m, y): the least id in the cosymmetry orbit
+        # of y, and the zero-based one-lines of the cosymmetries th with
+        # pi(th)*y equal to it.  (m, pi(th)*y, (t[th(1)], ..., t[th(m)]))
+        # ~ (m, y, t), so only these can reach the least member.
+        self._cosets: dict[tuple, tuple] = {}
+        for m, ys in self.nondegenerate.items():
+            orbit = [
+                (X.table(pi(th)), tuple(i - 1 for i in th.one_line))
+                for th in _cosymmetry_perms(X.site, m)
+            ]
+            for y in ys:
+                least = min(tab[y] for tab, _ in orbit)
+                self._cosets[m, y] = (
+                    least, [line for tab, line in orbit if tab[y] == least]
+                )
 
     def cells(self, k: int):
         """The members of level k in normal form, each class at least
@@ -353,22 +373,12 @@ class _NormalForms:
             self._faces[pattern] = d
         return d
 
-    def _orbit(self, m: int) -> list:
-        # (action of pi(th), zero-based one-line of th) per cosymmetry:
-        # (m, pi(th)*y, (t[th(1)], ..., t[th(m)])) ~ (m, y, t)
-        got = self._orbits.get(m)
-        if got is None:
-            got = self._orbits[m] = [
-                (self.X.table(pi(th)), tuple(i - 1 for i in th.one_line))
-                for th in _cosymmetry_perms(self.X.site, m)
-            ]
-        return got
-
     def normal(self, n: int, x: str, s: tuple, k: int) -> tuple:
         """(class id, least member) of the member (n, x, s) of level k:
         pull the constant coordinates of s out through the face they
         define, push s through the EZ epi of the section, and take the
-        least member over the cosymmetry orbit."""
+        least member over the cosymmetries that carry the section to
+        the least id of its orbit."""
         top = k + 1
         if 0 in s or top in s:
             d = self._face(tuple(1 if t == 0 else 0 if t == top else None
@@ -379,10 +389,9 @@ class _NormalForms:
         epi, y = self.X.ez_decompose(SectionRef(n, x))
         if y.level < n:
             s = act_on_cube(epi, k)(s)
-        best = min(
-            (tab[y.id], tuple(s[i] for i in line)) for tab, line in self._orbit(y.level)
-        )
-        return f"{best[0]}@{_threshold_id(best[1])}", (y.level,) + best
+        least, lines = self._cosets[y.level, y.id]
+        best = min(tuple(s[i] for i in line) for line in lines)
+        return f"{least}@{_threshold_id(best)}", (y.level, least, best)
 
 
 # -- chains and homology -----------------------------------------------------
@@ -413,26 +422,72 @@ class ChainComplex:
         return True
 
 
-def normalized_chains(S: SimplicialSet) -> ChainComplex:
-    bases = {k: S.nondegenerate(k) for k in range(S.K + 1)}
-    index = {
-        k: {s: c for c, s in enumerate(bases[k])} for k in range(S.K + 1)
-    }
+def _chain_complex(bases: dict, face, name: str) -> ChainComplex:
+    """The boundary matrices on nondegenerate bases, face(k, i, s)
+    naming the i-th face of s; a face off the basis is degenerate and
+    drops."""
     boundaries = {}
-    for k in range(1, S.K + 1):
-        rows, cols = len(bases[k - 1]), len(bases[k])
-        M = [[0] * cols for _ in range(rows)]
+    for k in range(1, max(bases) + 1):
+        index = {s: r for r, s in enumerate(bases[k - 1])}
+        M = [[0] * len(bases[k]) for _ in bases[k - 1]]
         for c, s in enumerate(bases[k]):
             for i in range(k + 1):
-                fs = S.face(k, i, s)
-                r = index[k - 1].get(fs)
+                r = index.get(face(k, i, s))
                 if r is not None:
                     M[r][c] += -1 if i % 2 else 1
         boundaries[k] = M
     C = ChainComplex(bases, boundaries)
     if not C.verify_square_zero():
-        raise SymcubeError(f"boundary of {S.name} does not square to zero")
+        raise SymcubeError(f"boundary of {name} does not square to zero")
     return C
+
+
+def normalized_chains(S: SimplicialSet) -> ChainComplex:
+    bases = {k: S.nondegenerate(k) for k in range(S.K + 1)}
+    return _chain_complex(bases, S.face, S.name)
+
+
+def _onto(m: int, k: int) -> int:
+    """The number of maps of an m-set onto a k-set."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
+
+
+def nondegenerate_chains(X: SkeletalPresheaf,
+                         limit: int | None = None) -> ChainComplex:
+    """normalized_chains(realize(X)), built from the EZ normal forms
+    alone, with no degenerate simplex and no degeneracy table.
+
+    The nondegenerate k-simplices of the realization are the classes of
+    the normal forms (m, y, t) whose simplex t takes every value 1..k:
+    one that misses j + 1 is s_j of the member with that value cut out.
+    Level N + 1, where realize checks that everything is degenerate, is
+    empty here because no m <= N coordinates take N + 1 values.  A
+    level of more than limit such members raises ResourceBound before
+    it is built.
+    """
+    forms = _NormalForms(X)
+    reps = []
+    for k in range(X.N + 2):
+        size = sum(len(ys) * _onto(m, k) for m, ys in forms.nondegenerate.items())
+        if limit is not None and size > limit:
+            raise ResourceBound(
+                f"chain level {k} has {size} members, more than limit {limit}"
+            )
+        level = {}
+        for m, ys in forms.nondegenerate.items():
+            for t in itertools.product(range(1, k + 1), repeat=m):
+                if len(set(t)) == k:
+                    for y in ys:
+                        cid, rep = forms.normal(m, y, t, k)
+                        level.setdefault(cid, rep)
+        reps.append(level)
+
+    def face(k, i, cid):
+        m, y, t = reps[k][cid]
+        return forms.normal(m, y, simplex_face(t, i), k - 1)[0]
+
+    bases = {k: tuple(sorted(level)) for k, level in enumerate(reps)}
+    return _chain_complex(bases, face, f"|{X.name}|")
 
 
 def smith_normal_form(M: list) -> tuple:
@@ -701,7 +756,7 @@ def homology_of_chains(C: ChainComplex) -> HomologyResult:
 
 
 def homology(X: SkeletalPresheaf, limit: int | None = None) -> HomologyResult:
-    return homology_of_chains(normalized_chains(realize(X, limit=limit)))
+    return homology_of_chains(nondegenerate_chains(X, limit))
 
 
 def euler_characteristic(S: SimplicialSet) -> int:

@@ -2,6 +2,7 @@
 colimits, EZ decomposition, extension, and the serialization format."""
 
 import itertools
+import json
 import subprocess
 import sys
 
@@ -286,8 +287,8 @@ def test_cubes_match_print_and_parse_oracle(site, n, up_to):
 
 
 def test_restrictions_match_keep_oracle():
-    # the extended quotient stores tables out of level order, some of
-    # which its 2-skeleton cuts down
+    # the extended quotient's upper tables come from EZ pairs, and its
+    # 2-skeleton cuts some of them down
     ext = quotient_by_group(3, SubgroupSpec.full(3))[0].extend_to(4)
     corpus = [C2, BD3, QUOT, ext, cap(2, 1, 0, Q)[0]]
     for X in corpus:
@@ -819,6 +820,21 @@ def test_json_round_trip():
     for X in (C1, QUOT):
         Y = loads_presheaf(dumps_presheaf_json(X))
         assert Y.same_data(X)
+
+
+def test_extended_tables_follow_level_order():
+    X = QUOT.extend_to(3)
+    for g, table in X.action.items():
+        assert list(table) == list(X.level(g.dst))
+    # so the JSON dump lists the pairs in the text dump's order
+    data = json.loads(dumps_presheaf_json(X))
+    json_pairs = [
+        f"  {x} -> {y}"
+        for gname, _ in generator_morphisms(X.site, X.N)
+        for x, y in data["action"][gname].items()
+    ]
+    text_pairs = [ln for ln in dumps_presheaf(X).splitlines() if ln.startswith("  ")]
+    assert json_pairs == text_pairs
 
 
 def test_loader_detects_relation_violation():

@@ -3,6 +3,7 @@ homology, and the interval monoid."""
 
 import importlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,15 @@ from symcube.errors import ResourceBound, SymcubeError
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
+    SectionRef,
     SubgroupSpec,
+    _cosymmetry_perms,
     _UnionFind,
     boundary,
     cap,
     coproduct,
     coskeleton,
+    empty_presheaf,
     generator_morphisms,
     identity_map,
     pushout,
@@ -30,12 +34,14 @@ from symcube.presheaf import (
 )
 from symcube.realize import (
     ChainComplex,
+    _NormalForms,
     act_on_cube,
     delta1_power,
     euler_characteristic,
     homology,
     homology_of_chains,
     invariant_factors,
+    nondegenerate_chains,
     normalized_chains,
     realize,
     realize_map,
@@ -48,6 +54,9 @@ from symcube.realize import (
     verify_snf,
 )
 from symcube.site import (
+    Conj,
+    Const,
+    Morphism,
     Permutation,
     SiteTag,
     compose,
@@ -56,6 +65,7 @@ from symcube.site import (
     gamma,
     identity,
     parse_morphism,
+    pi,
     sigma,
 )
 
@@ -407,6 +417,39 @@ def test_realize_map_matches_union_find_oracle(make):
     assert rm.verify_simplicial()
 
 
+def oracle_normal(X, n, x, s, k):
+    """The least member of the class of (n, x, s) at level k, taken over
+    the whole cosymmetry orbit of its normal form: the m! route that the
+    stored cosets replace."""
+    free = [i for i, t in enumerate(s) if 0 < t <= k]
+    if len(free) < n:
+        d = Morphism(len(free), n, [
+            Conj((free.index(i) + 1,)) if i in free else Const(int(s[i] == 0))
+            for i in range(n)
+        ])
+        n, x, s = len(free), X.act(d, x), tuple(s[i] for i in free)
+    epi, y = X.ez_decompose(SectionRef(n, x))
+    s = act_on_cube(epi, k)(s)
+    return min(
+        (y.level, X.act(pi(th), y.id), tuple(s[i - 1] for i in th.one_line))
+        for th in _cosymmetry_perms(X.site, y.level)
+    )
+
+
+@pytest.mark.parametrize("name", [
+    "cube:2:QSigma", "quotient:2:(1 2)", "quotient:3:(1 2 3)",
+    "symmetrize-bd2", "bd1(x)bd1", "pinched-cube:QSigma",
+])
+def test_normal_forms_match_full_orbit_oracle(name):
+    X = REALIZE_CORPUS[name]()
+    forms = _NormalForms(X)
+    for k in range(X.N + 2):
+        for n in range(X.N + 1):
+            for x in X.levels[n]:
+                for s in simplices(n, k):
+                    assert forms.normal(n, x, s, k)[1] == oracle_normal(X, n, x, s, k)
+
+
 def test_realize_map_rejects_non_natural_map():
     X = representable(1, QS)
     bad = identity_map(X)
@@ -449,6 +492,109 @@ def test_realize_honours_limit():
     assert realize(R3, limit=632).levels == SR3.levels
     with pytest.raises(ResourceBound, match="realization level 4 has 632 members"):
         realize(R3, limit=631)
+
+
+# -- chains from normal forms ------------------------------------------------
+
+
+CHAIN_CORPUS = {
+    **{
+        f"{name}:{n}:{site}": (lambda b=build, n=n, site=site: b(n, site))
+        for name, build, ns in [
+            ("cube", representable, range(4)),
+            ("boundary", lambda n, site: boundary(n, site)[0], range(1, 4)),
+        ]
+        for n in ns
+        for site in (Q, QS)
+    },
+    **{
+        f"cap:{n}:{j}:{eps}:{site}": (
+            lambda n=n, j=j, eps=eps, site=site: cap(n, j, eps, site)[0]
+        )
+        for n, j, eps in [(2, 1, 0), (3, 2, 1)]
+        for site in (Q, QS)
+    },
+    **{f"empty:{site}": (lambda site=site: empty_presheaf(site)) for site in (Q, QS)},
+    "quotient:3:(1 2 3)": REALIZE_CORPUS["quotient:3:(1 2 3)"],
+    "moore-3x1": lambda: moore_row(3),
+    "bd1(x)bd1": REALIZE_CORPUS["bd1(x)bd1"],
+    "symmetrize-bd2": REALIZE_CORPUS["symmetrize-bd2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CORPUS))
+def test_nondegenerate_chains_match_realized_chains(name):
+    X = CHAIN_CORPUS[name]()
+    C = nondegenerate_chains(X)
+    R = normalized_chains(realize(X))
+    assert C.bases == R.bases
+    assert C.boundaries == R.boundaries
+    assert C.bases[X.N + 1] == ()
+
+
+def test_nondegenerate_chains_honour_limit():
+    with pytest.raises(ResourceBound, match="chain level 0 has 8 members"):
+        nondegenerate_chains(R3, limit=1)
+    # level k of the 3-cube holds sum_n |ND_n| * onto(n, k) members with
+    # |ND| = 8, 12, 12, 6: 8, 30, 60, 36, 0, so its largest level is 2
+    assert nondegenerate_chains(R3, limit=60) == normalized_chains(SR3)
+    with pytest.raises(ResourceBound, match="chain level 2 has 60 members"):
+        nondegenerate_chains(R3, limit=59)
+
+
+def rational_rank(M):
+    rows = [[Fraction(v) for v in row] for row in M]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                q = rows[r][c] / rows[rank][c]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def cubical_betti(X):
+    """Rational Betti numbers from the normalized cubical chains of X:
+    the nondegenerate sections, with boundary sum_i (-1)^i (d_i^1 -
+    d_i^0), faces landing on degenerate sections dropped."""
+    basis = {
+        n: [x for x in X.levels[n] if X.is_nondegenerate(SectionRef(n, x))]
+        for n in range(X.N + 1)
+    }
+    ranks = {}
+    for n in range(1, X.N + 1):
+        index = {x: r for r, x in enumerate(basis[n - 1])}
+        M = [[0] * len(basis[n]) for _ in basis[n - 1]]
+        for c, x in enumerate(basis[n]):
+            for i in range(1, n + 1):
+                for eps, sign in ((1, 1), (0, -1)):
+                    r = index.get(X.act(delta(i, eps, n - 1), x))
+                    if r is not None:
+                        M[r][c] += (-1) ** i * sign
+        ranks[n] = rational_rank(M)
+    betti = [len(basis[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+             for n in range(X.N + 1)]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: representable(0, Q),
+    *[lambda n=n: representable(n, Q) for n in (1, 2, 3)],
+    *[lambda n=n: boundary(n, Q)[0] for n in (1, 2, 3)],
+    lambda: cap(2, 1, 0, Q)[0],
+    lambda: cap(3, 2, 1, Q)[0],
+], ids=["point", "cube:1", "cube:2", "cube:3", "boundary:1", "boundary:2",
+        "boundary:3", "cap:2:1:0", "cap:3:2:1"])
+def test_homology_matches_cubical_chains_over_q(make):
+    X = make()
+    assert homology(X).betti() == cubical_betti(X)
 
 
 # -- chains ------------------------------------------------------------------
