@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import InputError, ResourceBound, SymcubeError
 from .homotopy import (
     LiftingProblem,
-    cap_inclusion,
     contraction_H,
     find_homotopy,
     is_fibrant,
@@ -87,6 +87,17 @@ def _site(args) -> SiteTag:
     return SiteTag.parse(args.site)
 
 
+def _subcube(head: str, rest: str, site: SiteTag):
+    """boundary:N or cap:N:J:E as a sub-presheaf of the cube with its
+    inclusion; None for any other head."""
+    if head == "boundary":
+        return boundary(int(rest), site)
+    if head == "cap":
+        n, j, eps = (int(p) for p in rest.split(":"))
+        return cap(n, j, eps, site)
+    return None
+
+
 def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
     """A presheaf from a builtin description or a file path.
 
@@ -103,11 +114,9 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
             return empty_presheaf(site, 0)
         if head == "cube":
             return representable(int(rest), site)
-        if head == "boundary":
-            return boundary(int(rest), site)[0]
-        if head == "cap":
-            n, j, eps = (int(p) for p in rest.split(":"))
-            return cap(n, j, eps, site)[0]
+        sub = _subcube(head, rest, site)
+        if sub is not None:
+            return sub[0]
         if head == "quotient":
             n_text, _, cycles = rest.partition(":")
             n = int(n_text)
@@ -123,19 +132,14 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
     return loads_presheaf(path.read_text(), name=path.stem)
 
 
-def load_map_spec(spec: str, site: SiteTag, limit: int) -> PresheafMap:
-    """A named map: boundary:N (inclusion), cap:N:J:E (inclusion, via the
-    symmetrization when the site is symmetric), identity:SPEC,
-    terminal:SPEC, empty:SPEC."""
+def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:
+    """A named map: boundary:N and cap:N:J:E (their inclusions into the
+    cube), identity:SPEC, terminal:SPEC, empty:SPEC."""
     head, _, rest = spec.partition(":")
     try:
-        if head == "boundary":
-            return boundary(int(rest), site)[1]
-        if head == "cap":
-            n, j, eps = (int(p) for p in rest.split(":"))
-            if site is SiteTag.QSIGMA:
-                return cap_inclusion(n, j, eps, limit)[1]
-            return cap(n, j, eps, site)[1]
+        sub = _subcube(head, rest, site)
+        if sub is not None:
+            return sub[1]
         if head == "identity":
             return identity_map(load_spec(rest, site))
         if head == "terminal":
@@ -352,8 +356,8 @@ def _cmd_homology(args) -> int:
 
 def _cmd_lift(args) -> int:
     site = _site(args)
-    left = load_map_spec(args.left, site, args.limit)
-    right = load_map_spec(args.right, site, args.limit)
+    left = load_map_spec(args.left, site)
+    right = load_map_spec(args.right, site)
     tops = hom_presheaf(left.src, right.src, args.limit)
     bottoms = hom_presheaf(left.dst, right.dst, args.limit)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
@@ -433,16 +437,27 @@ def _suite_symmetrization(dim: int, limit: int) -> Report:
             f"transported cube{n} is the symmetric cube",
             cmp.is_bijective() and cmp.verify_natural(),
         )
-    for n in range(1, dim + 1):
-        s = symmetrize_structure(boundary(n, SiteTag.Q)[0], limit)
+    # the boundaries and caps transported from the plain site are the
+    # symmetric ones: i_! of a restriction of the cube is a restriction
+    subcubes = [
+        (f"boundary{n} is the symmetric boundary", n, partial(boundary, n))
+        for n in range(1, dim + 1)
+    ] + [
+        (f"cap({n},{j},{eps}) is the symmetric cap", n, partial(cap, n, j, eps))
+        for n in range(1, min(dim, 2) + 1)
+        for j in range(1, n + 1)
+        for eps in (0, 1)
+    ]
+    for what, n, build in subcubes:
+        s = symmetrize_structure(build(SiteTag.Q)[0], limit)
         cmp = symmetrize_comparison(s, representable(n, qs))
-        target = boundary(n, qs)[0]
+        target = build(qs)[0]
         hit = all(
             sorted(cmp.mapping[k].values()) == sorted(target.level(k))
             for k in range(target.N + 1)
         )
         rep.check(
-            f"transported boundary{n} is the symmetric boundary",
+            f"transported {what}",
             cmp.is_injective() and cmp.verify_natural() and hit,
         )
     tri = verify_triangle_identities(

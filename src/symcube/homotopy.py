@@ -2,12 +2,12 @@
 
 The cylinder on X is the convolution X (x) cube^n with its two endpoint
 inclusions; a homotopy is a map off the cylinder restricting to its source
-and target on the ends.  Cap inclusions are transported from the classical
-site along the symmetrization, so fibrancy questions are always posed
-against the symmetric cube.  Every search is exhaustive over the maps of
-a finite hom set that take the values the question prescribes, in a fixed
-order, so a None answer is a refutation at the stored truncation, not a
-timeout.
+and target on the ends.  A cap is the restriction of the cube to the
+arrows through a face other than the missing one, on either site, and
+fibrancy questions are posed against the caps of the symmetric cube.
+Every search is exhaustive over the maps of a finite hom set that take
+the values the question prescribes, in a fixed order, so a None answer
+is a refutation at the stored truncation, not a timeout.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError
-from .monoidal import (
-    ConvolutionResult,
-    _class_map,
-    convolve,
-    symmetrize_comparison,
-    symmetrize_structure,
-)
+from .monoidal import ConvolutionResult, _class_map, convolve
 from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
@@ -94,24 +88,11 @@ def solve_lifting(p: LiftingProblem, limit: int | None = None):
 # -- cap filling and fibrancy ------------------------------------------------
 
 
-def cap_inclusion(
-    n: int, j: int, eps: int, limit: int | None = None
-) -> tuple[SkeletalPresheaf, PresheafMap]:
-    """The symmetrized open box missing the (j, eps) face, included in the
-    symmetric n-cube.  The classical cap is built first and transported,
-    then compared into the representable along arrow composition."""
-    cap_q, _ = cap(n, j, eps, SiteTag.Q)
-    s = symmetrize_structure(cap_q, limit)
-    incl = symmetrize_comparison(s, representable(n, SiteTag.QSIGMA))
-    if not incl.is_injective():
-        raise SymcubeError(f"cap ({n},{j},{eps}) is not a subobject of the cube")
-    return s.product, incl
-
-
 def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> Report:
     """For each cap shape with n <= up_to_n, whether every map from the
-    symmetrized cap into X extends over the full cube.  One report line
-    per shape, with the map count and how many failed to extend."""
+    symmetric cap into X extends over the full symmetric cube.  One
+    report line per shape, with the map count and how many failed to
+    extend."""
     if X.site is not SiteTag.QSIGMA:
         raise InputError("fibrancy is a symmetric-site question")
     if up_to_n < 0:
@@ -122,7 +103,7 @@ def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> R
         extensions = hom_presheaf(cube, X, limit)
         for j in range(1, n + 1):
             for eps in (0, 1):
-                box, incl = cap_inclusion(n, j, eps, limit)
+                box, incl = cap(n, j, eps, SiteTag.QSIGMA)
                 filled = [incl.then(v).mapping for v in extensions]
                 horns = hom_presheaf(box, X, limit)
                 stuck = sum(u.mapping not in filled for u in horns)

@@ -388,6 +388,8 @@ def _cube(n: int, site: SiteTag, up_to: int | None):
     """The standard n-cube with the arrow behind each section id: levels
     are hom-sets in printed order, and a generator acts by precomposing
     the arrows enumerate_hom returns, each printed once."""
+    if n < 0:
+        raise BadDimension(f"no cube of negative dimension {n}")
     N = n if up_to is None else max(n, up_to)
     homs = {
         m: sorted((str(f), f) for f in enumerate_hom(m, n, site))

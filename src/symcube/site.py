@@ -615,6 +615,8 @@ def enumerate_hom(
     limit: int | None = None,
 ) -> tuple[Morphism, ...]:
     """The complete hom-set, duplicate-free, in canonical order."""
+    if m < 0 or n < 0:
+        raise BadDimension(f"negative dimension in hom set [{m}] -> [{n}]")
     count = hom_count(m, n, site)
     if limit is not None and count > limit:
         raise ResourceBound(

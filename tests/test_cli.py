@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from symcube.cli import build_parser, run
+from symcube.cli import DEFAULT_LIMIT, _suite_symmetrization, build_parser, run
 from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json
 from symcube.site import SiteTag
 
@@ -305,6 +305,20 @@ def test_fibrant_point(capsys):
     assert code == 0
 
 
+def test_fibrant_point_through_three(capsys):
+    code, out = invoke(capsys, "fibrant", "point", "--dim", "3")
+    assert code == 0
+    assert "12/12 checks passed [PASS]" in out
+
+
+@pytest.mark.parametrize(
+    "spec", ["cap:2:1", "cap:2:1:x", "cap:2:3:0", "boundary:x", "boundary:0", "bogus"]
+)
+def test_malformed_map_spec_is_input_error(capsys, spec):
+    assert run(["lift", spec, "terminal:cube:1"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_fibrant_interval_fails_at_two(capsys):
     code, out = invoke(capsys, "--json", "fibrant", "cube:1", "--dim", "2")
     data = json.loads(out)
@@ -327,6 +341,17 @@ def test_verify_all_json(capsys):
     assert code == 0
     assert data["ok"] is True
     assert all(s["ok"] for s in data["suites"])
+
+
+def test_symmetrization_suite_checks_transported_caps():
+    rep = _suite_symmetrization(2, DEFAULT_LIMIT)
+    assert rep.ok
+    assert [e.label for e in rep.entries if "cap" in e.label] == [
+        f"transported cap({n},{j},{eps}) is the symmetric cap"
+        for n in (1, 2)
+        for j in range(1, n + 1)
+        for eps in (0, 1)
+    ]
 
 
 # -- console entry -----------------------------------------------------------
@@ -367,6 +392,7 @@ EVERY_SUBCOMMAND = [
     (["factor", "(x3):1->1"], 2),
     (["tensor", "(x1):1->1", "(0):0->1"], 0),
     (["enum-hom", "1", "1"], 0),
+    (["enum-hom", "2", "-1"], 2),
     (["verify-relations", "--dim", "2"], 0),
     (["verify-ez", "--dim", "2"], 0),
     (["verify-pushouts", "--dim", "2"], 0),
@@ -385,8 +411,10 @@ EVERY_SUBCOMMAND = [
     (["cap", "1", "2", "0"], 2),
     (["realize", "cube:1"], 0),
     (["homology", "boundary:1"], 0),
+    (["homology", "cube:-1"], 2),
     (["--limit", "1", "homology", "cube:3"], 3),
     (["lift", "boundary:1", "terminal:cube:1"], 1),
+    (["lift", "cap:2:1:0", "terminal:cube:1"], 1),
     (["fibrant", "cube:1"], 0),
     (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),
     (["verify-all", "--dim", "1"], 0),
@@ -394,7 +422,7 @@ EVERY_SUBCOMMAND = [
 
 _RUN_EACH = """
 import contextlib, io, json, sys
-from symcube.cli import build_parser, run
+from symcube.cli import DEFAULT_LIMIT, _suite_symmetrization, build_parser, run
 codes = []
 for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

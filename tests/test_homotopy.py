@@ -6,7 +6,6 @@ from symcube.errors import InputError, ResourceBound
 from symcube.homotopy import (
     Homotopy,
     LiftingProblem,
-    cap_inclusion,
     contraction_H,
     cylinder,
     find_homotopy,
@@ -17,6 +16,7 @@ from symcube.homotopy import (
 from symcube.presheaf import (
     PresheafMap,
     boundary,
+    cap,
     empty_presheaf,
     extension_methods_agree,
     hom_presheaf,
@@ -192,7 +192,7 @@ def test_lifting_point_under_interval():
 def test_lifting_cap_vertex_fills_by_a_constant():
     # the one-dimensional cap is the {1} vertex; against a discrete target
     # the constant map at the image vertex is always a filler
-    box, incl = cap_inclusion(1, 1, 0)
+    box, incl = cap(1, 1, 0, QS)
     top = PresheafMap(
         box,
         BD1S,
@@ -235,7 +235,7 @@ def test_lifting_rejects_noncommuting_square():
 
 def test_lifting_aligns_mixed_truncations():
     # the cap is stored to level 2, the interval and the point to level 1
-    box, incl = cap_inclusion(2, 1, 0)
+    box, incl = cap(2, 1, 0, QS)
     t = terminal_map(R1S)
     top = hom_presheaf(box, R1S)[0]
     bottom = hom_presheaf(incl.dst, t.dst)[0]
@@ -261,11 +261,11 @@ def test_lifting_respects_limit():
         solve_lifting(p, limit=0)
 
 
-# -- cap inclusions and fibrancy ---------------------------------------------
+# -- symmetric caps and fibrancy ---------------------------------------------
 
 
 def test_cap_inclusion_sizes_and_injectivity():
-    box, incl = cap_inclusion(2, 1, 0)
+    box, incl = cap(2, 1, 0, QS)
     assert box.size() == (4, 7, 16)
     assert incl.is_injective()
     assert all(v in R2S.level(1) for v in incl.mapping[1].values())
@@ -331,8 +331,8 @@ def fills(p, w):
 
 
 def lifting_squares():
-    box1, incl1 = cap_inclusion(1, 1, 0)
-    box2, incl2 = cap_inclusion(2, 1, 0)
+    box1, incl1 = cap(1, 1, 0, QS)
+    box2, incl2 = cap(2, 1, 0, QS)
     t_bd1, t_r1, t_r2 = terminal_map(BD1S), terminal_map(R1S), terminal_map(R2S)
     empty = empty_presheaf(QS, 0)
     squares = [

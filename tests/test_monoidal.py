@@ -232,6 +232,22 @@ def test_symmetrize_cap_regression():
     }
 
 
+@pytest.mark.parametrize(
+    "n,j,eps",
+    [(n, j, eps) for n in range(1, 4) for j in range(1, n + 1) for eps in (0, 1)],
+)
+def test_transported_cap_is_the_symmetric_cap(n, j, eps):
+    # i_! of the plain cap lands in the symmetric cube on exactly the
+    # restriction that fibrancy questions are posed against
+    S = symmetrize_structure(cap(n, j, eps, Q)[0])
+    comparison = symmetrize_comparison(S, representable(n, QS))
+    target = cap(n, j, eps, QS)[0]
+    assert comparison.is_injective()
+    assert comparison.verify_natural()
+    for k in range(target.N + 1):
+        assert sorted(comparison.mapping[k].values()) == sorted(target.levels[k])
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_symmetrize_commutes_with_skeleton(k):
     for X in [representable(2, Q), cap(2, 1, 0, Q)[0]]:

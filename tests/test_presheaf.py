@@ -123,6 +123,17 @@ def test_boundary_of_point_rejected():
         boundary(0, QS)
 
 
+@pytest.mark.parametrize("site", [QS, SiteTag.Q])
+def test_negative_dimensions_rejected(site):
+    # no hom set or cube of negative dimension; both used to come out
+    # empty, or to recurse without end when the count was zero
+    with pytest.raises(BadDimension):
+        representable(-1, site)
+    for m, n in [(2, -1), (-1, 2)]:
+        with pytest.raises(BadDimension):
+            enumerate_hom(m, n, site)
+
+
 def test_boundary_level_two_excludes_exactly_the_nondegenerate_squares():
     missing = set(C2.level(2)) - set(BD2.level(2))
     assert missing == {"(x1,x2):2->2", "(x2,x1):2->2"}
