@@ -70,6 +70,7 @@ from .site import (
     compose,
     enumerate_hom,
     factor,
+    hom_count,
     parse_morphism,
     tensor,
     verify_ez,
@@ -87,18 +88,26 @@ def _site(args) -> SiteTag:
     return SiteTag.parse(args.site)
 
 
-def _subcube(head: str, rest: str, site: SiteTag):
+def _bounded(n: int, site: SiteTag, limit: int) -> int:
+    """n, once no level of the n-cube holds more than limit arrows."""
+    for m in range(n + 1):
+        if hom_count(m, n, site) > limit:
+            raise ResourceBound(f"level {m} of the {n}-cube exceeds limit {limit}")
+    return n
+
+
+def _subcube(head: str, rest: str, site: SiteTag, limit: int):
     """boundary:N or cap:N:J:E as a sub-presheaf of the cube with its
     inclusion; None for any other head."""
     if head == "boundary":
-        return boundary(int(rest), site)
+        return boundary(_bounded(int(rest), site, limit), site)
     if head == "cap":
         n, j, eps = (int(p) for p in rest.split(":"))
-        return cap(n, j, eps, site)
+        return cap(_bounded(n, site, limit), j, eps, site)
     return None
 
 
-def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
+def load_spec(spec: str, site: SiteTag, limit: int) -> SkeletalPresheaf:
     """A presheaf from a builtin description or a file path.
 
     Builtins: point, empty, cube:N, boundary:N, cap:N:J:E,
@@ -113,13 +122,13 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
         if spec == "empty":
             return empty_presheaf(site, 0)
         if head == "cube":
-            return representable(int(rest), site)
-        sub = _subcube(head, rest, site)
+            return representable(_bounded(int(rest), site, limit), site)
+        sub = _subcube(head, rest, site, limit)
         if sub is not None:
             return sub[0]
         if head == "quotient":
             n_text, _, cycles = rest.partition(":")
-            n = int(n_text)
+            n = _bounded(int(n_text), site, limit)
             if site is not SiteTag.QSIGMA:
                 raise InputError("quotients act through the symmetric site")
             group = SubgroupSpec(n, (Permutation.from_cycles(cycles, n),))
@@ -132,20 +141,20 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
     return loads_presheaf(path.read_text(), name=path.stem)
 
 
-def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:
+def load_map_spec(spec: str, site: SiteTag, limit: int) -> PresheafMap:
     """A named map: boundary:N and cap:N:J:E (their inclusions into the
     cube), identity:SPEC, terminal:SPEC, empty:SPEC."""
     head, _, rest = spec.partition(":")
     try:
-        sub = _subcube(head, rest, site)
+        sub = _subcube(head, rest, site, limit)
         if sub is not None:
             return sub[1]
         if head == "identity":
-            return identity_map(load_spec(rest, site))
+            return identity_map(load_spec(rest, site, limit))
         if head == "terminal":
-            return terminal_map(load_spec(rest, site))
+            return terminal_map(load_spec(rest, site, limit))
         if head == "empty":
-            X = load_spec(rest, site)
+            X = load_spec(rest, site, limit)
             empty = empty_presheaf(site, 0)
             return PresheafMap(empty, X, {0: {}})
     except ValueError as exc:
@@ -259,35 +268,35 @@ def _cmd_verify_pushouts(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    X = load_spec(args.left, _site(args))
-    Y = load_spec(args.right, _site(args))
+    X = load_spec(args.left, _site(args), args.limit)
+    Y = load_spec(args.right, _site(args), args.limit)
     cr = convolve(X, Y, args.limit)
     return _emit_object(args, cr.product)
 
 
 def _cmd_symmetrize(args) -> int:
-    X = load_spec(args.spec, SiteTag.Q)
+    X = load_spec(args.spec, SiteTag.Q, args.limit)
     return _emit_object(args, symmetrize(X, args.limit))
 
 
 def _cmd_restrict(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA)
+    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
     bound = X.N if args.dim is None else args.dim
     return _emit_object(args, restrict(X, bound, args.limit))
 
 
 def _cmd_skeleton(args) -> int:
-    X = load_spec(args.spec, _site(args))
+    X = load_spec(args.spec, _site(args), args.limit)
     return _emit_object(args, skeleton(X, args.k)[0])
 
 
 def _cmd_coskeleton(args) -> int:
-    X = load_spec(args.spec, _site(args))
+    X = load_spec(args.spec, _site(args), args.limit)
     return _emit_object(args, coskeleton(X, args.k))
 
 
 def _cmd_quotient(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA)
+    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
     if not X.level(0):
         raise InputError(f"{X.name} has no vertex to name the ambient cube")
     ambient = parse_morphism(X.level(0)[0]).dst
@@ -298,15 +307,17 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    return _emit_object(args, boundary(args.n, _site(args))[0])
+    n = _bounded(args.n, _site(args), args.limit)
+    return _emit_object(args, boundary(n, _site(args))[0])
 
 
 def _cmd_cap(args) -> int:
-    return _emit_object(args, cap(args.n, args.j, args.eps, _site(args))[0])
+    n = _bounded(args.n, _site(args), args.limit)
+    return _emit_object(args, cap(n, args.j, args.eps, _site(args))[0])
 
 
 def _cmd_realize(args) -> int:
-    X = load_spec(args.spec, _site(args))
+    X = load_spec(args.spec, _site(args), args.limit)
     S = realize(X, limit=args.limit)
     nondeg = {
         str(k): len(S.nondegenerate(k)) for k in range(len(S.levels))
@@ -334,7 +345,7 @@ def _cmd_homology(args) -> int:
     if (args.spec is None) == (args.file is None):
         raise InputError("give exactly one of a presheaf spec or --file")
     spec = args.spec if args.spec is not None else args.file
-    X = load_spec(spec, _site(args))
+    X = load_spec(spec, _site(args), args.limit)
     res = homology(X, args.limit)
     if args.json:
         _print_json(
@@ -356,8 +367,8 @@ def _cmd_homology(args) -> int:
 
 def _cmd_lift(args) -> int:
     site = _site(args)
-    left = load_map_spec(args.left, site)
-    right = load_map_spec(args.right, site)
+    left = load_map_spec(args.left, site, args.limit)
+    right = load_map_spec(args.right, site, args.limit)
     tops = hom_presheaf(left.src, right.src, args.limit)
     bottoms = hom_presheaf(left.dst, right.dst, args.limit)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
@@ -379,12 +390,12 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_fibrant(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA)
+    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
     return _emit_report(args, is_fibrant(X, args.dim, args.limit))
 
 
 def _cmd_homotopic(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA)
+    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
     for v in (args.start, args.end):
         if v not in X.level(0):
             raise InputError(f"{v!r} is not a vertex of {X.name}")
@@ -728,7 +739,7 @@ def run(argv=None) -> int:
     except ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,7 +150,7 @@ def cylinder(
         vtx = str(endpoint(eps, n))
         mapping = {
             k: {
-                x: cr.class_of[(str(identity(k)), k, x, 0, vtx)]
+                x: cr.class_of[(identity(k), k, x, 0, vtx)]
                 for x in X.level(k)
             }
             for k in range(X.N + 1)
@@ -183,9 +183,9 @@ def projection_homotopy(
     ye = f.dst.extend_to(cr.product.N)
 
     def value(key):
-        fs, i, x, j, _ = key
+        g, i, x, j, _ = key
         drop = tensor(identity(i), constant([], j))
-        return ye.act(compose(drop, cr.arrows[fs]), f.mapping[i][x])
+        return ye.act(compose(drop, g), f.mapping[i][x])
 
     h = _class_map(cr, ye, value)
     out = Homotopy(n, h, f, f, e0, e1)

@@ -5,7 +5,9 @@ presheaf.tagged_coend: level k is the set of members
 (f, n_1, x_1, ..., n_r, x_r) with f: [k] -> [n_1 + ... + n_r] an arrow
 of the chosen site and x_t a section of the t-th factor, glued by
 naturality in each factor separately; site generators act by
-precomposing f.  Day convolution X (x) Y is the coend of two factors
+precomposing f.  A member holds its arrow itself, so every comparison
+map below reads f from the member and looks up the class of a composite
+directly.  Day convolution X (x) Y is the coend of two factors
 over their common site, the unbracketed triple product behind the
 associator is that of three.  Truncating the index ranges at the stored
 bounds is sound because a stored presheaf is a colimit of representables
@@ -55,18 +57,17 @@ from .site import (
 class ConvolutionResult:
     """A tagged-coend product together with its coend bookkeeping.
 
-    class_of collapses every member (f, n_1, x_1, ..., n_r, x_r) onto
-    its class id; reps picks the least member of each class; arrows
-    parses the printed arrow components.  Together they realize the
-    quotient of the indexed disjoint union, so callers can both include
-    a member and choose a witness for a class.
+    class_of collapses every member (f, n_1, x_1, ..., n_r, x_r), f a
+    Morphism, onto its class id; reps picks the least member of each
+    class.  Together they realize the quotient of the indexed disjoint
+    union, so callers can both include a member and choose a witness
+    for a class.
     """
 
     product: SkeletalPresheaf
     factors: tuple
     class_of: dict
     reps: dict
-    arrows: dict
 
     @property
     def left(self) -> SkeletalPresheaf:
@@ -78,7 +79,7 @@ class ConvolutionResult:
 
     def pair(self, f: Morphism, x: SectionRef, y: SectionRef) -> SectionRef:
         """The class of the member (f, x, y) as a product section."""
-        cid = self.class_of[(str(f), x.level, x.id, y.level, y.id)]
+        cid = self.class_of[(f, x.level, x.id, y.level, y.id)]
         return SectionRef(f.src, cid)
 
 
@@ -87,16 +88,16 @@ def _tagged_product(factors: list, site: SiteTag, name: str,
     """The coend of the factors tagged by arrows of site, truncated at
     the sum of their truncations."""
     N = sum(X.N for X in factors)
-    levels, class_of, reps, arrows = tagged_coend(factors, site, range(N + 1), limit)
+    levels, class_of, reps = tagged_coend(factors, site, range(N + 1), limit)
     action: dict[Morphism, dict[str, str]] = {}
     for _, h in generator_morphisms(site, N):
         tab = {}
         for cid in levels[h.dst]:
             rep = reps[cid]
-            tab[cid] = class_of[(str(compose(arrows[rep[0]], h)),) + rep[1:]]
+            tab[cid] = class_of[(compose(rep[0], h),) + rep[1:]]
         action[h] = tab
     product = SkeletalPresheaf(site, N, levels, action, name=name)
-    return ConvolutionResult(product, tuple(factors), class_of, reps, arrows)
+    return ConvolutionResult(product, tuple(factors), class_of, reps)
 
 
 def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf,
@@ -140,10 +141,9 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
     for _, h in generator_morphisms(CR.product.site, CR.product.N):
         tab = CR.product.action[h]
         for key, cid in CR.class_of.items():
-            f = CR.arrows[key[0]]
-            if f.src != h.dst:
+            if key[0].src != h.dst:
                 continue
-            moved = CR.class_of[(str(compose(f, h)), *key[1:])]
+            moved = CR.class_of[(compose(key[0], h), *key[1:])]
             if moved != tab[cid]:
                 ok = False
     report.check("action constant on classes", ok)
@@ -157,8 +157,8 @@ def pairing_map(CR: ConvolutionResult, target: SkeletalPresheaf) -> PresheafMap:
     arrow = cache(parse_morphism)
 
     def value(key):
-        fs, _, x, _, y = key
-        return str(compose(tensor(arrow(x), arrow(y)), CR.arrows[fs]))
+        f, _, x, _, y = key
+        return str(compose(tensor(arrow(x), arrow(y)), f))
 
     return _class_map(CR, target, value)
 
@@ -169,8 +169,8 @@ def unit_comparison(CR: ConvolutionResult) -> PresheafMap:
         raise InputError("unit comparison needs a point as right factor")
 
     def value(key):
-        fs, _, x, _, _ = key
-        return CR.left.act(CR.arrows[fs], x)
+        f, _, x, _, _ = key
+        return CR.left.act(f, x)
 
     return _class_map(CR, CR.left, value)
 
@@ -180,9 +180,8 @@ def braiding_comparison(CR_XY: ConvolutionResult,
     """X (x) Y -> Y (x) X by precomposing with the block swap."""
 
     def value(key):
-        fs, i, x, j, y = key
-        g = compose(symmetry(i, j), CR_XY.arrows[fs])
-        return CR_YX.class_of[(str(g), j, y, i, x)]
+        f, i, x, j, y = key
+        return CR_YX.class_of[(compose(symmetry(i, j), f), j, y, i, x)]
 
     return _class_map(CR_XY, CR_YX.product, value)
 
@@ -192,8 +191,8 @@ def convolve_map(u: PresheafMap, v: PresheafMap,
     """The functorial action u (x) v on convolution classes."""
 
     def value(key):
-        fs, i, x, j, y = key
-        return CR2.class_of[(fs, i, u.mapping[i][x], j, v.mapping[j][y])]
+        f, i, x, j, y = key
+        return CR2.class_of[(f, i, u.mapping[i][x], j, v.mapping[j][y])]
 
     return _class_map(CR, CR2.product, value)
 
@@ -218,20 +217,16 @@ def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
     )
 
     def left_value(key):
-        fs, _, cxy, j, z = key
-        gs, i, x, m, y = CR_XY.reps[cxy]
-        flat = compose(
-            tensor(CR_XY.arrows[gs], identity(j)), CR_L.arrows[fs]
-        )
-        return T3.class_of[(str(flat), i, x, m, y, j, z)]
+        f, _, cxy, j, z = key
+        g, i, x, m, y = CR_XY.reps[cxy]
+        flat = compose(tensor(g, identity(j)), f)
+        return T3.class_of[(flat, i, x, m, y, j, z)]
 
     def right_value(key):
-        fs, i, x, _, cyz = key
-        hs, j, y, m, z = CR_YZ.reps[cyz]
-        flat = compose(
-            tensor(identity(i), CR_YZ.arrows[hs]), CR_R.arrows[fs]
-        )
-        return T3.class_of[(str(flat), i, x, j, y, m, z)]
+        f, i, x, _, cyz = key
+        g, j, y, m, z = CR_YZ.reps[cyz]
+        flat = compose(tensor(identity(i), g), f)
+        return T3.class_of[(flat, i, x, j, y, m, z)]
 
     left = _class_map(CR_L, T3.product, left_value)
     right = _class_map(CR_R, T3.product, right_value)
@@ -298,8 +293,8 @@ def symmetrize_map(u: PresheafMap, limit: int | None = None) -> PresheafMap:
     T = symmetrize_structure(u.dst, limit)
 
     def value(key):
-        gs, m, x = key
-        return T.class_of[(gs, m, u.mapping[m][x])]
+        g, m, x = key
+        return T.class_of[(g, m, u.mapping[m][x])]
 
     return _class_map(S, T.product, value)
 
@@ -311,8 +306,8 @@ def symmetrize_comparison(S: ConvolutionResult,
     arrow = cache(parse_morphism)
 
     def value(key):
-        gs, _, x = key
-        return str(compose(arrow(x), S.arrows[gs]))
+        g, _, x = key
+        return str(compose(arrow(x), g))
 
     return _class_map(S, target, value)
 
@@ -343,10 +338,7 @@ def adjunction_unit(X: SkeletalPresheaf, up_to: int,
     S = symmetrize_structure(X, limit)
     dst = restrict(S.product, max(up_to, X.N), limit)
     mapping = {
-        n: {
-            x: S.class_of[(str(identity(n)), n, x)]
-            for x in X.levels[n]
-        }
+        n: {x: S.class_of[(identity(n), n, x)] for x in X.levels[n]}
         for n in range(X.N + 1)
     }
     return PresheafMap(X, dst, mapping)
@@ -362,8 +354,8 @@ def adjunction_counit(Y: SkeletalPresheaf, up_to: int,
     Ye = Y.extend_to(up_to) if up_to > Y.N else Y
 
     def value(key):
-        gs, _, y = key
-        return Ye.act(S.arrows[gs], y)
+        g, _, y = key
+        return Ye.act(g, y)
 
     return _class_map(S, Ye, value)
 
@@ -418,11 +410,10 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf,
     CS = convolve(SX.product, SY.product, limit)
 
     def value(key):
-        gs, _, cq = key
-        fs, i, x, j, y = CQ.reps[cq]
-        flat = compose(CQ.arrows[fs], L.arrows[gs])
-        xi = SX.class_of[(str(identity(i)), i, x)]
-        yj = SY.class_of[(str(identity(j)), j, y)]
-        return CS.class_of[(str(flat), i, xi, j, yj)]
+        g, _, cq = key
+        f, i, x, j, y = CQ.reps[cq]
+        xi = SX.class_of[(identity(i), i, x)]
+        yj = SY.class_of[(identity(j), j, y)]
+        return CS.class_of[(compose(f, g), i, xi, j, yj)]
 
     return _class_map(L, CS.product, value)

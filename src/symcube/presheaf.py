@@ -654,19 +654,19 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
 
 def quotient_classes(uf: _UnionFind, members: list, name, class_of: dict,
                      reps: dict) -> list:
-    """Record the classes of uf, whose number i stands for members[i]:
-    each class is named name(least member), class_of sends every member
-    to that id and reps sends the id to the least member.  Returns the
-    ids in class order."""
+    """Record the classes of uf, whose number i stands for members[i],
+    members increasing: each class is named name(member at its root),
+    which is its least member, class_of sends every member to that id
+    and reps sends the id to that member.  Returns the ids in class
+    order."""
     ids = []
-    for numbers in uf.classes().values():
-        group = [members[i] for i in numbers]
-        least = min(group)
+    for root, numbers in uf.classes().items():
+        least = members[root]
         cid = name(least)
         reps[cid] = least
         ids.append(cid)
-        for m in group:
-            class_of[m] = cid
+        for i in numbers:
+            class_of[members[i]] = cid
     return ids
 
 
@@ -678,75 +678,72 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
                  limit: int | None = None):
     """Levels ks of the coend of the factors tagged by arrows of site.
 
-    A member at level k is (f, n_1, x_1, ..., n_r, x_r): a printed
-    arrow f: [k] -> [n_1 + ... + n_r] of site and a section x_t of the
-    t-th factor at level n_t.  Members are glued by naturality over each
+    A member at level k is (f, n_1, x_1, ..., n_r, x_r): an arrow
+    f: [k] -> [n_1 + ... + n_r] of site and a section x_t of the t-th
+    factor at level n_t.  Members are glued by naturality over each
     factor's own generators: for u: [a] -> [b] of factor t,
     ((id (+) u (+) id) o f, ..., b, x, ...) ~ (f, ..., a, u*x, ...).
-    Returns (levels, class_of, reps, arrows): the sorted class ids of
-    each level, the class id of every member, the least member of every
-    class, and the arrow behind every printed one.
+    Returns (levels, class_of, reps): the sorted class ids of each
+    level, the class id of every member and the least member of every
+    class, members comparing by printed arrow and then by tail.
 
-    Each level's members are numbered block by block: the block of
-    dims = (n_1, ..., n_r) and arrow f holds (f,) + tail for the tails
-    of dims in order, so the union-find works on integers.  A level with
-    more than limit members raises ResourceBound before it is built.
+    Each level's members are numbered in that order: arrows sorted by
+    their printed form, each printed once, and the block of f holds
+    (f,) + tail for the tails whose dims sum to f.dst, in tuple order.
+    So the union-find roots each class at its least member.  A level
+    with more than limit members raises ResourceBound before it is
+    built.
     """
     # the section tails and the relations' tail index pairs depend
     # neither on the level nor on the arrow, so they are built once
-    tails = {}
+    tails: dict[int, list] = {}
     for dims in itertools.product(*(range(X.N + 1) for X in factors)):
         sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
-        tails[dims] = [tuple(itertools.chain(*zip(dims, xs))) for xs in sections]
-    relations = []
+        tails.setdefault(sum(dims), []).extend(
+            tuple(itertools.chain(*zip(dims, xs))) for xs in sections
+        )
+    number = {}
+    for block in tails.values():
+        block.sort()
+        number.update((tail, i) for i, tail in enumerate(block))
+    # u acting on factor t of a tail lifts to id_p (+) u (+) id_q
+    glue: dict[tuple, list] = {}
     for t, X in enumerate(factors):
+        j = 2 * t
         for _, u in generator_morphisms(X.site, X.N):
             tab = X.action[u]
-            for dims, dst_tails in tails.items():
-                if dims[t] != u.dst:
-                    continue
-                src_dims = dims[:t] + (u.src,) + dims[t + 1:]
-                number = {tail: i for i, tail in enumerate(tails[src_dims])}
-                lift = tensor(
-                    tensor(identity(sum(dims[:t])), u), identity(sum(dims[t + 1:]))
-                )
-                pairs = [
-                    (i, number[tail[:2 * t] + (u.src, tab[tail[2 * t + 1]])
-                               + tail[2 * t + 2:]])
-                    for i, tail in enumerate(dst_tails)
-                ]
-                relations.append((lift, dims, src_dims, pairs))
+            for tail, i in number.items():
+                if tail[j] == u.dst:
+                    moved = tail[:j] + (u.src, tab[tail[j + 1]]) + tail[j + 2:]
+                    lift = (sum(tail[:j:2]), u, sum(tail[j + 2::2]))
+                    glue.setdefault(lift, []).append((i, number[moved]))
+    relations = [
+        (tensor(tensor(identity(p), u), identity(q)), pairs)
+        for (p, u, q), pairs in glue.items()
+    ]
 
     levels: dict[int, tuple] = {}
     class_of: dict = {}
     reps: dict = {}
-    arrows: dict[str, Morphism] = {}
     for k in ks:
-        homs = {}
-        for n in {sum(dims) for dims in tails}:
-            homs[n] = [(str(f), f) for f in enumerate_hom(k, n, site, limit)]
-        size = sum(len(homs[sum(dims)]) * len(t) for dims, t in tails.items())
+        homs = {n: enumerate_hom(k, n, site, limit) for n in tails}
+        size = sum(len(homs[n]) * len(block) for n, block in tails.items())
         if limit is not None and size > limit:
             raise ResourceBound(
                 f"coend level {k} has {size} members, more than limit {limit}"
             )
         members = []
         start = {}
-        for dims, dim_tails in tails.items():
-            for fs, f in homs[sum(dims)]:
-                arrows[fs] = f
-                start[dims, fs] = len(members)
-                key = (fs,)
-                members.extend([key + tail for tail in dim_tails])
+        for f in sorted(itertools.chain(*homs.values()), key=str):
+            start[f] = len(members)
+            members.extend([(f,) + tail for tail in tails[f.dst]])
         uf = _UnionFind(len(members))
-        for lift, dims, src_dims, pairs in relations:
-            for fs, f in homs[lift.src]:
-                src = start[src_dims, fs]
-                dst = start[dims, str(compose(lift, f))]
-                uf.union_all(pairs, dst, src)
+        for lift, pairs in relations:
+            for f in homs[lift.src]:
+                uf.union_all(pairs, start[compose(lift, f)], start[f])
         ids = quotient_classes(uf, members, _class_id, class_of, reps)
         levels[k] = tuple(sorted(ids))
-    return levels, class_of, reps, arrows
+    return levels, class_of, reps
 
 
 def _pushout_tag(member) -> str:
@@ -763,7 +760,9 @@ def pushout(f: PresheafMap, g: PresheafMap):
     class_of: dict[int, dict] = {}
     levels = {}
     for n in range(A.N + 1):
-        members = [("B", x) for x in B.level(n)] + [("C", x) for x in C.level(n)]
+        members = sorted(
+            [("B", x) for x in B.level(n)] + [("C", x) for x in C.level(n)]
+        )
         number = {m: i for i, m in enumerate(members)}
         uf = _UnionFind(len(members))
         uf.union_all(
@@ -1041,7 +1040,7 @@ def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
     in id order."""
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
-    levels, class_of, _, _ = tagged_coend([X], X.site, [n])
+    levels, class_of, _ = tagged_coend([X], X.site, [n])
     members: dict[str, set] = {cid: set() for cid in levels[n]}
     for member, cid in class_of.items():
         members[cid].add(member)
@@ -1052,19 +1051,9 @@ def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
     """The EZ-pair sections biject with the coend classes, the pair of a
     section lying in its own class."""
     ids, pairs = extend_level(X, n)
-    classes = coend_level(X, n)
-    class_of = {}
-    for c in classes:
-        for member in c:
-            class_of[member] = c
-    hit = set()
-    for pid in ids:
-        e, yid = pairs[pid]
-        c = class_of.get((str(e), e.dst, yid))
-        if c is None or c in hit:
-            return False
-        hit.add(c)
-    return len(hit) == len(classes)
+    levels, class_of, _ = tagged_coend([X], X.site, [n])
+    hit = {class_of.get((e, e.dst, yid)) for e, yid in pairs.values()}
+    return None not in hit and len(hit) == len(ids) == len(levels[n])
 
 
 def restrict_skeletal(X: SkeletalPresheaf, k: int) -> SkeletalPresheaf:
@@ -1249,8 +1238,11 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                     raise InputError(f"cannot parse line {stripped!r}")
             if site_tag is None or N is None:
                 raise InputError("missing site or truncation header")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed presheaf: {type(exc).__name__}: {exc}") from exc
+    if not 0 <= N <= len(action):  # each level above 0 has its own faces
+        raise InputError(f"malformed presheaf: truncation {N} with "
+                         f"{len(action)} generator blocks")
     stray = sorted(n for n in levels if not 0 <= n <= N)
     if stray:
         raise InputError(f"malformed presheaf: level {stray[0]} outside truncation {N}")

@@ -932,7 +932,7 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
     buckets: dict[int, list[tuple[int, int]]] = {}
     for s, t in links:
         buckets.setdefault(uf.find(s - 1), []).append((s, t))
-    chosen = []
+    chosen = []  # classes() yields roots, the least symbols, in order
     for root, numbers in uf.classes().items():
         members = [m + 1 for m in numbers]
         if not all(m in alive for m in members):
@@ -955,8 +955,7 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
                 v = succ.get(v)
         if len(order) != len(members):  # a cycle ate part of the class
             continue
-        chosen.append((min(members), order))
-    chosen.sort()
+        chosen.append(order)
 
     def leg(f: Morphism) -> Morphism:
         block = {}
@@ -965,7 +964,7 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
                 block[s] = b
         entries = [
             Conj(b for b, _ in itertools.groupby(block[s] for s in order))
-            for _, order in chosen
+            for order in chosen
         ]
         return Morphism(f.dst, len(chosen), entries)
 
@@ -1015,6 +1014,8 @@ def split_pushout(sigma1: Morphism, sigma2: Morphism) -> SplitPushout:
 def verify_relations(n_max: int) -> Report:
     """Check every instance of the presentation's relations with base
     dimension up to n_max."""
+    if n_max < 0:
+        raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"relations(n<={n_max})")
 
     def eq(label, lhs, rhs):
@@ -1089,6 +1090,8 @@ def _cosymmetries(q: int):
 def verify_ez(n_max: int = 3) -> Report:
     """Degree behaviour of monos, split epis, epi-mono factorization and
     the unique mediating cosymmetry, exhaustively over objects <= n_max."""
+    if n_max < 0:
+        raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"ez-axioms(objects<={n_max})")
     for m in range(n_max + 1):
         for n in range(n_max + 1):
@@ -1161,6 +1164,8 @@ def verify_split_pushouts(n_max: int = 4) -> Report:
     """Split-pushout witnesses for every ordered pair of epi generators
     with common source [n], n <= n_max, plus agreement of the table
     cocone with the partition-join construction."""
+    if n_max < 0:
+        raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"split-pushouts(n<={n_max})")
     for n in range(1, n_max + 1):
         for g1 in epi_generators(n):

@@ -394,11 +394,15 @@ EVERY_SUBCOMMAND = [
     (["enum-hom", "1", "1"], 0),
     (["enum-hom", "2", "-1"], 2),
     (["verify-relations", "--dim", "2"], 0),
+    (["verify-relations", "--dim", "-1"], 2),
     (["verify-ez", "--dim", "2"], 0),
+    (["verify-ez", "--dim", "-1"], 2),
     (["verify-pushouts", "--dim", "2"], 0),
+    (["verify-pushouts", "--dim", "-1"], 2),
     (["convolve", "cube:1", "boundary:1"], 0),
     (["--limit", "10", "convolve", "cube:1", "cube:1"], 3),
     (["symmetrize", "boundary:1"], 0),
+    (["symmetrize", "boundary:992"], 3),
     (["restrict", "cube:1"], 0),
     (["restrict", "cube:1", "--dim", "-1"], 2),
     (["skeleton", "cube:1", "0"], 0),
@@ -407,17 +411,22 @@ EVERY_SUBCOMMAND = [
     (["quotient", "empty", "(1 2)"], 2),
     (["boundary", "1"], 0),
     (["boundary", "0"], 2),
+    (["boundary", "992"], 3),
     (["cap", "1", "1", "0"], 0),
     (["cap", "1", "2", "0"], 2),
     (["realize", "cube:1"], 0),
     (["homology", "boundary:1"], 0),
     (["homology", "cube:-1"], 2),
     (["--limit", "1", "homology", "cube:3"], 3),
+    (["--limit", "1000", "homology", "cube:6"], 3),
+    (["homology", "."], 2),
     (["lift", "boundary:1", "terminal:cube:1"], 1),
     (["lift", "cap:2:1:0", "terminal:cube:1"], 1),
+    (["lift", "empty", "terminal:point"], 2),
     (["fibrant", "cube:1"], 0),
     (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),
     (["verify-all", "--dim", "1"], 0),
+    (["verify-all", "--dim", "-1"], 2),
 ]
 
 _RUN_EACH = """

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcube.errors import (
     BadDimension,
@@ -667,10 +669,10 @@ def test_one_factor_coend_is_co_yoneda(X):
     # the coend of Hom(-, [m]) x X_m over X's own site is X again: its
     # levels have X's sizes and the identity-tagged members (id_n, n, x)
     # meet every class exactly once
-    levels, class_of, _, _ = tagged_coend([X], X.site, range(X.N + 1))
+    levels, class_of, _ = tagged_coend([X], X.site, range(X.N + 1))
     assert tuple(len(levels[n]) for n in range(X.N + 1)) == X.size()
     for n in range(X.N + 1):
-        tagged = [class_of[(str(identity(n)), n, x)] for x in X.level(n)]
+        tagged = [class_of[(identity(n), n, x)] for x in X.level(n)]
         assert len(set(tagged)) == len(tagged)
         assert set(tagged) == set(levels[n])
 
@@ -713,12 +715,11 @@ def oracle_tagged_coend(factors, site, ks):
     for dims in itertools.product(*(range(X.N + 1) for X in factors)):
         sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
         tails[dims] = [tuple(itertools.chain(*zip(dims, xs))) for xs in sections]
-    levels, class_of, reps, arrows = {}, {}, {}, {}
+    levels, class_of, reps = {}, {}, {}
     for k in ks:
         uf = _TupleUnionFind()
         for dims, dim_tails in tails.items():
             for f in enumerate_hom(k, sum(dims), site):
-                arrows[str(f)] = f
                 for tail in dim_tails:
                     uf.add((str(f),) + tail)
         for t, X in enumerate(factors):
@@ -745,7 +746,7 @@ def oracle_tagged_coend(factors, site, ks):
             for m in members:
                 class_of[m] = cid
         levels[k] = tuple(sorted(ids))
-    return levels, class_of, reps, arrows
+    return levels, class_of, reps
 
 
 def _coend_cases():
@@ -775,9 +776,18 @@ def _coend_cases():
                          ids=[c[0] for c in _coend_cases()])
 def test_tagged_coend_matches_union_find_oracle(name, factors, site):
     N = sum(X.N for X in factors)
-    got = tagged_coend(factors, site, range(N + 1))
+    levels, class_of, reps = tagged_coend(factors, site, range(N + 1))
     want = oracle_tagged_coend(factors, site, range(N + 1))
-    for part, a, b in zip(("levels", "class_of", "reps", "arrows"), got, want):
+
+    def printed(member):
+        return (str(member[0]),) + member[1:]
+
+    got = (
+        levels,
+        {printed(m): cid for m, cid in class_of.items()},
+        {cid: printed(m) for cid, m in reps.items()},
+    )
+    for part, a, b in zip(("levels", "class_of", "reps"), got, want):
         assert a == b, part
 
 
@@ -877,6 +887,43 @@ def test_loader_rejects_garbage():
         loads_presheaf("site: QSigma\ntruncation: 0\nwhat is this line")
     with pytest.raises(InputError):
         loads_presheaf("truncation: 0\nlevel 0: a")
+    # refused before the generators up to the truncation are listed
+    for N in (-1, 999999999):
+        with pytest.raises(InputError, match="truncation"):
+            loads_presheaf(f"site: QSigma\ntruncation: {N}\n")
+
+
+FUZZ_DUMPS = [
+    dump(X)
+    for X in (C1, boundary(1, Q)[0], QUOT)
+    for dump in (dumps_presheaf, dumps_presheaf_json)
+]
+FUZZ_CHARS = sorted(set("".join(FUZZ_DUMPS)))
+
+
+@st.composite
+def edited_dumps(draw):
+    """A dump with a few characters deleted, inserted or replaced."""
+    text = draw(st.sampled_from(FUZZ_DUMPS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from(FUZZ_CHARS))
+        text = draw(st.sampled_from((
+            text[:i] + c + text[i:],
+            text[:i] + text[i + 1:],
+            text[:i] + c + text[i + 1:],
+        )))
+    return text
+
+
+@given(edited_dumps())
+@example(dumps_presheaf(C1).replace("level 0:", "level :", 1))
+@settings(max_examples=300, deadline=None)
+def test_edited_dumps_load_or_raise_input_error(text):
+    try:
+        loads_presheaf(text)
+    except InputError:
+        pass
 
 
 def test_loader_accepts_empty_levels():

@@ -229,10 +229,10 @@ def oracle_classes(X, K):
     its least member: the exhaustive route the normal forms replace."""
     out = []
     for k in range(K + 1):
-        members = [
+        members = sorted(
             (n, x, s)
             for n in range(X.N + 1) for x in X.levels[n] for s in simplices(n, k)
-        ]
+        )
         number = {m: i for i, m in enumerate(members)}
         uf = _UnionFind(len(members))
         for _, u in generator_morphisms(X.site, X.N):
