@@ -14,7 +14,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .errors import InputError, ResourceBound, SymcubeError
+from .errors import InputError, ResourceBound, SymcubeError, resource_limit
 from .homotopy import (
     LiftingProblem,
     contraction_H,
@@ -70,7 +70,6 @@ from .site import (
     compose,
     enumerate_hom,
     factor,
-    hom_count,
     parse_morphism,
     tensor,
     verify_ez,
@@ -88,26 +87,18 @@ def _site(args) -> SiteTag:
     return SiteTag.parse(args.site)
 
 
-def _bounded(n: int, site: SiteTag, limit: int) -> int:
-    """n, once no level of the n-cube holds more than limit arrows."""
-    for m in range(n + 1):
-        if hom_count(m, n, site) > limit:
-            raise ResourceBound(f"level {m} of the {n}-cube exceeds limit {limit}")
-    return n
-
-
-def _subcube(head: str, rest: str, site: SiteTag, limit: int):
+def _subcube(head: str, rest: str, site: SiteTag):
     """boundary:N or cap:N:J:E as a sub-presheaf of the cube with its
     inclusion; None for any other head."""
     if head == "boundary":
-        return boundary(_bounded(int(rest), site, limit), site)
+        return boundary(int(rest), site)
     if head == "cap":
         n, j, eps = (int(p) for p in rest.split(":"))
-        return cap(_bounded(n, site, limit), j, eps, site)
+        return cap(n, j, eps, site)
     return None
 
 
-def load_spec(spec: str, site: SiteTag, limit: int) -> SkeletalPresheaf:
+def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
     """A presheaf from a builtin description or a file path.
 
     Builtins: point, empty, cube:N, boundary:N, cap:N:J:E,
@@ -122,17 +113,17 @@ def load_spec(spec: str, site: SiteTag, limit: int) -> SkeletalPresheaf:
         if spec == "empty":
             return empty_presheaf(site, 0)
         if head == "cube":
-            return representable(_bounded(int(rest), site, limit), site)
-        sub = _subcube(head, rest, site, limit)
+            return representable(int(rest), site)
+        sub = _subcube(head, rest, site)
         if sub is not None:
             return sub[0]
         if head == "quotient":
             n_text, _, cycles = rest.partition(":")
-            n = _bounded(int(n_text), site, limit)
             if site is not SiteTag.QSIGMA:
                 raise InputError("quotients act through the symmetric site")
-            group = SubgroupSpec(n, (Permutation.from_cycles(cycles, n),))
-            return quotient_presheaf(representable(n, site), group)[0]
+            cube = representable(int(n_text), site)
+            group = SubgroupSpec(cube.N, (Permutation.from_cycles(cycles, cube.N),))
+            return quotient_presheaf(cube, group)[0]
     except ValueError as exc:
         raise InputError(f"malformed presheaf spec {spec!r}: {exc}") from exc
     path = Path(spec)
@@ -141,20 +132,20 @@ def load_spec(spec: str, site: SiteTag, limit: int) -> SkeletalPresheaf:
     return loads_presheaf(path.read_text(), name=path.stem)
 
 
-def load_map_spec(spec: str, site: SiteTag, limit: int) -> PresheafMap:
+def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:
     """A named map: boundary:N and cap:N:J:E (their inclusions into the
     cube), identity:SPEC, terminal:SPEC, empty:SPEC."""
     head, _, rest = spec.partition(":")
     try:
-        sub = _subcube(head, rest, site, limit)
+        sub = _subcube(head, rest, site)
         if sub is not None:
             return sub[1]
         if head == "identity":
-            return identity_map(load_spec(rest, site, limit))
+            return identity_map(load_spec(rest, site))
         if head == "terminal":
-            return terminal_map(load_spec(rest, site, limit))
+            return terminal_map(load_spec(rest, site))
         if head == "empty":
-            X = load_spec(rest, site, limit)
+            X = load_spec(rest, site)
             empty = empty_presheaf(site, 0)
             return PresheafMap(empty, X, {0: {}})
     except ValueError as exc:
@@ -239,7 +230,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_enum_hom(args) -> int:
-    fs = [str(f) for f in enumerate_hom(args.m, args.n, _site(args), args.limit)]
+    fs = [str(f) for f in enumerate_hom(args.m, args.n, _site(args))]
     if args.json:
         _print_json({"count": len(fs), "morphisms": fs})
     else:
@@ -268,35 +259,35 @@ def _cmd_verify_pushouts(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    X = load_spec(args.left, _site(args), args.limit)
-    Y = load_spec(args.right, _site(args), args.limit)
-    cr = convolve(X, Y, args.limit)
+    X = load_spec(args.left, _site(args))
+    Y = load_spec(args.right, _site(args))
+    cr = convolve(X, Y)
     return _emit_object(args, cr.product)
 
 
 def _cmd_symmetrize(args) -> int:
-    X = load_spec(args.spec, SiteTag.Q, args.limit)
-    return _emit_object(args, symmetrize(X, args.limit))
+    X = load_spec(args.spec, SiteTag.Q)
+    return _emit_object(args, symmetrize(X))
 
 
 def _cmd_restrict(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     bound = X.N if args.dim is None else args.dim
-    return _emit_object(args, restrict(X, bound, args.limit))
+    return _emit_object(args, restrict(X, bound))
 
 
 def _cmd_skeleton(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
+    X = load_spec(args.spec, _site(args))
     return _emit_object(args, skeleton(X, args.k)[0])
 
 
 def _cmd_coskeleton(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
+    X = load_spec(args.spec, _site(args))
     return _emit_object(args, coskeleton(X, args.k))
 
 
 def _cmd_quotient(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     if not X.level(0):
         raise InputError(f"{X.name} has no vertex to name the ambient cube")
     ambient = parse_morphism(X.level(0)[0]).dst
@@ -307,18 +298,16 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    n = _bounded(args.n, _site(args), args.limit)
-    return _emit_object(args, boundary(n, _site(args))[0])
+    return _emit_object(args, boundary(args.n, _site(args))[0])
 
 
 def _cmd_cap(args) -> int:
-    n = _bounded(args.n, _site(args), args.limit)
-    return _emit_object(args, cap(n, args.j, args.eps, _site(args))[0])
+    return _emit_object(args, cap(args.n, args.j, args.eps, _site(args))[0])
 
 
 def _cmd_realize(args) -> int:
-    X = load_spec(args.spec, _site(args), args.limit)
-    S = realize(X, limit=args.limit)
+    X = load_spec(args.spec, _site(args))
+    S = realize(X)
     nondeg = {
         str(k): len(S.nondegenerate(k)) for k in range(len(S.levels))
     }
@@ -345,8 +334,8 @@ def _cmd_homology(args) -> int:
     if (args.spec is None) == (args.file is None):
         raise InputError("give exactly one of a presheaf spec or --file")
     spec = args.spec if args.spec is not None else args.file
-    X = load_spec(spec, _site(args), args.limit)
-    res = homology(X, args.limit)
+    X = load_spec(spec, _site(args))
+    res = homology(X)
     if args.json:
         _print_json(
             {
@@ -367,10 +356,10 @@ def _cmd_homology(args) -> int:
 
 def _cmd_lift(args) -> int:
     site = _site(args)
-    left = load_map_spec(args.left, site, args.limit)
-    right = load_map_spec(args.right, site, args.limit)
-    tops = hom_presheaf(left.src, right.src, args.limit)
-    bottoms = hom_presheaf(left.dst, right.dst, args.limit)
+    left = load_map_spec(args.left, site)
+    right = load_map_spec(args.right, site)
+    tops = hom_presheaf(left.src, right.src)
+    bottoms = hom_presheaf(left.dst, right.dst)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
     squares = 0
     for ti, top in enumerate(tops):
@@ -379,7 +368,7 @@ def _cmd_lift(args) -> int:
             if not problem.commutes():
                 continue
             squares += 1
-            filler = solve_lifting(problem, args.limit)
+            filler = solve_lifting(problem)
             rep.check(
                 f"square top[{ti}] bottom[{bi}]",
                 filler is not None,
@@ -390,12 +379,12 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_fibrant(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
-    return _emit_report(args, is_fibrant(X, args.dim, args.limit))
+    X = load_spec(args.spec, SiteTag.QSIGMA)
+    return _emit_report(args, is_fibrant(X, args.dim))
 
 
 def _cmd_homotopic(args) -> int:
-    X = load_spec(args.spec, SiteTag.QSIGMA, args.limit)
+    X = load_spec(args.spec, SiteTag.QSIGMA)
     for v in (args.start, args.end):
         if v not in X.level(0):
             raise InputError(f"{v!r} is not a vertex of {X.name}")
@@ -403,7 +392,7 @@ def _cmd_homotopic(args) -> int:
     base = pt.level(0)[0]
     f = PresheafMap(pt, X, {0: {base: args.start}})
     g = PresheafMap(pt, X, {0: {base: args.end}})
-    h = find_homotopy(f, g, args.dim, args.limit)
+    h = find_homotopy(f, g, args.dim)
     rep = Report(f"homotopy between {args.start} and {args.end} in {X.name}")
     rep.check(
         "homotopy found",
@@ -416,21 +405,21 @@ def _cmd_homotopic(args) -> int:
 # -- verify-all --------------------------------------------------------------
 
 
-def _suite_convolution(dim: int, limit: int) -> Report:
+def _suite_convolution(dim: int) -> Report:
     rep = Report("convolution")
     qs = SiteTag.QSIGMA
     for m in range(dim + 1):
         for n in range(dim + 1 - m):
-            cr = convolve(representable(m, qs), representable(n, qs), limit)
+            cr = convolve(representable(m, qs), representable(n, qs))
             pm = pairing_map(cr, representable(m + n, qs))
             rep.check(
                 f"cube{m} (x) cube{n} pairs onto cube{m + n}",
                 pm.is_bijective() and pm.verify_natural(),
             )
-    cr = convolve(representable(1, qs), representable(0, qs), limit)
+    cr = convolve(representable(1, qs), representable(0, qs))
     rep.check("unit law on the interval", unit_comparison(cr).is_bijective())
     if dim >= 2:
-        cr = convolve(representable(1, qs), representable(1, qs), limit)
+        cr = convolve(representable(1, qs), representable(1, qs))
         br = braiding_comparison(cr, cr)
         rep.check(
             "braiding on the square", br.is_bijective() and br.verify_natural()
@@ -438,11 +427,11 @@ def _suite_convolution(dim: int, limit: int) -> Report:
     return rep
 
 
-def _suite_symmetrization(dim: int, limit: int) -> Report:
+def _suite_symmetrization(dim: int) -> Report:
     rep = Report("symmetrization")
     qs = SiteTag.QSIGMA
     for n in range(dim + 1):
-        s = symmetrize_structure(representable(n, SiteTag.Q), limit)
+        s = symmetrize_structure(representable(n, SiteTag.Q))
         cmp = symmetrize_comparison(s, representable(n, qs))
         rep.check(
             f"transported cube{n} is the symmetric cube",
@@ -460,7 +449,7 @@ def _suite_symmetrization(dim: int, limit: int) -> Report:
         for eps in (0, 1)
     ]
     for what, n, build in subcubes:
-        s = symmetrize_structure(build(SiteTag.Q)[0], limit)
+        s = symmetrize_structure(build(SiteTag.Q)[0])
         cmp = symmetrize_comparison(s, representable(n, qs))
         target = build(qs)[0]
         hit = all(
@@ -471,22 +460,20 @@ def _suite_symmetrization(dim: int, limit: int) -> Report:
             f"transported {what}",
             cmp.is_injective() and cmp.verify_natural() and hit,
         )
-    tri = verify_triangle_identities(
-        representable(1, qs), min(dim, 3), limit
-    )
+    tri = verify_triangle_identities(representable(1, qs), min(dim, 3))
     rep.check("triangle identities on the interval", tri.ok, tri.summary())
     return rep
 
 
-def _suite_homology(dim: int, limit: int) -> Report:
+def _suite_homology(dim: int) -> Report:
     rep = Report("homology")
     qs = SiteTag.QSIGMA
 
     def check(name, X, groups):
         # the second route: the chains from normal forms are the realized ones
-        C = nondegenerate_chains(X, limit)
+        C = nondegenerate_chains(X)
         rep.check(name, homology_of_chains(C).groups == groups
-                  and C == normalized_chains(realize(X, limit=limit)))
+                  and C == normalized_chains(realize(X)))
 
     for n in range(min(dim, 3) + 1):
         check(f"cube{n} has point homology", representable(n, qs), ((1, ()),))
@@ -533,7 +520,7 @@ def _suite_skeletal(dim: int) -> Report:
     return rep
 
 
-def _suite_homotopy(dim: int, limit: int) -> Report:
+def _suite_homotopy(dim: int) -> Report:
     rep = Report("homotopy")
     qs = SiteTag.QSIGMA
     for n in range(1, min(dim + 1, 4) + 1):
@@ -544,23 +531,22 @@ def _suite_homotopy(dim: int, limit: int) -> Report:
     interval = representable(1, qs)
     f = PresheafMap(pt, interval, {0: {base: "(0):0->1"}})
     g = PresheafMap(pt, interval, {0: {base: "(1):0->1"}})
-    h = find_homotopy(f, g, 1, limit)
+    h = find_homotopy(f, g, 1)
     rep.check("interval endpoints homotopic", h is not None and h.verify())
     bd1 = boundary(1, qs)[0]
     f = PresheafMap(pt, bd1, {0: {base: "(0):0->1"}})
     g = PresheafMap(pt, bd1, {0: {base: "(1):0->1"}})
     rep.check(
         "separated endpoints not homotopic",
-        find_homotopy(f, g, 1, limit) is None,
+        find_homotopy(f, g, 1) is None,
     )
-    fib = is_fibrant(pt, min(dim, 2), limit)
+    fib = is_fibrant(pt, min(dim, 2))
     rep.check("the point fills every cap", fib.ok, fib.summary())
     return rep
 
 
 def _cmd_verify_all(args) -> int:
     dim = args.dim
-    limit = args.limit
     suites = [
         verify_relations(dim + 1),
         verify_ez(dim),
@@ -568,12 +554,12 @@ def _cmd_verify_all(args) -> int:
         verify_ez_groupoid(representable(2, SiteTag.QSIGMA), 2),
         _suite_skeletal(dim),
         verify_act_naturality(),
-        _suite_convolution(dim, limit),
-        _suite_symmetrization(dim, limit),
-        _suite_homology(dim, limit),
+        _suite_convolution(dim),
+        _suite_symmetrization(dim),
+        _suite_homology(dim),
         _suite_snf(),
         verify_cubical_monoid_delta1(dim),
-        _suite_homotopy(dim, limit),
+        _suite_homotopy(dim),
     ]
     overall = Report(f"verify-all at dimension {dim}")
     for suite in suites:
@@ -732,10 +718,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.limit < 0:
+            parser.error(f"argument --limit: {args.limit} is negative")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with resource_limit(args.limit):
+            return args.fn(args)
     except ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3

@@ -73,13 +73,13 @@ class LiftingProblem:
         return self.top.then(self.right).mapping == self.left.then(self.bottom).mapping
 
 
-def solve_lifting(p: LiftingProblem, limit: int | None = None):
+def solve_lifting(p: LiftingProblem):
     """The first filler in the canonical order, or None after exhausting
     every map from the lower-left corner to the upper-right one that
     agrees with the top along left."""
     if not p.commutes():
         raise InputError("lifting square does not commute")
-    fillers = hom_presheaf(p.left.dst, p.right.src, limit, [(p.left, p.top)])
+    fillers = hom_presheaf(p.left.dst, p.right.src, [(p.left, p.top)])
     return next(
         (w for w in fillers if w.then(p.right).mapping == p.bottom.mapping), None
     )
@@ -88,7 +88,7 @@ def solve_lifting(p: LiftingProblem, limit: int | None = None):
 # -- cap filling and fibrancy ------------------------------------------------
 
 
-def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> Report:
+def is_fibrant(X: SkeletalPresheaf, up_to_n: int) -> Report:
     """For each cap shape with n <= up_to_n, whether every map from the
     symmetric cap into X extends over the full symmetric cube.  One
     report line per shape, with the map count and how many failed to
@@ -100,12 +100,12 @@ def is_fibrant(X: SkeletalPresheaf, up_to_n: int, limit: int | None = None) -> R
     rep = Report(f"cap filling in {X.name} through dimension {up_to_n}")
     for n in range(1, up_to_n + 1):
         cube = representable(n, SiteTag.QSIGMA)
-        extensions = hom_presheaf(cube, X, limit)
+        extensions = hom_presheaf(cube, X)
         for j in range(1, n + 1):
             for eps in (0, 1):
                 box, incl = cap(n, j, eps, SiteTag.QSIGMA)
                 filled = [incl.then(v).mapping for v in extensions]
-                horns = hom_presheaf(box, X, limit)
+                horns = hom_presheaf(box, X)
                 stuck = sum(u.mapping not in filled for u in horns)
                 rep.check(
                     f"cap ({n},{j},{eps})",
@@ -137,14 +137,13 @@ class Homotopy:
         )
 
 
-def cylinder(
-    X: SkeletalPresheaf, n: int, limit: int | None = None
-) -> tuple[ConvolutionResult, PresheafMap, PresheafMap]:
+def cylinder(X: SkeletalPresheaf,
+             n: int) -> tuple[ConvolutionResult, PresheafMap, PresheafMap]:
     """X (x) cube^n with the endpoint inclusions at the {0} and {1}
     vertices of the cube factor."""
     if n < 0:
         raise InputError("negative cylinder dimension")
-    cr = convolve(X, representable(n, SiteTag.QSIGMA), limit)
+    cr = convolve(X, representable(n, SiteTag.QSIGMA))
 
     def end_map(eps: int) -> PresheafMap:
         vtx = str(endpoint(eps, n))
@@ -160,26 +159,22 @@ def cylinder(
     return cr, end_map(0), end_map(1)
 
 
-def find_homotopy(
-    f: PresheafMap, g: PresheafMap, n: int = 1, limit: int | None = None
-):
+def find_homotopy(f: PresheafMap, g: PresheafMap, n: int = 1):
     """The first map off the n-cylinder restricting to f and g on the two
     ends, or None once every candidate is ruled out."""
     if not (f.src is g.src or f.src.same_data(g.src)):
         raise InputError("homotopy endpoints have different sources")
     if not (f.dst is g.dst or f.dst.same_data(g.dst)):
         raise InputError("homotopy endpoints have different targets")
-    cr, e0, e1 = cylinder(f.src, n, limit)
-    hs = hom_presheaf(cr.product, f.dst, limit, [(e0, f), (e1, g)])
+    cr, e0, e1 = cylinder(f.src, n)
+    hs = hom_presheaf(cr.product, f.dst, [(e0, f), (e1, g)])
     return Homotopy(n, hs[0], f, g, e0, e1) if hs else None
 
 
-def projection_homotopy(
-    f: PresheafMap, n: int = 1, limit: int | None = None
-) -> Homotopy:
+def projection_homotopy(f: PresheafMap, n: int = 1) -> Homotopy:
     """The constant homotopy from f to itself: collapse the cube factor
     with the projection, then apply f."""
-    cr, e0, e1 = cylinder(f.src, n, limit)
+    cr, e0, e1 = cylinder(f.src, n)
     ye = f.dst.extend_to(cr.product.N)
 
     def value(key):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import InputError, ResourceBound, SymcubeError
+from .errors import InputError, SymcubeError
 from .presheaf import (
     PresheafMap,
     SectionRef,
@@ -42,7 +42,6 @@ from .site import (
     Morphism,
     SiteTag,
     compose,
-    hom_count,
     identity,
     parse_morphism,
     symmetry,
@@ -83,12 +82,11 @@ class ConvolutionResult:
         return SectionRef(f.src, cid)
 
 
-def _tagged_product(factors: list, site: SiteTag, name: str,
-                    limit: int | None = None) -> ConvolutionResult:
+def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResult:
     """The coend of the factors tagged by arrows of site, truncated at
     the sum of their truncations."""
     N = sum(X.N for X in factors)
-    levels, class_of, reps = tagged_coend(factors, site, range(N + 1), limit)
+    levels, class_of, reps = tagged_coend(factors, site, range(N + 1))
     action: dict[Morphism, dict[str, str]] = {}
     for _, h in generator_morphisms(site, N):
         tab = {}
@@ -100,12 +98,11 @@ def _tagged_product(factors: list, site: SiteTag, name: str,
     return ConvolutionResult(product, tuple(factors), class_of, reps)
 
 
-def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf,
-             limit: int | None = None) -> ConvolutionResult:
+def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> ConvolutionResult:
     """Day convolution X (x) Y, truncated at N_X + N_Y."""
     if X.site is not Y.site:
         raise InputError(f"{X.name} and {Y.name} live over different sites")
-    return _tagged_product([X, Y], X.site, f"{X.name}(x){Y.name}", limit)
+    return _tagged_product([X, Y], X.site, f"{X.name}(x){Y.name}")
 
 
 def _constant_map(items, fn) -> dict:
@@ -200,7 +197,7 @@ def convolve_map(u: PresheafMap, v: PresheafMap,
 # -- the associator ----------------------------------------------------------
 
 
-def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
+def associator_comparison(X, Y, Z) -> Report:
     """Both bracketings compared with the unbracketed triple coend.
 
     Each comparison flattens the nested class via its representative
@@ -208,13 +205,11 @@ def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
     inverse of the other is the associator.
     """
     report = Report(f"associativity {X.name},{Y.name},{Z.name}")
-    CR_XY = convolve(X, Y, limit)
-    CR_L = convolve(CR_XY.product, Z, limit)
-    CR_YZ = convolve(Y, Z, limit)
-    CR_R = convolve(X, CR_YZ.product, limit)
-    T3 = _tagged_product(
-        [X, Y, Z], X.site, f"{X.name}(x){Y.name}(x){Z.name}", limit
-    )
+    CR_XY = convolve(X, Y)
+    CR_L = convolve(CR_XY.product, Z)
+    CR_YZ = convolve(Y, Z)
+    CR_R = convolve(X, CR_YZ.product)
+    T3 = _tagged_product([X, Y, Z], X.site, f"{X.name}(x){Y.name}(x){Z.name}")
 
     def left_value(key):
         f, _, cxy, j, z = key
@@ -240,16 +235,15 @@ def associator_comparison(X, Y, Z, limit: int | None = None) -> Report:
 # -- pushout-product ---------------------------------------------------------
 
 
-def pushout_product(f: PresheafMap, g: PresheafMap,
-                    limit: int | None = None) -> PresheafMap:
+def pushout_product(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     """The corner map (A(x)L) u_{A(x)K} (B(x)K) -> B(x)L."""
     A, B, K, L = f.src, f.dst, g.src, g.dst
     if A.site is not K.site:
         raise InputError("pushout-product needs a common site")
-    CR_AK = convolve(A, K, limit)
-    CR_BK = convolve(B, K, limit)
-    CR_AL = convolve(A, L, limit)
-    CR_BL = convolve(B, L, limit)
+    CR_AK = convolve(A, K)
+    CR_BK = convolve(B, K)
+    CR_AL = convolve(A, L)
+    CR_BL = convolve(B, L)
     alpha = convolve_map(f, identity_map(K), CR_AK, CR_BK)
     beta = convolve_map(identity_map(A), g, CR_AK, CR_AL)
     P, from_bk, from_al = pushout(alpha, beta)
@@ -268,8 +262,7 @@ def pushout_product(f: PresheafMap, g: PresheafMap,
 # -- the symmetrization adjunction -------------------------------------------
 
 
-def symmetrize_structure(X: SkeletalPresheaf,
-                         limit: int | None = None) -> ConvolutionResult:
+def symmetrize_structure(X: SkeletalPresheaf) -> ConvolutionResult:
     """Left Kan extension along the site inclusion, with bookkeeping.
 
     Level n is the set of members (g, m, x), g a symmetric arrow
@@ -279,18 +272,18 @@ def symmetrize_structure(X: SkeletalPresheaf,
     """
     if X.site is not SiteTag.Q:
         raise InputError(f"{X.name} is not a presheaf over the plain site")
-    return _tagged_product([X], SiteTag.QSIGMA, f"i!{X.name}", limit)
+    return _tagged_product([X], SiteTag.QSIGMA, f"i!{X.name}")
 
 
-def symmetrize(X: SkeletalPresheaf, limit: int | None = None) -> SkeletalPresheaf:
+def symmetrize(X: SkeletalPresheaf) -> SkeletalPresheaf:
     """The symmetric extension of a plain cubical set."""
-    return symmetrize_structure(X, limit).product
+    return symmetrize_structure(X).product
 
 
-def symmetrize_map(u: PresheafMap, limit: int | None = None) -> PresheafMap:
+def symmetrize_map(u: PresheafMap) -> PresheafMap:
     """Functoriality of symmetrization on a map of plain cubical sets."""
-    S = symmetrize_structure(u.src, limit)
-    T = symmetrize_structure(u.dst, limit)
+    S = symmetrize_structure(u.src)
+    T = symmetrize_structure(u.dst)
 
     def value(key):
         g, m, x = key
@@ -312,31 +305,22 @@ def symmetrize_comparison(S: ConvolutionResult,
     return _class_map(S, target, value)
 
 
-def restrict(X: SkeletalPresheaf, up_to: int,
-             limit: int | None = 1_000_000) -> TruncatedPresheaf:
+def restrict(X: SkeletalPresheaf, up_to: int) -> TruncatedPresheaf:
     """The underlying plain cubical set of a symmetric one, stored to
     the requested level (extending the input where needed)."""
     if X.site is not SiteTag.QSIGMA:
         raise InputError(f"{X.name} is not a presheaf over the symmetric site")
-    if limit is not None:
-        for m in range(min(up_to, X.N) + 1):
-            count = hom_count(up_to, m, X.site)
-            if count > limit:
-                raise ResourceBound(
-                    f"restriction to level {up_to} needs {count} arrows"
-                )
     Xe = X.extend_to(up_to) if up_to > X.N else X
     levels = {n: Xe.levels[n] for n in range(up_to + 1)}
     return restriction(Xe, levels, f"i*{X.name}", TruncatedPresheaf, SiteTag.Q)
 
 
-def adjunction_unit(X: SkeletalPresheaf, up_to: int,
-                    limit: int | None = 1_000_000) -> PresheafMap:
+def adjunction_unit(X: SkeletalPresheaf, up_to: int) -> PresheafMap:
     """X -> i*i_!X, tagging a section with the identity arrow."""
     if X.site is not SiteTag.Q:
         raise InputError(f"{X.name} is not a presheaf over the plain site")
-    S = symmetrize_structure(X, limit)
-    dst = restrict(S.product, max(up_to, X.N), limit)
+    S = symmetrize_structure(X)
+    dst = restrict(S.product, max(up_to, X.N))
     mapping = {
         n: {x: S.class_of[(identity(n), n, x)] for x in X.levels[n]}
         for n in range(X.N + 1)
@@ -344,13 +328,12 @@ def adjunction_unit(X: SkeletalPresheaf, up_to: int,
     return PresheafMap(X, dst, mapping)
 
 
-def adjunction_counit(Y: SkeletalPresheaf, up_to: int,
-                      limit: int | None = 1_000_000) -> PresheafMap:
+def adjunction_counit(Y: SkeletalPresheaf, up_to: int) -> PresheafMap:
     """i_!i*Y -> Y, evaluating the tagged arrow on the section."""
     if Y.site is not SiteTag.QSIGMA:
         raise InputError(f"{Y.name} is not a presheaf over the symmetric site")
-    R = restrict(Y, up_to, limit)
-    S = symmetrize_structure(R, limit)
+    R = restrict(Y, up_to)
+    S = symmetrize_structure(R)
     Ye = Y.extend_to(up_to) if up_to > Y.N else Y
 
     def value(key):
@@ -360,8 +343,7 @@ def adjunction_counit(Y: SkeletalPresheaf, up_to: int,
     return _class_map(S, Ye, value)
 
 
-def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int,
-                               limit: int | None = 1_000_000) -> Report:
+def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int) -> Report:
     """Both adjunction triangles, checked levelwise up to the bound.
 
     The first composes the unit of the restriction with the counit and
@@ -370,9 +352,9 @@ def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int,
     giving the identity on i_!(i*Y).
     """
     report = Report(f"triangles for {Y.name} at {up_to}")
-    R = restrict(Y, up_to, limit)
-    eta = adjunction_unit(R, up_to, limit)
-    eps = adjunction_counit(Y, up_to, limit)
+    R = restrict(Y, up_to)
+    eta = adjunction_unit(R, up_to)
+    eps = adjunction_counit(Y, up_to)
     ok = all(
         eps.mapping[n][eta.mapping[n][x]] == x
         for n in range(up_to + 1)
@@ -380,8 +362,8 @@ def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int,
     )
     report.check("counit after unit is the identity on the restriction", ok)
 
-    lifted = symmetrize_map(eta, limit)
-    eps2 = adjunction_counit(lifted.src, up_to, limit)
+    lifted = symmetrize_map(eta)
+    eps2 = adjunction_counit(lifted.src, up_to)
     report.check(
         "both triangle legs meet in the same object",
         lifted.dst.same_data(eps2.src),
@@ -396,18 +378,17 @@ def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int,
     return report
 
 
-def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf,
-                           limit: int | None = None) -> PresheafMap:
+def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> PresheafMap:
     """i_!(X (x) Y) -> i_!X (x) i_!Y, the strong monoidality witness.
 
     A tagged convolution class flattens by composing its arrow
     components; the factors are tagged with identities.
     """
-    CQ = convolve(X, Y, limit)
-    L = symmetrize_structure(CQ.product, limit)
-    SX = symmetrize_structure(X, limit)
-    SY = symmetrize_structure(Y, limit)
-    CS = convolve(SX.product, SY.product, limit)
+    CQ = convolve(X, Y)
+    L = symmetrize_structure(CQ.product)
+    SX = symmetrize_structure(X)
+    SY = symmetrize_structure(Y)
+    CS = convolve(SX.product, SY.product)
 
     def value(key):
         g, _, cq = key

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -20,9 +21,9 @@ from .errors import (
     BadDimension,
     IndexOutOfRange,
     InputError,
-    ResourceBound,
     SymcubeError,
     TruncationMismatch,
+    charge,
 )
 from .report import Report
 from .site import (
@@ -37,6 +38,7 @@ from .site import (
     enumerate_hom,
     factor,
     gamma,
+    hom_count,
     identity,
     parse_morphism,
     pi,
@@ -213,7 +215,14 @@ class SkeletalPresheaf:
     # -- skeletal extension -------------------------------------------------
 
     def extend_to(self, N2: int) -> "SkeletalPresheaf":
+        """The skeletal extension to level N2.  Building an uncached level
+        first charges Hom([N2],[m]) for each stored level m."""
         X = self
+        while X.N < N2 and "_one_level_up" in vars(X):
+            X = X._one_level_up
+        for m in range(self.N + 1 if X.N < N2 else 0):
+            charge(hom_count(N2, m, self.site),
+                   f"extending {self.name} to level {N2} over {self.site}([{N2}],[{m}])")
         while X.N < N2:
             X = X._one_level_up
         return X
@@ -240,6 +249,8 @@ class SkeletalPresheaf:
         pairs = {}
         for m in range(n):
             nd = nondegenerate_sections(self, m)
+            if not nd:
+                continue
             for e in enumerate_hom(n, m, self.site):
                 if classify(e).is_epi:
                     for ref in nd:
@@ -553,7 +564,6 @@ def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[SectionRef]:
 def hom_presheaf(
     X: SkeletalPresheaf,
     Y: SkeletalPresheaf,
-    limit: int | None = None,
     fixed: Sequence[tuple[PresheafMap, PresheafMap]] = (),
 ) -> list[PresheafMap]:
     """All presheaf maps X -> Y that agree with a partial map, by
@@ -567,8 +577,8 @@ def hom_presheaf(
     section x = i(a) = e*y of X is pushed onto the nondegenerate y, whose
     value must then satisfy e*w(y) = u(a); two different prescriptions
     for one section leave no map.  The maps come in the same order as
-    without fixed, and limit bounds how many are returned, so it counts
-    only the maps that agree.
+    without fixed, and the resource limit bounds how many are returned,
+    so it counts only the maps that agree.
     """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
@@ -619,8 +629,7 @@ def hom_presheaf(
         u = PresheafMap(X, Y, mapping)
         if u.verify_natural():
             results.append(u)
-            if limit is not None and len(results) > limit:
-                raise ResourceBound(f"more than {limit} presheaf maps")
+            charge(len(results), f"{len(results)} presheaf maps")
 
     def search(idx: int):
         if idx == len(nd):
@@ -674,8 +683,7 @@ def _class_id(key) -> str:
     return "&".join(str(part) for part in key)
 
 
-def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
-                 limit: int | None = None):
+def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     """Levels ks of the coend of the factors tagged by arrows of site.
 
     A member at level k is (f, n_1, x_1, ..., n_r, x_r): an arrow
@@ -690,10 +698,17 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
     Each level's members are numbered in that order: arrows sorted by
     their printed form, each printed once, and the block of f holds
     (f,) + tail for the tails whose dims sum to f.dst, in tuple order.
-    So the union-find roots each class at its least member.  A level
-    with more than limit members raises ResourceBound before it is
-    built.
+    So the union-find roots each class at its least member.  Every
+    level's member count is charged to the resource limit before any
+    level is built.
     """
+    counts: dict[int, int] = {}
+    for dims in itertools.product(*(range(X.N + 1) for X in factors)):
+        sections = math.prod(len(X.levels[n]) for X, n in zip(factors, dims))
+        counts[sum(dims)] = counts.get(sum(dims), 0) + sections
+    for k in ks:
+        size = sum(hom_count(k, n, site) * c for n, c in counts.items())
+        charge(size, f"coend level {k} has {size} members")
     # the section tails and the relations' tail index pairs depend
     # neither on the level nor on the arrow, so they are built once
     tails: dict[int, list] = {}
@@ -726,12 +741,7 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks,
     class_of: dict = {}
     reps: dict = {}
     for k in ks:
-        homs = {n: enumerate_hom(k, n, site, limit) for n in tails}
-        size = sum(len(homs[n]) * len(block) for n, block in tails.items())
-        if limit is not None and size > limit:
-            raise ResourceBound(
-                f"coend level {k} has {size} members, more than limit {limit}"
-            )
+        homs = {n: enumerate_hom(k, n, site) for n in tails}
         members = []
         start = {}
         for f in sorted(itertools.chain(*homs.values()), key=str):
@@ -1035,7 +1045,7 @@ def _split_pair(pid: str):
 
 
 def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
-    """Level n of the left Kan extension as a colimit: members (g, m, x)
+    """Level n of the left Kan extension as a colimit of members (g, m, x)
     with g: [n] -> [m], x in X_m, modulo naturality; returns the classes
     in id order."""
     if X.truncated:

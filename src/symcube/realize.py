@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, ResourceBound, SymcubeError
+from .errors import InputError, SymcubeError, charge
 from .presheaf import PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms
 from .report import Report
 from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
@@ -252,8 +252,7 @@ class SimplicialMap:
 # -- realization -------------------------------------------------------------
 
 
-def realize(X: SkeletalPresheaf, up_to: int | None = None,
-            limit: int | None = None) -> SimplicialSet:
+def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
     """The simplicial set of a stored cubical set.
 
     Level k glues one copy of the interval-power k-simplices per
@@ -264,18 +263,15 @@ def realize(X: SkeletalPresheaf, up_to: int | None = None,
     from those alone and named by the least member of each class.
     Levels run to N + 1, where everything is degenerate (each copy
     contributes nondegenerate simplices only up to its own dimension).
-    A level of more than limit normal-form members raises ResourceBound
-    before it is built.
+    Each level's count of normal-form members is charged to the
+    resource limit before it is built.
     """
     K = X.N + 1 if up_to is None else up_to
     forms = _NormalForms(X)
     reps = []
     for k in range(K + 1):
         size = sum(len(xs) * k ** n for n, xs in forms.nondegenerate.items())
-        if limit is not None and size > limit:
-            raise ResourceBound(
-                f"realization level {k} has {size} members, more than limit {limit}"
-            )
+        charge(size, f"realization level {k} has {size} members")
         reps.append(dict(forms.normal(n, x, s, k) for n, x, s in forms.cells(k)))
     levels = {k: tuple(sorted(reps[k])) for k in range(K + 1)}
     faces = {}
@@ -452,8 +448,7 @@ def _onto(m: int, k: int) -> int:
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
 
 
-def nondegenerate_chains(X: SkeletalPresheaf,
-                         limit: int | None = None) -> ChainComplex:
+def nondegenerate_chains(X: SkeletalPresheaf) -> ChainComplex:
     """normalized_chains(realize(X)), built from the EZ normal forms
     alone, with no degenerate simplex and no degeneracy table.
 
@@ -461,18 +456,15 @@ def nondegenerate_chains(X: SkeletalPresheaf,
     the normal forms (m, y, t) whose simplex t takes every value 1..k:
     one that misses j + 1 is s_j of the member with that value cut out.
     Level N + 1, where realize checks that everything is degenerate, is
-    empty here because no m <= N coordinates take N + 1 values.  A
-    level of more than limit such members raises ResourceBound before
-    it is built.
+    empty here because no m <= N coordinates take N + 1 values.  Each
+    level's count of such members is charged to the resource limit
+    before it is built.
     """
     forms = _NormalForms(X)
     reps = []
     for k in range(X.N + 2):
         size = sum(len(ys) * _onto(m, k) for m, ys in forms.nondegenerate.items())
-        if limit is not None and size > limit:
-            raise ResourceBound(
-                f"chain level {k} has {size} members, more than limit {limit}"
-            )
+        charge(size, f"chain level {k} has {size} members")
         level = {}
         for m, ys in forms.nondegenerate.items():
             for t in itertools.product(range(1, k + 1), repeat=m):
@@ -755,8 +747,8 @@ def homology_of_chains(C: ChainComplex) -> HomologyResult:
     return HomologyResult(tuple(groups))
 
 
-def homology(X: SkeletalPresheaf, limit: int | None = None) -> HomologyResult:
-    return homology_of_chains(nondegenerate_chains(X, limit))
+def homology(X: SkeletalPresheaf) -> HomologyResult:
+    return homology_of_chains(nondegenerate_chains(X))
 
 
 def euler_characteristic(S: SimplicialSet) -> int:

@@ -30,8 +30,8 @@ from .errors import (
     InputError,
     MorphismSyntaxError,
     NotEpi,
-    ResourceBound,
     SymcubeError,
+    charge,
 )
 from .report import Report
 
@@ -564,18 +564,14 @@ def enumerate_factorizations(m: CubeObject, n: CubeObject):
 
 def hom_count(m: CubeObject, n: CubeObject, site: SiteTag = SiteTag.QSIGMA) -> int:
     """|Hom([m],[n])| by the normal-form count (no enumeration)."""
-    total = 0
+    symmetric = site is SiteTag.QSIGMA
+    total, arrangements = 0, 1
     for ell in range(0, m + 1):
-        arrangements = (
-            math.comb(m, ell) * math.factorial(ell)
-            if site is SiteTag.QSIGMA
-            else math.comb(m, ell)
-        )
-        max_r = max(0, ell - 1) if site is SiteTag.QSIGMA else 0
-        for r in range(0, max_r + 1):
+        if ell:  # the ell variables used, chosen in order over QSigma
+            arrangements = arrangements * (m - ell + 1) // (1 if symmetric else ell)
+        max_r = max(0, ell - 1) if symmetric else 0
+        for r in range(max(0, ell - n), max_r + 1):
             q = ell - r
-            if q > n:
-                continue
             conj_words = math.comb(ell - 1, r) if ell >= 1 else (1 if r == 0 else 0)
             total += arrangements * conj_words * math.comb(n, n - q) * 2 ** (n - q)
     return total
@@ -608,20 +604,13 @@ def _enumerate_hom(m: CubeObject, n: CubeObject, site: SiteTag) -> tuple[Morphis
     return tuple(sorted(results))
 
 
-def enumerate_hom(
-    m: CubeObject,
-    n: CubeObject,
-    site: SiteTag = SiteTag.QSIGMA,
-    limit: int | None = None,
-) -> tuple[Morphism, ...]:
-    """The complete hom-set, duplicate-free, in canonical order."""
+def enumerate_hom(m: CubeObject, n: CubeObject,
+                  site: SiteTag = SiteTag.QSIGMA) -> tuple[Morphism, ...]:
+    """The complete hom-set, duplicate-free, in canonical order, charged
+    to the resource limit by its size."""
     if m < 0 or n < 0:
         raise BadDimension(f"negative dimension in hom set [{m}] -> [{n}]")
-    count = hom_count(m, n, site)
-    if limit is not None and count > limit:
-        raise ResourceBound(
-            f"|{site}([{m}],[{n}])| = {count} exceeds limit {limit}"
-        )
+    charge(hom_count(m, n, site), f"hom set {site}([{m}],[{n}])")
     return _enumerate_hom(m, n, site)
 
 

@@ -1,12 +1,16 @@
 """Exit codes, worked command lines, and JSON mirrors."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symcube.cli import DEFAULT_LIMIT, _suite_symmetrization, build_parser, run
+from symcube.cli import _suite_symmetrization, build_parser, run
 from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json
 from symcube.site import SiteTag
 
@@ -344,7 +348,7 @@ def test_verify_all_json(capsys):
 
 
 def test_symmetrization_suite_checks_transported_caps():
-    rep = _suite_symmetrization(2, DEFAULT_LIMIT)
+    rep = _suite_symmetrization(2)
     assert rep.ok
     assert [e.label for e in rep.entries if "cap" in e.label] == [
         f"transported cap({n},{j},{eps}) is the symmetric cap"
@@ -427,11 +431,26 @@ EVERY_SUBCOMMAND = [
     (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),
     (["verify-all", "--dim", "1"], 0),
     (["verify-all", "--dim", "-1"], 2),
+    # a hom set over the bound is named, never printed with its size
+    (["enum-hom", "0", "20000"], 3),
+    (["boundary", "20000"], 3),
+    (["homology", "cube:20000"], 3),
+    (["restrict", "cube:1", "--dim", "3000"], 3),
+    # the cube is built, and bounded, before its permutation
+    (["homology", "quotient:99999999:id"], 3),
+    (["--limit", "-1", "enum-hom", "1", "1"], 2),
+    # the bound reaches every enumeration, with no plumbing
+    (["--limit", "1000", "fibrant", "point", "--dim", "4"], 3),
+    (["--limit", "1000", "fibrant", "point", "--dim", "5"], 3),
+    (["--limit", "1000", "homotopic", "cube:1", "(0):0->1", "(1):0->1",
+      "--dim", "5"], 3),
+    (["restrict", "cube:2", "--dim", "12"], 3),
+    (["--limit", "100", "restrict", "cube:1", "--dim", "4"], 0),
 ]
 
 _RUN_EACH = """
 import contextlib, io, json, sys
-from symcube.cli import DEFAULT_LIMIT, _suite_symmetrization, build_parser, run
+from symcube.cli import run
 codes = []
 for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -455,3 +474,90 @@ def test_every_subcommand_exits_alike_without_asserts():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == expected, flags
+
+
+# -- argv fuzzing under a small bound -----------------------------------------
+
+MORPHISMS = ["(x1):1->1", "(0):0->2", "(x1,0):1->2", "(x2,x1):2->2",
+             "(x1^x2):2->1", "(x3):1->1", "x"]
+VERTICES = ["(0):0->1", "(1):0->1", "(0,1):0->2", "pt"]
+CYCLES = ["id", "(1 2)", "(1 2 3)", "(1 9)", "(1"]
+
+
+def specs(dims):
+    return st.one_of(
+        st.sampled_from(["point", "empty"]),
+        st.builds("cube:{}".format, dims),
+        st.builds("boundary:{}".format, dims),
+        st.builds("cap:{}:{}:{}".format, dims, st.integers(0, 3), st.integers(0, 1)),
+        st.builds("quotient:{}:{}".format, dims, st.sampled_from(CYCLES)),
+    )
+
+
+def map_specs(dims):
+    return st.one_of(
+        st.builds("boundary:{}".format, dims),
+        st.builds("cap:{}:{}:{}".format, dims, st.integers(0, 2), st.integers(0, 1)),
+        st.builds("{}:{}".format, st.sampled_from(["identity", "terminal", "empty"]),
+                  specs(dims)),
+    )
+
+
+def _args(*parts):
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+
+
+# Dimensions reach 12 wherever the bound has to stop the command.  The
+# objects of the search commands (fibrant, homotopic, lift, coskeleton)
+# stay at dimension 1 or less, since search nodes are not charged; the
+# verify suites stay at --dim 3 or less, since above it they pair hom
+# sets of up to 2000 arrows each and take seconds before the bound stops
+# them.
+_DIMS = st.integers(-1, 12)
+_BIG = _DIMS.map(str)
+_SMALL = st.integers(-1, 1)
+_VERIFY = st.integers(-1, 3).map(str)
+FUZZ_COMMANDS = {
+    "compose": _args(st.sampled_from(MORPHISMS), st.sampled_from(MORPHISMS)),
+    "factor": _args(st.sampled_from(MORPHISMS)),
+    "tensor": _args(st.sampled_from(MORPHISMS), st.sampled_from(MORPHISMS)),
+    "enum-hom": _args(_BIG, _BIG),
+    **{name: _args("--dim", _VERIFY) for name in
+       ("verify-relations", "verify-ez", "verify-pushouts", "verify-all")},
+    "convolve": _args(specs(_DIMS), specs(_DIMS)),
+    "symmetrize": _args(specs(_DIMS)),
+    "restrict": _args(specs(_DIMS), "--dim", _BIG),
+    "skeleton": _args(specs(_DIMS), _BIG),
+    "coskeleton": _args(specs(_SMALL), _BIG),
+    "quotient": _args(specs(_DIMS), st.sampled_from(CYCLES)),
+    "boundary": _args(_BIG),
+    "cap": _args(_BIG, st.integers(0, 3).map(str), st.sampled_from(["0", "1"])),
+    "realize": _args(specs(_DIMS)),
+    "homology": _args(specs(_DIMS)),
+    "lift": _args(map_specs(_SMALL), map_specs(_SMALL)),
+    "fibrant": _args(specs(_SMALL), "--dim", _BIG),
+    "homotopic": _args(specs(_SMALL), st.sampled_from(VERTICES),
+                       st.sampled_from(VERTICES), "--dim", _BIG),
+}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    site = draw(st.sampled_from([[], ["--site", "Q"], ["--site", "QSigma"]]))
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    return ["--limit", "2000", *site, *json_flag, name, *draw(FUZZ_COMMANDS[name])]
+
+
+def test_fuzz_grammar_covers_every_subcommand():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert set(FUZZ_COMMANDS) == set(commands)
+
+
+@given(fuzz_argvs())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_argv_exits_with_a_status(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -9,6 +9,7 @@ from symcube.errors import (
     ResourceBound,
     SymcubeError,
     TruncationMismatch,
+    resource_limit,
 )
 from symcube.monoidal import (
     _constant_map,
@@ -312,8 +313,8 @@ def test_restricted_conjunction_is_nondegenerate():
 def test_restrict_guards():
     with pytest.raises(InputError):
         restrict(representable(1, Q), 2)
-    with pytest.raises(ResourceBound):
-        restrict(R1, 4, limit=10)
+    with resource_limit(10), pytest.raises(ResourceBound, match="extending cube1"):
+        restrict(R1, 4)
 
 
 # -- the adjunction ----------------------------------------------------------

@@ -16,6 +16,7 @@ from symcube.errors import (
     InputError,
     ResourceBound,
     TruncationMismatch,
+    resource_limit,
 )
 from symcube.monoidal import convolve, restrict, symmetrize
 from symcube.presheaf import (
@@ -496,8 +497,8 @@ def test_hom_maps_are_natural():
 
 
 def test_hom_limit():
-    with pytest.raises(ResourceBound):
-        hom_presheaf(C0, C1, limit=1)
+    with resource_limit(1), pytest.raises(ResourceBound, match="2 presheaf maps"):
+        hom_presheaf(C0, C1)
 
 
 def test_find_isomorphism():

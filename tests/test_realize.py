@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.errors import ResourceBound, SymcubeError
+from symcube.errors import ResourceBound, SymcubeError, resource_limit
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
@@ -484,14 +484,17 @@ def test_moore_space_torsion_from_residual_block(d, monkeypatch):
 
 
 def test_realize_honours_limit():
-    with pytest.raises(ResourceBound, match="realization level 0"):
-        realize(R3, limit=1)
+    with resource_limit(1), pytest.raises(ResourceBound, match="realization level 0"):
+        realize(R3)
     # level k of the 3-cube holds sum_n |ND_n| * k**n normal-form
     # members, 8 + 12k + 12k^2 + 6k^3: 632 at its top level 4; the
     # bound is on one level, not on their sum
-    assert realize(R3, limit=632).levels == SR3.levels
-    with pytest.raises(ResourceBound, match="realization level 4 has 632 members"):
-        realize(R3, limit=631)
+    with resource_limit(632):
+        assert realize(R3).levels == SR3.levels
+    with resource_limit(631), pytest.raises(
+        ResourceBound, match="realization level 4 has 632 members"
+    ):
+        realize(R3)
 
 
 # -- chains from normal forms ------------------------------------------------
@@ -533,13 +536,18 @@ def test_nondegenerate_chains_match_realized_chains(name):
 
 
 def test_nondegenerate_chains_honour_limit():
-    with pytest.raises(ResourceBound, match="chain level 0 has 8 members"):
-        nondegenerate_chains(R3, limit=1)
+    with resource_limit(1), pytest.raises(
+        ResourceBound, match="chain level 0 has 8 members"
+    ):
+        nondegenerate_chains(R3)
     # level k of the 3-cube holds sum_n |ND_n| * onto(n, k) members with
     # |ND| = 8, 12, 12, 6: 8, 30, 60, 36, 0, so its largest level is 2
-    assert nondegenerate_chains(R3, limit=60) == normalized_chains(SR3)
-    with pytest.raises(ResourceBound, match="chain level 2 has 60 members"):
-        nondegenerate_chains(R3, limit=59)
+    with resource_limit(60):
+        assert nondegenerate_chains(R3) == normalized_chains(SR3)
+    with resource_limit(59), pytest.raises(
+        ResourceBound, match="chain level 2 has 60 members"
+    ):
+        nondegenerate_chains(R3)
 
 
 def rational_rank(M):

@@ -21,6 +21,7 @@ from symcube.errors import (
     MorphismSyntaxError,
     NotEpi,
     ResourceBound,
+    resource_limit,
 )
 from symcube.site import (
     Conj,
@@ -419,9 +420,20 @@ def test_enumeration_is_sorted_and_q_subset():
 
 
 def test_resource_bound():
-    with pytest.raises(ResourceBound):
-        enumerate_hom(3, 3, QS, limit=100)
-    assert len(enumerate_hom(2, 1, QS, limit=100)) == 6
+    with resource_limit(100):
+        with pytest.raises(ResourceBound):
+            enumerate_hom(3, 3, QS)
+        assert len(enumerate_hom(2, 1, QS)) == 6
+
+
+def test_resource_limit_nests_and_restores():
+    with resource_limit(100):
+        with resource_limit(None):
+            assert len(enumerate_hom(3, 3, QS)) == 302
+        # the cached hom set is charged again
+        with pytest.raises(ResourceBound, match=r"hom set QSigma\(\[3\],\[3\]\)"):
+            enumerate_hom(3, 3, QS)
+    assert len(enumerate_hom(3, 3, QS)) == 302
 
 
 # -- classification ----------------------------------------------------------
