@@ -149,7 +149,7 @@ def cylinder(X: SkeletalPresheaf,
         vtx = str(endpoint(eps, n))
         mapping = {
             k: {
-                x: cr.class_of[(identity(k), k, x, 0, vtx)]
+                x: cr.class_of((identity(k), k, x, 0, vtx))
                 for x in X.level(k)
             }
             for k in range(X.N + 1)

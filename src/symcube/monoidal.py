@@ -5,13 +5,15 @@ presheaf.tagged_coend: level k is the set of members
 (f, n_1, x_1, ..., n_r, x_r) with f: [k] -> [n_1 + ... + n_r] an arrow
 of the chosen site and x_t a section of the t-th factor, glued by
 naturality in each factor separately; site generators act by
-precomposing f.  A member holds its arrow itself, so every comparison
-map below reads f from the member and looks up the class of a composite
-directly.  Day convolution X (x) Y is the coend of two factors
-over their common site, the unbracketed triple product behind the
-associator is that of three.  Truncating the index ranges at the stored
-bounds is sound because a stored presheaf is a colimit of representables
-of bounded degree.
+precomposing f.  Only the reduced members, whose sections are all
+nondegenerate, are numbered; class_of reduces any member before looking
+it up, and the comparison maps below iterate over reduced members.  A
+member holds its arrow itself, so a comparison reads f from the member
+and looks up the class of a composite directly.  Day convolution
+X (x) Y is the coend of two factors over their common site, the
+unbracketed triple product behind the associator is that of three.
+Truncating the index ranges at the stored bounds is sound because a
+stored presheaf is a colimit of representables of bounded degree.
 
 symmetrize and restrict realize the adjunction between cubical sets
 and their symmetric extensions: the left adjoint is the coend of one
@@ -23,7 +25,7 @@ counit evaluates tags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from .errors import InputError, SymcubeError
 from .presheaf import (
@@ -56,11 +58,12 @@ from .site import (
 class ConvolutionResult:
     """A tagged-coend product together with its coend bookkeeping.
 
-    class_of collapses every member (f, n_1, x_1, ..., n_r, x_r), f a
-    Morphism, onto its class id; reps picks the least member of each
-    class.  Together they realize the quotient of the indexed disjoint
-    union, so callers can both include a member and choose a witness
-    for a class.
+    class_of maps every reduced member (f, n_1, x_1, ..., n_r, x_r), f
+    a Morphism and each x_t nondegenerate, to its class id, and called
+    on any member reduces it first; reps picks the least reduced member
+    of each class.  Together they realize the quotient of the indexed
+    disjoint union, so callers can both include a member and choose a
+    witness for a class.
     """
 
     product: SkeletalPresheaf
@@ -78,7 +81,7 @@ class ConvolutionResult:
 
     def pair(self, f: Morphism, x: SectionRef, y: SectionRef) -> SectionRef:
         """The class of the member (f, x, y) as a product section."""
-        cid = self.class_of[(f, x.level, x.id, y.level, y.id)]
+        cid = self.class_of((f, x.level, x.id, y.level, y.id))
         return SectionRef(f.src, cid)
 
 
@@ -91,7 +94,7 @@ def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResul
     for _, h in generator_morphisms(site, N):
         tab = {}
         for cid in levels[h.dst]:
-            rep = reps[cid]
+            rep = reps[cid]  # reduced, and so is rep with h precomposed
             tab[cid] = class_of[(compose(rep[0], h),) + rep[1:]]
         action[h] = tab
     product = SkeletalPresheaf(site, N, levels, action, name=name)
@@ -117,8 +120,8 @@ def _constant_map(items, fn) -> dict:
 
 def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
                fn) -> PresheafMap:
-    """CR.product -> target, sending the class of each member to fn of
-    that member; fn must be constant on classes."""
+    """CR.product -> target, sending the class of each reduced member
+    to fn of that member; fn must be constant on classes."""
     values = _constant_map(CR.class_of.items(), fn)
     P = CR.product
     mapping = {n: {cid: values[cid] for cid in P.levels[n]} for n in range(P.N + 1)}
@@ -127,7 +130,8 @@ def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
 
 def verify_convolution(CR: ConvolutionResult) -> Report:
     """Truncation bookkeeping plus well-definedness of the action on
-    every member of every class, not just the chosen representative."""
+    every reduced member of every class, not just the chosen
+    representative."""
     report = Report(f"convolution {CR.product.name}")
     report.check(
         "truncation adds",
@@ -148,14 +152,13 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
 
 
 def pairing_map(CR: ConvolutionResult, target: SkeletalPresheaf) -> PresheafMap:
-    """The canonical comparison (f, x, y) -> (x (+) y) o f into a
-    presheaf whose sections are printed arrows (a representable or a
-    subpresheaf of one)."""
+    """The canonical comparison (f, x_1, ..., x_r) -> (x_1 (+) ... (+)
+    x_r) o f into a presheaf whose sections are printed arrows (a
+    representable or a subpresheaf of one)."""
     arrow = cache(parse_morphism)
 
     def value(key):
-        f, _, x, _, y = key
-        return str(compose(tensor(arrow(x), arrow(y)), f))
+        return str(compose(reduce(tensor, map(arrow, key[2::2])), key[0]))
 
     return _class_map(CR, target, value)
 
@@ -178,7 +181,7 @@ def braiding_comparison(CR_XY: ConvolutionResult,
 
     def value(key):
         f, i, x, j, y = key
-        return CR_YX.class_of[(compose(symmetry(i, j), f), j, y, i, x)]
+        return CR_YX.class_of((compose(symmetry(i, j), f), j, y, i, x))
 
     return _class_map(CR_XY, CR_YX.product, value)
 
@@ -189,7 +192,7 @@ def convolve_map(u: PresheafMap, v: PresheafMap,
 
     def value(key):
         f, i, x, j, y = key
-        return CR2.class_of[(f, i, u.mapping[i][x], j, v.mapping[j][y])]
+        return CR2.class_of((f, i, u.mapping[i][x], j, v.mapping[j][y]))
 
     return _class_map(CR, CR2.product, value)
 
@@ -215,13 +218,13 @@ def associator_comparison(X, Y, Z) -> Report:
         f, _, cxy, j, z = key
         g, i, x, m, y = CR_XY.reps[cxy]
         flat = compose(tensor(g, identity(j)), f)
-        return T3.class_of[(flat, i, x, m, y, j, z)]
+        return T3.class_of((flat, i, x, m, y, j, z))
 
     def right_value(key):
         f, i, x, _, cyz = key
         g, j, y, m, z = CR_YZ.reps[cyz]
         flat = compose(tensor(identity(i), g), f)
-        return T3.class_of[(flat, i, x, j, y, m, z)]
+        return T3.class_of((flat, i, x, j, y, m, z))
 
     left = _class_map(CR_L, T3.product, left_value)
     right = _class_map(CR_R, T3.product, right_value)
@@ -287,22 +290,13 @@ def symmetrize_map(u: PresheafMap) -> PresheafMap:
 
     def value(key):
         g, m, x = key
-        return T.class_of[(g, m, u.mapping[m][x])]
+        return T.class_of((g, m, u.mapping[m][x]))
 
     return _class_map(S, T.product, value)
 
 
-def symmetrize_comparison(S: ConvolutionResult,
-                          target: SkeletalPresheaf) -> PresheafMap:
-    """(g, x) -> x o g for a symmetrized subpresheaf of a representable,
-    landing in the symmetric presheaf with printed-arrow sections."""
-    arrow = cache(parse_morphism)
-
-    def value(key):
-        g, _, x = key
-        return str(compose(arrow(x), g))
-
-    return _class_map(S, target, value)
+# (g, m, x) -> x o g, for a symmetrized subpresheaf of a representable
+symmetrize_comparison = pairing_map
 
 
 def restrict(X: SkeletalPresheaf, up_to: int) -> TruncatedPresheaf:
@@ -322,7 +316,7 @@ def adjunction_unit(X: SkeletalPresheaf, up_to: int) -> PresheafMap:
     S = symmetrize_structure(X)
     dst = restrict(S.product, max(up_to, X.N))
     mapping = {
-        n: {x: S.class_of[(identity(n), n, x)] for x in X.levels[n]}
+        n: {x: S.class_of((identity(n), n, x)) for x in X.levels[n]}
         for n in range(X.N + 1)
     }
     return PresheafMap(X, dst, mapping)
@@ -393,8 +387,8 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> Presheaf
     def value(key):
         g, _, cq = key
         f, i, x, j, y = CQ.reps[cq]
-        xi = SX.class_of[(identity(i), i, x)]
-        yj = SY.class_of[(identity(j), j, y)]
-        return CS.class_of[(compose(f, g), i, xi, j, yj)]
+        xi = SX.class_of((identity(i), i, x))
+        yj = SY.class_of((identity(j), j, y))
+        return CS.class_of((compose(f, g), i, xi, j, yj))
 
     return _class_map(L, CS.product, value)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from .errors import (
     BadDimension,
@@ -274,7 +273,10 @@ class SkeletalPresheaf:
                 for sid in self.levels[g.dst]:
                     table[sid] = self._canonical_pair(g, SectionRef(g.dst, sid))
             new_action[g] = table
-        return SkeletalPresheaf(self.site, n, new_levels, new_action, self.name)
+        X = SkeletalPresheaf(self.site, n, new_levels, new_action, self.name)
+        # each new section is its own EZ pair, so no Hom(n, n-1) is enumerated
+        X._ez_levels = {**self._ez_levels, n: {pid: pairs[pid] for pid in new_levels[n]}}
+        return X
 
     def same_data(self, other: "SkeletalPresheaf") -> bool:
         return (
@@ -356,10 +358,8 @@ def extend_map(u: PresheafMap, N: int) -> PresheafMap:
     src, dst = u.src.extend_to(N), u.dst.extend_to(N)
     mapping = dict(u.mapping)
     for n in range(u.src.N + 1, N + 1):
-        mapping[n] = {}
-        for pid in src.level(n):
-            e, yid = _split_pair(pid)
-            mapping[n][pid] = dst.act(e, u.mapping[e.dst][yid])
+        mapping[n] = {pid: dst.act(e, u.mapping[y.level][y.id])
+                      for pid, (e, y) in src._ez_level(n).items()}
     v = PresheafMap(src, dst, mapping)
     if not v.verify_natural():
         raise TruncationMismatch(f"a map into {u.dst.name} does not extend to level {N}")
@@ -577,8 +577,8 @@ def hom_presheaf(
     section x = i(a) = e*y of X is pushed onto the nondegenerate y, whose
     value must then satisfy e*w(y) = u(a); two different prescriptions
     for one section leave no map.  The maps come in the same order as
-    without fixed, and the resource limit bounds how many are returned,
-    so it counts only the maps that agree.
+    without fixed; the resource limit bounds the maps returned, which
+    are only those that agree, and the candidate values tried.
     """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
@@ -601,6 +601,8 @@ def hom_presheaf(
             swaps.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
     results: list[PresheafMap] = []
     assigned: dict[tuple[int, str], str] = {}
+    tried = 0  # candidate values, charged as each search node ends
+    trying = f"candidate values for maps {X.name} -> {Y.name}"
 
     def value_of(ref: SectionRef) -> str:
         e, y = X.ez_decompose(ref)
@@ -632,15 +634,19 @@ def hom_presheaf(
             charge(len(results), f"{len(results)} presheaf maps")
 
     def search(idx: int):
+        nonlocal tried
         if idx == len(nd):
             finish()
             return
         ref = nd[idx]
-        for v in Y.level(ref.level):
+        values = Y.level(ref.level)
+        for v in values:
             if consistent(ref, v):
                 assigned[(ref.level, ref.id)] = v
                 search(idx + 1)
                 del assigned[(ref.level, ref.id)]
+        tried += len(values)
+        charge(tried, trying)
 
     search(0)
     return results
@@ -683,74 +689,103 @@ def _class_id(key) -> str:
     return "&".join(str(part) for part in key)
 
 
+class CoendClasses(dict):
+    """The class id of each reduced member of a tagged coend; called on
+    any member, it first reduces the sections by the factors' EZ tables."""
+
+    def __init__(self, factors):
+        super().__init__()
+        self.factors = factors
+
+    def __call__(self, member) -> str:
+        pairs = [X.ez_decompose(SectionRef(*member[2 * t + 1:2 * t + 3]))
+                 for t, X in enumerate(self.factors)]
+        arrow = compose(reduce(tensor, (e for e, _ in pairs)), member[0])
+        return self[(arrow, *itertools.chain(*((y.level, y.id) for _, y in pairs)))]
+
+
 def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     """Levels ks of the coend of the factors tagged by arrows of site.
 
     A member at level k is (f, n_1, x_1, ..., n_r, x_r): an arrow
     f: [k] -> [n_1 + ... + n_r] of site and a section x_t of the t-th
-    factor at level n_t.  Members are glued by naturality over each
-    factor's own generators: for u: [a] -> [b] of factor t,
-    ((id (+) u (+) id) o f, ..., b, x, ...) ~ (f, ..., a, u*x, ...).
-    Returns (levels, class_of, reps): the sorted class ids of each
-    level, the class id of every member and the least member of every
-    class, members comparing by printed arrow and then by tail.
+    factor at level n_t.  Only reduced members, whose sections are all
+    nondegenerate, are numbered, glued by one relation per face or swap
+    generator u: [a] -> [b] of factor t and nondegenerate x at level b:
+    ((id_p (+) u (+) id_q) o f, .., x, ..) ~ ((id_p (+) e (+) id_q) o f,
+    .., x1, ..), where u*x = e*x1 in the EZ table.  Returns (levels,
+    class_of, reps): the sorted class ids of each level, a CoendClasses
+    and the least reduced member of each class, members comparing by
+    printed arrow and then by tail.
 
-    Each level's members are numbered in that order: arrows sorted by
-    their printed form, each printed once, and the block of f holds
-    (f,) + tail for the tails whose dims sum to f.dst, in tuple order.
-    So the union-find roots each class at its least member.  Every
-    level's member count is charged to the resource limit before any
-    level is built.
+    This is the coend (Day 1970), by the EZ property (Berger-Moerdijk
+    2011).  Naturality, ((h (+) id) o f, x) ~ (f, h*x), implies each
+    relation and glues every member to its reduction.  Conversely the
+    reduced quotient respects naturality: reducing, take x
+    nondegenerate, write h = m o s with s epi and m a word in faces and
+    swaps, and induct on (dim x, letters of m).  With no letter, s*x has
+    EZ pair (th o s, th^-1*x) for a cosymmetry th, which swap relations
+    glue to (s, x).  Else h = g o h' for a letter g, whose relation
+    turns ((h (+) id) o f, x) into (((e o h') (+) id) o f, x1), g*x =
+    e*x1: for a face dim x1 < dim x, for a swap e = id and h' is
+    shorter.  So an epi generator's relation follows.
+
+    Arrows are sorted by printed form and the block of f holds (f,) +
+    tail for the reduced tails summing to f.dst, so the union-find roots
+    each class at its least member.  Every level's member count is
+    charged to the resource limit before any level is built.
     """
-    counts: dict[int, int] = {}
-    for dims in itertools.product(*(range(X.N + 1) for X in factors)):
-        sections = math.prod(len(X.levels[n]) for X, n in zip(factors, dims))
-        counts[sum(dims)] = counts.get(sum(dims), 0) + sections
-    for k in ks:
-        size = sum(hom_count(k, n, site) * c for n, c in counts.items())
-        charge(size, f"coend level {k} has {size} members")
-    # the section tails and the relations' tail index pairs depend
+    # the reduced tails and the relations' tail index pairs depend
     # neither on the level nor on the arrow, so they are built once
     tails: dict[int, list] = {}
     for dims in itertools.product(*(range(X.N + 1) for X in factors)):
-        sections = itertools.product(*(X.levels[n] for X, n in zip(factors, dims)))
+        sections = itertools.product(
+            *(nondegenerate_sections(X, n) for X, n in zip(factors, dims)))
         tails.setdefault(sum(dims), []).extend(
-            tuple(itertools.chain(*zip(dims, xs))) for xs in sections
+            tuple(itertools.chain(*((x.level, x.id) for x in xs))) for xs in sections
         )
+    for k in ks:
+        size = sum(hom_count(k, n, site) * len(block) for n, block in tails.items())
+        charge(size, f"coend level {k} has {size} members")
     number = {}
     for block in tails.values():
         block.sort()
         number.update((tail, i) for i, tail in enumerate(block))
-    # u acting on factor t of a tail lifts to id_p (+) u (+) id_q
+    # a face or swap u acting on factor t of a tail, u*x = e*x1, glues
+    # the arrows id_p (+) u (+) id_q and id_p (+) e (+) id_q
     glue: dict[tuple, list] = {}
     for t, X in enumerate(factors):
         j = 2 * t
         for _, u in generator_morphisms(X.site, X.N):
+            if u.src > u.dst:
+                continue
             tab = X.action[u]
             for tail, i in number.items():
                 if tail[j] == u.dst:
-                    moved = tail[:j] + (u.src, tab[tail[j + 1]]) + tail[j + 2:]
-                    lift = (sum(tail[:j:2]), u, sum(tail[j + 2::2]))
-                    glue.setdefault(lift, []).append((i, number[moved]))
-    relations = [
-        (tensor(tensor(identity(p), u), identity(q)), pairs)
-        for (p, u, q), pairs in glue.items()
-    ]
+                    e, x1 = X.ez_decompose(SectionRef(u.src, tab[tail[j + 1]]))
+                    moved = tail[:j] + (x1.level, x1.id) + tail[j + 2:]
+                    p, q = sum(tail[:j:2]), sum(tail[j + 2::2])
+                    glue.setdefault((p, u, e, q), []).append((i, number[moved]))
+    relations = [(tensor(tensor(identity(p), u), identity(q)),
+                  tensor(tensor(identity(p), e), identity(q)), pairs)
+                 for (p, u, e, q), pairs in glue.items()]
+    lifts = {lift for up, down, _ in relations for lift in (up, down)}
 
     levels: dict[int, tuple] = {}
-    class_of: dict = {}
+    class_of = CoendClasses(factors)
     reps: dict = {}
     for k in ks:
-        homs = {n: enumerate_hom(k, n, site) for n in tails}
-        members = []
-        start = {}
-        for f in sorted(itertools.chain(*homs.values()), key=str):
+        homs = {n: enumerate_hom(k, n, site) for n in {*tails, *(h.src for h in lifts)}}
+        members, start = [], {}
+        for f in sorted(itertools.chain(*(homs[n] for n in tails)), key=str):
             start[f] = len(members)
             members.extend([(f,) + tail for tail in tails[f.dst]])
         uf = _UnionFind(len(members))
-        for lift, pairs in relations:
-            for f in homs[lift.src]:
-                uf.union_all(pairs, start[compose(lift, f)], start[f])
+        # the block starts of lift o f, f in homs[lift.src], by lift
+        starts = {h: [start[compose(h, f)] for f in homs[h.src]] for h in lifts}
+        for up, down, pairs in relations:
+            for a, b in zip(starts[up], starts[down]):
+                uf.union_all(pairs, a, b)
         ids = quotient_classes(uf, members, _class_id, class_of, reps)
         levels[k] = tuple(sorted(ids))
     return levels, class_of, reps
@@ -1027,27 +1062,22 @@ def extend_level(X: SkeletalPresheaf, n: int):
     """The level-n sections of the skeletal extension, via EZ pairs.
 
     Returns (ids, pair map) where ids are canonical "epi|nondegenerate"
-    strings.  extend_to uses the same construction; coend_level is the
-    independent route.
+    strings and the pairs are read from the extension's EZ table.
+    coend_level is the other route.
     """
     if n <= X.N:
         raise BadDimension(f"level {n} is already stored")
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
     Y = X.extend_to(n)
-    ids = Y.level(n)
-    return ids, {pid: _split_pair(pid) for pid in ids}
-
-
-def _split_pair(pid: str):
-    sigma_str, _, yid = pid.partition("|")
-    return parse_morphism(sigma_str), yid
+    return Y.level(n), {pid: (e, y.id) for pid, (e, y) in Y._ez_level(n).items()}
 
 
 def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
     """Level n of the left Kan extension as a colimit of members (g, m, x)
     with g: [n] -> [m], x in X_m, modulo naturality; returns the classes
-    in id order."""
+    in id order, each as its reduced members, those with x
+    nondegenerate."""
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
     levels, class_of, _ = tagged_coend([X], X.site, [n])
@@ -1080,10 +1110,7 @@ def verify_restriction_roundtrip(X: SkeletalPresheaf, k: int) -> bool:
     ext = restrict_skeletal(X, k).extend_to(X.N)
     skX, _ = skeleton(X, k)
     for n in range(min(k, X.N) + 1, X.N + 1):
-        values = []
-        for pid in ext.level(n):
-            e, yid = _split_pair(pid)
-            values.append(X.act(e, yid))
+        values = [X.act(e, y.id) for e, y in ext._ez_level(n).values()]
         if len(set(values)) != len(values) or set(values) != set(skX.level(n)):
             return False
     return True

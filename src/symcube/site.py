@@ -1118,6 +1118,8 @@ def verify_ez(n_max: int = 3) -> Report:
                     mo for mo in enumerate_hom(q, n, SiteTag.QSIGMA)
                     if classify(mo).is_mono
                 ]
+                pairs = len(mid_epis) * len(mid_monos)
+                charge(pairs, f"{pairs} pairs of an epi and a mono through [{q}]")
                 for e in mid_epis:
                     for mo in mid_monos:
                         found.setdefault(compose(mo, e), []).append((e, mo))
@@ -1129,6 +1131,8 @@ def verify_ez(n_max: int = 3) -> Report:
                     if compose(th, e1) == e2 and compose(m2, th) == m1
                 )
 
+            pairs = sum(len(fs) ** 2 for fs in found.values())
+            charge(pairs, f"{pairs} pairs of factorizations in Hom({m},{n})")
             unique_ok = all(
                 ez_factor(f) in found.get(f, [])
                 and all(

@@ -163,6 +163,13 @@ def test_convolve_square_from_intervals(capsys):
     assert "0:4 1:8 2:22" in out
 
 
+def test_convolve_torus_at_default_limit(capsys):
+    # 3,034,128 members at level 4, of which 8,400 are reduced: the
+    # default limit now holds the torus
+    code, out = invoke(capsys, "convolve", "boundary:2", "boundary:2")
+    assert (code, out) == (0, "bd2(x)bd2 [QSigma] 0:16 1:48 2:176 3:784 4:4176\n")
+
+
 def test_symmetrize_cube(capsys):
     code, out = invoke(capsys, "symmetrize", "cube:2")
     assert code == 0
@@ -446,6 +453,10 @@ EVERY_SUBCOMMAND = [
       "--dim", "5"], 3),
     (["restrict", "cube:2", "--dim", "12"], 3),
     (["--limit", "100", "restrict", "cube:1", "--dim", "4"], 0),
+    # extended levels carry their EZ table, so no Hom(m, m-1) is enumerated
+    (["--limit", "1000", "restrict", "cube:1", "--dim", "5"], 0),
+    # the search for maps is charged, not only the maps it returns
+    (["--limit", "2000", "fibrant", "cube:2", "--dim", "3"], 3),
 ]
 
 _RUN_EACH = """

@@ -533,6 +533,15 @@ def test_verify_ez_passes():
     assert report.ok, str(report)
 
 
+def test_verify_ez_charges_its_pairings():
+    # the pairs of factorizations are charged before they are compared,
+    # so the bound stops the suite in Hom(3,4), long before Hom(4,4)
+    with resource_limit(2000), pytest.raises(
+        ResourceBound, match=r"3952 pairs of factorizations in Hom\(3,4\)"
+    ):
+        verify_ez(4)
+
+
 def test_sections_of_generators():
     assert sections_of(sigma(2, 2)) == [delta(2, 0, 2), delta(2, 1, 2)]
     assert sections_of(gamma(2, 2)) == [delta(2, 1, 2), delta(3, 1, 2)]
