@@ -571,6 +571,14 @@ def hom_presheaf(
     constraints for pruning and a full naturality check on each completed
     candidate.
 
+    Every constraint is resolved once, before the search, into tables of
+    Y and positions among the nondegenerate sections: a section e*y of X
+    takes the value table(e)[w(y)].  A section's candidate values are the
+    values of Y whose first face is the value its first face of X already
+    has, drawn from an inverse index of that face table over Y (all of Y's
+    level when it has no face); the other faces, the swaps and the
+    prescriptions are checked on those.
+
     fixed is the partial map a question prescribes, as pairs (i, u) of
     maps A -> X and A -> Y: w is kept when w o i = u for every pair, and
     without pairs every map is kept.  Each prescribed value u(a) on the
@@ -578,75 +586,81 @@ def hom_presheaf(
     value must then satisfy e*w(y) = u(a); two different prescriptions
     for one section leave no map.  The maps come in the same order as
     without fixed; the resource limit bounds the maps returned, which
-    are only those that agree, and the candidate values tried.
+    are only those that agree, and the candidate values drawn.
     """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
     nd = []
     for k in range(X.N + 1):
         nd.extend(nondegenerate_sections(X, k))
-    pinned: dict[tuple[int, str], list[tuple[Morphism, str]]] = {}
+    at = {(ref.level, ref.id): j for j, ref in enumerate(nd)}
+
+    def resolve(k: int, x: str) -> tuple[dict, int]:
+        e, y = X.ez_decompose(SectionRef(k, x))
+        return Y.table(e), at[(y.level, y.id)]
+
+    # per nondegenerate section: where its candidates are drawn from (the
+    # inverse index of its first face over Y, that face's table and
+    # position), its other faces (Y's face, table, position), its swaps
+    # (Y's swap, position of a mate that comes first or is the section
+    # itself) and its prescriptions (table, want)
+    draw: list = [None] * len(nd)
+    faces: list[list] = [[] for _ in nd]
+    swaps: list[list] = [[] for _ in nd]
+    pins: list[list] = [[] for _ in nd]
+    for _, g in generator_morphisms(X.site, X.N):
+        xg, yg = X.action[g], Y.action[g]
+        inverse: dict[str, list[str]] = {}
+        for j, ref in enumerate(nd):
+            if ref.level != g.dst:
+                continue
+            if g.src == g.dst:
+                mate = at[(g.src, xg[ref.id])]
+                if mate <= j:
+                    swaps[j].append((yg, mate))
+            elif g.src < g.dst and draw[j]:
+                faces[j].append((yg, *resolve(g.src, xg[ref.id])))
+            elif g.src < g.dst:
+                if not inverse:
+                    for v in Y.level(g.dst):
+                        inverse.setdefault(yg[v], []).append(v)
+                draw[j] = (inverse, *resolve(g.src, xg[ref.id]))
     for i, u in fixed:
         for k, row in i.mapping.items():
             for a, x in row.items():
-                e, y = X.ez_decompose(SectionRef(k, x))
-                pinned.setdefault((y.level, y.id), []).append((e, u.mapping[k][a]))
-    # the face and adjacent-swap actions of X and Y, paired by level
-    faces: dict[int, list[tuple[dict, dict]]] = {}
-    swaps: dict[int, list[tuple[dict, dict]]] = {}
-    for _, g in generator_morphisms(X.site, X.N):
-        if g.src < g.dst:
-            faces.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
-        elif g.src == g.dst:
-            swaps.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
+                tab, j = resolve(k, x)
+                pins[j].append((tab, u.mapping[k][a]))
+    every = [
+        [(sid, *resolve(n, sid)) for sid in X.level(n)] for n in range(X.N + 1)
+    ]
     results: list[PresheafMap] = []
-    assigned: dict[tuple[int, str], str] = {}
-    tried = 0  # candidate values, charged as each search node ends
-    trying = f"candidate values for maps {X.name} -> {Y.name}"
-
-    def value_of(ref: SectionRef) -> str:
-        e, y = X.ez_decompose(ref)
-        return Y.act(e, assigned[(y.level, y.id)])
-
-    def consistent(ref: SectionRef, v: str) -> bool:
-        k, x = ref.level, ref.id
-        if any(Y.act(e, v) != want for e, want in pinned.get((k, x), ())):
-            return False
-        for xd, yd in faces.get(k, ()):
-            if yd[v] != value_of(SectionRef(k - 1, xd[x])):
-                return False
-        for xs, ys in swaps.get(k, ()):
-            mate = xs[x]
-            if (mate == x and ys[v] != v) or (
-                (k, mate) in assigned and ys[v] != assigned[(k, mate)]
-            ):
-                return False
-        return True
-
-    def finish():
-        mapping = {
-            n: {sid: value_of(SectionRef(n, sid)) for sid in X.level(n)}
-            for n in range(X.N + 1)
-        }
-        u = PresheafMap(X, Y, mapping)
-        if u.verify_natural():
-            results.append(u)
-            charge(len(results), f"{len(results)} presheaf maps")
+    w = [""] * len(nd)  # the value on each nondegenerate section
+    drawn = 0  # candidate values, charged as each search node ends
+    drawing = f"candidate values for maps {X.name} -> {Y.name}"
 
     def search(idx: int):
-        nonlocal tried
+        nonlocal drawn
         if idx == len(nd):
-            finish()
+            mapping = {n: {sid: tab[w[j]] for sid, tab, j in row}
+                       for n, row in enumerate(every)}
+            u = PresheafMap(X, Y, mapping)
+            if u.verify_natural():
+                results.append(u)
+                charge(len(results), f"{len(results)} presheaf maps")
             return
-        ref = nd[idx]
-        values = Y.level(ref.level)
+        if draw[idx]:
+            inverse, tab, j = draw[idx]
+            values = inverse.get(tab[w[j]], ())
+        else:
+            values = Y.level(nd[idx].level)
         for v in values:
-            if consistent(ref, v):
-                assigned[(ref.level, ref.id)] = v
+            w[idx] = v
+            if (all(yd[v] == tab[w[j]] for yd, tab, j in faces[idx])
+                    and all(ys[v] == w[j] for ys, j in swaps[idx])
+                    and all(tab[v] == want for tab, want in pins[idx])):
                 search(idx + 1)
-                del assigned[(ref.level, ref.id)]
-        tried += len(values)
-        charge(tried, trying)
+        drawn += len(values)
+        charge(drawn, drawing)
 
     search(0)
     return results

@@ -296,6 +296,22 @@ def test_interval_cap_filling_report():
     assert [e.detail for e in rep.entries[2:]] == ["7 maps, 2 without extension"] * 4
 
 
+def test_square_cap_filling_through_dimension_three():
+    # at the default, unbounded limit; the counts were frozen from the
+    # search that tried every value of the target at every node, which
+    # needed --limit 100000000 to finish `fibrant cube:2 --dim 3`
+    rep = is_fibrant(R2S, 3)
+    assert rep.summary() == (
+        "cap filling in cube2 through dimension 3: 2/12 checks passed [FAIL]"
+    )
+    assert [(e.label, e.detail) for e in rep.entries[6:]] == [
+        (f"cap (3,{j},{eps})", detail)
+        for j in (1, 2, 3)
+        for eps, detail in ((0, "114 maps, 32 without extension"),
+                            (1, "130 maps, 56 without extension"))
+    ]
+
+
 def test_fibrancy_guards():
     with pytest.raises(InputError):
         is_fibrant(representable(1, SiteTag.Q), 1)

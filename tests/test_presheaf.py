@@ -1,6 +1,7 @@
 """Presheaf layer: representables, boundaries, caps, skeleta, quotients,
 colimits, EZ decomposition, extension, and the serialization format."""
 
+from collections.abc import Sequence
 import itertools
 import json
 from functools import cache
@@ -11,14 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symcube.cli import load_spec
 from symcube.errors import (
     BadDimension,
     IndexOutOfRange,
     InputError,
     ResourceBound,
     TruncationMismatch,
+    charge,
     resource_limit,
 )
+from symcube.homotopy import cylinder
 from symcube.monoidal import convolve, restrict, symmetrize
 from symcube.presheaf import (
     PresheafMap,
@@ -63,6 +67,7 @@ from symcube.presheaf import (
     verify_skeletal_pushout,
 )
 from symcube.site import (
+    Morphism,
     Permutation,
     SiteTag,
     classify,
@@ -528,6 +533,171 @@ def test_hom_search_charges_candidate_values():
         ResourceBound, match="candidate values for maps cube2 -> cube2"
     ):
         hom_presheaf(C2, C2)
+
+
+def oracle_hom_presheaf(
+    X: SkeletalPresheaf,
+    Y: SkeletalPresheaf,
+    fixed: Sequence[tuple[PresheafMap, PresheafMap]] = (),
+) -> list[PresheafMap]:
+    """The search hom_presheaf ran before its constraints were resolved
+    up front: every value of Y's level is tried at every node and checked
+    through ez_decompose and Y.act.
+
+    All presheaf maps X -> Y that agree with a partial map, by
+    backtracking over values on the nondegenerate sections of X, with face
+    constraints for pruning and a full naturality check on each completed
+    candidate.
+
+    fixed is the partial map a question prescribes, as pairs (i, u) of
+    maps A -> X and A -> Y: w is kept when w o i = u for every pair, and
+    without pairs every map is kept.  Each prescribed value u(a) on the
+    section x = i(a) = e*y of X is pushed onto the nondegenerate y, whose
+    value must then satisfy e*w(y) = u(a); two different prescriptions
+    for one section leave no map.  The maps come in the same order as
+    without fixed; the resource limit bounds the maps returned, which
+    are only those that agree, and the candidate values tried.
+    """
+    if Y.N < X.N:
+        Y = Y.extend_to(X.N)
+    nd = []
+    for k in range(X.N + 1):
+        nd.extend(nondegenerate_sections(X, k))
+    pinned: dict[tuple[int, str], list[tuple[Morphism, str]]] = {}
+    for i, u in fixed:
+        for k, row in i.mapping.items():
+            for a, x in row.items():
+                e, y = X.ez_decompose(SectionRef(k, x))
+                pinned.setdefault((y.level, y.id), []).append((e, u.mapping[k][a]))
+    # the face and adjacent-swap actions of X and Y, paired by level
+    faces: dict[int, list[tuple[dict, dict]]] = {}
+    swaps: dict[int, list[tuple[dict, dict]]] = {}
+    for _, g in generator_morphisms(X.site, X.N):
+        if g.src < g.dst:
+            faces.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
+        elif g.src == g.dst:
+            swaps.setdefault(g.dst, []).append((X.action[g], Y.action[g]))
+    results: list[PresheafMap] = []
+    assigned: dict[tuple[int, str], str] = {}
+    tried = 0  # candidate values, charged as each search node ends
+    trying = f"candidate values for maps {X.name} -> {Y.name}"
+
+    def value_of(ref: SectionRef) -> str:
+        e, y = X.ez_decompose(ref)
+        return Y.act(e, assigned[(y.level, y.id)])
+
+    def consistent(ref: SectionRef, v: str) -> bool:
+        k, x = ref.level, ref.id
+        if any(Y.act(e, v) != want for e, want in pinned.get((k, x), ())):
+            return False
+        for xd, yd in faces.get(k, ()):
+            if yd[v] != value_of(SectionRef(k - 1, xd[x])):
+                return False
+        for xs, ys in swaps.get(k, ()):
+            mate = xs[x]
+            if (mate == x and ys[v] != v) or (
+                (k, mate) in assigned and ys[v] != assigned[(k, mate)]
+            ):
+                return False
+        return True
+
+    def finish():
+        mapping = {
+            n: {sid: value_of(SectionRef(n, sid)) for sid in X.level(n)}
+            for n in range(X.N + 1)
+        }
+        u = PresheafMap(X, Y, mapping)
+        if u.verify_natural():
+            results.append(u)
+            charge(len(results), f"{len(results)} presheaf maps")
+
+    def search(idx: int):
+        nonlocal tried
+        if idx == len(nd):
+            finish()
+            return
+        ref = nd[idx]
+        values = Y.level(ref.level)
+        for v in values:
+            if consistent(ref, v):
+                assigned[(ref.level, ref.id)] = v
+                search(idx + 1)
+                del assigned[(ref.level, ref.id)]
+        tried += len(values)
+        charge(tried, trying)
+
+    search(0)
+    return results
+
+
+HOM_CORPUS = [
+    (src, dst, site)
+    for site in (QS, Q)
+    for src, dst in [
+        ("cube:0", "cube:1"),
+        ("cube:1", "cube:2"),
+        ("cube:2", "cube:2"),
+        ("cap:2:1:0", "cube:2"),
+        ("boundary:2", "boundary:2"),
+        ("quotient:3:(1 2 3)", "boundary:2"),
+    ]
+    if site is QS or not src.startswith("quotient")
+]
+
+
+@pytest.mark.parametrize("src, dst, site", HOM_CORPUS,
+                         ids=[f"{a}-{b}-{s.value}" for a, b, s in HOM_CORPUS])
+def test_hom_search_matches_oracle(src, dst, site):
+    X, Y = load_spec(src, site), load_spec(dst, site)
+    got = [u.mapping for u in hom_presheaf(X, Y)]
+    assert got == [u.mapping for u in oracle_hom_presheaf(X, Y)]
+    assert got
+
+
+def test_hom_search_matches_oracle_on_prescriptions():
+    box, incl = cap(2, 1, 0, QS)
+    # filling squares: each map of the cap into the square, extended over
+    # the square; some have no extension and some have two
+    cases = [(C2, C2, [(incl, top)]) for top in hom_presheaf(box, C2)]
+    # both ends of a cylinder, on a vertex and on the interval's boundary
+    pt = C0.level(0)[0]
+    vertex = {v: PresheafMap(C0, C1, {0: {pt: v}}) for v in C1.level(0)}
+    v0, v1 = C1.level(0)
+    cr, e0, e1 = cylinder(C0, 1)
+    cases.append((cr.product, C1, [(e0, vertex[v0]), (e1, vertex[v1])]))
+    bd1, incl1 = boundary(1, QS)
+    cr, e0, e1 = cylinder(bd1, 1)
+    cases.append((cr.product, C1, [(e0, incl1), (e1, incl1)]))
+    sizes = []
+    for X, Y, fixed in cases:
+        got = [u.mapping for u in hom_presheaf(X, Y, fixed)]
+        assert got == [u.mapping for u in oracle_hom_presheaf(X, Y, fixed)]
+        sizes.append(len(got))
+    assert set(sizes[:-2]) == {0, 1, 2} and sizes[-2:] == [1, 1]
+    # two prescriptions for one vertex of the interval leave no map
+    i = vertex[v0]
+    conflicting = [(i, vertex[v0]), (i, vertex[v1])]
+    assert hom_presheaf(C1, C1, conflicting) == []
+    assert oracle_hom_presheaf(C1, C1, conflicting) == []
+
+
+YONEDA = [
+    (spec, site)
+    for spec in ("boundary:2", "cap:2:1:0", "boundary:3", "cube:2")
+    for site in (QS, Q)
+] + [("quotient:3:(1 2 3)", QS)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("spec, site", YONEDA,
+                         ids=[f"{a}-{s.value}" for a, s in YONEDA])
+def test_hom_from_representable_is_yoneda(spec, site, n):
+    # maps from the n-cube are the sections of level n, read at the identity
+    X = load_spec(spec, site)
+    Xn = X.extend_to(n).level(n)
+    maps = hom_presheaf(representable(n, site), X)
+    assert len(maps) == len(Xn)
+    assert sorted(u.mapping[n][str(identity(n))] for u in maps) == sorted(Xn)
 
 
 def test_find_isomorphism():
