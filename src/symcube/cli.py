@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .errors import InputError, ResourceBound, SymcubeError, resource_limit
@@ -588,6 +588,7 @@ def _cmd_verify_all(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symcube",

@@ -43,9 +43,12 @@ from .report import Report
 from .site import (
     Morphism,
     SiteTag,
+    _enumerate_hom,
     compose,
+    hom_rank,
     identity,
     parse_morphism,
+    precompose_table,
     symmetry,
     tensor,
 )
@@ -95,7 +98,10 @@ def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResul
         tab = {}
         for cid in levels[h.dst]:
             rep = reps[cid]  # reduced, and so is rep with h precomposed
-            tab[cid] = class_of[(compose(rep[0], h),) + rep[1:]]
+            n = rep[0].dst
+            moved = precompose_table(h, n, site)[hom_rank(h.dst, n, site)[rep[0].entries]]
+            # the enumerated arrow itself, so class_of matches it by identity
+            tab[cid] = class_of[(_enumerate_hom(h.src, n, site)[moved],) + rep[1:]]
         action[h] = tab
     product = SkeletalPresheaf(site, N, levels, action, name=name)
     return ConvolutionResult(product, tuple(factors), class_of, reps)

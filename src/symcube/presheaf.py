@@ -41,6 +41,8 @@ from .site import (
     identity,
     parse_morphism,
     pi,
+    postcompose_table,
+    precompose_table,
     sigma,
     tensor,
 )
@@ -397,23 +399,21 @@ def restriction(X: SkeletalPresheaf, levels: dict[int, tuple[str, ...]], name: s
 
 def _cube(n: int, site: SiteTag, up_to: int | None):
     """The standard n-cube with the arrow behind each section id: levels
-    are hom-sets in printed order, and a generator acts by precomposing
-    the arrows enumerate_hom returns, each printed once."""
+    are hom-sets in printed order, each arrow printed once, and a
+    generator acts by its precomposition table over the ranks."""
     if n < 0:
         raise BadDimension(f"no cube of negative dimension {n}")
     N = n if up_to is None else max(n, up_to)
-    homs = {
-        m: sorted((str(f), f) for f in enumerate_hom(m, n, site))
-        for m in range(N + 1)
-    }
-    id_of = {f: fs for m in homs for fs, f in homs[m]}
-    levels = {m: tuple(fs for fs, _ in homs[m]) for m in homs}
-    action = {
-        g: {fs: id_of[compose(f, g)] for fs, f in homs[g.dst]}
-        for _, g in generator_morphisms(site, N)
-    }
+    homs = {m: enumerate_hom(m, n, site) for m in range(N + 1)}
+    names = {m: [str(f) for f in homs[m]] for m in homs}
+    printed = {m: sorted(range(len(names[m])), key=names[m].__getitem__) for m in homs}
+    levels = {m: tuple(names[m][r] for r in printed[m]) for m in homs}
+    action = {}
+    for _, g in generator_morphisms(site, N):
+        src, dst, table = names[g.src], names[g.dst], precompose_table(g, n, site)
+        action[g] = {dst[r]: src[table[r]] for r in printed[g.dst]}
     cube = SkeletalPresheaf(site, N, levels, action, f"cube{n}")
-    return cube, {fs: f for f, fs in id_of.items()}
+    return cube, {fs: f for m in homs for fs, f in zip(names[m], homs[m])}
 
 
 def representable(n: int, site: SiteTag = SiteTag.QSIGMA,
@@ -789,14 +789,15 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     class_of = CoendClasses(factors)
     reps: dict = {}
     for k in ks:
-        homs = {n: enumerate_hom(k, n, site) for n in {*tails, *(h.src for h in lifts)}}
-        members, start = [], {}
-        for f in sorted(itertools.chain(*(homs[n] for n in tails)), key=str):
-            start[f] = len(members)
-            members.extend([(f,) + tail for tail in tails[f.dst]])
+        homs = {n: enumerate_hom(k, n, site) for n in tails}
+        members, start = [], {n: [0] * len(homs[n]) for n in tails}
+        for _, n, r in sorted((str(f), n, r) for n in tails for r, f in enumerate(homs[n])):
+            start[n][r] = len(members)
+            members.extend([(homs[n][r],) + tail for tail in tails[n]])
         uf = _UnionFind(len(members))
-        # the block starts of lift o f, f in homs[lift.src], by lift
-        starts = {h: [start[compose(h, f)] for f in homs[h.src]] for h in lifts}
+        # the block starts of lift o f, f in homs[lift.src] by rank, by lift
+        starts = {h: [start[h.dst][r] for r in postcompose_table(h, k, site)]
+                  for h in lifts}
         for up, down, pairs in relations:
             for a, b in zip(starts[up], starts[down]):
                 uf.union_all(pairs, a, b)
@@ -925,11 +926,12 @@ def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
     are morphisms into the H-ambient cube; returns (Q, projection)."""
     orbit_of = {}
     levels = {}
+    group = [pi(h) for h in H.members]
     for n in range(X.N + 1):
         seen = {}
         for sid in X.level(n):
             x = parse_morphism(sid)
-            orbit = sorted(str(compose(pi(h), x)) for h in H.members)
+            orbit = sorted(str(compose(h, x)) for h in group)
             seen[sid] = orbit[0]
         orbit_of[n] = seen
         levels[n] = tuple(sorted(set(seen.values())))

@@ -41,6 +41,7 @@ CubeObject = int  # a cube dimension
 class SiteTag(Enum):
     Q = "Q"
     QSIGMA = "QSigma"
+    __hash__ = object.__hash__  # members are singletons; hashed in C as cache keys
 
     @classmethod
     def parse(cls, text: str) -> "SiteTag":
@@ -65,60 +66,54 @@ class Entry:
         return self.key() < other.key()
 
 
-class Const(Entry):
-    __slots__ = ("bit",)
+class Const(Entry, int):
+    """A constant bit; an int, so it hashes and compares in C."""
 
-    def __init__(self, bit: int):
+    __slots__ = ()
+
+    def __new__(cls, bit: int):
         if bit not in (0, 1):
             raise MorphismSyntaxError(f"constant {bit!r} is not a bit")
-        object.__setattr__(self, "bit", bit)
+        return int.__new__(cls, bit)
+
+    bit = property(int)
 
     def key(self):
         # Const 0 < Const 1 < any Conj
-        return (0, self.bit)
+        return (0, int(self))
 
-    def __eq__(self, other):
-        return isinstance(other, Const) and other.bit == self.bit
-
-    def __hash__(self):
-        return hash((Const, self.bit))
-
-    def __str__(self):
-        return str(self.bit)
+    __str__ = int.__repr__
 
     def __repr__(self):
-        return f"Const({self.bit})"
+        return f"Const({int(self)})"
 
 
-class Conj(Entry):
-    """An ordered conjunction of distinct symbols; length 1 is a bare symbol."""
+class Conj(Entry, tuple):
+    """An ordered conjunction of distinct symbols; length 1 is a bare
+    symbol.  A tuple of its symbols, so it hashes and compares in C."""
 
-    __slots__ = ("symbols",)
+    __slots__ = ()
 
-    def __init__(self, symbols):
+    def __new__(cls, symbols):
         symbols = tuple(symbols)
         if not symbols:
             raise MorphismSyntaxError("conjunctions are nonempty")
-        if not all(isinstance(s, int) and s >= 1 for s in symbols):
+        if not all(type(s) is int and s >= 1 for s in symbols):
             raise MorphismSyntaxError(f"bad symbols {symbols}")
         if len(set(symbols)) != len(symbols):
             raise MorphismSyntaxError(f"repeated symbol in {symbols}")
-        object.__setattr__(self, "symbols", symbols)
+        return tuple.__new__(cls, symbols)
+
+    symbols = property(tuple)
 
     def key(self):
-        return (1,) + self.symbols
-
-    def __eq__(self, other):
-        return isinstance(other, Conj) and other.symbols == self.symbols
-
-    def __hash__(self):
-        return hash((Conj, self.symbols))
+        return (1, *self)
 
     def __str__(self):
-        return "^".join(f"x{s}" for s in self.symbols)
+        return "^".join(f"x{s}" for s in self)
 
     def __repr__(self):
-        return f"Conj{self.symbols}"
+        return f"Conj{tuple(self)}"
 
 
 ZERO, ONE = Const(0), Const(1)
@@ -156,9 +151,7 @@ class Morphism:
 
     def symbols(self) -> tuple[int, ...]:
         """All symbols used, in written (left-to-right) order."""
-        return tuple(
-            s for e in self.entries if isinstance(e, Conj) for s in e.symbols
-        )
+        return tuple(s for e in self.entries if isinstance(e, Conj) for s in e)
 
     def key(self):
         return (self.src, self.dst, tuple(e.key() for e in self.entries))
@@ -211,6 +204,13 @@ class Morphism:
 
 
 parse_morphism = Morphism.parse
+
+
+def _arrow(src: CubeObject, dst: CubeObject, entries: tuple) -> Morphism:
+    """The Morphism with these entries, unchecked, for arrows valid by construction."""
+    f = object.__new__(Morphism)
+    f.src, f.dst, f.entries, f._hash = src, dst, entries, hash((src, dst, entries))
+    return f
 
 
 class Permutation:
@@ -392,27 +392,23 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise CompositionMismatch(
             f"cannot compose {g} after {f}: {f}.dst != {g}.src"
         )
-    out = []
-    for e in g.entries:
-        if isinstance(e, Const):
-            out.append(e)
-            continue
-        merged, zero = [], False
-        for s in e.symbols:
-            sub = f.entries[s - 1]
-            if isinstance(sub, Const):
-                if sub.bit == 0:
-                    zero = True
-                    break
-            else:
-                merged.extend(sub.symbols)
-        if zero:
-            out.append(ZERO)
-        elif merged:
-            out.append(Conj(merged))
-        else:
-            out.append(ONE)
-    return Morphism(f.src, g.dst, out)
+    return _arrow(f.src, g.dst, tuple([_substitute(e, f.entries) for e in g.entries]))
+
+
+def _substitute(e: Entry, sub: tuple) -> Entry:
+    """The entry e with the entries sub put in for its symbols."""
+    if type(e) is Const:
+        return e
+    if len(e) == 1:  # a bare symbol takes its entry as it is
+        return sub[e[0] - 1]
+    merged = []
+    for s in e:
+        x = sub[s - 1]
+        if type(x) is Conj:
+            merged.extend(x)
+        elif x == 0:
+            return ZERO
+    return tuple.__new__(Conj, merged) if merged else ONE
 
 
 def compose_many(*maps: Morphism) -> Morphism:
@@ -427,10 +423,10 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     """The monoidal product f (+) g: shift g's symbols by f.src, concatenate."""
     shift = f.src
     shifted = tuple(
-        e if isinstance(e, Const) else Conj(s + shift for s in e.symbols)
+        e if type(e) is Const else tuple.__new__(Conj, [s + shift for s in e])
         for e in g.entries
     )
-    return Morphism(f.src + g.src, f.dst + g.dst, f.entries + shifted)
+    return _arrow(f.src + g.src, f.dst + g.dst, f.entries + shifted)
 
 
 # -- normal form -------------------------------------------------------------
@@ -582,8 +578,8 @@ def _enumerate_hom(m: CubeObject, n: CubeObject, site: SiteTag) -> tuple[Morphis
     results = []
 
     def build(entries, avail, last_used):
-        if len(entries) == n:
-            results.append(Morphism(m, n, entries))
+        if len(entries) == n:  # valid by construction, so unchecked
+            results.append(_arrow(m, n, tuple(entries)))
             return
         build(entries + [ZERO], avail, last_used)
         build(entries + [ONE], avail, last_used)
@@ -591,17 +587,17 @@ def _enumerate_hom(m: CubeObject, n: CubeObject, site: SiteTag) -> tuple[Morphis
             for L in range(1, len(avail) + 1):
                 for chosen in itertools.permutations(avail, L):
                     build(
-                        entries + [Conj(chosen)],
+                        entries + [tuple.__new__(Conj, chosen)],
                         avail - set(chosen),
                         last_used,
                     )
         else:
             # Q-arrows use symbols in increasing order, singly
             for s in range(last_used + 1, m + 1):
-                build(entries + [Conj((s,))], avail, s)
+                build(entries + [tuple.__new__(Conj, (s,))], avail, s)
 
     build([], frozenset(range(1, m + 1)), 0)
-    return tuple(sorted(results))
+    return tuple(sorted(results, key=Morphism.key))
 
 
 def enumerate_hom(m: CubeObject, n: CubeObject,
@@ -612,6 +608,31 @@ def enumerate_hom(m: CubeObject, n: CubeObject,
         raise BadDimension(f"negative dimension in hom set [{m}] -> [{n}]")
     charge(hom_count(m, n, site), f"hom set {site}([{m}],[{n}])")
     return _enumerate_hom(m, n, site)
+
+
+@lru_cache(maxsize=None)
+def hom_rank(m: CubeObject, n: CubeObject, site: SiteTag) -> dict[tuple, int]:
+    """The rank of each arrow of Hom([m],[n]), its index in enumerate_hom,
+    keyed by the arrow's entries, which fix it within the hom set."""
+    return {f.entries: r for r, f in enumerate(_enumerate_hom(m, n, site))}
+
+
+@lru_cache(maxsize=None)
+def precompose_table(g: Morphism, n: CubeObject, site: SiteTag) -> tuple[int, ...]:
+    """The rank of f o g in Hom(g.src, n) for each f of Hom(g.dst, n), by rank."""
+    # the entries of arrows [g.dst] -> [n] are the arrows [g.dst] -> [1], or none if n = 0
+    image = {e: _substitute(e, g.entries)
+             for f in _enumerate_hom(g.dst, min(n, 1), site) for e in f.entries}
+    rank = hom_rank(g.src, n, site)
+    return tuple(rank[tuple(map(image.__getitem__, f.entries))]
+                 for f in _enumerate_hom(g.dst, n, site))
+
+
+@lru_cache(maxsize=None)
+def postcompose_table(h: Morphism, k: CubeObject, site: SiteTag) -> tuple[int, ...]:
+    """The rank of h o f in Hom(k, h.dst) for each f of Hom(k, h.src), by rank."""
+    rank = hom_rank(k, h.dst, site)
+    return tuple(rank[compose(h, f).entries] for f in _enumerate_hom(k, h.src, site))
 
 
 # -- classification ----------------------------------------------------------

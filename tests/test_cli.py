@@ -86,6 +86,22 @@ def test_enum_hom_resource_bound(capsys):
     assert run(["--limit", "10", "enum-hom", "3", "3"]) == 3
 
 
+@pytest.mark.parametrize("first, second", [
+    (["--json", "compose", "(x3,x1^x2):3->2", "(0,x1,x5):5->3"],
+     ["compose", "(x3,x1^x2):3->2", "(0,x1,x5):5->3"]),
+    (["--limit", "5", "enum-hom", "1", "2"], ["enum-hom", "1", "2"]),
+    (["compose", "(x1):1->1"], ["tensor", "(x1):1->1", "(0):0->1"]),
+])
+def test_parser_built_once_keeps_no_state_between_runs(capsys, first, second):
+    """run reuses one parser; each call answers as a fresh parser would."""
+    fresh = []
+    for argv in (first, second):
+        build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert [invoke(capsys, *argv) for argv in (first, second)] == fresh
+    assert fresh[0][0] != fresh[1][0] or fresh[0][1] != fresh[1][1]
+
+
 # -- input errors ------------------------------------------------------------
 
 

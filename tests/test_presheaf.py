@@ -1157,6 +1157,27 @@ def test_terminal_and_empty():
     assert len(hom_presheaf(E, C1)) == 1
 
 
+_TERMINAL_12 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from symcube.errors import resource_limit
+from symcube.presheaf import terminal_map, terminal_presheaf
+from symcube.site import SiteTag
+with resource_limit(100):
+    T = terminal_presheaf(SiteTag.QSIGMA, 12)
+    assert T.size() == (1,) * 13
+    assert terminal_map(T).verify_natural()
+"""
+
+
+def test_terminal_presheaf_of_high_truncation_is_cheap():
+    """The 0-cube up to level 12 enumerates one arrow per level: its
+    action reads no Hom([m], [1]), which has about e * m! arrows."""
+    proc = subprocess.run([sys.executable, "-c", _TERMINAL_12],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_inclusion_map_helper():
     sk, _ = skeleton(C2, 1)
     incl = inclusion_map(sk, C2)

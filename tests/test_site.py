@@ -23,6 +23,7 @@ from symcube.errors import (
     ResourceBound,
     resource_limit,
 )
+from symcube.presheaf import generator_morphisms
 from symcube.site import (
     Conj,
     Const,
@@ -39,9 +40,12 @@ from symcube.site import (
     factor,
     gamma,
     hom_count,
+    hom_rank,
     identity,
     parse_morphism,
     pi,
+    postcompose_table,
+    precompose_table,
     sections_of,
     sigma,
     split_pushout,
@@ -417,6 +421,99 @@ def test_enumeration_is_sorted_and_q_subset():
             assert list(homs) == sorted(homs)
             q_homs = set(enumerate_hom(m, n, Q))
             assert q_homs == {f for f in homs if site.is_box_arrow(f)}
+
+
+def test_entries_hash_and_order_as_printed():
+    """Entries are a builtin int and tuple: every arrow and composite
+    equals, and hashes as, the parse of its printed form, and hom sets
+    sort as by the entry keys (Const 0 < Const 1 < any Conj)."""
+
+    def entry_key(e):
+        return (0, e.bit) if isinstance(e, Const) else (1,) + e.symbols
+
+    for tag in (QS, Q):
+        for m, n in itertools.product(range(4), repeat=2):
+            homs = enumerate_hom(m, n, tag)
+            assert list(homs) == sorted(homs, key=lambda f: (
+                f.src, f.dst, tuple(entry_key(e) for e in f.entries)))
+            for f in homs:
+                back = parse_morphism(str(f))
+                assert back == f and hash(back) == hash(f)
+        parsed = {}
+        for m, n, p in itertools.product(range(4), repeat=3):
+            for f in enumerate_hom(m, n, tag):
+                for g in enumerate_hom(n, p, tag):
+                    gf = compose(g, f)
+                    text = str(gf)
+                    if text not in parsed:
+                        parsed[text] = parse_morphism(text)
+                    assert gf == parsed[text] and hash(gf) == hash(parsed[text])
+
+
+def test_entry_constructors_reject_without_asserts():
+    for call, error in (
+        ("Conj((1, 1))", "repeated symbol in (1, 1)"),
+        ("Conj((0,))", "bad symbols (0,)"),
+        ("Conj((Const(1),))", "bad symbols (Const(1),)"),
+        ("Conj(())", "conjunctions are nonempty"),
+        ("Const(2)", "constant 2 is not a bit"),
+        ("Morphism(1, 1, [Conj((2,))])", "symbol x2 outside 1..1"),
+        ("Morphism(2, 2, [Conj((1,)), Conj((1,))])", "symbol x1 used twice"),
+        ("Morphism(1, 1, [1])", "1 is not an entry"),
+        ("Morphism(1, 1, [(1,)])", "(1,) is not an entry"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             f"from symcube.site import Conj, Const, Morphism; {call}"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert f"MorphismSyntaxError: {error}" in proc.stderr, call
+
+
+def _generators(tag, N):
+    return [g for _, g in generator_morphisms(tag, N)]
+
+
+def test_precompose_tables_agree_with_compose():
+    for tag in (QS, Q):
+        for g in _generators(tag, 3):
+            for n in range(4):
+                table = precompose_table(g, n, tag)
+                assert len(table) == hom_count(g.dst, n, tag)
+                homs = enumerate_hom(g.src, n, tag)
+                for f, r in zip(enumerate_hom(g.dst, n, tag), table):
+                    assert homs[r] == compose(f, g)
+
+
+def test_postcompose_tables_agree_with_compose():
+    """On the lifts id_p (+) u (+) id_q of a tagged coend's relations:
+    u a face or swap generator, or an epi of its EZ pairs; a two-factor
+    coend lifts with p = 0 or q = 0, a three-factor one with both."""
+    for tag in (QS, Q):
+        us = [u for u in _generators(tag, 2) if u.src <= u.dst]
+        us += [e for a, b in itertools.product(range(3), repeat=2)
+               for e in enumerate_hom(a, b, tag) if classify(e).is_epi]
+        for u in us:
+            for p, q in itertools.product(range(3), repeat=2):
+                h = tensor(tensor(identity(p), u), identity(q))
+                if max(h.src, h.dst) > 3:
+                    continue
+                for k in range(4):
+                    table = postcompose_table(h, k, tag)
+                    assert len(table) == hom_count(k, h.src, tag)
+                    homs = enumerate_hom(k, h.dst, tag)
+                    for f, r in zip(enumerate_hom(k, h.src, tag), table):
+                        assert homs[r] == compose(h, f)
+
+
+def test_hom_rank_inverts_enumeration():
+    for tag in (QS, Q):
+        for m, n in itertools.product(range(4), repeat=2):
+            rank = hom_rank(m, n, tag)
+            assert [rank[f.entries] for f in enumerate_hom(m, n, tag)] == list(
+                range(hom_count(m, n, tag)))
 
 
 def test_resource_bound():
