@@ -52,7 +52,8 @@ def resource_limit(limit: int | None):
     """Bound every enumeration in the block by limit (None, as outside
     any block, is unbounded), restoring the outer bound on exit.  Work
     already cached on an object (an EZ table, an extension level) is not
-    charged again; a hom set is charged at every enumeration."""
+    charged again; a hom set is charged at every enumeration and a
+    memoised cube at every call."""
     token = _limit.set(limit)
     try:
         yield

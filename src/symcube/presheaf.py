@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -31,7 +32,6 @@ from .site import (
     Permutation,
     SiteTag,
     _UnionFind,
-    classify,
     compose,
     delta,
     enumerate_hom,
@@ -195,7 +195,7 @@ class SkeletalPresheaf:
             if n > 0:
                 below = self._ez_level(n - 1)
                 for e in enumerate_hom(n, n - 1, self.site):
-                    if classify(e).is_epi:
+                    if not in_boundary(e):  # an arrow is epi unless it has a face
                         for y, x in self.table(e).items():
                             if x not in got:
                                 e2, z = below[y]
@@ -253,7 +253,7 @@ class SkeletalPresheaf:
             if not nd:
                 continue
             for e in enumerate_hom(n, m, self.site):
-                if classify(e).is_epi:
+                if not in_boundary(e):
                     for ref in nd:
                         pairs[self._canonical_pair(e, ref)] = (e, ref)
         new_levels = dict(self.levels)
@@ -398,12 +398,21 @@ def restriction(X: SkeletalPresheaf, levels: dict[int, tuple[str, ...]], name: s
 
 
 def _cube(n: int, site: SiteTag, up_to: int | None):
-    """The standard n-cube with the arrow behind each section id: levels
-    are hom-sets in printed order, each arrow printed once, and a
-    generator acts by its precomposition table over the ranks."""
+    """The standard n-cube with the arrow behind each section id, built
+    once per (n, site, truncation) and, like enumerate_hom, charged its
+    hom sets on every call."""
     if n < 0:
         raise BadDimension(f"no cube of negative dimension {n}")
     N = n if up_to is None else max(n, up_to)
+    for m in range(N + 1):
+        enumerate_hom(m, n, site)  # charges the hom set, built or not
+    return _built_cube(n, site, N)
+
+
+@cache
+def _built_cube(n: int, site: SiteTag, N: int):
+    """Levels are hom-sets in printed order, each arrow printed once, and
+    a generator acts by its precomposition table over the ranks."""
     homs = {m: enumerate_hom(m, n, site) for m in range(N + 1)}
     names = {m: [str(f) for f in homs[m]] for m in homs}
     printed = {m: sorted(range(len(names[m])), key=names[m].__getitem__) for m in homs}
@@ -426,9 +435,8 @@ def _subcube(n: int, site: SiteTag, up_to: int | None, keep, name: str):
     """The sub-presheaf of the n-cube on the arrows keep accepts, with
     its inclusion."""
     cube, arrows = _cube(n, site, up_to)
-    levels = {
-        m: tuple(fs for fs in cube.levels[m] if keep(arrows[fs])) for m in cube.levels
-    }
+    levels = {m: tuple(fs for fs in cube.levels[m] if keep(arrows[fs]))
+              for m in cube.levels}
     X = restriction(cube, levels, name)
     return X, inclusion_map(X, cube)
 
@@ -511,11 +519,10 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
     N = X.N if up_to is None else up_to
     level_maps: dict[int, dict[str, PresheafMap]] = {}
     skeletons = {}
-    arrows: dict[str, Morphism] = {}
+    arrows: dict[int, dict[str, Morphism]] = {}
     for r in range(N + 1):
         # materialize to the common bound so composites below stay total
-        cube_r, cube_arrows = _cube(r, X.site, N)
-        arrows.update(cube_arrows)
+        cube_r, arrows[r] = _cube(r, X.site, N)
         sk_r, _ = skeleton(cube_r, k)
         skeletons[r] = sk_r
         maps = hom_presheaf(sk_r, X)
@@ -526,7 +533,7 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
         # act(g): level g.dst -> level g.src by precomposing with sk_k(g o -)
         src_sk = skeletons[g.src]
         moved = {
-            m: [(sid, str(compose(g, arrows[sid]))) for sid in src_sk.level(m)]
+            m: [(sid, str(compose(g, arrows[g.src][sid]))) for sid in src_sk.level(m)]
             for m in range(src_sk.N + 1)
         }
         action[g] = {
@@ -551,11 +558,7 @@ def _map_id(u: PresheafMap) -> str:
 
 
 def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[SectionRef]:
-    return [
-        SectionRef(k, sid)
-        for sid in X.level(k)
-        if X.is_nondegenerate(SectionRef(k, sid))
-    ]
+    return [SectionRef(k, x) for x in X.level(k) if X.is_nondegenerate(SectionRef(k, x))]
 
 
 # -- hom-sets ----------------------------------------------------------------
@@ -998,22 +1001,20 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
         S = stabilizer(X, ref)
         cache_key = S.members
         if cache_key not in cell_cache:
-            cube = representable(k, X.site, up_to=X.N)
+            cube, arrows = _cube(k, X.site, X.N)
             QB, _ = quotient_presheaf(cube, S, name="SB")
             if k >= 1:
                 bd, _ = boundary(k, X.site, up_to=X.N)
                 QA, _ = quotient_presheaf(bd, S, name="SA")
             else:
                 QA = empty_presheaf(X.site, X.N)
-            # a cell section is an arrow into the k-cube; the boundary
-            # quotient's ids are among the cube quotient's
-            arrows = {x.id: parse_morphism(x.id) for x in QB.sections()}
             cell_cache[cache_key] = (QA, QB, arrows)
         QA, QB, arrows = cell_cache[cache_key]
         parts_A.append(QA)
         parts_B.append(QB)
-        # where the cell attached along ref sends each of its sections
-        values.append({sid: X.act(f, ref.id) for sid, f in arrows.items()})
+        # where the cell attached along ref sends each of its sections, an
+        # arrow into the k-cube; the boundary quotient's ids are among these
+        values.append({x.id: X.act(arrows[x.id], ref.id) for x in QB.sections()})
 
     if reps:
         A, _ = coproduct(parts_A)
@@ -1138,15 +1139,13 @@ def verify_ez_groupoid(X: SkeletalPresheaf, max_level: int = 3) -> Report:
     report = Report(f"ez-groupoid({X.name})")
     top = min(max_level, X.N)
     for r in range(top + 1):
-        nd_by_level = {
-            m: nondegenerate_sections(X, m) for m in range(r + 1)
-        }
+        nd_by_level = {m: nondegenerate_sections(X, m) for m in range(r + 1)}
         decomps: dict[str, list[tuple[Morphism, SectionRef]]] = {
             x: [] for x in X.level(r)
         }
         for m in range(r + 1):
             for e in enumerate_hom(r, m, X.site):
-                if not classify(e).is_epi:
+                if in_boundary(e):
                     continue
                 table = X.table(e)
                 for y in nd_by_level[m]:
@@ -1177,11 +1176,16 @@ def verify_ez_groupoid(X: SkeletalPresheaf, max_level: int = 3) -> Report:
 
 def verify_functorial(X: SkeletalPresheaf, triples: bool = True) -> Report:
     """Action respects all two-letter (and optionally three-letter)
-    generator words against their normal forms."""
+    generator words against their normal forms.  The number of words is
+    charged to the resource limit before any is checked."""
     report = Report(f"functorial({X.name})")
     named = generator_morphisms(X.site, X.N)
     gens = [g for _, g in named]
     name_of = {g: gname for gname, g in named}
+    # a word g1 o g2 (o g3) is counted at its middle letter g2
+    by_src, by_dst = Counter(g.src for g in gens), Counter(g.dst for g in gens)
+    words = sum(by_src[g.dst] * (1 + triples * by_dst[g.src]) for g in gens)
+    charge(words, f"functoriality audit of {X.name} checks {words} generator words")
 
     def check_word(word):
         m = word[0]

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError, charge
-from .presheaf import PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms
+from .presheaf import (PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms,
+                       nondegenerate_sections)
 from .report import Report
 from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
 
@@ -329,10 +330,9 @@ class _NormalForms:
 
     def __init__(self, X: SkeletalPresheaf):
         self.X = X
-        self.nondegenerate = {
-            n: [x for x in X.levels[n] if X.is_nondegenerate(SectionRef(n, x))]
-            for n in range(X.N + 1)
-        }
+        # the ids of the nondegenerate sections of each level that has any
+        self.nondegenerate = {n: [y.id for y in ys] for n in range(X.N + 1)
+                              if (ys := nondegenerate_sections(X, n))}
         self._faces: dict[tuple, Morphism] = {}
         # per nondegenerate (m, y): the least id in the cosymmetry orbit
         # of y, and the zero-based one-lines of the cosymmetries th with
@@ -467,6 +467,8 @@ def nondegenerate_chains(X: SkeletalPresheaf) -> ChainComplex:
         charge(size, f"chain level {k} has {size} members")
         level = {}
         for m, ys in forms.nondegenerate.items():
+            if k > m:  # no simplex of m coordinates takes k > m values
+                continue
             for t in itertools.product(range(1, k + 1), repeat=m):
                 if len(set(t)) == k:
                     for y in ys:

@@ -1023,7 +1023,7 @@ def split_pushout(sigma1: Morphism, sigma2: Morphism) -> SplitPushout:
 
 def verify_relations(n_max: int) -> Report:
     """Check every instance of the presentation's relations with base
-    dimension up to n_max."""
+    dimension up to n_max, charging each dimension's before checking it."""
     if n_max < 0:
         raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"relations(n<={n_max})")
@@ -1032,6 +1032,8 @@ def verify_relations(n_max: int) -> Report:
         report.check(label, lhs == rhs, f"{lhs} != {rhs}" if lhs != rhs else "")
 
     for n in range(0, n_max + 1):
+        size = 4 * (n + 1) * (2 * n + 3)  # instances of the six relations below
+        charge(size, f"relations at base dimension {n} have {size} instances")
         for i, j in itertools.combinations(range(1, n + 3), 2):
             for eps, eta in itertools.product((0, 1), repeat=2):
                 eq(

@@ -5,13 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcube.cli import _suite_symmetrization, build_parser, run
-from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json
+from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf
 from symcube.site import SiteTag
 
 
@@ -238,6 +239,22 @@ def test_homology_from_file(tmp_path, capsys):
     assert out == "H_0 = Z\nH_1 = 0\nH_2 = Z\n"
 
 
+def test_loading_an_empty_file_of_high_truncation_is_charged(tmp_path):
+    # the loader's audit checks 109,665 generator words for this file, and
+    # the chains build nothing for its empty levels
+    path = tmp_path / "empty8.cub"
+    path.write_text(dumps_presheaf(empty_presheaf(SiteTag.QSIGMA, 8)))
+    cli = [sys.executable, "-m", "symcube.cli"]
+    start = time.perf_counter()
+    bounded = subprocess.run([*cli, "--limit", "1000", "homology", str(path)],
+                             capture_output=True, text=True)
+    assert bounded.returncode == 3, bounded.stderr
+    assert "109665 generator words" in bounded.stderr
+    assert time.perf_counter() - start < 10
+    full = subprocess.run([*cli, "homology", str(path)], capture_output=True, text=True)
+    assert (full.returncode, full.stdout) == (0, "H_0 = 0\n")
+
+
 def test_homology_requires_one_source(capsys):
     assert run(["homology"]) == 2
     assert run(["homology", "cube:1", "--file", "x.cub"]) == 2
@@ -422,6 +439,7 @@ EVERY_SUBCOMMAND = [
     (["enum-hom", "2", "-1"], 2),
     (["verify-relations", "--dim", "2"], 0),
     (["verify-relations", "--dim", "-1"], 2),
+    (["--limit", "1000", "verify-relations", "--dim", "40"], 3),
     (["verify-ez", "--dim", "2"], 0),
     (["verify-ez", "--dim", "-1"], 2),
     (["verify-pushouts", "--dim", "2"], 0),

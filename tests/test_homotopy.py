@@ -1,7 +1,11 @@
 """Lifting, cap filling, and interval homotopies."""
 
+from functools import cache
+
 import pytest
 
+import symcube.presheaf as presheaf_module
+from symcube.cli import load_spec
 from symcube.errors import InputError, ResourceBound, resource_limit
 from symcube.homotopy import (
     Homotopy,
@@ -310,6 +314,51 @@ def test_square_cap_filling_through_dimension_three():
         for eps, detail in ((0, "114 maps, 32 without extension"),
                             (1, "130 maps, 56 without extension"))
     ]
+
+
+def oracle_cap_lines(X, up_to_n):
+    """The cap lines of is_fibrant by the route Yoneda replaced: search
+    the maps off each n-cube, restrict them along each cap's inclusion
+    and count the maps off the cap that are not among them."""
+    lines = []
+    for n in range(1, up_to_n + 1):
+        extensions = hom_presheaf(representable(n, QS), X)
+        for j in range(1, n + 1):
+            for eps in (0, 1):
+                box, incl = cap(n, j, eps, QS)
+                filled = [incl.then(v).mapping for v in extensions]
+                horns = hom_presheaf(box, X)
+                stuck = sum(u.mapping not in filled for u in horns)
+                lines.append((f"cap ({n},{j},{eps})",
+                              f"{len(horns)} maps, {stuck} without extension"))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "spec, up_to_n",
+    [(spec, 2) for spec in ("point", "boundary:1", "cube:1", "boundary:2", "cube:2",
+                            "quotient:2:(1 2)")]
+    + [("point", 3), ("cube:1", 3)],
+)
+def test_fibrancy_by_yoneda_matches_cube_search(spec, up_to_n):
+    X = load_spec(spec, QS)
+    rep = is_fibrant(X, up_to_n)
+    assert [(e.label, e.detail) for e in rep.entries] == oracle_cap_lines(X, up_to_n)
+    assert [e.ok for e in rep.entries] == [
+        e.detail.endswith(" 0 without extension") for e in rep.entries]
+
+
+def test_fibrancy_sweep_builds_each_cube_once(monkeypatch):
+    build = presheaf_module._built_cube.__wrapped__
+    built = []
+
+    def counted(n, site, N):
+        built.append((n, N))
+        return build(n, site, N)
+
+    monkeypatch.setattr(presheaf_module, "_built_cube", cache(counted))
+    is_fibrant(representable(0, QS), 3)
+    assert sorted(built) == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
 def test_fibrancy_guards():

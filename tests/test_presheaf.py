@@ -5,6 +5,7 @@ from collections.abc import Sequence
 import itertools
 import json
 from functools import cache
+import hashlib
 import subprocess
 import sys
 
@@ -304,6 +305,62 @@ def test_cubes_match_print_and_parse_oracle(site, n, up_to):
         assert incl.src is X
         assert_same_object(incl.dst, cube)
         assert incl.mapping == {m: {x: x for x in levels[m]} for m in levels}
+
+
+# sha256 of dumps_presheaf of every boundary and cap with n <= 3, pinned
+# so that cutting them all from one memoised cube changes no dump
+SUBCUBE_SHA256 = {
+    ("Q", "boundary:1"): "2f4819447945f23cb67cea93d6da364287e283ccb03d8c8979c51369ea67227a",
+    ("Q", "cap:1:1:0"): "778e7a225b9f6e99aa03aef48c6f25b9b2307e2d31c063e9bb80f591011077e4",
+    ("Q", "cap:1:1:1"): "2c4978105f8b900252781eaa900f111e9e7ed2ac2f6833778c9af0b8a373f726",
+    ("Q", "boundary:2"): "b2422fd184ba1811e6375046b29a6dca6baa348a8aa5561007fd5a6870896743",
+    ("Q", "cap:2:1:0"): "88d84b731c0d2135a2b96892817f7cb567833bbe6454a0f31872e618b595d277",
+    ("Q", "cap:2:1:1"): "bbf67140b89a3d236b0114219287866778aa1df0ac74af0d9839ed2376a3233e",
+    ("Q", "cap:2:2:0"): "cca12c9bac0cb210be702647c77868031d70d03319c9872c2cd954c3623e71a5",
+    ("Q", "cap:2:2:1"): "0c75733f9b0b4e74c7490405e2ee9a1645afecb6b7f7aab2f3529d7a664f5605",
+    ("Q", "boundary:3"): "5cb71ba1449f7f46ff2677829649cde4030e1493847f96cc871288189c22f1e8",
+    ("Q", "cap:3:1:0"): "76a695b6be237f2332351e03242a1e13501a6806574712314227501d03cd1c7d",
+    ("Q", "cap:3:1:1"): "b894afb786dd351a989cb3bba5f49138f8ac940b1b8a5a572c9a9772a6755f6f",
+    ("Q", "cap:3:2:0"): "34579143babf991c7518f6f5768a63d452d7c57bff2bc1a20edcf04dcf8e6696",
+    ("Q", "cap:3:2:1"): "5607186542bbe559a32a7d2a60efad4456139331bac367a4c0716060ee6f027c",
+    ("Q", "cap:3:3:0"): "4352f5361db932503aa37b38d8c9076b0442613a9014cb97b417bb347e5de036",
+    ("Q", "cap:3:3:1"): "1a20d94a208e3ef280ec33382a637b8e8587de261d7a6d65617204f6c7952f69",
+    ("QSigma", "boundary:1"): "5a8b9a88d3a3e4a8b20330733d02724d9dac56d2349ac7d4e0bef3f5a61ab653",
+    ("QSigma", "cap:1:1:0"): "7716beb2eaffd0e8c83837f3edaf08f0e6d8eab77308d78cc3aab1bbb7ef33ee",
+    ("QSigma", "cap:1:1:1"): "0c5b41df6ed3001d0340fac3a2da995ae39de6b3f69110c9c1c7a70e5b49b3a8",
+    ("QSigma", "boundary:2"): "821e489d395cef7eda5a08a7139a708688948875d70cd738b5ae2f2c5876806e",
+    ("QSigma", "cap:2:1:0"): "094aff46d139f9554509afe96aa2921f7cce62cad3b741b04a6d620fdb8a0831",
+    ("QSigma", "cap:2:1:1"): "692c13224349e022326d07c03bc46ff3e3f69cf3b615dc9ffb5f40e4f84d3f5e",
+    ("QSigma", "cap:2:2:0"): "f45a1d13f45fa7f7d8c178c76ae090ff906fe501458fccc65e4ed46b78d1e1a6",
+    ("QSigma", "cap:2:2:1"): "7e59f5bec5dafa73f9c83072d9e6150e2c2935054679acb1ccfffb8766f52026",
+    ("QSigma", "boundary:3"): "b7703e7164876949b5150f3dec76591bf4cfb60cf805cec08d84165125c3ce63",
+    ("QSigma", "cap:3:1:0"): "31651e86c35561f0d3dfe09f78de6d676f1e9482334551bb9dea2fc7e4834423",
+    ("QSigma", "cap:3:1:1"): "24acc86932399eaba7905975e0afce9730d06546917eba01fdd88a8c218bc2fc",
+    ("QSigma", "cap:3:2:0"): "e3f4ebc3ee79f7b579de831b53d7768540642107a75ca6ed86dcadf84fd05968",
+    ("QSigma", "cap:3:2:1"): "06970977a9bb85b230f05c5e7a1374a54c916b7c140bfb4f1fb2d96283efb98f",
+    ("QSigma", "cap:3:3:0"): "08e770ec37c2b342f4a864896dd57b3d7e7d982db1b35bf995f71d4e6de1f643",
+    ("QSigma", "cap:3:3:1"): "6aa1570d6e017ab80307df7ee5d304ade2804717e012325cb1a0582102052199",
+}
+
+
+@pytest.mark.parametrize("site,spec", list(SUBCUBE_SHA256),
+                         ids=[f"{s}-{spec}" for s, spec in SUBCUBE_SHA256])
+def test_subcubes_cut_from_the_memoised_cube_keep_their_dumps(site, spec):
+    X = load_spec(spec, SiteTag.parse(site))
+    digest = hashlib.sha256(dumps_presheaf(X).encode()).hexdigest()
+    assert digest == SUBCUBE_SHA256[site, spec]
+
+
+@pytest.mark.parametrize("site", [Q, QS])
+def test_cube_is_built_once_and_charged_on_every_call(site):
+    assert representable(3, site) is representable(3, site)
+    assert cap(3, 1, 0, site)[1].dst is representable(3, site)
+    # built unbounded above, and still bounded: Hom([1],[3]) has 20 arrows
+    with resource_limit(10):
+        with pytest.raises(ResourceBound):
+            representable(3, site)
+        with pytest.raises(ResourceBound):
+            cap(3, 1, 0, site)
 
 
 def test_restrictions_match_keep_oracle():
