@@ -327,6 +327,7 @@ def identity(n: CubeObject) -> Morphism:
     return Morphism(n, n, (Conj((i,)) for i in range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
 def delta(i: int, eps: int, n: CubeObject) -> Morphism:
     """Face [n] -> [n+1]: insert the constant eps at position i."""
     if not 1 <= i <= n + 1:
@@ -336,6 +337,7 @@ def delta(i: int, eps: int, n: CubeObject) -> Morphism:
     return Morphism(n, n + 1, entries)
 
 
+@lru_cache(maxsize=None)
 def sigma(i: int, n: CubeObject) -> Morphism:
     """Degeneracy [n+1] -> [n]: omit the symbol x_i."""
     if not 1 <= i <= n + 1:
@@ -345,6 +347,7 @@ def sigma(i: int, n: CubeObject) -> Morphism:
     )
 
 
+@lru_cache(maxsize=None)
 def gamma(i: int, n: CubeObject) -> Morphism:
     """Conjunction [n+1] -> [n]: merge x_i and x_{i+1}."""
     if not 1 <= i <= n:
@@ -355,6 +358,7 @@ def gamma(i: int, n: CubeObject) -> Morphism:
     return Morphism(n + 1, n, entries)
 
 
+@lru_cache(maxsize=None)
 def pi(p: Permutation) -> Morphism:
     """Cosymmetry [n] -> [n] with entries (x_{p^-1(1)}, ..., x_{p^-1(n)})."""
     inv = p.inverse()
@@ -1169,13 +1173,6 @@ def verify_ez(n_max: int = 3) -> Report:
     return report
 
 
-def epi_generators(n: CubeObject) -> list[Morphism]:
-    """The sigma and gamma generators with source [n]."""
-    gens = [sigma(i, n - 1) for i in range(1, n + 1)]
-    gens.extend(gamma(i, n - 1) for i in range(1, n))
-    return gens
-
-
 def verify_split_pushouts(n_max: int = 4) -> Report:
     """Split-pushout witnesses for every ordered pair of epi generators
     with common source [n], n <= n_max, plus agreement of the table
@@ -1183,28 +1180,31 @@ def verify_split_pushouts(n_max: int = 4) -> Report:
     if n_max < 0:
         raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"split-pushouts(n<={n_max})")
+    pairs = n_max * (4 * n_max * n_max - 1) // 3  # (2n-1)^2 summed over n <= n_max
+    charge(pairs, f"{pairs} pairs of epi generators with common source [n], n <= {n_max}")
     for n in range(1, n_max + 1):
-        for g1 in epi_generators(n):
-            for g2 in epi_generators(n):
-                label = f"{g1} vs {g2}"
-                po = split_pushout(g1, g2)
-                if po.witness is None:
-                    report.check(label, False, "no witness")
-                    continue
-                w = po.witness
-                checks = check_split_witness(
-                    g1, g2, po.tau2, po.tau1, w.d0, w.d1, w.d2prime
-                )
-                legs_epi = classify(po.tau1).is_epi and classify(po.tau2).is_epi
-                join_legs = (
-                    (identity(g1.dst), identity(g2.dst))
-                    if g1 == g2
-                    else _join_cocone(g1, g2)
-                )
-                agree = (po.tau1, po.tau2) == join_legs
-                report.check(
-                    label,
-                    checks.ok and legs_epi and agree,
-                    "" if checks.ok and legs_epi and agree else str(checks),
-                )
+        epis = [sigma(i, n - 1) for i in range(1, n + 1)]
+        epis += [gamma(i, n - 1) for i in range(1, n)]
+        for g1, g2 in itertools.product(epis, repeat=2):
+            label = f"{g1} vs {g2}"
+            po = split_pushout(g1, g2)
+            if po.witness is None:
+                report.check(label, False, "no witness")
+                continue
+            w = po.witness
+            checks = check_split_witness(
+                g1, g2, po.tau2, po.tau1, w.d0, w.d1, w.d2prime
+            )
+            legs_epi = classify(po.tau1).is_epi and classify(po.tau2).is_epi
+            join_legs = (
+                (identity(g1.dst), identity(g2.dst))
+                if g1 == g2
+                else _join_cocone(g1, g2)
+            )
+            agree = (po.tau1, po.tau2) == join_legs
+            report.check(
+                label,
+                checks.ok and legs_epi and agree,
+                "" if checks.ok and legs_epi and agree else str(checks),
+            )
     return report

@@ -255,6 +255,18 @@ def test_loading_an_empty_file_of_high_truncation_is_charged(tmp_path):
     assert (full.returncode, full.stdout) == (0, "H_0 = 0\n")
 
 
+def test_lift_between_empty_files_of_high_truncation(tmp_path):
+    # words on the empty levels pass the loader's audit unread
+    path = tmp_path / "empty8.cub"
+    path.write_text(dumps_presheaf(empty_presheaf(SiteTag.QSIGMA, 8)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcube.cli", "lift", f"empty:{path}", f"terminal:{path}"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "2/2 checks passed" in proc.stdout
+
+
 def test_homology_requires_one_source(capsys):
     assert run(["homology"]) == 2
     assert run(["homology", "cube:1", "--file", "x.cub"]) == 2
@@ -444,6 +456,8 @@ EVERY_SUBCOMMAND = [
     (["verify-ez", "--dim", "-1"], 2),
     (["verify-pushouts", "--dim", "2"], 0),
     (["verify-pushouts", "--dim", "-1"], 2),
+    (["--limit", "1000", "verify-pushouts", "--dim", "24"], 3),
+    (["--limit", "1000", "verify-pushouts", "--dim", "8"], 0),
     (["convolve", "cube:1", "boundary:1"], 0),
     (["--limit", "10", "convolve", "cube:1", "cube:1"], 3),
     (["symmetrize", "boundary:1"], 0),

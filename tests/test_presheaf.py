@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symcube.presheaf as presheaf_module
 from symcube.cli import load_spec
 from symcube.errors import (
     BadDimension,
@@ -67,6 +68,7 @@ from symcube.presheaf import (
     verify_restriction_roundtrip,
     verify_skeletal_pushout,
 )
+from symcube.report import Report
 from symcube.site import (
     Morphism,
     Permutation,
@@ -75,6 +77,7 @@ from symcube.site import (
     compose,
     delta,
     enumerate_hom,
+    factor,
     identity,
     parse_morphism,
     pi,
@@ -1084,6 +1087,107 @@ def test_functoriality_audit_corpus():
     for X in (C1, C2, BD2, QUOT, representable(2, Q)):
         rep = verify_functorial(X)
         assert rep.ok, rep.summary()
+
+
+def walk_table(X, f):
+    """f's action read by walking each section through the string tables
+    of its normal-form generators, first letter acting first."""
+    steps = [X.action[g] for g in reversed(factor(f).generators())]
+    table = {}
+    for x0 in X.level(f.dst):
+        x = x0
+        for step in steps:
+            x = step[x]
+        table[x0] = x
+    return table
+
+
+def oracle_verify_functorial(X):
+    """The word-by-word audit: each two- and three-letter generator word
+    walks every section through the string tables, one letter at a time,
+    and is compared with the walk of its normal form."""
+    report = Report(f"functorial({X.name})")
+    named = generator_morphisms(X.site, X.N)
+    gens = [g for _, g in named]
+    name_of = {g: gname for gname, g in named}
+
+    def check_word(word):
+        m = word[0]
+        for g in word[1:]:
+            m = compose(m, g)
+        xs = X.level(m.dst)
+        got = list(xs)
+        for g in word:
+            got = [X.action[g][x] for x in got]
+        want = walk_table(X, m)
+        report.check(" o ".join(name_of[g] for g in word), got == [want[x] for x in xs])
+
+    for g1, g2 in itertools.product(gens, repeat=2):
+        if g1.src == g2.dst:
+            check_word([g1, g2])
+    for g1, g2 in itertools.product(gens, repeat=2):
+        if g1.src != g2.dst:
+            continue
+        for g3 in gens:
+            if g2.src == g3.dst:
+                check_word([g1, g2, g3])
+    return report
+
+
+AUDITED = {
+    "C1": C1, "C2": C2, "BD2": BD2, "QUOT": QUOT, "cap(2,1,0)": cap(2, 1, 0)[0],
+    "Q-square": representable(2, Q), "QUOT^3": QUOT.extend_to(3),
+}
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_functoriality_audit_matches_the_oracle_entry_for_entry(name):
+    X = AUDITED[name]
+    assert verify_functorial(X).entries == oracle_verify_functorial(X).entries
+
+
+@pytest.mark.parametrize("X", [representable(3, QS), QUOT.extend_to(3),
+                               representable(3, Q), boundary(3, Q)[0]],
+                         ids=["QSigma-cube3", "QUOT^3", "Q-cube3", "Q-boundary3"])
+def test_table_is_the_walk_of_the_normal_form(X):
+    for a, b in itertools.product(range(4), repeat=2):
+        for f in enumerate_hom(a, b, X.site):
+            assert X.table(f) == walk_table(X, f), f
+
+
+@st.composite
+def redirected_actions(draw):
+    """A corpus presheaf with one entry of one generator block sent to
+    another section of the same level: still well formed, but it may
+    break a relation."""
+    X = draw(st.sampled_from([C1, BD2, QUOT, representable(1, Q), boundary(2, Q)[0]]))
+    g = draw(st.sampled_from([g for _, g in generator_morphisms(X.site, X.N)]))
+    x = draw(st.sampled_from(X.level(g.dst)))
+    v = draw(st.sampled_from(X.level(g.src)))
+    action = {h: dict(table) for h, table in X.action.items()}
+    action[g][x] = v
+    return SkeletalPresheaf(X.site, X.N, X.levels, action, X.name)
+
+
+@given(redirected_actions())
+@settings(max_examples=100, deadline=None)
+def test_redirected_action_is_judged_as_the_oracle_judges_it(X):
+    want = oracle_verify_functorial(X)
+    assert verify_functorial(X).entries == want.entries
+    if want.ok:
+        assert loads_presheaf(dumps_presheaf(X)).same_data(X)
+    else:
+        with pytest.raises(InputError) as err:
+            loads_presheaf(dumps_presheaf(X))
+        assert str(err.value) == f"relation violated by action: {want.failures[0].label}"
+
+
+def test_audit_reads_no_normal_form_on_empty_levels(monkeypatch):
+    # every word acts on an empty level, so none is composed or factored
+    calls, real = [], presheaf_module.factor
+    monkeypatch.setattr(presheaf_module, "factor", lambda f: calls.append(f) or real(f))
+    rep = verify_functorial(empty_presheaf(QS, 8))
+    assert (len(rep.entries), rep.ok, calls) == (109_665, True, [])
 
 
 def test_action_respects_random_composites():
