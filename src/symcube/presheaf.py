@@ -1268,11 +1268,16 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
             levels, action = {}, {}
             current = None
             for raw in text.splitlines():
-                line = raw.rstrip()
-                if not line.strip() or line.strip().startswith("#"):
+                stripped = raw.strip()
+                if not stripped or stripped[0] == "#":
                     continue
-                stripped = line.strip()
-                if stripped.startswith("site:"):
+                # pairs first; of the rest only a level listing "->" holds " -> "
+                if raw[0] in " \t" and " -> " in stripped and stripped[:6] != "level ":
+                    if current is None:
+                        raise InputError(f"action pair outside a block: {stripped!r}")
+                    x, _, v = stripped.partition(" -> ")
+                    action[current][x.strip()] = v.strip()
+                elif stripped.startswith("site:"):
                     site_tag = SiteTag.parse(stripped.split(":", 1)[1])
                 elif stripped.startswith("truncation:"):
                     N = int(stripped.split(":", 1)[1])
@@ -1280,11 +1285,6 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                     head, _, rest = stripped.partition(":")
                     n = int(head.split()[1])
                     levels[n] = tuple(rest.split())
-                elif line.startswith((" ", "\t")) and "->" in stripped:
-                    if current is None:
-                        raise InputError(f"action pair outside a block: {stripped!r}")
-                    x, _, v = stripped.partition(" -> ")
-                    action[current][x.strip()] = v.strip()
                 elif stripped.endswith(":"):
                     if site_tag is None:
                         raise InputError("generator block before site header")

@@ -16,8 +16,9 @@ faces landing on degenerate simplices dropped).  nondegenerate_chains
 builds them from the normal forms whose simplex takes every value,
 the nondegenerate ones, with no degenerate simplex and no
 degeneracy table; normalized_chains reads them off a realized
-simplicial set, for explicit simplicial sets and as the check.  The
-groups come by exact integer elimination: sparse unit pivots first,
+simplicial set, for explicit simplicial sets and as the check.  Chains
+are sparse columns, and the groups come by exact integer elimination
+on the transpose, the columns taken as rows: sparse unit pivots first,
 then Smith reduction of the unit-free block that remains.  The
 witnessed Smith normal form, with its transforms U and V, is
 verify_snf's route.
@@ -395,44 +396,52 @@ class _NormalForms:
 
 @dataclass
 class ChainComplex:
-    """Integer boundary matrices over nondegenerate bases."""
+    """Integer chains over nondegenerate bases: columns[k][c] maps each
+    row r of level k - 1 to the nonzero coefficient of bases[k-1][r] in
+    the boundary of bases[k][c]."""
 
     bases: dict[int, tuple]
-    boundaries: dict[int, list]  # k -> matrix (len(bases[k-1]) x len(bases[k]))
+    columns: dict[int, list]
+
+    @property
+    def boundaries(self) -> dict[int, list]:
+        """The dense matrices (len(bases[k-1]) x len(bases[k])), a view
+        rebuilt from the columns on each read."""
+        return {k: [[col.get(r, 0) for col in cols]
+                    for r in range(len(self.bases[k - 1]))]
+                for k, cols in self.columns.items()}
 
     def verify_square_zero(self) -> bool:
-        for k in sorted(self.boundaries):
-            if k - 1 not in self.boundaries:
+        for k, cols in self.columns.items():
+            below = self.columns.get(k - 1)
+            if below is None:
                 continue
-            a, b = self.boundaries[k - 1], self.boundaries[k]
-            # multiply row by row over the nonzero entries only
-            b_rows = [[(c, v) for c, v in enumerate(row) if v] for row in b]
-            for row in a:
+            for col in cols:
                 product: dict[int, int] = {}
-                for m, v in enumerate(row):
-                    if v:
-                        for c, w in b_rows[m]:
-                            product[c] = product.get(c, 0) + v * w
+                for m, v in col.items():
+                    for r, w in below[m].items():
+                        product[r] = product.get(r, 0) + v * w
                 if any(product.values()):
                     return False
         return True
 
 
 def _chain_complex(bases: dict, face, name: str) -> ChainComplex:
-    """The boundary matrices on nondegenerate bases, face(k, i, s)
+    """The boundary columns on nondegenerate bases, face(k, i, s)
     naming the i-th face of s; a face off the basis is degenerate and
-    drops."""
-    boundaries = {}
+    drops, and so does a coefficient that cancels."""
+    columns = {}
     for k in range(1, max(bases) + 1):
         index = {s: r for r, s in enumerate(bases[k - 1])}
-        M = [[0] * len(bases[k]) for _ in bases[k - 1]]
-        for c, s in enumerate(bases[k]):
+        columns[k] = []
+        for s in bases[k]:
+            col: dict[int, int] = {}
             for i in range(k + 1):
                 r = index.get(face(k, i, s))
                 if r is not None:
-                    M[r][c] += -1 if i % 2 else 1
-        boundaries[k] = M
-    C = ChainComplex(bases, boundaries)
+                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+            columns[k].append({r: v for r, v in col.items() if v})
+    C = ChainComplex(bases, columns)
     if not C.verify_square_zero():
         raise SymcubeError(f"boundary of {name} does not square to zero")
     return C
@@ -574,25 +583,30 @@ def smith_normal_form(M: list) -> tuple:
     return D, U, V
 
 
-def invariant_factors(M: list) -> list:
-    """The nonzero invariant factors of an integer matrix, in order:
-    the nonzero diagonal of smith_normal_form(M), without U and V.
+def sparse_rows(M: list) -> list:
+    """A dense matrix's rows in invariant_factors' form."""
+    return [{c: int(v) for c, v in enumerate(row) if v} for row in M]
 
-    Rows are held sparse.  While some entry is a unit, one of least
-    Markowitz cost (row weight - 1) * (column weight - 1), a cost being
-    refreshed when it is popped from the heap, is a pivot: row
-    operations clear the rest of its column, after which column
-    operations would clear its row without touching any other row, so
-    the pivot row and column split off as one factor 1.  The unit-free
-    block left over goes through the dense Smith normal form.
+
+def invariant_factors(vectors: list) -> list:
+    """The nonzero invariant factors, in order, of the integer matrix
+    with sparse rows {column: nonzero int}, or of its transpose (D^T =
+    V^T M^T U^T): the nonzero diagonal of smith_normal_form, without U, V.
+
+    While some entry is a unit, one of least Markowitz cost (row
+    weight - 1) * (column weight - 1), a cost being refreshed when it is
+    popped from the heap, is a pivot: row operations clear the rest of
+    its column, after which column operations would clear its row
+    without touching any other row, so the pivot row and column split
+    off as one factor 1.  The unit-free block left over goes through the
+    dense Smith normal form.
     """
     rows = {}
     cols: dict[int, set] = {}
-    for r, row in enumerate(M):
-        entries = {c: int(v) for c, v in enumerate(row) if v}
-        if entries:
-            rows[r] = entries
-            for c in entries:
+    for r, vector in enumerate(vectors):
+        if vector:
+            rows[r] = dict(vector)
+            for c in vector:
                 cols.setdefault(c, set()).add(r)
     heap = [(0, r, c) for r, row in rows.items()
             for c, v in row.items() if v in (1, -1)]
@@ -700,7 +714,7 @@ def verify_snf(M: list) -> Report:
     report.check("V unimodular", _unimodular(V))
     report.check(
         "invariant_factors equals the nonzero diagonal",
-        invariant_factors(M) == [d for d in diag if d],
+        invariant_factors(sparse_rows(M)) == [d for d in diag if d],
     )
     return report
 
@@ -736,7 +750,7 @@ class HomologyResult:
 
 def homology_of_chains(C: ChainComplex) -> HomologyResult:
     top = max(C.bases)
-    divisors = {k: invariant_factors(C.boundaries[k]) for k in range(1, top + 1)}
+    divisors = {k: invariant_factors(C.columns[k]) for k in range(1, top + 1)}
     groups = []
     for k in range(top + 1):
         n_k = len(C.bases[k])

@@ -1269,6 +1269,24 @@ def test_loader_rejects_garbage():
             loads_presheaf(f"site: QSigma\ntruncation: {N}\n")
 
 
+def test_loader_reads_pairs_only_with_spaced_arrows():
+    text = dumps_presheaf(C1)
+    pair = next(ln for ln in text.splitlines() if " -> " in ln)
+    with pytest.raises(InputError, match="cannot parse line"):
+        loads_presheaf(text.replace(pair, pair.replace(" -> ", "->"), 1))
+
+
+def test_loader_reads_indented_headers_and_an_id_named_arrow():
+    # ids hold no space, but one may be "->", so an indented level line
+    # can hold " -> " and must still be read as a level
+    old = C1.level(0)[0]
+    lines = [" ".join("->" if w == old else w for w in ln.split(" "))
+             for ln in dumps_presheaf(C1).splitlines()]
+    X = loads_presheaf("\n".join("  " + ln for ln in lines))
+    assert X.size() == C1.size() and "->" in X.level(0)
+    assert dumps_presheaf(X) == "\n".join(lines) + "\n"
+
+
 FUZZ_DUMPS = [
     dump(X)
     for X in (C1, boundary(1, Q)[0], QUOT)

@@ -34,6 +34,7 @@ from symcube.presheaf import (
 )
 from symcube.realize import (
     ChainComplex,
+    _chain_complex,
     _NormalForms,
     act_on_cube,
     delta1_power,
@@ -49,6 +50,7 @@ from symcube.realize import (
     simplex_face,
     simplices,
     smith_normal_form,
+    sparse_rows,
     verify_act_naturality,
     verify_cubical_monoid_delta1,
     verify_snf,
@@ -480,7 +482,7 @@ def test_moore_space_torsion_from_residual_block(d, monkeypatch):
     assert homology_of_chains(C).groups == ((1, ()), (0, (d,)))
     assert residuals
     assert all(abs(v) != 1 for M in residuals for row in M for v in row)
-    assert invariant_factors(C.boundaries[2])[-1] == d
+    assert invariant_factors(C.columns[2])[-1] == d
 
 
 def test_realize_honours_limit():
@@ -531,8 +533,94 @@ def test_nondegenerate_chains_match_realized_chains(name):
     C = nondegenerate_chains(X)
     R = normalized_chains(realize(X))
     assert C.bases == R.bases
-    assert C.boundaries == R.boundaries
+    assert C.columns == R.columns
     assert C.bases[X.N + 1] == ()
+
+
+def oracle_dense_chains(bases: dict, face) -> dict:
+    """The boundary matrices built dense, entry by entry, as the sparse
+    columns were before them: the oracle for ChainComplex.boundaries."""
+    boundaries = {}
+    for k in range(1, max(bases) + 1):
+        index = {s: r for r, s in enumerate(bases[k - 1])}
+        M = [[0] * len(bases[k]) for _ in bases[k - 1]]
+        for c, s in enumerate(bases[k]):
+            for i in range(k + 1):
+                r = index.get(face(k, i, s))
+                if r is not None:
+                    M[r][c] += -1 if i % 2 else 1
+        boundaries[k] = M
+    return boundaries
+
+
+def dense_square_zero(boundaries: dict) -> bool:
+    for k, b in boundaries.items():
+        a = boundaries.get(k - 1)
+        if a is None:
+            continue
+        for r in range(len(a)):
+            for c in range(len(b[0]) if b else 0):
+                if sum(a[r][m] * b[m][c] for m in range(len(b))):
+                    return False
+    return True
+
+
+DENSE_ORACLE_CORPUS = {
+    **CHAIN_CORPUS,
+    "torus-2x2": torus_2x2,
+    **{f"moore-{d}x1": (lambda d=d: moore_row(d)) for d in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_ORACLE_CORPUS))
+def test_sparse_columns_match_dense_oracle(name):
+    X = DENSE_ORACLE_CORPUS[name]()
+    S = realize(X)
+    dense = oracle_dense_chains({k: S.nondegenerate(k) for k in range(S.K + 1)},
+                                S.face)
+    assert dense_square_zero(dense)
+    assert normalized_chains(S).boundaries == dense
+    assert nondegenerate_chains(X).boundaries == dense
+
+
+@pytest.mark.parametrize("name", [
+    "quotient:2:(1 2)", "pinched-cube:Q", "pinched-cube:QSigma", "circle",
+    "moore-2x1",
+])
+def test_columns_hold_no_zero_coefficient(name):
+    X = REALIZE_CORPUS[name]()
+    for C in (nondegenerate_chains(X), normalized_chains(realize(X))):
+        assert all(v for cols in C.columns.values()
+                   for col in cols for v in col.values())
+
+
+def test_cancelling_faces_leave_an_empty_column():
+    # the collapsed interval's edge has both ends on its one vertex
+    assert nondegenerate_chains(CIRCLE).columns[1] == [{}]
+
+
+def test_square_zero_fails_on_a_fabricated_complex():
+    # d1(e) = v and d2(f) = e, so d1 d2 (f) = v
+    C = ChainComplex({0: ("v",), 1: ("e",), 2: ("f",)},
+                     {1: [{0: 1}], 2: [{0: 1}]})
+    assert not C.verify_square_zero()
+    assert not dense_square_zero(C.boundaries)
+    C.columns[1] = [{}]
+    assert C.verify_square_zero() and dense_square_zero(C.boundaries)
+
+
+def test_chain_complex_rejects_a_wrong_face():
+    # swapping d0 and d1 on 2-simplices leaves d1 d2 = 2 (d d1 - d d0),
+    # twice the difference of the first two vertices
+    S = SR3
+
+    def face(k, i, s):
+        return S.face(k, {0: 1, 1: 0}.get(i, i) if k == 2 else i, s)
+
+    bases = {k: S.nondegenerate(k) for k in range(S.K + 1)}
+    assert not dense_square_zero(oracle_dense_chains(bases, face))
+    with pytest.raises(SymcubeError, match="does not square to zero"):
+        _chain_complex(bases, face, S.name)
 
 
 def test_nondegenerate_chains_honour_limit():
@@ -689,7 +777,7 @@ def snf_factors(M):
     ],
 )
 def test_invariant_factors_cases(M, factors):
-    assert invariant_factors(M) == factors == snf_factors(M)
+    assert invariant_factors(sparse_rows(M)) == factors == snf_factors(M)
 
 
 @st.composite
@@ -703,7 +791,10 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @settings(max_examples=300, deadline=None)
 def test_invariant_factors_match_smith_normal_form(M):
-    assert invariant_factors(M) == snf_factors(M)
+    # a matrix and its transpose have the same factors
+    columns = [list(col) for col in zip(*M)]
+    assert invariant_factors(sparse_rows(M)) == snf_factors(M)
+    assert invariant_factors(sparse_rows(columns)) == snf_factors(M)
 
 
 # -- homology ----------------------------------------------------------------
@@ -731,7 +822,7 @@ def test_homology_collapsed_interval():
 
 def test_homology_torsion_presentation():
     # a fabricated complex with boundary 2: one Z/2 in degree zero
-    C = ChainComplex({0: ("a",), 1: ("b",)}, {1: [[2]]})
+    C = ChainComplex({0: ("a",), 1: ("b",)}, {1: [{0: 2}]})
     H = homology_of_chains(C)
     assert H.groups == ((0, (2,)),)
     assert H.pretty() == "H_0 = Z/2"
