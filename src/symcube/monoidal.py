@@ -30,7 +30,6 @@ from functools import cache, reduce
 from .errors import InputError, SymcubeError
 from .presheaf import (
     PresheafMap,
-    SectionRef,
     SkeletalPresheaf,
     TruncatedPresheaf,
     generator_morphisms,
@@ -81,11 +80,6 @@ class ConvolutionResult:
     @property
     def right(self) -> SkeletalPresheaf:
         return self.factors[-1]
-
-    def pair(self, f: Morphism, x: SectionRef, y: SectionRef) -> SectionRef:
-        """The class of the member (f, x, y) as a product section."""
-        cid = self.class_of((f, x.level, x.id, y.level, y.id))
-        return SectionRef(f.src, cid)
 
 
 def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResult:

@@ -99,12 +99,6 @@ def _cosymmetry_perms(site: SiteTag, n: int):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-@dataclass(frozen=True)
-class SectionRef:
-    level: int
-    id: str
-
-
 class SkeletalPresheaf:
     """Levels of section ids plus generator actions, denoting the left
     Kan extension of the stored truncation."""
@@ -119,7 +113,7 @@ class SkeletalPresheaf:
         self.name = name
         self._tables: dict[Morphism, dict[str, str]] = {}
         self._words: dict[tuple[Morphism, ...] | Morphism, tuple[int, ...]] = {}
-        self._ez_levels: dict[int, dict[str, tuple[Morphism, SectionRef]]] = {}
+        self._ez_levels: dict[int, dict[str, tuple[Morphism, str]]] = {}
         self._check_structure()
 
     def _check_structure(self):
@@ -148,7 +142,7 @@ class SkeletalPresheaf:
     def sections(self):
         for n in range(self.N + 1):
             for sid in self.levels[n]:
-                yield SectionRef(n, sid)
+                yield n, sid
 
     def size(self) -> tuple[int, ...]:
         return tuple(len(self.levels[n]) for n in range(self.N + 1))
@@ -194,41 +188,53 @@ class SkeletalPresheaf:
 
     # -- EZ decomposition ---------------------------------------------------
 
-    def _ez_level(self, n: int) -> dict[str, tuple[Morphism, SectionRef]]:
-        """Level n of the EZ table, built once after the levels below.
+    def _ez_level(self, n: int) -> dict[str, tuple[Morphism, str]]:
+        """Level n of the EZ table in level order, built once after the
+        levels below from the stored generators alone.
 
-        A section that some corank-one epi e: [n] -> [n-1] reaches is e*y
-        for a section y one level down, already decomposed as (e2, z), so
-        it is (e2 o e, z).  The twisted collapses (epis with a nontrivial
-        cosymmetry part) count too; generator images alone miss, for
-        example, the section (x2^x1):2->1 of the extended interval.  The
-        sections no such epi reaches are the nondegenerate ones, each
+        An epi generator g: [n] -> [n-1] sends a section y with pair
+        (e2, z) to g*y with pair (e2 o g, z), and a swap s sends a reached
+        section x with pair (e, z) to s*x with pair (e o s, z).  Every
+        corank-one epi is an epi generator after a cosymmetry, so the
+        swaps close the generators' images to exactly the sections that
+        some corank-one epi reaches; the twisted collapses, such as the
+        section (x2^x1):2->1 of the extended interval, come in by a swap.
+        The sections never reached are the nondegenerate ones, each
         paired with the identity.
         """
         got = self._ez_levels.get(n)
         if got is None:
-            ids = self.level(n)
-            got = {}
+            reached: dict[str, tuple[Morphism, str]] = {}
+            swaps = []
             if n > 0:
                 below = self._ez_level(n - 1)
-                for e in enumerate_hom(n, n - 1, self.site):
-                    if not in_boundary(e):  # an arrow is epi unless it has a face
-                        for y, x in self.table(e).items():
-                            if x not in got:
+                for _, g in generator_morphisms(self.site, n):
+                    if g.src == n > g.dst:
+                        for y, x in self.action[g].items():
+                            if x not in reached:
                                 e2, z = below[y]
-                                got[x] = (compose(e2, e), z)
+                                reached[x] = (compose(e2, g), z)
+                    elif g.src == n:
+                        swaps.append((g, self.action[g]))
+            frontier = list(reached)
+            for x in frontier:  # grows as the swaps reach new sections
+                e, z = reached[x]
+                for s, tab in swaps:
+                    if tab[x] not in reached:
+                        reached[tab[x]] = (compose(e, s), z)
+                        frontier.append(tab[x])
             ident = identity(n)
-            for x in ids:
-                got.setdefault(x, (ident, SectionRef(n, x)))
-            self._ez_levels[n] = got
+            got = self._ez_levels[n] = {x: reached.get(x) or (ident, x)
+                                        for x in self.level(n)}
         return got
 
-    def ez_decompose(self, ref: SectionRef) -> tuple[Morphism, SectionRef]:
-        """The section as (epi, nondegenerate): act(epi)(y) = ref.id."""
-        return self._ez_level(ref.level)[ref.id]
+    def ez_decompose(self, n: int, x: str) -> tuple[Morphism, str]:
+        """The section x of level n as (epi, y): y is nondegenerate at
+        level epi.dst and act(epi)(y) = x."""
+        return self._ez_level(n)[x]
 
-    def is_nondegenerate(self, ref: SectionRef) -> bool:
-        return self.ez_decompose(ref)[1] == ref
+    def is_nondegenerate(self, n: int, x: str) -> bool:
+        return self.ez_decompose(n, x)[0].dst == n
 
     # -- skeletal extension -------------------------------------------------
 
@@ -249,52 +255,47 @@ class SkeletalPresheaf:
     def _one_level_up(self) -> "SkeletalPresheaf":
         return self._extend_one()
 
-    def _canonical_pair(self, epi: Morphism, ref: SectionRef) -> str:
-        """Canonical id for the extended section act(epi)(ref), as the
-        least (epi, nondegenerate) pair over the cosymmetry orbit."""
-        e2, y = self.ez_decompose(ref)
+    def _canonical_pair(self, epi: Morphism, x: str) -> tuple[str, tuple[Morphism, str]]:
+        """The extended section act(epi)(x), x at level epi.dst: its
+        canonical id, the least (epi, nondegenerate) pair over the
+        cosymmetry orbit printed as "epi|nondegenerate", and an EZ pair."""
+        e2, y = self.ez_decompose(epi.dst, x)
         total = compose(e2, epi)
-        m = total.dst
-        best = None
-        for th in _cosymmetry_perms(self.site, m):
-            cand = (str(compose(pi(th), total)), self.act(pi(th.inverse()), y.id))
-            if best is None or cand < best:
-                best = cand
-        return f"{best[0]}|{best[1]}"
+        best = min((str(compose(pi(th), total)), self.act(pi(th.inverse()), y))
+                   for th in _cosymmetry_perms(self.site, total.dst))
+        return f"{best[0]}|{best[1]}", (total, y)
 
     def _extend_one(self) -> "SkeletalPresheaf":
+        """Level N+1 of the skeletal extension: the swap closure of the
+        epi generators' images of level N, each section its own EZ pair."""
         n = self.N + 1
-        pairs = {}
-        for m in range(n):
-            nd = nondegenerate_sections(self, m)
-            if not nd:
-                continue
-            for e in enumerate_hom(n, m, self.site):
-                if not in_boundary(e):
-                    for ref in nd:
-                        pairs[self._canonical_pair(e, ref)] = (e, ref)
-        new_levels = dict(self.levels)
-        new_levels[n] = tuple(sorted(pairs))
-        new_action = dict(self.action)
-        for gname, g in generator_morphisms(self.site, n):
-            if g in new_action:
-                continue
-            table = {}
-            if g.dst == n:  # action from the new level downward or sideways
-                for pid in new_levels[n]:
-                    e, ref = pairs[pid]
-                    h = compose(e, g)  # [g.src] -> [ref.level]
-                    if g.src == n:
-                        table[pid] = self._canonical_pair(h, ref)
-                    else:
-                        table[pid] = self.act(h, ref.id)
-            else:  # epi generator upward into the new level
-                for sid in self.levels[g.dst]:
-                    table[sid] = self._canonical_pair(g, SectionRef(g.dst, sid))
-            new_action[g] = table
-        X = SkeletalPresheaf(self.site, n, new_levels, new_action, self.name)
-        # each new section is its own EZ pair, so no Hom(n, n-1) is enumerated
-        X._ez_levels = {**self._ez_levels, n: {pid: pairs[pid] for pid in new_levels[n]}}
+        new = [g for _, g in generator_morphisms(self.site, n) if g not in self.action]
+        pairs: dict[str, tuple[Morphism, str]] = {}  # an EZ pair of each new id
+        tables = {g: {} for g in new if g.src == n}  # epi generators and swaps
+        for g, table in tables.items():
+            if g.dst < n:
+                for x in self.levels[self.N]:
+                    table[x], pair = self._canonical_pair(g, x)
+                    pairs.setdefault(table[x], pair)
+        swaps = [(s, table) for s, table in tables.items() if s.dst == n]
+        frontier = list(pairs)
+        for pid in frontier:  # grows as the swaps reach new sections
+            e, y = pairs[pid]
+            for s, table in swaps:
+                table[pid], pair = self._canonical_pair(compose(e, s), y)
+                if table[pid] not in pairs:
+                    pairs[table[pid]] = pair
+                    frontier.append(table[pid])
+        levels = {**self.levels, n: tuple(sorted(pairs))}
+        action = dict(self.action)
+        for g in new:
+            if g.src < n:  # a face, from the new level down to level N
+                action[g] = {pid: self.act(compose(pairs[pid][0], g), pairs[pid][1])
+                             for pid in levels[n]}
+            else:
+                action[g] = {x: tables[g][x] for x in levels[g.dst]}
+        X = SkeletalPresheaf(self.site, n, levels, action, self.name)
+        X._ez_levels = {**self._ez_levels, n: {pid: pairs[pid] for pid in levels[n]}}
         return X
 
     def same_data(self, other: "SkeletalPresheaf") -> bool:
@@ -330,9 +331,6 @@ class PresheafMap:
     src: SkeletalPresheaf
     dst: SkeletalPresheaf
     mapping: dict[int, dict[str, str]]
-
-    def apply(self, ref: SectionRef) -> SectionRef:
-        return SectionRef(ref.level, self.mapping[ref.level][ref.id])
 
     def is_injective(self) -> bool:
         return all(
@@ -377,7 +375,7 @@ def extend_map(u: PresheafMap, N: int) -> PresheafMap:
     src, dst = u.src.extend_to(N), u.dst.extend_to(N)
     mapping = dict(u.mapping)
     for n in range(u.src.N + 1, N + 1):
-        mapping[n] = {pid: dst.act(e, u.mapping[y.level][y.id])
+        mapping[n] = {pid: dst.act(e, u.mapping[e.dst][y])
                       for pid, (e, y) in src._ez_level(n).items()}
     v = PresheafMap(src, dst, mapping)
     if not v.verify_natural():
@@ -518,7 +516,7 @@ def skeleton(X: SkeletalPresheaf, k: int) -> tuple[SkeletalPresheaf, PresheafMap
         return X, identity_map(X)
     levels = {
         n: tuple(
-            sid for sid in X.level(n) if X.ez_decompose(SectionRef(n, sid))[1].level <= k
+            sid for sid in X.level(n) if X.ez_decompose(n, sid)[0].dst <= k
         )
         for n in range(X.N + 1)
     }
@@ -574,8 +572,9 @@ def _map_id(u: PresheafMap) -> str:
 # -- spec-level wrappers -----------------------------------------------------
 
 
-def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[SectionRef]:
-    return [SectionRef(k, x) for x in X.level(k) if X.is_nondegenerate(SectionRef(k, x))]
+def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[str]:
+    """The ids of the nondegenerate sections of level k, in level order."""
+    return [x for x in X.level(k) if X.is_nondegenerate(k, x)]
 
 
 # -- hom-sets ----------------------------------------------------------------
@@ -610,14 +609,12 @@ def hom_presheaf(
     """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
-    nd = []
-    for k in range(X.N + 1):
-        nd.extend(nondegenerate_sections(X, k))
-    at = {(ref.level, ref.id): j for j, ref in enumerate(nd)}
+    nd = [(k, x) for k in range(X.N + 1) for x in nondegenerate_sections(X, k)]
+    at = {section: j for j, section in enumerate(nd)}
 
     def resolve(k: int, x: str) -> tuple[dict, int]:
-        e, y = X.ez_decompose(SectionRef(k, x))
-        return Y.table(e), at[(y.level, y.id)]
+        e, y = X.ez_decompose(k, x)
+        return Y.table(e), at[e.dst, y]
 
     # per nondegenerate section: where its candidates are drawn from (the
     # inverse index of its first face over Y, that face's table and
@@ -631,20 +628,20 @@ def hom_presheaf(
     for _, g in generator_morphisms(X.site, X.N):
         xg, yg = X.action[g], Y.action[g]
         inverse: dict[str, list[str]] = {}
-        for j, ref in enumerate(nd):
-            if ref.level != g.dst:
+        for j, (k, x) in enumerate(nd):
+            if k != g.dst:
                 continue
             if g.src == g.dst:
-                mate = at[(g.src, xg[ref.id])]
+                mate = at[g.src, xg[x]]
                 if mate <= j:
                     swaps[j].append((yg, mate))
             elif g.src < g.dst and draw[j]:
-                faces[j].append((yg, *resolve(g.src, xg[ref.id])))
+                faces[j].append((yg, *resolve(g.src, xg[x])))
             elif g.src < g.dst:
                 if not inverse:
                     for v in Y.level(g.dst):
                         inverse.setdefault(yg[v], []).append(v)
-                draw[j] = (inverse, *resolve(g.src, xg[ref.id]))
+                draw[j] = (inverse, *resolve(g.src, xg[x]))
     for i, u in fixed:
         for k, row in i.mapping.items():
             for a, x in row.items():
@@ -672,7 +669,7 @@ def hom_presheaf(
             inverse, tab, j = draw[idx]
             values = inverse.get(tab[w[j]], ())
         else:
-            values = Y.level(nd[idx].level)
+            values = Y.level(nd[idx][0])
         for v in values:
             w[idx] = v
             if (all(yd[v] == tab[w[j]] for yd, tab, j in faces[idx])
@@ -732,10 +729,10 @@ class CoendClasses(dict):
         self.factors = factors
 
     def __call__(self, member) -> str:
-        pairs = [X.ez_decompose(SectionRef(*member[2 * t + 1:2 * t + 3]))
+        pairs = [X.ez_decompose(*member[2 * t + 1:2 * t + 3])
                  for t, X in enumerate(self.factors)]
         arrow = compose(reduce(tensor, (e for e, _ in pairs)), member[0])
-        return self[(arrow, *itertools.chain(*((y.level, y.id) for _, y in pairs)))]
+        return self[(arrow, *itertools.chain(*((e.dst, y) for e, y in pairs)))]
 
 
 def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
@@ -776,7 +773,7 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
         sections = itertools.product(
             *(nondegenerate_sections(X, n) for X, n in zip(factors, dims)))
         tails.setdefault(sum(dims), []).extend(
-            tuple(itertools.chain(*((x.level, x.id) for x in xs))) for xs in sections
+            tuple(itertools.chain(*zip(dims, xs))) for xs in sections
         )
     for k in ks:
         size = sum(hom_count(k, n, site) * len(block) for n, block in tails.items())
@@ -796,8 +793,8 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
             tab = X.action[u]
             for tail, i in number.items():
                 if tail[j] == u.dst:
-                    e, x1 = X.ez_decompose(SectionRef(u.src, tab[tail[j + 1]]))
-                    moved = tail[:j] + (x1.level, x1.id) + tail[j + 2:]
+                    e, x1 = X.ez_decompose(u.src, tab[tail[j + 1]])
+                    moved = tail[:j] + (e.dst, x1) + tail[j + 2:]
                     p, q = sum(tail[:j:2]), sum(tail[j + 2::2])
                     glue.setdefault((p, u, e, q), []).append((i, number[moved]))
     relations = [(tensor(tensor(identity(p), u), identity(q)),
@@ -975,15 +972,11 @@ def quotient_by_group(n: int, H: SubgroupSpec, site: SiteTag = SiteTag.QSIGMA,
     )
 
 
-def stabilizer(X: SkeletalPresheaf, x: SectionRef) -> SubgroupSpec:
-    """The cosymmetries of the level fixing the section under the
+def stabilizer(X: SkeletalPresheaf, n: int, x: str) -> SubgroupSpec:
+    """The cosymmetries of level n fixing the section x under the
     presheaf's own action."""
-    fixers = tuple(
-        th
-        for th in _cosymmetry_perms(X.site, x.level)
-        if X.act(pi(th), x.id) == x.id
-    )
-    return SubgroupSpec(x.level, fixers)
+    fixers = tuple(th for th in _cosymmetry_perms(X.site, n) if X.act(pi(th), x) == x)
+    return SubgroupSpec(n, fixers)
 
 
 # -- the orbit cellular model ------------------------------------------------
@@ -1005,17 +998,17 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
     nd = nondegenerate_sections(X, k) if k <= X.N else []
     reps = []
     seen = set()
-    for ref in sorted(nd, key=lambda r: r.id):
-        if ref.id in seen:
+    for x in sorted(nd):
+        if x in seen:
             continue
-        orbit = {X.act(pi(th), ref.id) for th in _cosymmetry_perms(X.site, k)}
+        orbit = {X.act(pi(th), x) for th in _cosymmetry_perms(X.site, k)}
         seen |= orbit
-        reps.append(SectionRef(k, min(orbit)))
+        reps.append(min(orbit))
 
     parts_A, parts_B, values = [], [], []
     cell_cache: dict = {}
-    for ref in reps:
-        S = stabilizer(X, ref)
+    for rep in reps:
+        S = stabilizer(X, k, rep)
         cache_key = S.members
         if cache_key not in cell_cache:
             cube, arrows = _cube(k, X.site, X.N)
@@ -1029,9 +1022,9 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
         QA, QB, arrows = cell_cache[cache_key]
         parts_A.append(QA)
         parts_B.append(QB)
-        # where the cell attached along ref sends each of its sections, an
+        # where the cell attached along rep sends each of its sections, an
         # arrow into the k-cube; the boundary quotient's ids are among these
-        values.append({x.id: X.act(arrows[x.id], ref.id) for x in QB.sections()})
+        values.append({x: X.act(arrows[x], rep) for _, x in QB.sections()})
 
     if reps:
         A, _ = coproduct(parts_A)
@@ -1104,7 +1097,7 @@ def extend_level(X: SkeletalPresheaf, n: int):
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
     Y = X.extend_to(n)
-    return Y.level(n), {pid: (e, y.id) for pid, (e, y) in Y._ez_level(n).items()}
+    return Y.level(n), dict(Y._ez_level(n))
 
 
 def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
@@ -1144,7 +1137,7 @@ def verify_restriction_roundtrip(X: SkeletalPresheaf, k: int) -> bool:
     ext = restrict_skeletal(X, k).extend_to(X.N)
     skX, _ = skeleton(X, k)
     for n in range(min(k, X.N) + 1, X.N + 1):
-        values = [X.act(e, y.id) for e, y in ext._ez_level(n).values()]
+        values = [X.act(e, y) for e, y in ext._ez_level(n).values()]
         if len(set(values)) != len(values) or set(values) != set(skX.level(n)):
             return False
     return True
@@ -1157,7 +1150,7 @@ def verify_ez_groupoid(X: SkeletalPresheaf, max_level: int = 3) -> Report:
     top = min(max_level, X.N)
     for r in range(top + 1):
         nd_by_level = {m: nondegenerate_sections(X, m) for m in range(r + 1)}
-        decomps: dict[str, list[tuple[Morphism, SectionRef]]] = {
+        decomps: dict[str, list[tuple[Morphism, str]]] = {
             x: [] for x in X.level(r)
         }
         for m in range(r + 1):
@@ -1166,18 +1159,18 @@ def verify_ez_groupoid(X: SkeletalPresheaf, max_level: int = 3) -> Report:
                     continue
                 table = X.table(e)
                 for y in nd_by_level[m]:
-                    decomps[table[y.id]].append((e, y))
+                    decomps[table[y]].append((e, y))
         ok = True
         for x, ds in decomps.items():
             for (s1, y1), (s2, y2) in itertools.product(ds, repeat=2):
-                if y1.level != y2.level:
+                if s1.dst != s2.dst:
                     ok = False
                     break
                 count = sum(
                     1
-                    for th in _cosymmetry_perms(X.site, y1.level)
+                    for th in _cosymmetry_perms(X.site, s1.dst)
                     if compose(pi(th), s1) == s2
-                    and X.act(pi(th), y2.id) == y1.id
+                    and X.act(pi(th), y2) == y1
                 )
                 if count != 1:
                     ok = False

@@ -26,14 +26,13 @@ verify_snf's route.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError, charge
-from .presheaf import (PresheafMap, SectionRef, SkeletalPresheaf, _cosymmetry_perms,
+from .presheaf import (PresheafMap, SkeletalPresheaf, _cosymmetry_perms,
                        nondegenerate_sections)
 from .report import Report
 from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
@@ -332,7 +331,7 @@ class _NormalForms:
     def __init__(self, X: SkeletalPresheaf):
         self.X = X
         # the ids of the nondegenerate sections of each level that has any
-        self.nondegenerate = {n: [y.id for y in ys] for n in range(X.N + 1)
+        self.nondegenerate = {n: ys for n in range(X.N + 1)
                               if (ys := nondegenerate_sections(X, n))}
         self._faces: dict[tuple, Morphism] = {}
         # per nondegenerate (m, y): the least id in the cosymmetry orbit
@@ -383,12 +382,12 @@ class _NormalForms:
             x = self.X.act(d, x)
             s = tuple(t for t in s if 0 < t < top)
             n = len(s)
-        epi, y = self.X.ez_decompose(SectionRef(n, x))
-        if y.level < n:
+        epi, y = self.X.ez_decompose(n, x)
+        if epi.dst < n:
             s = act_on_cube(epi, k)(s)
-        least, lines = self._cosets[y.level, y.id]
+        least, lines = self._cosets[epi.dst, y]
         best = min(tuple(s[i] for i in line) for line in lines)
-        return f"{least}@{_threshold_id(best)}", (y.level, least, best)
+        return f"{least}@{_threshold_id(best)}", (epi.dst, least, best)
 
 
 # -- chains and homology -----------------------------------------------------
@@ -593,13 +592,14 @@ def invariant_factors(vectors: list) -> list:
     with sparse rows {column: nonzero int}, or of its transpose (D^T =
     V^T M^T U^T): the nonzero diagonal of smith_normal_form, without U, V.
 
-    While some entry is a unit, one of least Markowitz cost (row
-    weight - 1) * (column weight - 1), a cost being refreshed when it is
-    popped from the heap, is a pivot: row operations clear the rest of
-    its column, after which column operations would clear its row
-    without touching any other row, so the pivot row and column split
-    off as one factor 1.  The unit-free block left over goes through the
-    dense Smith normal form.
+    Passes over the rows, lightest row first, pivot each row that holds
+    a unit on its unit in the column with the fewest rows: row
+    operations clear the rest of that column, after which column
+    operations would clear the row without touching any other row, so
+    the pivot row and column split off as one factor 1.  A unit made by
+    fill-in in a row already passed waits for the next pass, and passes
+    repeat until one finds no unit, so the block left over is unit-free;
+    it goes through the dense Smith normal form.
     """
     rows = {}
     cols: dict[int, set] = {}
@@ -608,41 +608,36 @@ def invariant_factors(vectors: list) -> list:
             rows[r] = dict(vector)
             for c in vector:
                 cols.setdefault(c, set()).add(r)
-    heap = [(0, r, c) for r, row in rows.items()
-            for c, v in row.items() if v in (1, -1)]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        cost, p, c = heapq.heappop(heap)
-        prow = rows.get(p)
-        if prow is None or prow.get(c) not in (1, -1):
-            continue
-        now = (len(prow) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, p, c))
-            continue
-        del rows[p]
-        for j in prow:
-            cols[j].discard(p)
-        unit = prow[c]
-        for r in cols.pop(c):
-            row = rows[r]
-            q = row[c] * unit
-            for j, v in prow.items():
-                w = row.get(j, 0) - q * v
-                if w:
-                    if j not in row:
-                        cols[j].add(r)
-                    row[j] = w
-                    if w in (1, -1):
-                        heapq.heappush(heap, (0, r, j))
-                else:
-                    del row[j]
-                    if j != c:
-                        cols[j].discard(r)
-            if not row:
-                del rows[r]
-        units += 1
+    units, found = 0, True
+    while found:
+        found = False
+        for p in sorted(rows, key=lambda r: len(rows[r])):
+            prow = rows.get(p, {})  # a row emptied earlier in the pass is gone
+            pivots = [c for c, v in prow.items() if v in (1, -1)]
+            if not pivots:
+                continue
+            c = min(pivots, key=lambda j: len(cols[j]))
+            del rows[p]
+            for j in prow:
+                cols[j].discard(p)
+            unit = prow[c]
+            for r in cols.pop(c):
+                row = rows[r]
+                q = row[c] * unit
+                for j, v in prow.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        if j not in row:
+                            cols[j].add(r)
+                        row[j] = w
+                    else:
+                        del row[j]
+                        if j != c:
+                            cols[j].discard(r)
+                if not row:
+                    del rows[r]
+            units += 1
+            found = True
     kept = sorted(c for c, rs in cols.items() if rs)
     if not kept:
         return [1] * units

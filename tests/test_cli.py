@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcube.cli import _suite_symmetrization, build_parser, run
-from symcube.presheaf import boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf
+from symcube.presheaf import (boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf,
+                              terminal_presheaf)
 from symcube.site import SiteTag
 
 
@@ -265,6 +266,21 @@ def test_lift_between_empty_files_of_high_truncation(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "2/2 checks passed" in proc.stdout
+
+
+def test_homology_of_the_point_truncated_at_six(tmp_path):
+    # the EZ tables read the generators, so no hom set Hom([6],[5]) is built
+    path = tmp_path / "point6.cub"
+    path.write_text(dumps_presheaf(terminal_presheaf(SiteTag.QSIGMA, 6)))
+    cli = [sys.executable, "-m", "symcube.cli"]
+    start = time.perf_counter()
+    full = subprocess.run([*cli, "homology", str(path)], capture_output=True, text=True)
+    assert (full.returncode, full.stdout) == (0, "H_0 = Z\n"), full.stderr
+    assert time.perf_counter() - start < 10
+    bounded = subprocess.run([*cli, "--limit", "1000", "homology", str(path)],
+                             capture_output=True, text=True)
+    assert bounded.returncode == 3
+    assert "32754 generator words" in bounded.stderr
 
 
 def test_homology_requires_one_source(capsys):

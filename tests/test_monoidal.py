@@ -33,7 +33,6 @@ from symcube.monoidal import (
 )
 from symcube.presheaf import (
     PresheafMap,
-    SectionRef,
     SubgroupSpec,
     boundary,
     cap,
@@ -104,9 +103,8 @@ def test_two_endpoint_product_is_four_points():
 
 def test_pair_lookup():
     f = delta(1, 0, 1)  # (0,x1): [1] -> [2]
-    ref = CR11.pair(f, SectionRef(1, "(x1):1->1"), SectionRef(1, "(x1):1->1"))
-    assert ref.level == 1
-    assert ref.id in CR11.product.levels[1]
+    cid = CR11.class_of((f, 1, "(x1):1->1", 1, "(x1):1->1"))
+    assert cid in CR11.product.levels[f.src]
 
 
 @pytest.mark.parametrize(
@@ -307,7 +305,7 @@ def test_restricted_conjunction_is_nondegenerate():
     for i in (1, 2):
         table = R.table(sigma(i, 1))
         assert conj not in table.values()
-    assert R.is_nondegenerate(SectionRef(2, conj))
+    assert R.is_nondegenerate(2, conj)
 
 
 def test_restrict_guards():

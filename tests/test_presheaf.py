@@ -28,7 +28,6 @@ from symcube.homotopy import cylinder
 from symcube.monoidal import convolve, restrict, symmetrize
 from symcube.presheaf import (
     PresheafMap,
-    SectionRef,
     SkeletalPresheaf,
     SubgroupSpec,
     TruncatedPresheaf,
@@ -375,7 +374,7 @@ def test_restrictions_match_keep_oracle():
         for k in range(X.N):
             levels = {
                 n: tuple(
-                    x for x in X.level(n) if X.ez_decompose(SectionRef(n, x))[1].level <= k
+                    x for x in X.level(n) if X.ez_decompose(n, x)[0].dst <= k
                 )
                 for n in range(X.N + 1)
             }
@@ -463,28 +462,27 @@ def test_skeleton_coskeleton_adjunction_counts():
 
 def test_ez_decomposition_properties():
     for X in (C2, BD3, QUOT):
-        for ref in X.sections():
-            e, y = X.ez_decompose(ref)
-            assert e.src == ref.level and e.dst == y.level
+        for n, x in X.sections():
+            e, y = X.ez_decompose(n, x)
+            assert e.src == n
             assert classify(e).is_epi
-            assert X.is_nondegenerate(y)
-            assert X.act(e, y.id) == ref.id
+            assert X.is_nondegenerate(e.dst, y)
+            assert X.act(e, y) == x
 
 
 def test_twisted_degeneracy_detected():
     # (x2^x1):2->1 is the gamma-collapse twisted by the swap; it is
     # degenerate although no single generator action hits it
     ext = C1.extend_to(2)
-    ref = SectionRef(2, ext.level(2)[0])
     for sid in ext.level(2):
-        e, y = ext.ez_decompose(SectionRef(2, sid))
-        assert y.level <= 1
+        e, y = ext.ez_decompose(2, sid)
+        assert e.dst <= 1
 
 
-def _descent_oracle(X, ref):
+def _descent_oracle(X, n, x):
     """EZ pair by greedy descent: while some corank-one epi g reaches the
     section, step down to its preimage through a section of g."""
-    epi, level, sid = identity(ref.level), ref.level, ref.id
+    epi, level, sid = identity(n), n, x
     progress = True
     while progress and level > 0:
         progress = False
@@ -495,10 +493,99 @@ def _descent_oracle(X, ref):
                     epi, level, sid = compose(g, epi), level - 1, y
                     progress = True
                     break
-    return epi, SectionRef(level, sid)
+    return epi, sid
+
+
+@cache
+def oracle_ez_level(X, n):
+    """Level n of the EZ table by the hom-set route the generator route
+    replaced: a section that some corank-one epi e: [n] -> [n-1] reaches
+    is e*y for a section y one level down, already decomposed as (e2, z),
+    so it is (e2 o e, z); the sections no such epi reaches are the
+    nondegenerate ones, each paired with the identity."""
+    got = {}
+    if n > 0:
+        below = oracle_ez_level(X, n - 1)
+        for e in enumerate_hom(n, n - 1, X.site):
+            if not in_boundary(e):  # an arrow is epi unless it has a face
+                for y, x in X.table(e).items():
+                    if x not in got:
+                        e2, z = below[y]
+                        got[x] = (compose(e2, e), z)
+    for x in X.level(n):
+        got.setdefault(x, (identity(n), x))
+    return got
+
+
+def oracle_extend_one(X, tables):
+    """The skeletal extension one level up by the hom-set route the
+    generator route replaced: a section for every epi e: [n] -> [m] and
+    nondegenerate y at every stored level m, named by the least
+    (epi, nondegenerate) pair over the cosymmetry orbit.  EZ pairs are
+    read from tables, the ones an earlier call handed over, and from
+    oracle_ez_level for the other levels.  Returns the extension and
+    tables with the new level's pairs added."""
+    n = X.N + 1
+
+    def ez(m, x):
+        return (tables.get(m) or oracle_ez_level(X, m))[x]
+
+    def canonical(epi, x):
+        e2, y = ez(epi.dst, x)
+        total = compose(e2, epi)
+        best = min((str(compose(pi(th), total)), X.act(pi(th.inverse()), y))
+                   for th in _cosymmetry_perms(X.site, total.dst))
+        return f"{best[0]}|{best[1]}"
+
+    pairs = {}
+    for m in range(n):
+        nd = [x for x in X.level(m) if ez(m, x)[0].dst == m]
+        if not nd:
+            continue
+        for e in enumerate_hom(n, m, X.site):
+            if not in_boundary(e):
+                for y in nd:
+                    pairs[canonical(e, y)] = (e, y)
+    new_levels = dict(X.levels)
+    new_levels[n] = tuple(sorted(pairs))
+    new_action = dict(X.action)
+    for _, g in generator_morphisms(X.site, n):
+        if g in new_action:
+            continue
+        table = {}
+        if g.dst == n:  # action from the new level downward or sideways
+            for pid in new_levels[n]:
+                e, y = pairs[pid]
+                h = compose(e, g)  # [g.src] -> [e.dst]
+                table[pid] = canonical(h, y) if g.src == n else X.act(h, y)
+        else:  # epi generator upward into the new level
+            for sid in X.levels[g.dst]:
+                table[sid] = canonical(g, sid)
+        new_action[g] = table
+    ext = SkeletalPresheaf(X.site, n, new_levels, new_action, X.name)
+    return ext, {**tables, n: {pid: pairs[pid] for pid in new_levels[n]}}
+
+
+def _assert_ez_pair(X, n, x, pair):
+    e, y = pair
+    assert e.src == n and classify(e).is_epi
+    assert X.act(e, y) == x
+    assert X.is_nondegenerate(e.dst, y)
+
+
+def _cosymmetries_between(X, pair1, pair2) -> int:
+    """How many cosymmetries th carry the first pair to the second:
+    th o e1 = e2 and th*y2 = y1."""
+    (e1, y1), (e2, y2) = pair1, pair2
+    if e1.dst != e2.dst:
+        return 0
+    return sum(1 for th in _cosymmetry_perms(X.site, e1.dst)
+               if compose(pi(th), e1) == e2 and X.act(pi(th), y2) == y1)
 
 
 def test_ez_table_matches_descent_oracle():
+    from test_realize import moore_row, torus_2x2
+
     BD1, _ = boundary(1, QS)
     # built one at a time, so that a wrong table fails the comparison on
     # C2 before it can break an extension further down the list
@@ -513,29 +600,48 @@ def test_ez_table_matches_descent_oracle():
         lambda: symmetrize(boundary(2, Q)[0]),
         lambda: convolve(BD1, BD1).product,
         lambda: coskeleton(C2, 1, up_to=2),
+        # plain generators over symmetric data
+        lambda: restrict(representable(2, QS), 4),
+        lambda: loads_presheaf(dumps_presheaf(torus_2x2())),
+        lambda: loads_presheaf(dumps_presheaf(moore_row(3))),
+        lambda: empty_presheaf(QS, 3),
     ]
     for make in corpus:
         X = make()
-        oracle = {ref: _descent_oracle(X, ref) for ref in X.sections()}
+        oracle = {(n, x): _descent_oracle(X, n, x) for n, x in X.sections()}
         for k in range(X.N + 1):
             assert nondegenerate_sections(X, k) == [
-                SectionRef(k, x) for x in X.level(k) if oracle[SectionRef(k, x)][1].level == k
+                x for x in X.level(k) if oracle[k, x][0].dst == k
             ]
-        for ref, (e2, y2) in oracle.items():
-            e1, y1 = X.ez_decompose(ref)
+            hom_route = oracle_ez_level(X, k)
+            assert hom_route.keys() == X._ez_level(k).keys()
+            assert nondegenerate_sections(X, k) == [
+                x for x, (e, _) in hom_route.items() if e.dst == k
+            ]
+            for x, pair in hom_route.items():
+                _assert_ez_pair(X, k, x, pair)
+                _assert_ez_pair(X, k, x, X.ez_decompose(k, x))
+                assert _cosymmetries_between(X, X.ez_decompose(k, x), pair) == 1
+        for (n, x), (e2, y2) in oracle.items():
+            e1, y1 = X.ez_decompose(n, x)
             for e, y in ((e1, y1), (e2, y2)):
-                assert classify(e).is_epi and X.act(e, y.id) == ref.id
-            assert y1.level == y2.level
-            assert y2.id in {
-                X.act(pi(th), y1.id) for th in _cosymmetry_perms(X.site, y1.level)
+                assert classify(e).is_epi and X.act(e, y) == x
+            assert e1.dst == e2.dst
+            assert y2 in {
+                X.act(pi(th), y1) for th in _cosymmetry_perms(X.site, e1.dst)
             }
 
 
-@pytest.mark.parametrize("X", [C1, BD2, QUOT], ids=lambda x: x.name)
+@pytest.mark.parametrize(
+    "X",
+    [C1, C2, BD2, QUOT, cap(2, 1, 0, Q)[0], boundary(3, Q)[0],
+     restrict_skeletal(restrict(representable(2, QS), 4), 4)],
+    ids=lambda x: x.name,
+)
 def test_extension_hands_over_its_ez_table(X):
     # each section of an extended level is its own EZ pair; the handed
-    # table agrees with one built afresh from the corank-one epis, up to
-    # the cosymmetry that a stabilizer leaves free
+    # table agrees with one built afresh from the stored generators, up
+    # to the cosymmetry that a stabilizer leaves free
     ext = X.extend_to(X.N + 2)
     fresh = SkeletalPresheaf(ext.site, ext.N, ext.levels, ext.action, "fresh")
     for n in range(ext.N + 1):
@@ -544,11 +650,16 @@ def test_extension_hands_over_its_ez_table(X):
         for x, (e1, y1) in handed.items():
             e2, y2 = built[x]
             for e, y in ((e1, y1), (e2, y2)):
-                assert classify(e).is_epi and ext.act(e, y.id) == x
-            assert y1.level == y2.level
-            assert y2.id in {
-                ext.act(pi(th), y1.id) for th in _cosymmetry_perms(ext.site, y1.level)
+                assert classify(e).is_epi and ext.act(e, y) == x
+            assert e1.dst == e2.dst
+            assert y2 in {
+                ext.act(pi(th), y1) for th in _cosymmetry_perms(ext.site, e1.dst)
             }
+            _assert_ez_pair(ext, n, x, (e1, y1))
+    # the hom-set route names, orders and acts alike, byte for byte
+    oracle, _ = oracle_extend_one(*oracle_extend_one(X, {}))
+    assert dumps_presheaf(ext) == dumps_presheaf(oracle)
+    assert dumps_presheaf_json(ext) == dumps_presheaf_json(oracle)
 
 
 def test_nondegenerate_counts():
@@ -620,15 +731,13 @@ def oracle_hom_presheaf(
     """
     if Y.N < X.N:
         Y = Y.extend_to(X.N)
-    nd = []
-    for k in range(X.N + 1):
-        nd.extend(nondegenerate_sections(X, k))
+    nd = [(k, x) for k in range(X.N + 1) for x in nondegenerate_sections(X, k)]
     pinned: dict[tuple[int, str], list[tuple[Morphism, str]]] = {}
     for i, u in fixed:
         for k, row in i.mapping.items():
             for a, x in row.items():
-                e, y = X.ez_decompose(SectionRef(k, x))
-                pinned.setdefault((y.level, y.id), []).append((e, u.mapping[k][a]))
+                e, y = X.ez_decompose(k, x)
+                pinned.setdefault((e.dst, y), []).append((e, u.mapping[k][a]))
     # the face and adjacent-swap actions of X and Y, paired by level
     faces: dict[int, list[tuple[dict, dict]]] = {}
     swaps: dict[int, list[tuple[dict, dict]]] = {}
@@ -642,16 +751,15 @@ def oracle_hom_presheaf(
     tried = 0  # candidate values, charged as each search node ends
     trying = f"candidate values for maps {X.name} -> {Y.name}"
 
-    def value_of(ref: SectionRef) -> str:
-        e, y = X.ez_decompose(ref)
-        return Y.act(e, assigned[(y.level, y.id)])
+    def value_of(k: int, x: str) -> str:
+        e, y = X.ez_decompose(k, x)
+        return Y.act(e, assigned[(e.dst, y)])
 
-    def consistent(ref: SectionRef, v: str) -> bool:
-        k, x = ref.level, ref.id
+    def consistent(k: int, x: str, v: str) -> bool:
         if any(Y.act(e, v) != want for e, want in pinned.get((k, x), ())):
             return False
         for xd, yd in faces.get(k, ()):
-            if yd[v] != value_of(SectionRef(k - 1, xd[x])):
+            if yd[v] != value_of(k - 1, xd[x]):
                 return False
         for xs, ys in swaps.get(k, ()):
             mate = xs[x]
@@ -663,7 +771,7 @@ def oracle_hom_presheaf(
 
     def finish():
         mapping = {
-            n: {sid: value_of(SectionRef(n, sid)) for sid in X.level(n)}
+            n: {sid: value_of(n, sid) for sid in X.level(n)}
             for n in range(X.N + 1)
         }
         u = PresheafMap(X, Y, mapping)
@@ -676,13 +784,13 @@ def oracle_hom_presheaf(
         if idx == len(nd):
             finish()
             return
-        ref = nd[idx]
-        values = Y.level(ref.level)
+        k, x = nd[idx]
+        values = Y.level(k)
         for v in values:
-            if consistent(ref, v):
-                assigned[(ref.level, ref.id)] = v
+            if consistent(k, x, v):
+                assigned[(k, x)] = v
                 search(idx + 1)
-                del assigned[(ref.level, ref.id)]
+                del assigned[(k, x)]
         tried += len(values)
         charge(tried, trying)
 
@@ -861,10 +969,10 @@ def test_quotient_of_boundary_includes_injectively():
 
 
 def test_stabilizers():
-    assert len(stabilizer(C2, SectionRef(2, "(x1,x2):2->2")).members) == 1
-    img = QUOT_PROJ.apply(SectionRef(2, "(x1,x2):2->2"))
-    assert len(stabilizer(QUOT, img).members) == 2
-    assert len(stabilizer(representable(2, Q), SectionRef(2, "(x1,x2):2->2")).members) == 1
+    assert len(stabilizer(C2, 2, "(x1,x2):2->2").members) == 1
+    img = QUOT_PROJ.mapping[2]["(x1,x2):2->2"]
+    assert len(stabilizer(QUOT, 2, img).members) == 2
+    assert len(stabilizer(representable(2, Q), 2, "(x1,x2):2->2").members) == 1
 
 
 # -- the orbit cellular model ------------------------------------------------

@@ -13,7 +13,6 @@ from symcube.errors import ResourceBound, SymcubeError, resource_limit
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
-    SectionRef,
     SubgroupSpec,
     _cosymmetry_perms,
     _UnionFind,
@@ -430,11 +429,11 @@ def oracle_normal(X, n, x, s, k):
             for i in range(n)
         ])
         n, x, s = len(free), X.act(d, x), tuple(s[i] for i in free)
-    epi, y = X.ez_decompose(SectionRef(n, x))
+    epi, y = X.ez_decompose(n, x)
     s = act_on_cube(epi, k)(s)
     return min(
-        (y.level, X.act(pi(th), y.id), tuple(s[i - 1] for i in th.one_line))
-        for th in _cosymmetry_perms(X.site, y.level)
+        (epi.dst, X.act(pi(th), y), tuple(s[i - 1] for i in th.one_line))
+        for th in _cosymmetry_perms(X.site, epi.dst)
     )
 
 
@@ -659,7 +658,7 @@ def cubical_betti(X):
     the nondegenerate sections, with boundary sum_i (-1)^i (d_i^1 -
     d_i^0), faces landing on degenerate sections dropped."""
     basis = {
-        n: [x for x in X.levels[n] if X.is_nondegenerate(SectionRef(n, x))]
+        n: [x for x in X.levels[n] if X.is_nondegenerate(n, x)]
         for n in range(X.N + 1)
     }
     ranks = {}
@@ -780,6 +779,16 @@ def test_invariant_factors_cases(M, factors):
     assert invariant_factors(sparse_rows(M)) == factors == snf_factors(M)
 
 
+def test_unit_made_by_fill_in_is_pivoted_on_the_next_pass(monkeypatch):
+    # row 0 has no unit when its pass reaches it; clearing row 1's pivot
+    # column leaves it {1: 1}, so one pass would hand [[1]] to the Smith form
+    def refuse(M):
+        raise AssertionError(f"a residual block {M} reached the Smith form")
+
+    monkeypatch.setattr(realize_module, "smith_normal_form", refuse)
+    assert invariant_factors([{0: 2, 1: 3}, {0: 1, 1: 1}]) == [1, 1]
+
+
 @st.composite
 def integer_matrices(draw):
     rows = draw(st.integers(0, 6))
@@ -791,10 +800,20 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @settings(max_examples=300, deadline=None)
 def test_invariant_factors_match_smith_normal_form(M):
-    # a matrix and its transpose have the same factors
+    # a matrix and its transpose have the same factors, and the block
+    # left for the Smith form holds no unit
+    residuals = []
+
+    def spy(R):
+        residuals.append(R)
+        return smith_normal_form(R)
+
     columns = [list(col) for col in zip(*M)]
-    assert invariant_factors(sparse_rows(M)) == snf_factors(M)
-    assert invariant_factors(sparse_rows(columns)) == snf_factors(M)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realize_module, "smith_normal_form", spy)
+        assert invariant_factors(sparse_rows(M)) == snf_factors(M)
+        assert invariant_factors(sparse_rows(columns)) == snf_factors(M)
+    assert all(abs(v) != 1 for R in residuals for row in R for v in row)
 
 
 # -- homology ----------------------------------------------------------------
