@@ -304,7 +304,7 @@ def restrict(X: SkeletalPresheaf, up_to: int) -> TruncatedPresheaf:
     the requested level (extending the input where needed)."""
     if X.site is not SiteTag.QSIGMA:
         raise InputError(f"{X.name} is not a presheaf over the symmetric site")
-    Xe = X.extend_to(up_to) if up_to > X.N else X
+    Xe = X.extend_to(up_to)
     levels = {n: Xe.levels[n] for n in range(up_to + 1)}
     return restriction(Xe, levels, f"i*{X.name}", TruncatedPresheaf, SiteTag.Q)
 
@@ -328,7 +328,7 @@ def adjunction_counit(Y: SkeletalPresheaf, up_to: int) -> PresheafMap:
         raise InputError(f"{Y.name} is not a presheaf over the symmetric site")
     R = restrict(Y, up_to)
     S = symmetrize_structure(R)
-    Ye = Y.extend_to(up_to) if up_to > Y.N else Y
+    Ye = Y.extend_to(up_to)
 
     def value(key):
         g, _, y = key

@@ -32,6 +32,7 @@ from .site import (
     Permutation,
     SiteTag,
     _UnionFind,
+    _cosymmetry_perms,
     compose,
     delta,
     enumerate_hom,
@@ -93,10 +94,18 @@ def parse_generator_name(name: str, site: SiteTag) -> Morphism:
     raise InputError(f"bad generator name {name!r} for site {site}")
 
 
-def _cosymmetry_perms(site: SiteTag, n: int):
-    if site is SiteTag.Q:
-        return [Permutation.identity(n)]
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+def _least_cosymmetric(epi: Morphism, site: SiteTag) -> tuple[str, Permutation]:
+    """The least printed arrow pi(th) o epi over the site's cosymmetries
+    th of [epi.dst], and th^-1.  Over QSigma an epi's entries are distinct
+    conjunctions on disjoint symbols, so where one printed entry is a
+    prefix of another the longer goes on with a digit and the shorter
+    with "," or ")", which sort below digits: the least arrow is epi with
+    its entries sorted by printed form, and exactly one th reaches it."""
+    printed = [str(e) for e in epi.entries]
+    order = (sorted(range(epi.dst), key=printed.__getitem__)
+             if site is SiteTag.QSIGMA else range(epi.dst))
+    arrow = f"({','.join(printed[i] for i in order)}):{epi.src}->{epi.dst}"
+    return arrow, Permutation([i + 1 for i in order])
 
 
 class SkeletalPresheaf:
@@ -239,14 +248,16 @@ class SkeletalPresheaf:
     # -- skeletal extension -------------------------------------------------
 
     def extend_to(self, N2: int) -> "SkeletalPresheaf":
-        """The skeletal extension to level N2.  Building an uncached level
-        first charges Hom([N2],[m]) for each stored level m."""
+        """The skeletal extension to level N2, itself when N2 <= N.  An
+        uncached level is first charged a bound on its size: its sections
+        are classes of an epi [N2] -> [m] and a nondegenerate one at m."""
         X = self
         while X.N < N2 and "_one_level_up" in vars(X):
             X = X._one_level_up
-        for m in range(self.N + 1 if X.N < N2 else 0):
-            charge(hom_count(N2, m, self.site),
-                   f"extending {self.name} to level {N2} over {self.site}([{N2}],[{m}])")
+        if X.N < N2:
+            counts = [len(nondegenerate_sections(self, m)) for m in range(self.N + 1)]
+            charge(sum(hom_count(N2, m, self.site) * c for m, c in enumerate(counts) if c),
+                   f"extending {self.name} to level {N2}")
         while X.N < N2:
             X = X._one_level_up
         return X
@@ -256,14 +267,13 @@ class SkeletalPresheaf:
         return self._extend_one()
 
     def _canonical_pair(self, epi: Morphism, x: str) -> tuple[str, tuple[Morphism, str]]:
-        """The extended section act(epi)(x), x at level epi.dst: its
-        canonical id, the least (epi, nondegenerate) pair over the
-        cosymmetry orbit printed as "epi|nondegenerate", and an EZ pair."""
+        """The extended section act(epi)(x), x at level epi.dst: its id,
+        the least pair "epi|nondegenerate" over the cosymmetry orbit of
+        its EZ pair (total, y), and that EZ pair."""
         e2, y = self.ez_decompose(epi.dst, x)
         total = compose(e2, epi)
-        best = min((str(compose(pi(th), total)), self.act(pi(th.inverse()), y))
-                   for th in _cosymmetry_perms(self.site, total.dst))
-        return f"{best[0]}|{best[1]}", (total, y)
+        arrow, th_inverse = _least_cosymmetric(total, self.site)
+        return f"{arrow}|{self.act(pi(th_inverse), y)}", (total, y)
 
     def _extend_one(self) -> "SkeletalPresheaf":
         """Level N+1 of the skeletal extension: the swap closure of the
@@ -607,8 +617,7 @@ def hom_presheaf(
     without fixed; the resource limit bounds the maps returned, which
     are only those that agree, and the candidate values drawn.
     """
-    if Y.N < X.N:
-        Y = Y.extend_to(X.N)
+    Y = Y.extend_to(X.N)
     nd = [(k, x) for k in range(X.N + 1) for x in nondegenerate_sections(X, k)]
     at = {section: j for j, section in enumerate(nd)}
 
@@ -685,8 +694,7 @@ def hom_presheaf(
 
 def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
     """A levelwise-bijective presheaf map X -> Y, or None (exhaustive)."""
-    if X.N < Y.N:
-        X = X.extend_to(Y.N)
+    X = X.extend_to(Y.N)
     if X.N == Y.N and X.size() != Y.size():
         return None
     for u in hom_presheaf(X, Y):
@@ -988,38 +996,29 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
     sk_k X; checks the pushout comparison levelwise."""
     report = Report(f"skeletal-pushout({X.name},k={k})")
     sk_k, _ = skeleton(X, k)
-    if k == 0:
-        prev = empty_presheaf(X.site, X.N)
-    else:
-        prev, _ = skeleton(X, k - 1)
+    prev, _ = skeleton(X, k - 1)
 
     # above the stored range a skeletal presheaf has no nondegenerate
     # sections, so there is nothing to attach
     nd = nondegenerate_sections(X, k) if k <= X.N else []
-    reps = []
-    seen = set()
-    for x in sorted(nd):
-        if x in seen:
-            continue
-        orbit = {X.act(pi(th), x) for th in _cosymmetry_perms(X.site, k)}
-        seen |= orbit
-        reps.append(min(orbit))
+    reps, seen = [], set()
+    for x in sorted(nd):  # the least of each orbit comes first
+        if x not in seen:
+            reps.append(x)
+            seen |= {X.act(pi(th), x) for th in _cosymmetry_perms(X.site, k)}
 
     parts_A, parts_B, values = [], [], []
     cell_cache: dict = {}
     for rep in reps:
         S = stabilizer(X, k, rep)
-        cache_key = S.members
-        if cache_key not in cell_cache:
+        if S.members not in cell_cache:
+            # cosymmetries keep the boundary: its orbits are the cube's in it
             cube, arrows = _cube(k, X.site, X.N)
             QB, _ = quotient_presheaf(cube, S, name="SB")
-            if k >= 1:
-                bd, _ = boundary(k, X.site, up_to=X.N)
-                QA, _ = quotient_presheaf(bd, S, name="SA")
-            else:
-                QA = empty_presheaf(X.site, X.N)
-            cell_cache[cache_key] = (QA, QB, arrows)
-        QA, QB, arrows = cell_cache[cache_key]
+            QA = restriction(QB, {n: tuple(q for q in ids if in_boundary(arrows[q]))
+                                  for n, ids in QB.levels.items()}, "SA")
+            cell_cache[S.members] = (QA, QB, arrows)
+        QA, QB, arrows = cell_cache[S.members]
         parts_A.append(QA)
         parts_B.append(QB)
         # where the cell attached along rep sends each of its sections, an
@@ -1094,8 +1093,6 @@ def extend_level(X: SkeletalPresheaf, n: int):
     """
     if n <= X.N:
         raise BadDimension(f"level {n} is already stored")
-    if X.truncated:
-        raise TruncationMismatch(f"{X.name} is truncated")
     Y = X.extend_to(n)
     return Y.level(n), dict(Y._ez_level(n))
 

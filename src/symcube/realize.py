@@ -32,10 +32,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError, charge
-from .presheaf import (PresheafMap, SkeletalPresheaf, _cosymmetry_perms,
-                       nondegenerate_sections)
+from .presheaf import PresheafMap, SkeletalPresheaf, nondegenerate_sections
 from .report import Report
-from .site import Conj, Const, Morphism, SiteTag, compose, enumerate_hom, pi
+from .site import (Conj, Const, Morphism, SiteTag, _cosymmetry_perms, compose,
+                   enumerate_hom, pi)
 
 
 # -- the interval-power action -----------------------------------------------
@@ -79,16 +79,15 @@ def act_on_cube(f: Morphism, k: int):
     return act
 
 
-def verify_act_naturality(m_max: int = 2, n_max: int = 2,
-                          k_max: int = 3) -> Report:
-    """Functoriality of the action and compatibility with the
-    simplicial operators, exhaustively at small sizes."""
+def verify_act_naturality() -> Report:
+    """Functoriality of the action and compatibility with the simplicial
+    operators, for cubes of dimension <= 2 and simplices of dimension <= 3."""
     report = Report("interval-power action")
-    dims = range(max(m_max, n_max) + 1)
+    dims, k_max = range(3), 3
     functorial = True
-    for m in range(m_max + 1):
+    for m in dims:
         for p in dims:
-            for n in range(n_max + 1):
+            for n in dims:
                 for f in enumerate_hom(m, p, SiteTag.QSIGMA):
                     for g in enumerate_hom(p, n, SiteTag.QSIGMA):
                         gf = compose(g, f)
@@ -102,8 +101,8 @@ def verify_act_naturality(m_max: int = 2, n_max: int = 2,
     report.check("action is functorial", functorial)
 
     commutes = True
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
+    for m in dims:
+        for n in dims:
             for f in enumerate_hom(m, n, SiteTag.QSIGMA):
                 for k in range(1, k_max + 1):
                     hi, lo = act_on_cube(f, k), act_on_cube(f, k - 1)
@@ -253,7 +252,7 @@ class SimplicialMap:
 # -- realization -------------------------------------------------------------
 
 
-def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
+def realize(X: SkeletalPresheaf) -> SimplicialSet:
     """The simplicial set of a stored cubical set.
 
     Level k glues one copy of the interval-power k-simplices per
@@ -262,12 +261,12 @@ def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
     nondegenerate section with a constant-free simplex, unique up to the
     cosymmetries of its level (the EZ structure), so a level is listed
     from those alone and named by the least member of each class.
-    Levels run to N + 1, where everything is degenerate (each copy
+    Levels run to N + 1, checked to be all degenerate (each copy
     contributes nondegenerate simplices only up to its own dimension).
     Each level's count of normal-form members is charged to the
     resource limit before it is built.
     """
-    K = X.N + 1 if up_to is None else up_to
+    K = X.N + 1
     forms = _NormalForms(X)
     reps = []
     for k in range(K + 1):
@@ -290,13 +289,12 @@ def realize(X: SkeletalPresheaf, up_to: int | None = None) -> SimplicialSet:
                 for cid, (n, x, s) in reps[k].items()
             }
     S = SimplicialSet(K, levels, faces, degeneracies, name=f"|{X.name}|")
-    if up_to is None and S.nondegenerate(K):
+    if S.nondegenerate(K):
         raise SymcubeError(f"top realization level of {X.name} not degenerate")
     return S
 
 
-def realize_map(u: PresheafMap, S_src: SimplicialSet | None = None,
-                S_dst: SimplicialSet | None = None) -> SimplicialMap:
+def realize_map(u: PresheafMap) -> SimplicialMap:
     """Realization of a presheaf map: rename the copy, keep the simplex.
 
     A natural map is constant on classes, so each class is sent through
@@ -305,8 +303,7 @@ def realize_map(u: PresheafMap, S_src: SimplicialSet | None = None,
         raise SymcubeError(
             f"cannot realize the non-natural map {u.src.name} -> {u.dst.name}"
         )
-    S_src = S_src if S_src is not None else realize(u.src)
-    S_dst = S_dst if S_dst is not None else realize(u.dst)
+    S_src, S_dst = realize(u.src), realize(u.dst)
     src, dst = _NormalForms(u.src), _NormalForms(u.dst)
     mapping = {
         k: {

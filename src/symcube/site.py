@@ -365,6 +365,13 @@ def pi(p: Permutation) -> Morphism:
     return Morphism(p.n, p.n, (Conj((inv(i),)) for i in range(1, p.n + 1)))
 
 
+def _cosymmetry_perms(site: SiteTag, n: CubeObject) -> list[Permutation]:
+    """The permutations of [n]'s cosymmetries: all n! over QSigma, one over Q."""
+    if site is SiteTag.Q:
+        return [Permutation.identity(n)]
+    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
 def symmetry(m: CubeObject, n: CubeObject) -> Morphism:
     """The braiding [m] + [n] -> [n] + [m]: (x_{m+1},...,x_{m+n},x_1,...,x_m)."""
     entries = [Conj((m + i,)) for i in range(1, n + 1)]
@@ -1099,10 +1106,6 @@ def verify_relations(n_max: int) -> Report:
     return report
 
 
-def _cosymmetries(q: int):
-    return [pi(Permutation(p)) for p in itertools.permutations(range(1, q + 1))]
-
-
 def verify_ez(n_max: int = 3) -> Report:
     """Degree behaviour of monos, split epis, epi-mono factorization and
     the unique mediating cosymmetry, exhaustively over objects <= n_max."""
@@ -1154,7 +1157,7 @@ def verify_ez(n_max: int = 3) -> Report:
             def mediator_count(e1, m1, e2, m2):
                 return sum(
                     1
-                    for th in _cosymmetries(e1.dst)
+                    for th in map(pi, _cosymmetry_perms(SiteTag.QSIGMA, e1.dst))
                     if compose(th, e1) == e2 and compose(m2, th) == m1
                 )
 

@@ -283,6 +283,15 @@ def test_homology_of_the_point_truncated_at_six(tmp_path):
     assert "32754 generator words" in bounded.stderr
 
 
+def test_restrict_extends_the_point_truncated_at_six(tmp_path, capsys):
+    # the extension charges only the point's one nondegenerate section,
+    # so level 7 is built at the default limit
+    path = tmp_path / "pt6.txt"
+    path.write_text(dumps_presheaf(terminal_presheaf(SiteTag.QSIGMA, 6)))
+    code, out = invoke(capsys, "restrict", str(path), "--dim", "7")
+    assert (code, out) == (0, "i*pt6 [Q] 0:1 1:1 2:1 3:1 4:1 5:1 6:1 7:1\n")
+
+
 def test_homology_requires_one_source(capsys):
     assert run(["homology"]) == 2
     assert run(["homology", "cube:1", "--file", "x.cub"]) == 2

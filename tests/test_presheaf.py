@@ -8,6 +8,7 @@ from functools import cache
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from symcube.presheaf import (
     SubgroupSpec,
     TruncatedPresheaf,
     _cosymmetry_perms,
+    _least_cosymmetric,
     boundary,
     cap,
     coend_level,
@@ -69,6 +71,7 @@ from symcube.presheaf import (
 )
 from symcube.report import Report
 from symcube.site import (
+    Conj,
     Morphism,
     Permutation,
     SiteTag,
@@ -517,6 +520,18 @@ def oracle_ez_level(X, n):
     return got
 
 
+def oracle_canonical_pair(X, epi, x, ez=None):
+    """The extended section act(epi)(x) named by composing and printing
+    the epi under every cosymmetry of its target: the least pair
+    "epi|nondegenerate" over the orbit, and the EZ pair.  ez reads EZ
+    pairs, X.ez_decompose by default."""
+    e2, y = (ez or X.ez_decompose)(epi.dst, x)
+    total = compose(e2, epi)
+    best = min((str(compose(pi(th), total)), X.act(pi(th.inverse()), y))
+               for th in _cosymmetry_perms(X.site, total.dst))
+    return f"{best[0]}|{best[1]}", (total, y)
+
+
 def oracle_extend_one(X, tables):
     """The skeletal extension one level up by the hom-set route the
     generator route replaced: a section for every epi e: [n] -> [m] and
@@ -531,11 +546,7 @@ def oracle_extend_one(X, tables):
         return (tables.get(m) or oracle_ez_level(X, m))[x]
 
     def canonical(epi, x):
-        e2, y = ez(epi.dst, x)
-        total = compose(e2, epi)
-        best = min((str(compose(pi(th), total)), X.act(pi(th.inverse()), y))
-                   for th in _cosymmetry_perms(X.site, total.dst))
-        return f"{best[0]}|{best[1]}"
+        return oracle_canonical_pair(X, epi, x, ez)[0]
 
     pairs = {}
     for m in range(n):
@@ -632,12 +643,11 @@ def test_ez_table_matches_descent_oracle():
             }
 
 
-@pytest.mark.parametrize(
-    "X",
-    [C1, C2, BD2, QUOT, cap(2, 1, 0, Q)[0], boundary(3, Q)[0],
-     restrict_skeletal(restrict(representable(2, QS), 4), 4)],
-    ids=lambda x: x.name,
-)
+EXTENDED = [C1, C2, BD2, QUOT, cap(2, 1, 0, Q)[0], boundary(3, Q)[0],
+            restrict_skeletal(restrict(representable(2, QS), 4), 4)]
+
+
+@pytest.mark.parametrize("X", EXTENDED, ids=lambda x: x.name)
 def test_extension_hands_over_its_ez_table(X):
     # each section of an extended level is its own EZ pair; the handed
     # table agrees with one built afresh from the stored generators, up
@@ -994,6 +1004,68 @@ def test_skeletal_pushout_boundary_cube(k):
 
 
 # -- extension ---------------------------------------------------------------
+
+
+@st.composite
+def qsigma_epis(draw):
+    """An epi [n] -> [m] of QSigma, n <= 12 so that two-digit symbols
+    meet one-digit ones, m <= 5: m disjoint nonempty conjunctions that
+    cut the first `used` symbols of a shuffle of x1..xn."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(max(m, 1), 12))
+    symbols = draw(st.permutations(range(1, n + 1)))
+    used = draw(st.integers(m, n))
+    cuts = sorted(draw(st.sets(st.integers(1, used - 1), min_size=m - 1, max_size=m - 1))
+                  if m > 1 else [])
+    bounds = list(zip([0, *cuts], [*cuts, used]))[:m]
+    return Morphism(n, m, [Conj(symbols[a:b]) for a, b in bounds])
+
+
+@given(qsigma_epis())
+@settings(max_examples=300, deadline=None)
+@example(parse_morphism("(x12^x3,x1,x10,x2):12->4"))
+def test_sorted_entries_are_the_least_arrow_of_the_orbit(epi):
+    assert classify(epi).is_epi
+    arrow, th_inverse = _least_cosymmetric(epi, QS)
+    printed = {th: str(compose(pi(th), epi)) for th in _cosymmetry_perms(QS, epi.dst)}
+    assert arrow == min(printed.values())
+    assert [th for th, a in printed.items() if a == arrow] == [th_inverse.inverse()]
+
+
+def test_canonical_ids_match_the_orbit_oracle(monkeypatch):
+    # every name the extension makes, on fresh copies so that no level is
+    # cached, equals the one found by printing the whole orbit
+    named = []
+    canonical_pair = SkeletalPresheaf._canonical_pair
+
+    def checked(X, epi, x):
+        got = canonical_pair(X, epi, x)
+        assert got == oracle_canonical_pair(X, epi, x)
+        named.append(got[0])
+        return got
+
+    monkeypatch.setattr(SkeletalPresheaf, "_canonical_pair", checked)
+    corpus = [*EXTENSION_CORPUS, *((X, X.N + 2) for X in EXTENDED),
+              (representable(3, QS), 4),
+              (quotient_by_group(3, SubgroupSpec.full(3))[0], 4)]
+    for X, n in corpus:
+        SkeletalPresheaf(X.site, X.N, X.levels, X.action, X.name).extend_to(n)
+    assert len(named) > 10000
+
+
+def test_extension_charges_its_nondegenerate_sections():
+    # the one nondegenerate section of the point sits at level 0, so its
+    # truncation at 6 extends under a limit of 10; a stored level without
+    # nondegenerate sections is not charged
+    T = terminal_presheaf(QS, 6)
+    with resource_limit(10):
+        ext = SkeletalPresheaf(QS, 6, T.levels, T.action, "pt6").extend_to(7)
+    assert ext.size() == (1,) * 8
+    start = time.perf_counter()
+    with resource_limit(10**6), pytest.raises(ResourceBound,
+                                              match="extending cube2 to level 12"):
+        representable(2, QS).extend_to(12)
+    assert time.perf_counter() - start < 1
 
 
 def test_extend_interval_to_level_two():

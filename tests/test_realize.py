@@ -172,8 +172,7 @@ def test_realize_identities_on_corpus():
 
 
 def test_realize_functorial_identity():
-    rm = realize_map(identity_map(representable(1, QS)),
-                     INTERVAL, INTERVAL)
+    rm = realize_map(identity_map(representable(1, QS)))
     assert all(
         rm.mapping[k][s] == s
         for k in range(INTERVAL.K + 1)
@@ -198,8 +197,8 @@ def test_realize_preserves_pushouts():
     SB = realize(representable(1, QS))
     SC = realize(terminal_presheaf(QS, 1))
     SA = realize(bd1)
-    left = realize_map(incl, SA, SB)
-    right = realize_map(to_point, SA, SC)
+    left = realize_map(incl)
+    right = realize_map(to_point)
     for k in range(SP.K + 1):
         members = [("B", s) for s in SB.levels[k]] + [("C", s) for s in SC.levels[k]]
         number = {m: i for i, m in enumerate(members)}
