@@ -476,7 +476,7 @@ def boundary(n: int, site: SiteTag = SiteTag.QSIGMA,
              up_to: int | None = None) -> tuple[SkeletalPresheaf, PresheafMap]:
     """The union of the proper faces, with its inclusion into the cube."""
     if n < 1:
-        raise BadDimension("the 0-cube has empty boundary")
+        raise BadDimension(f"a boundary needs a cube of dimension at least 1, not {n}")
     return _subcube(n, site, up_to, in_boundary, f"bd{n}")
 
 

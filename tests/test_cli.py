@@ -127,6 +127,13 @@ def test_unknown_spec_is_input_error(capsys):
     assert run(["homology", "dodecahedron:12"]) == 2
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_boundary_below_dimension_one_names_its_dimension(n, capsys):
+    assert run(["homology", f"boundary:{n}"]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: a boundary needs a cube of dimension at least 1, not {n}\n"
+
+
 def test_bad_cycles_is_input_error(capsys):
     assert run(["quotient", "cube:2", "(1 7)"]) == 2
 

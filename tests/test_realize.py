@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcube.cli import run
 from symcube.errors import ResourceBound, SymcubeError, resource_limit
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
@@ -36,6 +37,7 @@ from symcube.realize import (
     _chain_complex,
     _NormalForms,
     act_on_cube,
+    cubical_chains,
     delta1_power,
     euler_characteristic,
     homology,
@@ -299,14 +301,15 @@ def _postcompose(A, B, h):
     })
 
 
-def square_grid(count, glue, site):
-    """count squares with edges identified: glue(edge, collapsed) lists
-    pairs of maps interval -> squares, where edge(c, face) is a side of
-    square c and collapsed(c, face) the constant edge at its start.
-    The identification is one coequalizer, the pushout of the pair map
+def square_grid(count, glue, site, dim=2):
+    """count squares (dim-cubes) with edges (faces) identified:
+    glue(edge, collapsed) lists pairs of maps from the (dim-1)-cube to
+    the cubes, where edge(c, face) is the face of cube c and
+    collapsed(c, face) the constant face at its start.  The
+    identification is one coequalizer, the pushout of the pair map
     along the fold."""
-    square = representable(2, site)
-    interval = representable(1, site, up_to=2)
+    square = representable(dim, site)
+    interval = representable(dim - 1, site, up_to=dim)
     Y, inj = coproduct([square] * count)
     to_point = terminal_map(interval)
 
@@ -314,17 +317,17 @@ def square_grid(count, glue, site):
         return _postcompose(interval, square, face).then(inj[c])
 
     def collapsed(c, face):
-        start = _postcompose(to_point.dst, square, compose(face, constant([0])))
+        start = _postcompose(to_point.dst, square, compose(face, constant([0] * (dim - 1))))
         return to_point.then(start).then(inj[c])
 
     pairs = glue(edge, collapsed)
     m = len(pairs)
     E = coproduct([interval] * m)[0]
     E2 = coproduct([interval] * (2 * m))[0]
-    to_Y = {n: {} for n in range(3)}
-    fold = {n: {} for n in range(3)}
+    to_Y = {n: {} for n in range(dim + 1)}
+    fold = {n: {} for n in range(dim + 1)}
     for r, u in enumerate([f for f, _ in pairs] + [g for _, g in pairs]):
-        for n in range(3):
+        for n in range(dim + 1):
             for s, v in u.mapping[n].items():
                 to_Y[n][f"{r}:{s}"] = v
                 fold[n][f"{r}:{s}"] = f"{r % m}:{s}"
@@ -352,6 +355,20 @@ def moore_row(d):
         rim = [(c, TOP) for c in range(d)] + [(0, LEFT), (d - 1, RIGHT)]
         return pairs + [(edge(c, face), collapsed(c, face)) for c, face in rim]
     return square_grid(d, glue, Q)
+
+
+def three_torus(twisted):
+    """The 3-cube with opposite faces identified, the pair of coordinate
+    i through the swap of the square's coordinates for each i in
+    twisted: a swap reverses a square's orientation, so a twisted torus
+    has torsion where the plain one has H_3 = Z."""
+    swap = pi(Permutation.transposition(1, 2, 2))
+
+    def glue(edge, collapsed):
+        return [(edge(0, delta(i, 0, 2)),
+                 edge(0, compose(delta(i, 1, 2), swap) if i in twisted else delta(i, 1, 2)))
+                for i in (1, 2, 3)]
+    return square_grid(1, glue, QS, dim=3)
 
 
 def pinched_cube(collapse, site):
@@ -689,6 +706,120 @@ def cubical_betti(X):
 def test_homology_matches_cubical_chains_over_q(make):
     X = make()
     assert homology(X).betti() == cubical_betti(X)
+
+
+# -- cellular chains on cosymmetry orbits ------------------------------------
+
+
+CUBICAL_CORPUS = {
+    **CHAIN_CORPUS,
+    "torus-2x2": torus_2x2,
+    **{f"moore-{d}x1": (lambda d=d: moore_row(d)) for d in (2, 3, 4, 5)},
+    **{
+        f"{name}:{n}:{site}": (lambda b=build, n=n, site=site: b(n, site))
+        for name, build, ns in [
+            ("cube", representable, [4]),
+            ("boundary", lambda n, site: boundary(n, site)[0], [4]),
+            ("cap", lambda n, site: cap(n, n, 0, site)[0], [4]),
+        ]
+        for n in ns
+        for site in (Q, QS)
+    },
+    **{f"empty8:{site}": (lambda site=site: empty_presheaf(site, 8)) for site in (Q, QS)},
+    **{f"point6:{site}": (lambda site=site: terminal_presheaf(site, 6)) for site in (Q, QS)},
+    "skeleton": REALIZE_CORPUS["skeleton"],
+    "coproduct": REALIZE_CORPUS["coproduct"],
+    "three-torus": lambda: three_torus(()),
+    "three-torus-twisted-1": lambda: three_torus((1,)),
+    "three-torus-twisted-123": lambda: three_torus((1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(CUBICAL_CORPUS) - {"quotient:3:(1 2 3)"}))
+def test_cubical_chains_match_simplicial_chains(name):
+    X = CUBICAL_CORPUS[name]()
+    C = cubical_chains(X)
+    assert C is not None
+    assert homology_of_chains(C) == homology_of_chains(nondegenerate_chains(X))
+
+
+def test_orbit_signs_carry_orientation():
+    # a face glued through a swap meets its cell with the opposite sign,
+    # so only the twisted torus loses its top class to torsion
+    assert homology(three_torus(())).groups == ((1, ()), (3, ()), (3, ()), (1, ()))
+    assert homology(three_torus((1,))).groups == ((1, ()), (2, ()), (1, (2,)))
+
+
+def test_cubical_bases_are_the_orbits():
+    # the 4-cube over QSigma has 2^(4-k) C(4,k) k! nondegenerate
+    # k-sections, k! of them to an orbit, and 24 nondegenerate 4-simplices
+    assert [len(b) for b in cubical_chains(representable(4, QS)).bases.values()] \
+        == [16, 32, 24, 8, 1]
+    assert len(nondegenerate_chains(representable(4, QS)).bases[4]) == 24
+
+
+@pytest.mark.parametrize("name", ["quotient:3:(1 2 3)", "quotient:2:(1 2)"])
+def test_homology_falls_back_on_a_stabilizer(name, monkeypatch, capsys):
+    # C_3 fixes the top cell of the first with even permutations only,
+    # (1 2) the top cell of the second with an odd one
+    X = REALIZE_CORPUS[name]()
+    assert cubical_chains(X) is None
+    calls = []
+    monkeypatch.setattr(realize_module, "nondegenerate_chains",
+                        lambda Y: calls.append(Y) or nondegenerate_chains(Y))
+    assert homology(X).pretty() == "H_0 = Z"
+    assert calls == [X]
+    monkeypatch.undo()
+    assert run(["homology", name]) == 0
+    assert capsys.readouterr().out == "H_0 = Z\n"
+
+
+SIZE_FACTORS = {
+    "bd1": lambda site: boundary(1, site)[0],
+    "bd2": lambda site: boundary(2, site)[0],
+    "bd3": lambda site: boundary(3, site)[0],
+    "cube1": lambda site: representable(1, site),
+    "cube2": lambda site: representable(2, site),
+    "cap(2,1,0)": lambda site: cap(2, 1, 0, site)[0],
+    "cap(2,2,1)": lambda site: cap(2, 2, 1, site)[0],
+}
+
+
+def cell_counts(X):
+    counts = [len(b) for b in cubical_chains(X).bases.values()]
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+@pytest.mark.parametrize("site", [Q, QS])
+@pytest.mark.parametrize("left,right", [
+    ("bd1", "bd1"), ("bd2", "bd2"), ("bd1", "bd2"), ("cube1", "bd2"),
+    ("cap(2,1,0)", "bd1"), ("bd1", "bd3"), ("cube1", "cube2"), ("bd2", "cap(2,2,1)"),
+])
+def test_convolution_multiplies_cell_counts(left, right, site):
+    # the cells of X (x) Y are the products of cells, so the cubical
+    # bases multiply as polynomials: bd2 (x) bd2 has 16, 32, 16 from 4, 4
+    X, Y = SIZE_FACTORS[left](site), SIZE_FACTORS[right](site)
+    a, b = cell_counts(X), cell_counts(Y)
+    product = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+               for k in range(len(a) + len(b) - 1)]
+    assert cell_counts(convolve(X, Y).product) == product
+
+
+def test_cubical_chains_honour_limit():
+    # the 3-cube over QSigma has 8, 12, 12, 6 nondegenerate sections,
+    # charged from the top level down
+    with resource_limit(5), pytest.raises(
+        ResourceBound, match="cubical chain level 3 has 6 sections"
+    ):
+        cubical_chains(R3)
+    with resource_limit(11), pytest.raises(
+        ResourceBound, match="cubical chain level 2 has 12 sections"
+    ):
+        cubical_chains(R3)
+    with resource_limit(12):
+        assert [len(cubical_chains(R3).bases[k]) for k in range(4)] == [8, 12, 6, 1]
 
 
 # -- chains ------------------------------------------------------------------
