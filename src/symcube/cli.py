@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -169,17 +170,13 @@ def _emit_morphism(args, result) -> int:
     return 0
 
 
-def _emit_object(args, X: SkeletalPresheaf, extra: dict | None = None) -> int:
+def _emit_object(args, X: SkeletalPresheaf) -> int:
     counts = {str(n): len(X.level(n)) for n in range(X.N + 1)}
     if args.json:
-        payload = {"name": X.name, "site": str(X.site), "levels": counts}
-        payload.update(extra or {})
-        _print_json(payload)
+        _print_json({"name": X.name, "site": str(X.site), "levels": counts})
     else:
         cells = " ".join(f"{n}:{c}" for n, c in counts.items())
         print(f"{X.name} [{X.site}] {cells}")
-        for key, value in (extra or {}).items():
-            print(f"{key}: {value}")
     return 0
 
 
@@ -338,15 +335,7 @@ def _cmd_homology(args) -> int:
     X = load_spec(spec, _site(args))
     res = homology(X)
     if args.json:
-        _print_json(
-            {
-                "name": X.name,
-                "groups": [
-                    {"degree": k, "betti": b, "torsion": list(t)}
-                    for k, (b, t) in enumerate(res.groups)
-                ],
-            }
-        )
+        _print_json({"name": X.name, "groups": res.records()})
     else:
         print(res.pretty())
     return 0
@@ -554,7 +543,7 @@ def _cmd_verify_all(args) -> int:
         verify_relations(dim + 1),
         verify_ez(dim),
         verify_split_pushouts(dim + 1),
-        verify_ez_groupoid(representable(2, SiteTag.QSIGMA), 2),
+        verify_ez_groupoid(representable(2, SiteTag.QSIGMA)),
         _suite_skeletal(dim),
         verify_act_naturality(),
         _suite_convolution(dim),
@@ -738,6 +727,10 @@ def run(argv=None) -> int:
 
 
 def main():
+    # a closed stdout ends the command as it ends any Unix filter, by
+    # SIGPIPE, instead of surfacing in run() as an OSError (exit 2)
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

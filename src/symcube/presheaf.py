@@ -1140,11 +1140,11 @@ def verify_restriction_roundtrip(X: SkeletalPresheaf, k: int) -> bool:
     return True
 
 
-def verify_ez_groupoid(X: SkeletalPresheaf, max_level: int = 3) -> Report:
-    """Any two (epi, nondegenerate) decompositions of a section are
-    related by exactly one cosymmetry."""
+def verify_ez_groupoid(X: SkeletalPresheaf) -> Report:
+    """Any two (epi, nondegenerate) decompositions of a section, at
+    levels up to 3, are related by exactly one cosymmetry."""
     report = Report(f"ez-groupoid({X.name})")
-    top = min(max_level, X.N)
+    top = min(3, X.N)
     for r in range(top + 1):
         nd_by_level = {m: nondegenerate_sections(X, m) for m in range(r + 1)}
         decomps: dict[str, list[tuple[Morphism, str]]] = {

@@ -47,20 +47,12 @@ def simplices(m: int, k: int):
     return itertools.product(range(k + 2), repeat=m)
 
 
-def face_threshold(t: int, i: int) -> int:
-    return t - 1 if t > i else t
-
-
-def degeneracy_threshold(t: int, j: int) -> int:
-    return t + 1 if t > j else t
-
-
 def simplex_face(s: tuple, i: int) -> tuple:
-    return tuple(face_threshold(t, i) for t in s)
+    return tuple(t - 1 if t > i else t for t in s)
 
 
 def simplex_degeneracy(s: tuple, j: int) -> tuple:
-    return tuple(degeneracy_threshold(t, j) for t in s)
+    return tuple(t + 1 if t > j else t for t in s)
 
 
 def act_on_cube(f: Morphism, k: int):
@@ -101,23 +93,10 @@ def verify_act_naturality() -> Report:
                                     functorial = False
     report.check("action is functorial", functorial)
 
-    commutes = True
-    for m in dims:
-        for n in dims:
-            for f in enumerate_hom(m, n, SiteTag.QSIGMA):
-                for k in range(1, k_max + 1):
-                    hi, lo = act_on_cube(f, k), act_on_cube(f, k - 1)
-                    for s in simplices(m, k):
-                        for i in range(k + 1):
-                            if simplex_face(hi(s), i) != lo(simplex_face(s, i)):
-                                commutes = False
-                for k in range(k_max):
-                    lo, hi = act_on_cube(f, k), act_on_cube(f, k + 1)
-                    for s in simplices(m, k):
-                        for j in range(k + 1):
-                            if (simplex_degeneracy(lo(s), j)
-                                    != hi(simplex_degeneracy(s, j))):
-                                commutes = False
+    powers = {m: delta1_power(m, k_max) for m in dims}
+    commutes = all(_action_map(f, powers[m], powers[n]).verify_simplicial()
+                   for m in dims for n in dims
+                   for f in enumerate_hom(m, n, SiteTag.QSIGMA))
     report.check("action commutes with faces and degeneracies", commutes)
     return report
 
@@ -138,6 +117,26 @@ class SimplicialSet:
     faces: dict[tuple, dict]
     degeneracies: dict[tuple, dict]
     name: str = "S"
+
+    @classmethod
+    def of_members(cls, members: list, name_of, name: str) -> SimplicialSet:
+        """Level k lists the ids of members[k] in order.  Each id names a
+        member (*tag, s), s a k-simplex of an interval power; faces and
+        degeneracies act on s, and name_of(*tag, s, k) is the id of the
+        member (*tag, s) of level k."""
+        def table(k, op, j, to):
+            return {sid: name_of(*tag, op(s, j), to)
+                    for sid, (*tag, s) in members[k].items()}
+
+        K = len(members) - 1
+        return cls(
+            K, {k: tuple(level) for k, level in enumerate(members)},
+            {(k, i): table(k, simplex_face, i, k - 1)
+             for k in range(1, K + 1) for i in range(k + 1)},
+            {(k, j): table(k, simplex_degeneracy, j, k + 1)
+             for k in range(K) for j in range(k + 1)},
+            name,
+        )
 
     def face(self, k: int, i: int, s: str) -> str:
         return self.faces[(k, i)][s]
@@ -205,23 +204,17 @@ def _threshold_id(s: tuple) -> str:
 
 def delta1_power(m: int, K: int) -> SimplicialSet:
     """The m-fold interval power as an explicit simplicial set."""
-    levels = {k: tuple(_threshold_id(s) for s in simplices(m, k))
-              for k in range(K + 1)}
-    faces = {}
-    degeneracies = {}
-    for k in range(1, K + 1):
-        for i in range(k + 1):
-            faces[(k, i)] = {
-                _threshold_id(s): _threshold_id(simplex_face(s, i))
-                for s in simplices(m, k)
-            }
-    for k in range(K):
-        for j in range(k + 1):
-            degeneracies[(k, j)] = {
-                _threshold_id(s): _threshold_id(simplex_degeneracy(s, j))
-                for s in simplices(m, k)
-            }
-    return SimplicialSet(K, levels, faces, degeneracies, name=f"D1^{m}")
+    members = [{_threshold_id(s): (s,) for s in simplices(m, k)} for k in range(K + 1)]
+    return SimplicialSet.of_members(members, lambda s, k: _threshold_id(s), f"D1^{m}")
+
+
+def _action_map(f: Morphism, src: SimplicialSet, dst: SimplicialSet) -> SimplicialMap:
+    """The action of f from delta1_power(f.src, K) to delta1_power(f.dst, K)."""
+    mapping = {}
+    for k in range(src.K + 1):
+        act = act_on_cube(f, k)
+        mapping[k] = {_threshold_id(s): _threshold_id(act(s)) for s in simplices(f.src, k)}
+    return SimplicialMap(src, dst, mapping)
 
 
 @dataclass
@@ -269,27 +262,9 @@ def realize(X: SkeletalPresheaf) -> SimplicialSet:
     """
     K = X.N + 1
     forms = _NormalForms(X)
-    reps = []
-    for k in range(K + 1):
-        size = sum(len(xs) * k ** n for n, xs in forms.nondegenerate.items())
-        charge(size, f"realization level {k} has {size} members")
-        reps.append(dict(forms.normal(n, x, s, k) for n, x, s in forms.cells(k)))
-    levels = {k: tuple(sorted(reps[k])) for k in range(K + 1)}
-    faces = {}
-    degeneracies = {}
-    for k in range(1, K + 1):
-        for i in range(k + 1):
-            faces[(k, i)] = {
-                cid: forms.normal(n, x, simplex_face(s, i), k - 1)[0]
-                for cid, (n, x, s) in reps[k].items()
-            }
-    for k in range(K):
-        for j in range(k + 1):
-            degeneracies[(k, j)] = {
-                cid: forms.normal(n, x, simplex_degeneracy(s, j), k + 1)[0]
-                for cid, (n, x, s) in reps[k].items()
-            }
-    S = SimplicialSet(K, levels, faces, degeneracies, name=f"|{X.name}|")
+    members = [dict(sorted(forms.classes(k).items())) for k in range(K + 1)]
+    S = SimplicialSet.of_members(members, lambda n, x, s, k: forms.normal(n, x, s, k)[0],
+                                 f"|{X.name}|")
     if S.nondegenerate(K):
         raise SymcubeError(f"top realization level of {X.name} not degenerate")
     return S
@@ -307,10 +282,8 @@ def realize_map(u: PresheafMap) -> SimplicialMap:
     S_src, S_dst = realize(u.src), realize(u.dst)
     src, dst = _NormalForms(u.src), _NormalForms(u.dst)
     mapping = {
-        k: {
-            src.normal(n, x, s, k)[0]: dst.normal(n, u.mapping[n][x], s, k)[0]
-            for n, x, s in src.cells(k)
-        }
+        k: {cid: dst.normal(n, u.mapping[n][x], s, k)[0]
+            for cid, (n, x, s) in src.classes(k).items()}
         for k in range(S_src.K + 1)
     }
     return SimplicialMap(S_src, S_dst, mapping)
@@ -348,13 +321,21 @@ class _NormalForms:
                     least, [line for tab, line in orbit if tab[y] == least]
                 )
 
-    def cells(self, k: int):
-        """The members of level k in normal form, each class at least
-        once: len(nondegenerate[n]) * k**n of them at each n."""
-        for n, xs in self.nondegenerate.items():
-            for s in itertools.product(range(1, k + 1), repeat=n):
-                for x in xs:
-                    yield n, x, s
+    def classes(self, k: int, onto: bool = False) -> dict:
+        """{class id: least member} of level k, from the normal forms
+        (n, x, s) with s in 1..k: all of them, len(nondegenerate[n]) *
+        k**n at each n, or with onto only those whose s takes every
+        value, the nondegenerate simplices, len(nondegenerate[n]) *
+        _onto(n, k) at each n.  Their count is charged to the resource
+        limit first."""
+        size = sum(len(xs) * (_onto(n, k) if onto else k ** n)
+                   for n, xs in self.nondegenerate.items())
+        charge(size, f"{'chain' if onto else 'realization'} level {k} has {size} members")
+        return dict(self.normal(n, x, s, k)
+                    for n, xs in self.nondegenerate.items() if not (onto and n < k)
+                    for s in itertools.product(range(1, k + 1), repeat=n)
+                    if not onto or len(set(s)) == k
+                    for x in xs)
 
     def _face(self, pattern: tuple) -> Morphism:
         # pattern holds a bit per constant coordinate, None per free one
@@ -423,25 +404,23 @@ class ChainComplex:
         return True
 
 
-def _chain_complex(bases: dict, face, name: str) -> ChainComplex:
-    """The boundary columns on nondegenerate bases, face(k, i, s)
-    naming the i-th face of s; a face off the basis is degenerate and
-    drops, and so does a coefficient that cancels."""
+def _chain_complex(bases: dict, boundary, name: str) -> ChainComplex:
+    """The chains on bases, boundary(k, s) giving the (member,
+    coefficient) terms of the boundary of s in bases[k]; a member off
+    bases[k - 1] is degenerate and drops, and so does a coefficient that
+    cancels.  Raises unless the boundary squares to zero."""
     columns = {}
     for k in range(1, max(bases) + 1):
         index = {s: r for r, s in enumerate(bases[k - 1])}
         columns[k] = []
         for s in bases[k]:
             col: dict[int, int] = {}
-            for i in range(k + 1):
-                r = index.get(face(k, i, s))
+            for member, v in boundary(k, s):
+                r = index.get(member)
                 if r is not None:
-                    col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+                    col[r] = col.get(r, 0) + v
             columns[k].append({r: v for r, v in col.items() if v})
-    return _checked(ChainComplex(bases, columns), name)
-
-
-def _checked(C: ChainComplex, name: str) -> ChainComplex:
+    C = ChainComplex(bases, columns)
     if not C.verify_square_zero():
         raise SymcubeError(f"boundary of {name} does not square to zero")
     return C
@@ -449,7 +428,8 @@ def _checked(C: ChainComplex, name: str) -> ChainComplex:
 
 def normalized_chains(S: SimplicialSet) -> ChainComplex:
     bases = {k: S.nondegenerate(k) for k in range(S.K + 1)}
-    return _chain_complex(bases, S.face, S.name)
+    return _chain_complex(
+        bases, lambda k, s: ((S.face(k, i, s), (-1) ** i) for i in range(k + 1)), S.name)
 
 
 def _onto(m: int, k: int) -> int:
@@ -470,27 +450,15 @@ def nondegenerate_chains(X: SkeletalPresheaf) -> ChainComplex:
     before it is built.
     """
     forms = _NormalForms(X)
-    reps = []
-    for k in range(X.N + 2):
-        size = sum(len(ys) * _onto(m, k) for m, ys in forms.nondegenerate.items())
-        charge(size, f"chain level {k} has {size} members")
-        level = {}
-        for m, ys in forms.nondegenerate.items():
-            if k > m:  # no simplex of m coordinates takes k > m values
-                continue
-            for t in itertools.product(range(1, k + 1), repeat=m):
-                if len(set(t)) == k:
-                    for y in ys:
-                        cid, rep = forms.normal(m, y, t, k)
-                        level.setdefault(cid, rep)
-        reps.append(level)
+    reps = [forms.classes(k, onto=True) for k in range(X.N + 2)]
 
-    def face(k, i, cid):
+    def boundary(k, cid):
         m, y, t = reps[k][cid]
-        return forms.normal(m, y, simplex_face(t, i), k - 1)[0]
+        return ((forms.normal(m, y, simplex_face(t, i), k - 1)[0], (-1) ** i)
+                for i in range(k + 1))
 
     bases = {k: tuple(sorted(level)) for k, level in enumerate(reps)}
-    return _chain_complex(bases, face, f"|{X.name}|")
+    return _chain_complex(bases, boundary, f"|{X.name}|")
 
 
 def cubical_chains(X: SkeletalPresheaf) -> ChainComplex | None:
@@ -510,34 +478,33 @@ def cubical_chains(X: SkeletalPresheaf) -> ChainComplex | None:
     first, each charging its nondegenerate sections before its walk.
     """
     bases: dict[int, list] = {n: [] for n in range(X.N + 1)}
-    columns: dict[int, list] = {n: [] for n in range(1, X.N + 1)}
+    cells: dict[int, dict] = {}  # per level: member -> (basis element, sign)
     for n in reversed(bases):
         xs = nondegenerate_sections(X, n)
         charge(len(xs), f"cubical chain level {n} has {len(xs)} sections")
         swaps = [X.action[pi(Permutation.transposition(i, i + 1, n))]
                  for i in range(1, n)] if X.site is SiteTag.QSIGMA else []
-        cells: dict[str, tuple[int, int]] = {}  # member -> (orbit, sign)
+        cells[n] = level = {}
         for x in xs:
-            if x not in cells:
-                cells[x], orbit = (len(bases[n]), 1), [x]
+            if x not in level:
+                level[x], orbit = (x, 1), [x]
                 for y in orbit:  # grows as the swaps reach new members
                     for tab in swaps:
-                        if tab[y] not in cells:
-                            cells[tab[y]] = (cells[y][0], -cells[y][1])
+                        if tab[y] not in level:
+                            level[tab[y]] = (x, -level[y][1])
                             orbit.append(tab[y])
                 if len(orbit) != (math.factorial(n) if swaps else 1):
                     return None
                 bases[n].append(x)
-        faces = [(X.action[delta(i, eps, n)], (-1) ** (i + eps + 1))
-                 for i in range(1, n + 2) for eps in (0, 1) if n < X.N]
-        for x in bases.get(n + 1, ()):
-            col: dict[int, int] = {}
-            for tab, sign in faces:
-                if (hit := cells.get(tab[x])) is not None:
-                    col[hit[0]] = col.get(hit[0], 0) + sign * hit[1]
-            columns[n + 1].append({r: v for r, v in col.items() if v})
-    C = ChainComplex({n: tuple(b) for n, b in bases.items()}, columns)
-    return _checked(C, f"|{X.name}|")
+    faces = {n: [(X.action[delta(i, eps, n - 1)], (-1) ** (i + eps + 1))
+                 for i in range(1, n + 1) for eps in (0, 1)] for n in range(1, X.N + 1)}
+
+    def boundary(n, x):
+        for tab, sign in faces[n]:
+            if (hit := cells[n - 1].get(tab[x])) is not None:
+                yield hit[0], sign * hit[1]
+
+    return _chain_complex({n: tuple(b) for n, b in bases.items()}, boundary, f"|{X.name}|")
 
 
 def smith_normal_form(M: list) -> tuple:
@@ -784,11 +751,12 @@ class HomologyResult:
             lines.append(f"H_{k} = " + (" + ".join(parts) if parts else "0"))
         return "\n".join(lines)
 
+    def records(self) -> list:
+        return [{"degree": k, "betti": b, "torsion": list(t)}
+                for k, (b, t) in enumerate(self.groups)]
+
     def to_json(self) -> str:
-        return json.dumps(
-            [{"degree": k, "betti": b, "torsion": list(t)}
-             for k, (b, t) in enumerate(self.groups)]
-        )
+        return json.dumps(self.records())
 
 
 def homology_of_chains(C: ChainComplex) -> HomologyResult:
@@ -831,7 +799,7 @@ def verify_cubical_monoid_delta1(up_to_level: int) -> Report:
     report = Report(f"interval monoid to level {up_to_level}")
     if up_to_level < 0:
         raise InputError("negative level bound")
-    assoc = unit = absorb = natural = True
+    assoc = unit = absorb = True
     for k in range(up_to_level + 1):
         one, zero = 0, k + 1  # thresholds of the constant maps
         ts = range(k + 2)
@@ -844,21 +812,11 @@ def verify_cubical_monoid_delta1(up_to_level: int) -> Report:
                 for c in ts:
                     if max(max(a, b), c) != max(a, max(b, c)):
                         assoc = False
-        if k >= 1:
-            for a in ts:
-                for b in ts:
-                    for i in range(k + 1):
-                        lhs = face_threshold(max(a, b), i)
-                        if lhs != max(face_threshold(a, i),
-                                      face_threshold(b, i)):
-                            natural = False
-        for a in ts:
-            for b in ts:
-                for j in range(k + 1):
-                    lhs = degeneracy_threshold(max(a, b), j)
-                    if lhs != max(degeneracy_threshold(a, j),
-                                  degeneracy_threshold(b, j)):
-                        natural = False
+    # the multiplication is the action of (x1^x2):2->1, checked to the
+    # level its degeneracies from level up_to_level reach
+    top = up_to_level + 1
+    natural = _action_map(Morphism(2, 1, [Conj((1, 2))]), delta1_power(2, top),
+                          delta1_power(1, top)).verify_simplicial()
     report.check("multiplication associative", assoc)
     report.check("endpoint 1 a two-sided unit", unit)
     report.check("endpoint 0 absorbing", absorb)

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from symcube.cli import _suite_symmetrization, build_parser, run
 from symcube.presheaf import (boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf,
                               terminal_presheaf)
 from symcube.site import SiteTag
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(capsys, *argv):
@@ -314,6 +318,30 @@ def test_homology_json(capsys):
     ]
 
 
+def test_homology_json_text_with_torsion(capsys):
+    # M(Z/2, 1) from two squares, the grid moore2x1 of perfbench
+    code, out = invoke(capsys, "--json", "homology", "--file", str(DATA / "moore2x1.cub"))
+    assert code == 0
+    assert out == """{
+  "groups": [
+    {
+      "betti": 1,
+      "degree": 0,
+      "torsion": []
+    },
+    {
+      "betti": 0,
+      "degree": 1,
+      "torsion": [
+        2
+      ]
+    }
+  ],
+  "name": "moore2x1"
+}
+"""
+
+
 def test_presheaf_file_roundtrip(tmp_path):
     from symcube.presheaf import loads_presheaf
 
@@ -458,6 +486,21 @@ def test_module_invocation_exit_codes():
         [sys.executable, "-m", "symcube.cli"], capture_output=True, text=True
     )
     assert bad.returncode == 2
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # the reader is gone before the command writes its first line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcube.cli", "enum-hom", "3", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 2
+    assert "input error" not in proc.stderr
 
 
 def test_morphism_contracts_hold_without_asserts():

@@ -34,6 +34,7 @@ from symcube.presheaf import (
 )
 from symcube.realize import (
     ChainComplex,
+    SimplicialMap,
     _chain_complex,
     _NormalForms,
     act_on_cube,
@@ -130,6 +131,23 @@ def test_act_naturality_report():
     assert verify_act_naturality().ok
 
 
+def test_act_naturality_catches_a_misplaced_constant(monkeypatch):
+    # on 1-simplices a constant goes to the other end, so the faces of a
+    # 2-simplex's image are not the images of its faces
+    act_on_cube = realize_module.act_on_cube
+
+    def misplaced(f, k):
+        act = act_on_cube(f, k)
+        if k != 1:
+            return act
+        return lambda s: tuple(k + 1 - t if isinstance(e, Const) else t
+                               for e, t in zip(f.entries, act(s)))
+
+    monkeypatch.setattr(realize_module, "act_on_cube", misplaced)
+    failing = [entry.label for entry in verify_act_naturality().failures]
+    assert "action commutes with faces and degeneracies" in failing
+
+
 # -- explicit interval powers ------------------------------------------------
 
 
@@ -137,6 +155,18 @@ def test_delta1_power_sizes():
     D = delta1_power(2, 3)
     assert [len(D.levels[k]) for k in range(4)] == [4, 9, 16, 25]
     assert D.verify_identities().ok
+
+
+def test_simplicial_map_check_catches_a_broken_face():
+    # the diagonal of the interval into the square, with the edge (1)
+    # sent to (1, 2): d1 still lands on the diagonal vertex, d0 does not
+    line, square = delta1_power(1, 2), delta1_power(2, 2)
+    mapping = {k: {s: ",".join([s] * 2) for s in line.levels[k]} for k in range(3)}
+    assert SimplicialMap(line, square, mapping).verify_simplicial()
+    mapping[1]["1"] = "1,2"
+    assert square.face(1, 1, "1,2") == mapping[0][line.face(1, 1, "1")]
+    assert square.face(1, 0, "1,2") != mapping[0][line.face(1, 0, "1")]
+    assert not SimplicialMap(line, square, mapping).verify_simplicial()
 
 
 def test_delta1_power_nondegenerate_counts():
@@ -632,10 +662,13 @@ def test_chain_complex_rejects_a_wrong_face():
     def face(k, i, s):
         return S.face(k, {0: 1, 1: 0}.get(i, i) if k == 2 else i, s)
 
+    def boundary(k, s):
+        return ((face(k, i, s), (-1) ** i) for i in range(k + 1))
+
     bases = {k: S.nondegenerate(k) for k in range(S.K + 1)}
     assert not dense_square_zero(oracle_dense_chains(bases, face))
     with pytest.raises(SymcubeError, match="does not square to zero"):
-        _chain_complex(bases, face, S.name)
+        _chain_complex(bases, boundary, S.name)
 
 
 def test_nondegenerate_chains_honour_limit():
