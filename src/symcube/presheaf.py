@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from operator import itemgetter
 
 from .errors import (
     BadDimension,
@@ -108,6 +109,12 @@ def _least_cosymmetric(epi: Morphism, site: SiteTag) -> tuple[str, Permutation]:
     return arrow, Permutation([i + 1 for i in order])
 
 
+def _take(seq, keys) -> tuple:
+    """seq read at each of keys, as a tuple built in C; itemgetter needs
+    a key and returns a bare item for one."""
+    return itemgetter(*keys)(seq) if len(keys) > 1 else tuple(seq[k] for k in keys)
+
+
 class SkeletalPresheaf:
     """Levels of section ids plus generator actions, denoting the left
     Kan extension of the stored truncation."""
@@ -123,6 +130,7 @@ class SkeletalPresheaf:
         self._tables: dict[Morphism, dict[str, str]] = {}
         self._words: dict[tuple[Morphism, ...] | Morphism, tuple[int, ...]] = {}
         self._ez_levels: dict[int, dict[str, tuple[Morphism, str]]] = {}
+        self._reaches: dict[int, dict[str, tuple[str, Morphism]]] = {}
         self._check_structure()
 
     def _check_structure(self):
@@ -162,7 +170,7 @@ class SkeletalPresheaf:
             raise TruncationMismatch(f"{f} exceeds stored levels of {self.name}")
         cached = self._tables.get(f)
         if cached is None:
-            images = map(self.levels[f.src].__getitem__, self._positions(f))
+            images = _take(self.levels[f.src], self._positions(f))
             cached = self._tables[f] = dict(zip(self.levels[f.dst], images))
         return cached
 
@@ -185,10 +193,9 @@ class SkeletalPresheaf:
             g = word[-1]
             if len(word) == 1:
                 at = {x: p for p, x in enumerate(self.levels[g.src])}
-                got = tuple(map(at.__getitem__, map(self.action[g].__getitem__,
-                                                    self.levels[g.dst])))
+                got = _take(at, _take(self.action[g], self.levels[g.dst]))
             else:
-                got = tuple(map(self._word((g,)).__getitem__, self._word(word[:-1])))
+                got = _take(self._word((g,)), self._word(word[:-1]))
             self._words[word] = got
         return got
 
@@ -197,53 +204,56 @@ class SkeletalPresheaf:
 
     # -- EZ decomposition ---------------------------------------------------
 
-    def _ez_level(self, n: int) -> dict[str, tuple[Morphism, str]]:
-        """Level n of the EZ table in level order, built once after the
-        levels below from the stored generators alone.
-
-        An epi generator g: [n] -> [n-1] sends a section y with pair
-        (e2, z) to g*y with pair (e2 o g, z), and a swap s sends a reached
-        section x with pair (e, z) to s*x with pair (e o s, z).  Every
-        corank-one epi is an epi generator after a cosymmetry, so the
-        swaps close the generators' images to exactly the sections that
-        some corank-one epi reaches; the twisted collapses, such as the
-        section (x2^x1):2->1 of the extended interval, come in by a swap.
-        The sections never reached are the nondegenerate ones, each
-        paired with the identity.
-        """
-        got = self._ez_levels.get(n)
+    def _reach(self, n: int) -> dict[str, tuple[str, Morphism]]:
+        """The degenerate sections of level n, each with the section and
+        generator that first reached it, from the stored generators alone:
+        the images of the epi generators g: [n] -> [n-1], closed under the
+        swaps.  Every corank-one epi is an epi generator after a
+        cosymmetry, so these are the sections that some corank-one epi
+        reaches; the twisted collapses, such as the section (x2^x1):2->1 of
+        the extended interval, come in by a swap."""
+        got = self._reaches.get(n)
         if got is None:
-            reached: dict[str, tuple[Morphism, str]] = {}
-            swaps = []
-            if n > 0:
-                below = self._ez_level(n - 1)
-                for _, g in generator_morphisms(self.site, n):
-                    if g.src == n > g.dst:
-                        for y, x in self.action[g].items():
-                            if x not in reached:
-                                e2, z = below[y]
-                                reached[x] = (compose(e2, g), z)
-                    elif g.src == n:
-                        swaps.append((g, self.action[g]))
-            frontier = list(reached)
+            got, swaps = {}, []
+            for _, g in generator_morphisms(self.site, n):
+                if g.src == n > g.dst:
+                    for y, x in self.action[g].items():
+                        got.setdefault(x, (y, g))
+                elif g.src == n:
+                    swaps.append((g, self.action[g]))
+            frontier = list(got)
             for x in frontier:  # grows as the swaps reach new sections
-                e, z = reached[x]
                 for s, tab in swaps:
-                    if tab[x] not in reached:
-                        reached[tab[x]] = (compose(e, s), z)
+                    if tab[x] not in got:
+                        got[tab[x]] = (x, s)
                         frontier.append(tab[x])
-            ident = identity(n)
-            got = self._ez_levels[n] = {x: reached.get(x) or (ident, x)
-                                        for x in self.level(n)}
+            self._reaches[n] = got
         return got
+
+    def _ez_level(self, n: int) -> dict[str, tuple[Morphism, str]]:
+        """Level n of the EZ table, in level order."""
+        return {x: self.ez_decompose(n, x) for x in self.level(n)}
 
     def ez_decompose(self, n: int, x: str) -> tuple[Morphism, str]:
         """The section x of level n as (epi, y): y is nondegenerate at
-        level epi.dst and act(epi)(y) = x."""
-        return self._ez_level(n)[x]
+        level epi.dst and act(epi)(y) = x.  A section reached as g*y,
+        y with pair (e, z), has pair (e o g, z), composed once when first
+        asked for; a nondegenerate one is paired with the identity."""
+        pairs = self._ez_levels.setdefault(n, {})
+        got = pairs.get(x)
+        if got is None:
+            reach = self._reach(n)
+            if x in reach:
+                y, g = reach[x]
+                e, z = self.ez_decompose(g.dst, y)
+                got = (compose(e, g), z)
+            else:
+                got = (identity(n), x)
+            pairs[x] = got
+        return got
 
     def is_nondegenerate(self, n: int, x: str) -> bool:
-        return self.ez_decompose(n, x)[0].dst == n
+        return x not in self._reach(n)
 
     # -- skeletal extension -------------------------------------------------
 
@@ -584,7 +594,8 @@ def _map_id(u: PresheafMap) -> str:
 
 def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[str]:
     """The ids of the nondegenerate sections of level k, in level order."""
-    return [x for x in X.level(k) if X.is_nondegenerate(k, x)]
+    reach = X._reach(k)
+    return [x for x in X.level(k) if x not in reach]
 
 
 # -- hom-sets ----------------------------------------------------------------
@@ -1193,14 +1204,27 @@ def verify_functorial(X: SkeletalPresheaf) -> Report:
     words = sum(by_src[g.dst] * (1 + by_dst[g.src]) for g in gens)
     charge(words, f"functoriality audit of {X.name} checks {words} generator words")
 
-    pairs = [(g1, g2) for g1, g2 in itertools.product(gens, repeat=2) if g1.src == g2.dst]
-    triples = ((*pair, g3) for pair in pairs for g3 in gens if pair[1].src == g3.dst)
-    for word in itertools.chain(pairs, triples):
+    def holds(word) -> bool:
         # the last step is taken from the word's memoised prefix; the word is not kept
-        ok = not X.levels[word[0].dst] or (
-            tuple(map(X._word(word[-1:]).__getitem__, X._word(word[:-1])))
+        return not X.levels[word[0].dst] or (
+            _take(X._word(word[-1:]), X._word(word[:-1]))
             == X._positions(reduce(compose, word)))
-        report.check(" o ".join(name_of[g] for g in word), ok)
+
+    # a passing pair on a nonempty level acts as its composite h, so the
+    # verdict of each of its triples depends on (h, g3) alone
+    composite, shared = {}, {}
+    for g1, g2 in itertools.product(gens, repeat=2):
+        if g1.src == g2.dst:
+            report.check(f"{name_of[g1]} o {name_of[g2]}", ok := holds((g1, g2)))
+            composite[g1, g2] = ok and X.levels[g1.dst] and compose(g1, g2)
+    for (g1, g2), h in composite.items():
+        for g3 in gens:
+            if g2.src == g3.dst:
+                if not h:
+                    ok = holds((g1, g2, g3))
+                elif (ok := shared.get((h, g3))) is None:
+                    ok = shared[h, g3] = holds((g1, g2, g3))
+                report.check(f"{name_of[g1]} o {name_of[g2]} o {name_of[g3]}", ok)
     return report
 
 
@@ -1253,6 +1277,8 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                 parse_generator_name(gname, site_tag): dict(table)
                 for gname, table in data["action"].items()
             }
+            if not all(isinstance(v, str) for t in action.values() for v in t.values()):
+                raise TypeError("an action must send section ids to section ids")
         else:
             site_tag, N = None, None
             levels, action = {}, {}
@@ -1266,7 +1292,7 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                     if current is None:
                         raise InputError(f"action pair outside a block: {stripped!r}")
                     x, _, v = stripped.partition(" -> ")
-                    action[current][x.strip()] = v.strip()
+                    current[x.strip()] = v.strip()
                 elif stripped.startswith("site:"):
                     site_tag = SiteTag.parse(stripped.split(":", 1)[1])
                 elif stripped.startswith("truncation:"):
@@ -1278,8 +1304,8 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                 elif stripped.endswith(":"):
                     if site_tag is None:
                         raise InputError("generator block before site header")
-                    current = parse_generator_name(stripped[:-1], site_tag)
-                    action.setdefault(current, {})
+                    g = parse_generator_name(stripped[:-1], site_tag)
+                    current = action.setdefault(g, {})
                 else:
                     raise InputError(f"cannot parse line {stripped!r}")
             if site_tag is None or N is None:

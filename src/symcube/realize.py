@@ -260,14 +260,7 @@ def realize(X: SkeletalPresheaf) -> SimplicialSet:
     Each level's count of normal-form members is charged to the
     resource limit before it is built.
     """
-    K = X.N + 1
-    forms = _NormalForms(X)
-    members = [dict(sorted(forms.classes(k).items())) for k in range(K + 1)]
-    S = SimplicialSet.of_members(members, lambda n, x, s, k: forms.normal(n, x, s, k)[0],
-                                 f"|{X.name}|")
-    if S.nondegenerate(K):
-        raise SymcubeError(f"top realization level of {X.name} not degenerate")
-    return S
+    return _NormalForms(X).realization()[0]
 
 
 def realize_map(u: PresheafMap) -> SimplicialMap:
@@ -279,12 +272,12 @@ def realize_map(u: PresheafMap) -> SimplicialMap:
         raise SymcubeError(
             f"cannot realize the non-natural map {u.src.name} -> {u.dst.name}"
         )
-    S_src, S_dst = realize(u.src), realize(u.dst)
     src, dst = _NormalForms(u.src), _NormalForms(u.dst)
+    (S_src, members), (S_dst, _) = src.realization(), dst.realization()
     mapping = {
         k: {cid: dst.normal(n, u.mapping[n][x], s, k)[0]
-            for cid, (n, x, s) in src.classes(k).items()}
-        for k in range(S_src.K + 1)
+            for cid, (n, x, s) in level.items()}
+        for k, level in enumerate(members)
     }
     return SimplicialMap(S_src, S_dst, mapping)
 
@@ -320,6 +313,16 @@ class _NormalForms:
                 self._cosets[m, y] = (
                     least, [line for tab, line in orbit if tab[y] == least]
                 )
+
+    def realization(self) -> tuple[SimplicialSet, list[dict]]:
+        """realize(X), and the {class id: least member} of each level."""
+        K = self.X.N + 1
+        members = [dict(sorted(self.classes(k).items())) for k in range(K + 1)]
+        S = SimplicialSet.of_members(members, lambda n, x, s, k: self.normal(n, x, s, k)[0],
+                                     f"|{self.X.name}|")
+        if S.nondegenerate(K):
+            raise SymcubeError(f"top realization level of {self.X.name} not degenerate")
+        return S, members
 
     def classes(self, k: int, onto: bool = False) -> dict:
         """{class id: least member} of level k, from the normal forms
@@ -361,12 +364,12 @@ class _NormalForms:
             x = self.X.act(d, x)
             s = tuple(t for t in s if 0 < t < top)
             n = len(s)
-        epi, y = self.X.ez_decompose(n, x)
-        if epi.dst < n:
-            s = act_on_cube(epi, k)(s)
-        least, lines = self._cosets[epi.dst, y]
+        if not self.X.is_nondegenerate(n, x):
+            epi, x = self.X.ez_decompose(n, x)
+            s, n = act_on_cube(epi, k)(s), epi.dst
+        least, lines = self._cosets[n, x]
         best = min(tuple(s[i] for i in line) for line in lines)
-        return f"{least}@{_threshold_id(best)}", (epi.dst, least, best)
+        return f"{least}@{_threshold_id(best)}", (n, least, best)
 
 
 # -- chains and homology -----------------------------------------------------

@@ -357,6 +357,16 @@ def _without_truncation(X):
     return json.dumps(data)
 
 
+def _json_image(value):
+    # the first entry of a face block sent to a list or an object
+    def spoil(X):
+        data = json.loads(dumps_presheaf_json(X))
+        table = data["action"]["delta(1,0,0)"]
+        table[next(iter(table))] = value
+        return json.dumps(data)
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -366,9 +376,12 @@ def _without_truncation(X):
         # a string level would otherwise split into one-character ids
         lambda X: '{"site":"Q","truncation":0,"levels":{"0":"ab"},"action":{}}',
         lambda X: dumps_presheaf(X).replace("truncation: 1", "level 5: z\ntruncation: 1"),
+        _json_image(["a"]),
+        _json_image({"b": "a"}),
     ],
     ids=["json-missing-key", "json-truncated", "text-bad-truncation",
-         "json-string-level", "text-level-above-truncation"],
+         "json-string-level", "text-level-above-truncation", "json-list-image",
+         "json-object-image"],
 )
 def test_malformed_presheaf_file_is_input_error(tmp_path, capsys, spoil):
     path = tmp_path / "bad.cub"

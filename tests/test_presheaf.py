@@ -6,6 +6,7 @@ import itertools
 import json
 from functools import cache
 import hashlib
+from pathlib import Path
 import subprocess
 import sys
 import time
@@ -89,6 +90,7 @@ from symcube.site import (
 
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
+DATA = Path(__file__).parent / "data"
 
 C0 = representable(0, QS)
 C1 = representable(1, QS)
@@ -1096,6 +1098,17 @@ EXTENSION_CORPUS = [
 ]
 
 
+def test_nondegenerate_sections_are_those_no_corank_one_epi_reaches():
+    from test_realize import CHAIN_CORPUS
+
+    corpus = [X for X, _ in EXTENSION_CORPUS] + [make() for make in CHAIN_CORPUS.values()]
+    for X in corpus:
+        for k in range(X.N + 1):
+            hom_route = oracle_ez_level(X, k)
+            assert nondegenerate_sections(X, k) == [
+                x for x in X.level(k) if hom_route[x][0].dst == k]
+
+
 def test_extension_methods_agree_on_corpus():
     for X, n in EXTENSION_CORPUS:
         assert extension_methods_agree(X, n)
@@ -1327,12 +1340,23 @@ def test_functoriality_audit_matches_the_oracle_entry_for_entry(name):
 
 
 @pytest.mark.parametrize("X", [representable(3, QS), QUOT.extend_to(3),
-                               representable(3, Q), boundary(3, Q)[0]],
-                         ids=["QSigma-cube3", "QUOT^3", "Q-cube3", "Q-boundary3"])
+                               representable(3, Q), boundary(3, Q)[0],
+                               # levels of no section and of one section
+                               empty_presheaf(QS, 3), terminal_presheaf(QS, 3),
+                               loads_presheaf((DATA / "moore2x1.cub").read_text())],
+                         ids=["QSigma-cube3", "QUOT^3", "Q-cube3", "Q-boundary3",
+                              "QSigma-empty3", "QSigma-point3", "moore2x1"])
 def test_table_is_the_walk_of_the_normal_form(X):
-    for a, b in itertools.product(range(4), repeat=2):
+    for a, b in itertools.product(range(X.N + 1), repeat=2):
         for f in enumerate_hom(a, b, X.site):
             assert X.table(f) == walk_table(X, f), f
+
+
+def redirected(X, g, x, v):
+    """X with the entry of x in the block of g sent to v."""
+    action = {h: dict(table) for h, table in X.action.items()}
+    action[g][x] = v
+    return SkeletalPresheaf(X.site, X.N, X.levels, action, X.name)
 
 
 @st.composite
@@ -1340,13 +1364,12 @@ def redirected_actions(draw):
     """A corpus presheaf with one entry of one generator block sent to
     another section of the same level: still well formed, but it may
     break a relation."""
-    X = draw(st.sampled_from([C1, BD2, QUOT, representable(1, Q), boundary(2, Q)[0]]))
+    X = draw(st.sampled_from([C1, BD2, QUOT, representable(2, QS), representable(1, Q),
+                              boundary(2, Q)[0]]))
     g = draw(st.sampled_from([g for _, g in generator_morphisms(X.site, X.N)]))
     x = draw(st.sampled_from(X.level(g.dst)))
     v = draw(st.sampled_from(X.level(g.src)))
-    action = {h: dict(table) for h, table in X.action.items()}
-    action[g][x] = v
-    return SkeletalPresheaf(X.site, X.N, X.levels, action, X.name)
+    return redirected(X, g, x, v)
 
 
 @given(redirected_actions())
@@ -1360,6 +1383,19 @@ def test_redirected_action_is_judged_as_the_oracle_judges_it(X):
         with pytest.raises(InputError) as err:
             loads_presheaf(dumps_presheaf(X))
         assert str(err.value) == f"relation violated by action: {want.failures[0].label}"
+
+
+def test_a_failing_prefix_shares_no_verdict():
+    # sigma(1,0) o delta(1,0,0) fails and sigma(1,0) o delta(1,1,0) passes,
+    # both composing to the identity of [0], so their triples ending in
+    # the same letter share a composite but not a verdict
+    X = redirected(C1, delta(1, 0, 0), "(0):1->1", "(1):0->1")
+    report = verify_functorial(X)
+    assert report.entries == oracle_verify_functorial(X).entries
+    ok = {entry.label: entry.ok for entry in report.entries}
+    assert not ok["sigma(1,0) o delta(1,0,0)"] and ok["sigma(1,0) o delta(1,1,0)"]
+    assert not ok["sigma(1,0) o delta(1,0,0) o sigma(1,0)"]
+    assert ok["sigma(1,0) o delta(1,1,0) o sigma(1,0)"]
 
 
 def test_audit_reads_no_normal_form_on_empty_levels(monkeypatch):

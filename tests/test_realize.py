@@ -464,6 +464,24 @@ def test_realize_map_matches_union_find_oracle(make):
     assert rm.verify_simplicial()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_realize_map_lists_each_level_once(monkeypatch, n):
+    # one set of normal forms per end serves both its realization and
+    # the class map, so realize_map charges what realizing the two ends
+    # charges: each realization level of each end, once
+    log = []
+    monkeypatch.setattr(realize_module, "charge", lambda count, what: log.append(what))
+    for u in (boundary(n, QS)[1], cap(n, 1, 0, Q)[1]):
+        log.clear()
+        realize(u.src), realize(u.dst)
+        want = list(log)
+        log.clear()
+        realize_map(u)
+        assert log == want
+        assert [what.split(" has ")[0] for what in want] == [
+            f"realization level {k}" for k in range(n + 2)] * 2
+
+
 def oracle_normal(X, n, x, s, k):
     """The least member of the class of (n, x, s) at level k, taken over
     the whole cosymmetry orbit of its normal form: the m! route that the
