@@ -33,8 +33,7 @@ from .presheaf import (
     SkeletalPresheaf,
     TruncatedPresheaf,
     generator_morphisms,
-    identity_map,
-    pushout,
+    inclusion_map,
     restriction,
     tagged_coend,
 )
@@ -239,27 +238,25 @@ def associator_comparison(X, Y, Z) -> Report:
 
 
 def pushout_product(f: PresheafMap, g: PresheafMap) -> PresheafMap:
-    """The corner map (A(x)L) u_{A(x)K} (B(x)K) -> B(x)L."""
-    A, B, K, L = f.src, f.dst, g.src, g.dst
-    if A.site is not K.site:
+    """The corner map (A(x)L) u_{A(x)K} (B(x)K) -> B(x)L of two monos, as
+    the inclusion of its image: the classes of B(x)L holding a reduced
+    member (h, i, x, j, y) with x in f(A) or y in g(K).  Reduced members
+    suffice because the images are closed under the action, so they hold
+    the nondegenerate part of each of their sections.  The four-coend
+    route, a pushout of convolutions, is the test oracle."""
+    if f.src.site is not g.src.site:
         raise InputError("pushout-product needs a common site")
-    CR_AK = convolve(A, K)
-    CR_BK = convolve(B, K)
-    CR_AL = convolve(A, L)
-    CR_BL = convolve(B, L)
-    alpha = convolve_map(f, identity_map(K), CR_AK, CR_BK)
-    beta = convolve_map(identity_map(A), g, CR_AK, CR_AL)
-    P, from_bk, from_al = pushout(alpha, beta)
-    top = convolve_map(identity_map(B), g, CR_BK, CR_BL)
-    side = convolve_map(f, identity_map(L), CR_AL, CR_BL)
-    mapping: dict[int, dict[str, str]] = {n: {} for n in range(P.N + 1)}
-    for n in range(P.N + 1):
-        for leg, value in ((from_bk, top), (from_al, side)):
-            for sid, p in leg.mapping[n].items():
-                val = value.mapping[n][sid]
-                if mapping[n].setdefault(p, val) != val:
-                    raise SymcubeError(f"corner map not constant on {p}")
-    return PresheafMap(P, CR_BL.product, mapping)
+    if not (f.is_injective() and g.is_injective()):
+        raise InputError("pushout-product needs injective legs")
+    CR = convolve(f.dst, g.dst)
+    in_A = {(n, x) for n, row in f.mapping.items() for x in row.values()}
+    in_K = {(n, y) for n, row in g.mapping.items() for y in row.values()}
+    hit = {cid for (_, i, x, j, y), cid in CR.class_of.items()
+           if (i, x) in in_A or (j, y) in in_K}
+    P = CR.product
+    levels = {n: tuple(c for c in P.levels[n] if c in hit) for n in P.levels}
+    corner = restriction(P, levels, f"{f.src.name}[]{g.src.name}")
+    return inclusion_map(corner, P)
 
 
 # -- the symmetrization adjunction -------------------------------------------

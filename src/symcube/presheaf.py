@@ -34,6 +34,7 @@ from .site import (
     SiteTag,
     _UnionFind,
     _cosymmetry_perms,
+    _enumerate_hom,
     compose,
     delta,
     enumerate_hom,
@@ -41,7 +42,6 @@ from .site import (
     gamma,
     hom_count,
     identity,
-    parse_morphism,
     pi,
     postcompose_table,
     precompose_table,
@@ -445,19 +445,33 @@ def _cube(n: int, site: SiteTag, up_to: int | None):
 
 
 @cache
+def _printed_hom(m: int, n: int, site: SiteTag) -> tuple[str, ...]:
+    """The arrows of Hom([m],[n]) printed, by rank: the ids of level m of
+    the n-cube, and the only place this module prints an arrow."""
+    return tuple(map(str, _enumerate_hom(m, n, site)))
+
+
+@cache
+def _postcompose_ids(h: Morphism, m: int, site: SiteTag) -> dict[str, str]:
+    """h o - on level m of the h.src-cube, from id to id."""
+    return dict(zip(_printed_hom(m, h.src, site),
+                    _take(_printed_hom(m, h.dst, site), postcompose_table(h, m, site))))
+
+
+@cache
 def _built_cube(n: int, site: SiteTag, N: int):
-    """Levels are hom-sets in printed order, each arrow printed once, and
-    a generator acts by its precomposition table over the ranks."""
-    homs = {m: enumerate_hom(m, n, site) for m in range(N + 1)}
-    names = {m: [str(f) for f in homs[m]] for m in homs}
-    printed = {m: sorted(range(len(names[m])), key=names[m].__getitem__) for m in homs}
-    levels = {m: tuple(names[m][r] for r in printed[m]) for m in homs}
+    """Levels 0..N are hom-sets in printed order, and a generator acts by
+    its precomposition table over the ranks.  With N < n this is the
+    cube's truncation, which only quotient_presheaf reads."""
+    names = {m: _printed_hom(m, n, site) for m in range(N + 1)}
+    printed = {m: sorted(range(len(names[m])), key=names[m].__getitem__) for m in names}
+    levels = {m: tuple(names[m][r] for r in printed[m]) for m in names}
     action = {}
     for _, g in generator_morphisms(site, N):
         src, dst, table = names[g.src], names[g.dst], precompose_table(g, n, site)
         action[g] = {dst[r]: src[table[r]] for r in printed[g.dst]}
     cube = SkeletalPresheaf(site, N, levels, action, f"cube{n}")
-    return cube, {fs: f for m in homs for fs, f in zip(names[m], homs[m])}
+    return cube, {fs: f for m in names for fs, f in zip(names[m], _enumerate_hom(m, n, site))}
 
 
 def representable(n: int, site: SiteTag = SiteTag.QSIGMA,
@@ -554,11 +568,9 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
     N = X.N if up_to is None else up_to
     level_maps: dict[int, dict[str, PresheafMap]] = {}
     skeletons = {}
-    arrows: dict[int, dict[str, Morphism]] = {}
     for r in range(N + 1):
         # materialize to the common bound so composites below stay total
-        cube_r, arrows[r] = _cube(r, X.site, N)
-        sk_r, _ = skeleton(cube_r, k)
+        sk_r, _ = skeleton(representable(r, X.site, N), k)
         skeletons[r] = sk_r
         maps = hom_presheaf(sk_r, X)
         level_maps[r] = {_map_id(u): u for u in maps}
@@ -567,14 +579,11 @@ def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> Truncat
     for _, g in generator_morphisms(X.site, N):
         # act(g): level g.dst -> level g.src by precomposing with sk_k(g o -)
         src_sk = skeletons[g.src]
-        moved = {
-            m: [(sid, str(compose(g, arrows[g.src][sid]))) for sid in src_sk.level(m)]
-            for m in range(src_sk.N + 1)
-        }
+        moved = {m: _postcompose_ids(g, m, X.site) for m in range(src_sk.N + 1)}
         action[g] = {
             uid: _map_id(PresheafMap(src_sk, X, {
-                m: {sid: u.mapping[m][gsid] for sid, gsid in pairs}
-                for m, pairs in moved.items()
+                m: {sid: u.mapping[m][post[sid]] for sid in src_sk.level(m)}
+                for m, post in moved.items()
             }))
             for uid, u in level_maps[g.dst].items()
         }
@@ -827,7 +836,8 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     for k in ks:
         homs = {n: enumerate_hom(k, n, site) for n in tails}
         members, start = [], {n: [0] * len(homs[n]) for n in tails}
-        for _, n, r in sorted((str(f), n, r) for n in tails for r, f in enumerate(homs[n])):
+        for _, n, r in sorted((fs, n, r) for n in tails
+                              for r, fs in enumerate(_printed_hom(k, n, site))):
             start[n][r] = len(members)
             members.extend([(homs[n][r],) + tail for tail in tails[n]])
         uf = _UnionFind(len(members))
@@ -874,7 +884,7 @@ def pushout(f: PresheafMap, g: PresheafMap):
         for x, cid in class_of[gen.dst].items():
             side, sid = x
             source = B if side == "B" else C
-            img = class_of[gen.src][(side, source.act(gen, sid))]
+            img = class_of[gen.src][(side, source.action[gen][sid])]
             # glued sections must act compatibly; guaranteed when the
             # legs are natural
             if table.setdefault(cid, img) != img:
@@ -906,7 +916,7 @@ def coproduct(parts: list[SkeletalPresheaf]):
     action = {}
     for _, g in generator_morphisms(site_tag, N):
         action[g] = {
-            f"{i}:{sid}": f"{i}:{p.act(g, sid)}"
+            f"{i}:{sid}": f"{i}:{p.action[g][sid]}"
             for i, p in enumerate(parts)
             for sid in p.level(g.dst)
         }
@@ -958,24 +968,30 @@ class SubgroupSpec:
 
 
 def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
-    """Orbits of the postcomposition action of H on a presheaf whose ids
-    are morphisms into the H-ambient cube; returns (Q, projection)."""
-    orbit_of = {}
-    levels = {}
+    """Orbits of the postcomposition action of H on a sub-presheaf X of
+    the symmetric H.n-cube, each named by the least of its ids over the
+    whole cube; returns (Q, projection).  X over the plain site is a
+    sub-presheaf of the cube's underlying cubical set.  Raises InputError
+    when X is not a sub-presheaf: then H need not act compatibly."""
+    for m in range(X.N + 1):  # charged as the spec that built X charged them
+        enumerate_hom(m, H.n, SiteTag.QSIGMA)
+    cube = _built_cube(H.n, SiteTag.QSIGMA, X.N)[0]  # truncated where X.N < H.n
+    # every level above 0 is the level some face's table is keyed on
+    if not (set(X.levels[0]) <= set(cube.levels[0]) and all(
+            X.action[g].items() <= cube.action[g].items()
+            for _, g in generator_morphisms(X.site, X.N))):
+        raise InputError(f"{X.name} is not a sub-presheaf of the {H.n}-cube")
     group = [pi(h) for h in H.members]
+    orbit_of = {}
     for n in range(X.N + 1):
-        seen = {}
-        for sid in X.level(n):
-            x = parse_morphism(sid)
-            orbit = sorted(str(compose(h, x)) for h in group)
-            seen[sid] = orbit[0]
-        orbit_of[n] = seen
-        levels[n] = tuple(sorted(set(seen.values())))
+        tables = [_postcompose_ids(h, n, SiteTag.QSIGMA) for h in group]
+        orbit_of[n] = {sid: min(t[sid] for t in tables) for sid in X.levels[n]}
+    levels = {n: tuple(sorted(set(seen.values()))) for n, seen in orbit_of.items()}
     action = {}
     for _, g in generator_morphisms(X.site, X.N):
+        table = X.action[g]
         action[g] = {
-            orbit_of[g.dst][sid]: orbit_of[g.src][X.act(g, sid)]
-            for sid in X.level(g.dst)
+            orbit_of[g.dst][sid]: orbit_of[g.src][table[sid]] for sid in X.levels[g.dst]
         }
     Qp = SkeletalPresheaf(X.site, X.N, levels, action, name)
     proj = PresheafMap(
@@ -1271,7 +1287,9 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
         if text.startswith("{"):
             data = json.loads(text)
             site_tag = SiteTag.parse(data["site"])
-            N = int(data["truncation"])
+            N = data["truncation"]
+            if type(N) is not int:  # not a float, a bool or a string
+                raise TypeError(f"a truncation must be an integer, not {N!r}")
             levels = {int(n): _section_ids(ids) for n, ids in data["levels"].items()}
             action = {
                 parse_generator_name(gname, site_tag): dict(table)
@@ -1291,8 +1309,8 @@ def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
                 if raw[0] in " \t" and " -> " in stripped and stripped[:6] != "level ":
                     if current is None:
                         raise InputError(f"action pair outside a block: {stripped!r}")
-                    x, _, v = stripped.partition(" -> ")
-                    current[x.strip()] = v.strip()
+                    x, _, v = stripped.split()  # ids hold no whitespace
+                    current[x] = v
                 elif stripped.startswith("site:"):
                     site_tag = SiteTag.parse(stripped.split(":", 1)[1])
                 elif stripped.startswith("truncation:"):

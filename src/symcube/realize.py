@@ -563,23 +563,18 @@ def smith_normal_form(M: list) -> tuple:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for r in range(t + 1, rows):
-                if D[r][t]:
-                    q = D[r][t] // D[t][t]
-                    add_row(r, t, -q)
-                    if D[r][t]:
-                        swap_rows(t, r)
-                        dirty = True
-            for c in range(t + 1, cols):
-                if D[t][c]:
-                    q = D[t][c] // D[t][t]
-                    add_col(c, t, -q)
-                    if D[t][c]:
-                        swap_cols(t, c)
-                        dirty = True
+        for r in range(t + 1, rows):
+            if D[r][t]:
+                add_row(r, t, -(D[r][t] // D[t][t]))
+        for c in range(t + 1, cols):
+            if D[t][c]:
+                add_col(c, t, -(D[t][c] // D[t][t]))
+        # a remainder left is smaller than the pivot: search again, so the
+        # pivot is always the least entry of the block and the multipliers
+        # stay small; pivoting on each remainder in place can square the
+        # other entries of its rows at every step
+        if any(D[r][t] for r in range(t + 1, rows)) or any(D[t][t + 1:]):
+            continue
         if D[t][t] < 0:
             negate_row(t)
         # restore divisibility: fold any non-multiple into the pivot

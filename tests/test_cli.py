@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from symcube.cli import _suite_symmetrization, build_parser, run
 from symcube.presheaf import (boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf,
-                              terminal_presheaf)
+                              representable, terminal_presheaf)
 from symcube.site import SiteTag
 
 DATA = Path(__file__).parent / "data"
@@ -225,6 +225,28 @@ def test_quotient_of_square_by_swap(capsys):
     assert "0:3 1:5 2:12" in out
 
 
+def test_quotient_of_a_file_outside_its_cube_is_input_error(tmp_path, capsys):
+    # the square with the ids of two vertices exchanged loads, as a valid
+    # presheaf isomorphic to the square, but H does not act on it
+    a, b = "(0,0):0->2", "(0,1):0->2"
+    text = dumps_presheaf(representable(2, SiteTag.QSIGMA))
+    path = tmp_path / "swapped.cub"
+    path.write_text(text.replace(a, "@").replace(b, a).replace("@", b))
+    assert run(["quotient", str(path), "(1 2)"]) == 2
+    assert "swapped is not a sub-presheaf of the 2-cube" in capsys.readouterr().err
+
+
+def test_quotient_of_a_file_charges_its_ambient_cube(tmp_path, capsys):
+    # one vertex of the 5-cube: loading checks no generator word, and the
+    # quotient is charged the 32 vertices of the cube it names orbits in
+    path = tmp_path / "vertex.cub"
+    path.write_text("site: QSigma\ntruncation: 0\nlevel 0: (0,0,0,0,0):0->5\n")
+    assert run(["--limit", "10", "quotient", str(path), "(1 2)"]) == 3
+    assert "hom set QSigma([0],[5]), more than limit 10" in capsys.readouterr().err
+    code, out = invoke(capsys, "--limit", "32", "quotient", str(path), "(1 2)")
+    assert (code, out) == (0, "quot [QSigma] 0:1\n")
+
+
 def test_realize_boundary(capsys):
     code, out = invoke(capsys, "realize", "boundary:2")
     lines = out.splitlines()
@@ -367,6 +389,15 @@ def _json_image(value):
     return spoil
 
 
+def _json_truncation(value):
+    # a truncation that int() would read as 1
+    def spoil(X):
+        data = json.loads(dumps_presheaf_json(X))
+        data["truncation"] = value
+        return json.dumps(data)
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -378,10 +409,14 @@ def _json_image(value):
         lambda X: dumps_presheaf(X).replace("truncation: 1", "level 5: z\ntruncation: 1"),
         _json_image(["a"]),
         _json_image({"b": "a"}),
+        _json_truncation(1.9),
+        _json_truncation(True),
+        _json_truncation("1"),
     ],
     ids=["json-missing-key", "json-truncated", "text-bad-truncation",
          "json-string-level", "text-level-above-truncation", "json-list-image",
-         "json-object-image"],
+         "json-object-image", "json-float-truncation", "json-bool-truncation",
+         "json-string-truncation"],
 )
 def test_malformed_presheaf_file_is_input_error(tmp_path, capsys, spoil):
     path = tmp_path / "bad.cub"

@@ -33,6 +33,7 @@ from symcube.monoidal import (
 )
 from symcube.presheaf import (
     PresheafMap,
+    SkeletalPresheaf,
     SubgroupSpec,
     boundary,
     cap,
@@ -41,9 +42,11 @@ from symcube.presheaf import (
     empty_presheaf,
     find_isomorphism,
     identity_map,
+    pushout,
     quotient_presheaf,
     representable,
     skeleton,
+    terminal_map,
     terminal_presheaf,
 )
 from symcube.site import SiteTag, delta, hom_count, parse_morphism, sigma
@@ -157,6 +160,65 @@ def test_corner_of_boundary_inclusions():
             for p in corner.src.levels[n]
         }
         assert image == set(bd2.levels[n])
+
+
+def oracle_pushout_product(f, g):
+    """The corner map of four convolutions, four convolve_maps and their
+    pushout (A(x)L) u_{A(x)K} (B(x)K)."""
+    A, B, K, L = f.src, f.dst, g.src, g.dst
+    CR_AK, CR_BK = convolve(A, K), convolve(B, K)
+    CR_AL, CR_BL = convolve(A, L), convolve(B, L)
+    alpha = convolve_map(f, identity_map(K), CR_AK, CR_BK)
+    beta = convolve_map(identity_map(A), g, CR_AK, CR_AL)
+    P, from_bk, from_al = pushout(alpha, beta)
+    top = convolve_map(identity_map(B), g, CR_BK, CR_BL)
+    side = convolve_map(f, identity_map(L), CR_AL, CR_BL)
+    mapping: dict[int, dict[str, str]] = {n: {} for n in range(P.N + 1)}
+    for n in range(P.N + 1):
+        for leg, value in ((from_bk, top), (from_al, side)):
+            for sid, p in leg.mapping[n].items():
+                val = value.mapping[n][sid]
+                if mapping[n].setdefault(p, val) != val:
+                    raise SymcubeError(f"corner map not constant on {p}")
+    return PresheafMap(P, CR_BL.product, mapping)
+
+
+def _point_from_empty(site):
+    return PresheafMap(empty_presheaf(site, 0), representable(0, site), {0: {}})
+
+
+CORNER_PAIRS = {
+    "bd1,bd1": lambda s: (boundary(1, s)[1], boundary(1, s)[1]),
+    "bd1,bd2": lambda s: (boundary(1, s)[1], boundary(2, s)[1]),
+    "bd1,cap": lambda s: (boundary(1, s)[1], cap(2, 1, 0, s)[1]),
+    "cap,bd1": lambda s: (cap(2, 1, 0, s)[1], boundary(1, s)[1]),
+    "bd1,unit": lambda s: (boundary(1, s)[1], _point_from_empty(s)),
+    "bd2,bd2": lambda s: (boundary(2, s)[1], boundary(2, s)[1]),
+}
+
+
+# the oracle takes seconds on bd2,bd2 over QSigma
+@pytest.mark.parametrize(
+    "site, pair",
+    [(s, p) for p in CORNER_PAIRS for s in (QS, Q) if (s, p) != (QS, "bd2,bd2")],
+    ids=str,
+)
+def test_corner_is_the_image_of_the_four_coend_corner(site, pair):
+    f, g = CORNER_PAIRS[pair](site)
+    corner = pushout_product(f, g)
+    old = oracle_pushout_product(f, g)
+    assert old.dst.same_data(corner.dst)
+    assert old.is_injective()
+    for n in range(corner.dst.N + 1):
+        assert sorted(old.mapping[n].values()) == list(corner.src.levels[n])
+    assert corner.is_injective() and corner.verify_natural()
+
+
+def test_corner_needs_injective_legs():
+    with pytest.raises(InputError, match="injective legs"):
+        pushout_product(terminal_map(BD1), BD1_INCL)
+    with pytest.raises(InputError, match="injective legs"):
+        pushout_product(BD1_INCL, terminal_map(BD1))
 
 
 def test_corner_orbit_form_with_trivial_groups():
@@ -311,8 +373,10 @@ def test_restricted_conjunction_is_nondegenerate():
 def test_restrict_guards():
     with pytest.raises(InputError):
         restrict(representable(1, Q), 2)
+    # a fresh copy of R1, whose memoised extensions earlier tests may have built
+    fresh = SkeletalPresheaf(QS, R1.N, R1.levels, R1.action, R1.name)
     with resource_limit(10), pytest.raises(ResourceBound, match="extending cube1"):
-        restrict(R1, 4)
+        restrict(fresh, 4)
 
 
 # -- the adjunction ----------------------------------------------------------

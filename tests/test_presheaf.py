@@ -980,6 +980,77 @@ def test_quotient_of_boundary_includes_injectively():
         assert set(ids) <= set(QUOT.level(n))
 
 
+def oracle_quotient_presheaf(X, H, name="quot"):
+    """The quotient by parsing every id, composing it with every member of
+    H and printing the composites, the least naming the orbit."""
+    group = [pi(h) for h in H.members]
+    orbit_of = {n: {sid: min(str(compose(h, parse_morphism(sid))) for h in group)
+                    for sid in X.level(n)} for n in range(X.N + 1)}
+    levels = {n: tuple(sorted(set(seen.values()))) for n, seen in orbit_of.items()}
+    action = {g: {orbit_of[g.dst][sid]: orbit_of[g.src][X.act(g, sid)]
+                  for sid in X.level(g.dst)}
+              for _, g in generator_morphisms(X.site, X.N)}
+    Qp = SkeletalPresheaf(X.site, X.N, levels, action, name)
+    return Qp, PresheafMap(X, Qp, orbit_of)
+
+
+def _one_generator_groups(n):
+    """Every subgroup of Sigma_n generated by one permutation, and Sigma_n."""
+    perms = [Permutation(list(p)) for p in itertools.permutations(range(1, n + 1))]
+    return [SubgroupSpec(n, (p,)) for p in perms] + [SubgroupSpec.full(n)]
+
+
+QUOTIENT_CORPUS = (
+    [(f"cube{n}", n, lambda n=n: representable(n, QS)) for n in range(4)]
+    + [(f"bd{n}", n, lambda n=n: boundary(n, QS)[0]) for n in range(1, 4)]
+    + [(f"cap{n}_{i}_{eps}", n, lambda n=n, i=i, eps=eps: cap(n, i, eps, QS)[0])
+       for n in range(1, 4) for i in range(1, n + 1) for eps in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("n, build", [c[1:] for c in QUOTIENT_CORPUS],
+                         ids=[c[0] for c in QUOTIENT_CORPUS])
+def test_quotient_is_the_parse_and_print_quotient(n, build):
+    X = build()
+    for H in _one_generator_groups(n):
+        got, proj = quotient_presheaf(X, H, "q")
+        want, want_proj = oracle_quotient_presheaf(X, H, "q")
+        assert dumps_presheaf(got) == dumps_presheaf(want)
+        assert dumps_presheaf_json(got) == dumps_presheaf_json(want)
+        assert proj.mapping == want_proj.mapping
+
+
+def swapped_square() -> SkeletalPresheaf:
+    """The square's dump with the ids of two vertices exchanged: a valid
+    presheaf isomorphic to the square, but no sub-presheaf of it."""
+    a, b = "(0,0):0->2", "(0,1):0->2"
+    text = dumps_presheaf(C2).replace(a, "@").replace(b, a).replace("@", b)
+    return loads_presheaf(text, "swapped")
+
+
+def test_quotient_refuses_a_presheaf_outside_its_cube():
+    X = swapped_square()
+    assert find_isomorphism(X, C2) is not None
+    swap = SubgroupSpec(2, (Permutation.transposition(1, 2, 2),))
+    with pytest.raises(InputError, match="swapped is not a sub-presheaf of the 2-cube"):
+        quotient_presheaf(X, swap)
+    # orbits of the ids alone glue sections that act differently
+    bad, proj = oracle_quotient_presheaf(X, swap)
+    assert not verify_functorial(bad).ok
+    assert not proj.verify_natural()
+
+
+def test_quotient_of_a_plain_cubical_set_names_orbits_in_the_symmetric_cube():
+    # the plain square is a sub-presheaf of the symmetric one's underlying
+    # cubical set, so its quotient is the parse-and-print one
+    X = representable(2, Q)
+    swap = SubgroupSpec(2, (Permutation.transposition(1, 2, 2),))
+    got, proj = quotient_presheaf(X, swap)
+    want, want_proj = oracle_quotient_presheaf(X, swap)
+    assert dumps_presheaf(got) == dumps_presheaf(want)
+    assert proj.mapping == want_proj.mapping and proj.verify_natural()
+
+
 def test_stabilizers():
     assert len(stabilizer(C2, 2, "(x1,x2):2->2").members) == 1
     img = QUOT_PROJ.mapping[2]["(x1,x2):2->2"]

@@ -3,6 +3,7 @@ homology, and the interval monoid."""
 
 import importlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -922,6 +923,17 @@ def test_snf_divisibility_fixup():
     # diag(2,3) is not in normal form; the chain forces (1,6)
     D, _, _ = smith_normal_form([[2, 0], [0, 3]])
     assert [D[0][0], D[1][1]] == [1, 6]
+
+
+def test_smith_normal_form_keeps_its_entries_small():
+    # pivoting on each remainder in place grew this matrix's entries to
+    # millions of bits and did not finish in minutes
+    M = [[9, -4, -2, 9, 6], [6, 3, -4, -2, 0], [2, -2, 9, -2, 0],
+         [0, -2, 2, -2, 6], [6, 0, 6, 9, -2], [6, 9, 9, 3, 0]]
+    start = time.perf_counter()
+    assert verify_snf(M).ok
+    assert invariant_factors(sparse_rows(M)) == snf_factors(M) == [1, 1, 1, 1, 2]
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
