@@ -29,6 +29,7 @@ from functools import cache, reduce
 
 from .errors import InputError, SymcubeError
 from .presheaf import (
+    CoendClasses,
     PresheafMap,
     SkeletalPresheaf,
     TruncatedPresheaf,
@@ -39,14 +40,10 @@ from .presheaf import (
 )
 from .report import Report
 from .site import (
-    Morphism,
     SiteTag,
-    _enumerate_hom,
     compose,
-    hom_rank,
     identity,
     parse_morphism,
-    precompose_table,
     symmetry,
     tensor,
 )
@@ -59,17 +56,18 @@ from .site import (
 class ConvolutionResult:
     """A tagged-coend product together with its coend bookkeeping.
 
-    class_of maps every reduced member (f, n_1, x_1, ..., n_r, x_r), f
-    a Morphism and each x_t nondegenerate, to its class id, and called
-    on any member reduces it first; reps picks the least reduced member
-    of each class.  Together they realize the quotient of the indexed
+    class_of, a read-only view over the coend's numbering, maps every
+    reduced member (f, n_1, x_1, ..., n_r, x_r), f a Morphism and each
+    x_t nondegenerate, to its class id, and called on any member reduces
+    it first; reps picks the least reduced member of each class, which
+    names it.  Together they realize the quotient of the indexed
     disjoint union, so callers can both include a member and choose a
     witness for a class.
     """
 
     product: SkeletalPresheaf
     factors: tuple
-    class_of: dict
+    class_of: CoendClasses
     reps: dict
 
     @property
@@ -85,17 +83,7 @@ def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResul
     """The coend of the factors tagged by arrows of site, truncated at
     the sum of their truncations."""
     N = sum(X.N for X in factors)
-    levels, class_of, reps = tagged_coend(factors, site, range(N + 1))
-    action: dict[Morphism, dict[str, str]] = {}
-    for _, h in generator_morphisms(site, N):
-        tab = {}
-        for cid in levels[h.dst]:
-            rep = reps[cid]  # reduced, and so is rep with h precomposed
-            n = rep[0].dst
-            moved = precompose_table(h, n, site)[hom_rank(h.dst, n, site)[rep[0].entries]]
-            # the enumerated arrow itself, so class_of matches it by identity
-            tab[cid] = class_of[(_enumerate_hom(h.src, n, site)[moved],) + rep[1:]]
-        action[h] = tab
+    levels, action, class_of, reps = tagged_coend(factors, site, range(N + 1))
     product = SkeletalPresheaf(site, N, levels, action, name=name)
     return ConvolutionResult(product, tuple(factors), class_of, reps)
 
@@ -134,8 +122,8 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
     report = Report(f"convolution {CR.product.name}")
     report.check(
         "truncation adds",
-        CR.product.N == CR.left.N + CR.right.N,
-        f"{CR.product.N} vs {CR.left.N}+{CR.right.N}",
+        CR.product.N == sum(X.N for X in CR.factors),
+        f"{CR.product.N} vs {'+'.join(str(X.N) for X in CR.factors)}",
     )
     ok = True
     for _, h in generator_morphisms(CR.product.site, CR.product.N):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import itemgetter
@@ -41,6 +42,7 @@ from .site import (
     factor,
     gamma,
     hom_count,
+    hom_rank,
     identity,
     pi,
     postcompose_table,
@@ -726,39 +728,45 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
 # -- colimits ----------------------------------------------------------------
 
 
-def quotient_classes(uf: _UnionFind, members: list, name, class_of: dict,
-                     reps: dict) -> list:
-    """Record the classes of uf, whose number i stands for members[i],
-    members increasing: each class is named name(member at its root),
-    which is its least member, class_of sends every member to that id
-    and reps sends the id to that member.  Returns the ids in class
-    order."""
-    ids = []
-    for root, numbers in uf.classes().items():
-        least = members[root]
-        cid = name(least)
-        reps[cid] = least
-        ids.append(cid)
-        for i in numbers:
-            class_of[members[i]] = cid
-    return ids
+class CoendClasses(Mapping):
+    """The class id of each reduced member (f, n_1, x_1, ..., n_r, x_r) of
+    a tagged coend, read through its number on level f.src, from the rank
+    of f and the tail's index; any other member misses.  items() yields
+    the members level by level in number order.  Called on any member,
+    it first reduces the sections by the factors' EZ tables."""
 
+    def __init__(self, factors, site, tails, number):
+        self.factors, self.site, self.tails, self.number = factors, site, tails, number
+        self.built = {}  # level -> (block order, block starts, parent, id by root)
 
-def _class_id(key) -> str:
-    return "&".join(str(part) for part in key)
+    def __getitem__(self, member) -> str:
+        f, tail = member[0], member[1:]
+        t, built = self.number.get(tail), self.built.get(f.src)
+        if t is not None and built is not None and sum(tail[::2]) == f.dst:
+            r = hom_rank(f.src, f.dst, self.site).get(f.entries)
+            if r is not None:
+                _, start, parent, ids = built
+                return ids[parent[start[f.dst][r] + t]]
+        raise KeyError(member)
 
+    def items(self):
+        for k, (order, start, parent, ids) in self.built.items():
+            for _, n, r in order:
+                f, s = _enumerate_hom(k, n, self.site)[r], start[n][r]
+                for t, tail in enumerate(self.tails[n]):
+                    yield (f,) + tail, ids[parent[s + t]]
 
-class CoendClasses(dict):
-    """The class id of each reduced member of a tagged coend; called on
-    any member, it first reduces the sections by the factors' EZ tables."""
+    def __iter__(self):
+        return (member for member, _ in self.items())
 
-    def __init__(self, factors):
-        super().__init__()
-        self.factors = factors
+    def __len__(self) -> int:
+        return sum(len(parent) for _, _, parent, _ in self.built.values())
 
     def __call__(self, member) -> str:
-        pairs = [X.ez_decompose(*member[2 * t + 1:2 * t + 3])
-                 for t, X in enumerate(self.factors)]
+        parts = list(zip(self.factors, member[1::2], member[2::2]))
+        if all(X.is_nondegenerate(n, x) for X, n, x in parts):
+            return self[member]
+        pairs = [X.ez_decompose(n, x) for X, n, x in parts]
         arrow = compose(reduce(tensor, (e for e, _ in pairs)), member[0])
         return self[(arrow, *itertools.chain(*((e.dst, y) for e, y in pairs)))]
 
@@ -773,9 +781,10 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     generator u: [a] -> [b] of factor t and nondegenerate x at level b:
     ((id_p (+) u (+) id_q) o f, .., x, ..) ~ ((id_p (+) e (+) id_q) o f,
     .., x1, ..), where u*x = e*x1 in the EZ table.  Returns (levels,
-    class_of, reps): the sorted class ids of each level, a CoendClasses
-    and the least reduced member of each class, members comparing by
-    printed arrow and then by tail.
+    action, class_of, reps): the sorted class ids of each level, the
+    action of each site generator between two levels of ks, a
+    CoendClasses and the least reduced member of each class, members
+    comparing by printed arrow and then by tail.
 
     This is the coend (Day 1970), by the EZ property (Berger-Moerdijk
     2011).  Naturality, ((h (+) id) o f, x) ~ (f, h*x), implies each
@@ -789,10 +798,11 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     e*x1: for a face dim x1 < dim x, for a swap e = id and h' is
     shorter.  So an epi generator's relation follows.
 
-    Arrows are sorted by printed form and the block of f holds (f,) +
-    tail for the reduced tails summing to f.dst, so the union-find roots
-    each class at its least member.  Every level's member count is
-    charged to the resource limit before any level is built.
+    Arrows are sorted by printed form and the block of f numbers the
+    reduced tails summing to f.dst, so the union-find roots each class
+    at its least member (n, r, t), f of rank r in Hom(k, n) and tail t,
+    which names it; h sends it to the root of (n, rank of f o h, t).
+    Every level's member count is charged before any level is built.
     """
     # the reduced tails and the relations' tail index pairs depend
     # neither on the level nor on the arrow, so they are built once
@@ -830,30 +840,42 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
                  for (p, u, e, q), pairs in glue.items()]
     lifts = {lift for up, down, _ in relations for lift in (up, down)}
 
+    text = {n: ["&" + "&".join(map(str, tail)) for tail in block]
+            for n, block in tails.items()}
     levels: dict[int, tuple] = {}
-    class_of = CoendClasses(factors)
-    reps: dict = {}
+    class_of = CoendClasses(factors, site, tails, number)
+    reps, where = {}, {}
     for k in ks:
         homs = {n: enumerate_hom(k, n, site) for n in tails}
-        members, start = [], {n: [0] * len(homs[n]) for n in tails}
-        for _, n, r in sorted((fs, n, r) for n in tails
-                              for r, fs in enumerate(_printed_hom(k, n, site))):
-            start[n][r] = len(members)
-            members.extend([(homs[n][r],) + tail for tail in tails[n]])
-        uf = _UnionFind(len(members))
+        printed = {n: _printed_hom(k, n, site) for n in tails}
+        order = sorted((fs, n, r) for n in tails for r, fs in enumerate(printed[n]))
+        start, firsts = {n: [0] * len(homs[n]) for n in tails}, [0]
+        for _, n, r in order:
+            start[n][r] = firsts[-1]
+            firsts.append(firsts[-1] + len(tails[n]))
+        uf = _UnionFind(firsts.pop())
         # the block starts of lift o f, f in homs[lift.src] by rank, by lift
         starts = {h: [start[h.dst][r] for r in postcompose_table(h, k, site)]
                   for h in lifts}
         for up, down, pairs in relations:
             for a, b in zip(starts[up], starts[down]):
                 uf.union_all(pairs, a, b)
-        ids = quotient_classes(uf, members, _class_id, class_of, reps)
-        levels[k] = tuple(sorted(ids))
-    return levels, class_of, reps
-
-
-def _pushout_tag(member) -> str:
-    return f"{member[0]}:{member[1]}"
+        ids = {}
+        for root in uf.roots():
+            b = bisect_right(firsts, root) - 1  # the last block starting at or before root
+            (_, n, r), t = order[b], root - firsts[b]
+            cid = ids[root] = printed[n][r] + text[n][t]
+            reps[cid], where[cid] = (homs[n][r],) + tails[n][t], (cid, n, r, t)
+        class_of.built[k] = (order, start, uf.parent, ids)
+        levels[k] = tuple(sorted(ids.values()))
+    action = {}
+    for _, h in generator_morphisms(site, max(ks)):
+        if h.src in levels and h.dst in levels:
+            _, start, parent, ids = class_of.built[h.src]
+            moved = {n: precompose_table(h, n, site) for n in tails}
+            action[h] = {cid: ids[parent[start[n][moved[n][r]] + t]]
+                         for cid, n, r, t in map(where.__getitem__, levels[h.dst])}
+    return levels, action, class_of, reps
 
 
 def pushout(f: PresheafMap, g: PresheafMap):
@@ -875,9 +897,10 @@ def pushout(f: PresheafMap, g: PresheafMap):
             (number["B", f.mapping[n][a]], number["C", g.mapping[n][a]])
             for a in A.level(n)
         )
-        class_of[n] = {}
-        ids = quotient_classes(uf, members, _pushout_tag, class_of[n], {})
-        levels[n] = tuple(sorted(ids))
+        # each class is rooted at its least member, which names it
+        names = {root: "{}:{}".format(*members[root]) for root in uf.roots()}
+        class_of[n] = {m: names[root] for m, root in zip(members, uf.parent)}
+        levels[n] = tuple(sorted(names.values()))
     action = {}
     for _, gen in generator_morphisms(A.site, A.N):
         table = {}
@@ -1131,7 +1154,7 @@ def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
     nondegenerate."""
     if X.truncated:
         raise TruncationMismatch(f"{X.name} is truncated")
-    levels, class_of, _ = tagged_coend([X], X.site, [n])
+    levels, _, class_of, _ = tagged_coend([X], X.site, [n])
     members: dict[str, set] = {cid: set() for cid in levels[n]}
     for member, cid in class_of.items():
         members[cid].add(member)
@@ -1142,7 +1165,7 @@ def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
     """The EZ-pair sections biject with the coend classes, the pair of a
     section lying in its own class."""
     ids, pairs = extend_level(X, n)
-    levels, class_of, _ = tagged_coend([X], X.site, [n])
+    levels, _, class_of, _ = tagged_coend([X], X.site, [n])
     hit = {class_of.get((e, e.dst, yid)) for e, yid in pairs.values()}
     return None not in hit and len(hit) == len(ids) == len(levels[n])
 

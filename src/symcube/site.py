@@ -643,7 +643,8 @@ def precompose_table(g: Morphism, n: CubeObject, site: SiteTag) -> tuple[int, ..
 def postcompose_table(h: Morphism, k: CubeObject, site: SiteTag) -> tuple[int, ...]:
     """The rank of h o f in Hom(k, h.dst) for each f of Hom(k, h.src), by rank."""
     rank = hom_rank(k, h.dst, site)
-    return tuple(rank[compose(h, f).entries] for f in _enumerate_hom(k, h.src, site))
+    return tuple(rank[tuple([_substitute(e, f.entries) for e in h.entries])]
+                 for f in _enumerate_hom(k, h.src, site))
 
 
 # -- classification ----------------------------------------------------------
@@ -738,17 +739,19 @@ class _UnionFind:
             elif y < x:
                 parent[x] = y
 
-    def classes(self) -> dict[int, list[int]]:
-        """Root -> members in increasing order, roots in increasing order."""
+    def roots(self) -> list[int]:
+        """Point every number at its root; returns the roots, increasing."""
         parent = self.parent
-        groups: dict[int, list[int]] = {}
         for x in range(len(parent)):
             # parent[x] < x is already compressed onto its root
-            root = parent[x] = parent[parent[x]]
-            if root == x:
-                groups[x] = [x]
-            else:
-                groups[root].append(x)
+            parent[x] = parent[parent[x]]
+        return [x for x, root in enumerate(parent) if root == x]
+
+    def classes(self) -> dict[int, list[int]]:
+        """Root -> members in increasing order, roots in increasing order."""
+        groups: dict[int, list[int]] = {root: [] for root in self.roots()}
+        for x, root in enumerate(self.parent):
+            groups[root].append(x)
         return groups
 
 

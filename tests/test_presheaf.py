@@ -27,7 +27,7 @@ from symcube.errors import (
     resource_limit,
 )
 from symcube.homotopy import cylinder
-from symcube.monoidal import convolve, restrict, symmetrize
+from symcube.monoidal import _tagged_product, convolve, restrict, symmetrize, verify_convolution
 from symcube.presheaf import (
     PresheafMap,
     SkeletalPresheaf,
@@ -81,6 +81,7 @@ from symcube.site import (
     delta,
     enumerate_hom,
     factor,
+    hom_count,
     identity,
     parse_morphism,
     pi,
@@ -1207,7 +1208,7 @@ def test_one_factor_coend_is_co_yoneda(X):
     # the coend of Hom(-, [m]) x X_m over X's own site is X again: its
     # levels have X's sizes and the identity-tagged members (id_n, n, x)
     # meet every class exactly once
-    levels, class_of, _ = tagged_coend([X], X.site, range(X.N + 1))
+    levels, _, class_of, _ = tagged_coend([X], X.site, range(X.N + 1))
     assert tuple(len(levels[n]) for n in range(X.N + 1)) == X.size()
     for n in range(X.N + 1):
         tagged = [class_of((identity(n), n, x)) for x in X.level(n)]
@@ -1317,7 +1318,7 @@ def test_tagged_coend_matches_union_find_oracle(name, factors, site):
     # reduction, its partition of the full members is the oracle's, and
     # only the class ids may differ
     N = sum(X.N for X in factors)
-    levels, class_of, reps = tagged_coend(factors, site, range(N + 1))
+    levels, _, class_of, reps = tagged_coend(factors, site, range(N + 1))
     want_levels, want_class_of, _ = oracle_tagged_coend(factors, site, range(N + 1))
     assert {k: len(ids) for k, ids in levels.items()} == {
         k: len(ids) for k, ids in want_levels.items()
@@ -1328,6 +1329,79 @@ def test_tagged_coend_matches_union_find_oracle(name, factors, site):
     }
     assert len({a for a, _ in matched}) == len(matched) == len({b for _, b in matched})
     assert all(class_of(rep) == cid for cid, rep in reps.items())
+
+
+@pytest.mark.parametrize("name,factors,site", _coend_cases(),
+                         ids=[c[0] for c in _coend_cases()])
+def test_product_action_matches_precomposition(name, factors, site):
+    # the engine reads a generator's action off the union-find roots of
+    # the level it lands in; it must send each class to the class of its
+    # representative with the generator precomposed, and be well defined
+    # on every reduced member of the class
+    CR = _tagged_product(factors, site, name)
+    P = CR.product
+    for _, h in generator_morphisms(site, P.N):
+        assert P.action[h] == {
+            cid: CR.class_of[(compose(rep[0], h), *rep[1:])]
+            for cid in P.levels[h.dst] for rep in [CR.reps[cid]]
+        }
+    assert verify_convolution(CR).ok
+
+
+@pytest.mark.parametrize("name,factors,site", _coend_cases(),
+                         ids=[c[0] for c in _coend_cases()])
+def test_class_of_is_a_view_of_the_reduced_members(name, factors, site):
+    N = sum(X.N for X in factors)
+    levels, _, class_of, reps = tagged_coend(factors, site, range(N + 1))
+    # the reduced members level by level in number order: by printed
+    # arrow, then by tail
+    members, charged = [], 0
+    for k in range(N + 1):
+        level = []
+        for dims in itertools.product(*(range(X.N + 1) for X in factors)):
+            for xs in itertools.product(
+                    *(nondegenerate_sections(X, n) for X, n in zip(factors, dims))):
+                tail = tuple(itertools.chain(*zip(dims, xs)))
+                charged += hom_count(k, sum(dims), site)
+                level += [(f,) + tail for f in enumerate_hom(k, sum(dims), site)]
+        members += sorted(level, key=lambda m: (str(m[0]), m[1:]))
+    assert len(class_of) == len(members) == charged
+    assert list(class_of) == members
+    # built member by member from the oracle's partition: each class is
+    # named after its least reduced member, printed part by part
+    _, want_class_of, _ = oracle_tagged_coend(factors, site, range(N + 1))
+    arrow = cache(parse_morphism)
+    groups = {}
+    for m, want in want_class_of.items():
+        if all(X.is_nondegenerate(n, x) for X, n, x in zip(factors, m[1::2], m[2::2])):
+            groups.setdefault(want, []).append(m)
+    want = {}
+    for group in groups.values():
+        least = min(group)
+        cid = "&".join(map(str, least))
+        assert reps[cid] == (arrow(least[0]),) + least[1:]
+        want.update(((arrow(m[0]),) + m[1:], cid) for m in group)
+    assert dict(class_of.items()) == want
+    assert {cid for k in levels for cid in levels[k]} == set(reps)
+    # keys a dict over the reduced members would miss
+    top = [m for m in members if m[0].src == N]
+    f, *tail = next(m for m in top if m[0].dst == 0)
+    wrong_sum = (enumerate_hom(N, 1, site)[0], *tail)
+    X = factors[0]
+    degenerate = next(x for x in X.level(1) if not X.is_nondegenerate(1, x))
+    lowered = (identity(1), 1, degenerate,
+               *itertools.chain(*((0, nondegenerate_sections(Y, 0)[0]) for Y in factors[1:])))
+    unbuilt = (enumerate_hom(N + 1, f.dst, site)[0], *tail)
+    misses = [wrong_sum, lowered, unbuilt]
+    to_1 = [m[1:] for m in members if m[0].dst == 1]
+    if site is Q and to_1:  # the connection is an arrow of QSigma only
+        misses.append((parse_morphism("(x1^x2):2->1"), *to_1[0]))
+    for miss in misses:
+        assert class_of.get(miss) is None and miss not in class_of
+        with pytest.raises(KeyError):
+            class_of[miss]
+    assert class_of(lowered) in levels[1]
+    assert all(class_of(m) == cid for m, cid in class_of.items())
 
 
 def test_extend_level_guards():

@@ -26,7 +26,6 @@ from symcube.presheaf import (
     generator_morphisms,
     identity_map,
     pushout,
-    quotient_classes,
     quotient_presheaf,
     representable,
     skeleton,
@@ -277,10 +276,10 @@ def oracle_classes(X, K):
                     for s in simplices(u.src, k)
                 )
         class_of, reps = {}, {}
-        quotient_classes(
-            uf, members, lambda m: f"{m[1]}@{','.join(map(str, m[2])) or 'pt'}",
-            class_of, reps,
-        )
+        for root, numbers in uf.classes().items():  # roots are least members
+            cid = f"{members[root][1]}@{','.join(map(str, members[root][2])) or 'pt'}"
+            reps[cid] = members[root]
+            class_of.update((members[i], cid) for i in numbers)
         out.append((class_of, reps))
     return out
 
