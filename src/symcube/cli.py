@@ -9,6 +9,7 @@ a machine-readable mirror with stable field names.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import signal
 import sys
@@ -24,14 +25,19 @@ from .homotopy import (
     solve_lifting,
 )
 from .monoidal import (
+    associator_comparison,
     braiding_comparison,
     convolve,
+    monoidality_comparison,
     pairing_map,
+    pushout_product,
     restrict,
     symmetrize,
     symmetrize_comparison,
+    symmetrize_map,
     symmetrize_structure,
     unit_comparison,
+    verify_convolution,
     verify_triangle_identities,
 )
 from .presheaf import (
@@ -43,6 +49,7 @@ from .presheaf import (
     cap,
     coskeleton,
     empty_presheaf,
+    extension_methods_agree,
     hom_presheaf,
     identity_map,
     loads_presheaf,
@@ -52,6 +59,7 @@ from .presheaf import (
     skeleton,
     terminal_map,
     verify_ez_groupoid,
+    verify_restriction_roundtrip,
     verify_skeletal_pushout,
 )
 from .realize import (
@@ -70,6 +78,7 @@ from .report import Report
 from .site import (
     SiteTag,
     compose,
+    enumerate_factorizations,
     enumerate_hom,
     factor,
     parse_morphism,
@@ -77,6 +86,7 @@ from .site import (
     verify_ez,
     verify_relations,
     verify_split_pushouts,
+    vertices_action,
 )
 
 DEFAULT_LIMIT = 1_000_000
@@ -373,16 +383,19 @@ def _cmd_fibrant(args) -> int:
     return _emit_report(args, is_fibrant(X, args.dim))
 
 
+def _vertex_homotopy(X: SkeletalPresheaf, start: str, end: str, dim: int):
+    """A homotopy between two vertices of X over a dim-cube, or None."""
+    pt = representable(0, SiteTag.QSIGMA)
+    f, g = (PresheafMap(pt, X, {0: {pt.level(0)[0]: v}}) for v in (start, end))
+    return find_homotopy(f, g, dim)
+
+
 def _cmd_homotopic(args) -> int:
     X = load_spec(args.spec, SiteTag.QSIGMA)
     for v in (args.start, args.end):
         if v not in X.level(0):
             raise InputError(f"{v!r} is not a vertex of {X.name}")
-    pt = representable(0, SiteTag.QSIGMA)
-    base = pt.level(0)[0]
-    f = PresheafMap(pt, X, {0: {base: args.start}})
-    g = PresheafMap(pt, X, {0: {base: args.end}})
-    h = find_homotopy(f, g, args.dim)
+    h = _vertex_homotopy(X, args.start, args.end, args.dim)
     rep = Report(f"homotopy between {args.start} and {args.end} in {X.name}")
     rep.check(
         "homotopy found",
@@ -395,25 +408,65 @@ def _cmd_homotopic(args) -> int:
 # -- verify-all --------------------------------------------------------------
 
 
+def _iso(u: PresheafMap) -> bool:
+    """u is a natural levelwise bijection."""
+    return u.is_bijective() and u.verify_natural()
+
+
+def _onto(u: PresheafMap, target: SkeletalPresheaf) -> bool:
+    """u is injective and takes each level onto that level of target."""
+    return u.is_injective() and all(
+        sorted(u.mapping[k].values()) == sorted(target.level(k))
+        for k in range(target.N + 1))
+
+
+def _suite_normal_forms(dim: int) -> Report:
+    rep = Report("normal forms")
+    for m, n in itertools.product(range(dim + 1), repeat=2):
+        fs = enumerate_hom(m, n, SiteTag.QSIGMA)
+        rep.check(f"normal forms evaluate back in Hom({m},{n})",
+                  all(factor(f).evaluate() == f for f in fs))
+        facs = [fac.evaluate() for fac in enumerate_factorizations(m, n)]
+        rep.check(f"factorizations biject with Hom({m},{n})",
+                  len(facs) == len(fs) and set(facs) == set(fs))
+    if dim >= 2:
+        collisions = [f"{f} {g}" for f, g in
+                      itertools.combinations(enumerate_hom(2, 1, SiteTag.QSIGMA), 2)
+                      if vertices_action(f) == vertices_action(g)]
+        rep.check("vertices are not faithful: one collision in Hom(2,1)",
+                  collisions == ["(x1^x2):2->1 (x2^x1):2->1"], "; ".join(collisions))
+    return rep
+
+
 def _suite_convolution(dim: int) -> Report:
     rep = Report("convolution")
-    qs = SiteTag.QSIGMA
+    cube = partial(representable, site=SiteTag.QSIGMA)
     for m in range(dim + 1):
         for n in range(dim + 1 - m):
-            cr = convolve(representable(m, qs), representable(n, qs))
-            pm = pairing_map(cr, representable(m + n, qs))
-            rep.check(
-                f"cube{m} (x) cube{n} pairs onto cube{m + n}",
-                pm.is_bijective() and pm.verify_natural(),
-            )
-    cr = convolve(representable(1, qs), representable(0, qs))
-    rep.check("unit law on the interval", unit_comparison(cr).is_bijective())
+            rep.check(f"cube{m} (x) cube{n} pairs onto cube{m + n}",
+                      _iso(pairing_map(convolve(cube(m), cube(n)), cube(m + n))))
+    bd1, incl = boundary(1, SiteTag.QSIGMA)
+    named = {"cube1": cube(1), "cube2": cube(2), "boundary1": bd1}
+    for a, X in named.items():
+        if X.N <= max(dim, 1):  # the interval's unit law at every bound
+            rep.check(f"unit law on {a}", _iso(unit_comparison(convolve(X, cube(0)))))
+    for a, b in (("cube1", "cube1"), ("cube1", "cube2"), ("boundary1", "cube1")):
+        X, Y = named[a], named[b]
+        if X.N + Y.N <= dim:
+            cr = convolve(X, Y)
+            rep.check(f"braiding on {a} (x) {b}",
+                      _iso(braiding_comparison(cr, convolve(Y, X))))
+            rep.check(f"{a} (x) {b} acts on whole classes", verify_convolution(cr).ok)
+    for abc in (("cube1", "cube1", "cube1"), ("boundary1", "cube1", "boundary1")):
+        if sum(named[a].N for a in abc) <= dim:
+            r = associator_comparison(*map(named.get, abc))
+            rep.check(f"associator on {', '.join(abc)}", r.ok, r.summary())
     if dim >= 2:
-        cr = convolve(representable(1, qs), representable(1, qs))
-        br = braiding_comparison(cr, cr)
-        rep.check(
-            "braiding on the square", br.is_bijective() and br.verify_natural()
-        )
+        corner = pushout_product(incl, incl)
+        square = pairing_map(convolve(cube(1), cube(1)), cube(2))
+        rep.check("boundary1 [] boundary1 is the boundary of the square",
+                  corner.verify_natural() and _onto(
+                      corner.then(square), boundary(2, SiteTag.QSIGMA, up_to=2)[0]))
     return rep
 
 
@@ -422,11 +475,8 @@ def _suite_symmetrization(dim: int) -> Report:
     qs = SiteTag.QSIGMA
     for n in range(dim + 1):
         s = symmetrize_structure(representable(n, SiteTag.Q))
-        cmp = symmetrize_comparison(s, representable(n, qs))
-        rep.check(
-            f"transported cube{n} is the symmetric cube",
-            cmp.is_bijective() and cmp.verify_natural(),
-        )
+        rep.check(f"transported cube{n} is the symmetric cube",
+                  _iso(symmetrize_comparison(s, representable(n, qs))))
     # the boundaries and caps transported from the plain site are the
     # symmetric ones: i_! of a restriction of the cube is a restriction
     subcubes = [
@@ -441,17 +491,25 @@ def _suite_symmetrization(dim: int) -> Report:
     for what, n, build in subcubes:
         s = symmetrize_structure(build(SiteTag.Q)[0])
         cmp = symmetrize_comparison(s, representable(n, qs))
-        target = build(qs)[0]
-        hit = all(
-            sorted(cmp.mapping[k].values()) == sorted(target.level(k))
-            for k in range(target.N + 1)
-        )
-        rep.check(
-            f"transported {what}",
-            cmp.is_injective() and cmp.verify_natural() and hit,
-        )
-    tri = verify_triangle_identities(representable(1, qs), min(dim, 3))
-    rep.check("triangle identities on the interval", tri.ok, tri.summary())
+        rep.check(f"transported {what}",
+                  cmp.verify_natural() and _onto(cmp, build(qs)[0]))
+    for name, X in (("cube2", representable(2, SiteTag.Q)),
+                    ("the open box (2,1,0)", cap(2, 1, 0, SiteTag.Q)[0])):
+        for k in range(min(dim, 2)):
+            rep.check(f"lifted sk{k} of {name} is the symmetric skeleton",
+                      _onto(symmetrize_map(skeleton(X, k)[1]),
+                            skeleton(symmetrize(X), k)[0]))
+    for name, Y, bound in (("interval", representable(1, qs), min(dim, 3)),
+                           ("square", representable(2, qs), 2),
+                           ("boundary of the square", boundary(2, qs)[0], 2)):
+        if bound <= dim:
+            tri = verify_triangle_identities(Y, bound)
+            rep.check(f"triangle identities on the {name}", tri.ok, tri.summary())
+    for name, X in (("cube1", representable(1, SiteTag.Q)),
+                    ("boundary1", boundary(1, SiteTag.Q)[0])):
+        if 2 * X.N <= dim:
+            rep.check(f"i_! is strong monoidal on {name} (x) {name}",
+                      _iso(monoidality_comparison(X, X)))
     return rep
 
 
@@ -461,11 +519,14 @@ def _suite_homology(dim: int) -> Report:
 
     def check(name, X, groups):
         # every presheaf here is free, so its cubical chains give the
-        # groups too; the chains from normal forms are the realized ones
-        C, D = nondegenerate_chains(X), cubical_chains(X)
+        # groups too; the chains from normal forms are the realized ones,
+        # whose Euler characteristic the ranks of the groups give
+        C, D, S = nondegenerate_chains(X), cubical_chains(X), realize(X)
         rep.check(name, homology_of_chains(C).groups == groups
                   and D is not None and homology_of_chains(D).groups == groups
-                  and C == normalized_chains(realize(X)))
+                  and C == normalized_chains(S)
+                  and euler_characteristic(S)
+                  == sum((-1) ** k * b for k, (b, _) in enumerate(groups)))
 
     for n in range(min(dim, 3) + 1):
         check(f"cube{n} has point homology", representable(n, qs), ((1, ()),))
@@ -483,13 +544,7 @@ def _suite_homology(dim: int) -> Report:
 
 def _suite_snf() -> Report:
     rep = Report("smith normal form")
-    battery = [
-        [[2, 4], [6, 8]],
-        [[0, 0], [0, 0]],
-        [[1, 0, -1], [0, 2, 2]],
-        [[6], [10]],
-    ]
-    for M in battery:
+    for M in ([[2, 4], [6, 8]], [[0, 0], [0, 0]], [[1, 0, -1], [0, 2, 2]], [[6], [10]]):
         r = verify_snf(M)
         rep.check(f"matrix {M}", r.ok, r.summary())
     return rep
@@ -499,16 +554,19 @@ def _suite_skeletal(dim: int) -> Report:
     rep = Report("skeletal pushouts")
     qs = SiteTag.QSIGMA
     square = representable(2, qs)
-    swap = SubgroupSpec(2, (Permutation.transposition(1, 2, 2),))
-    objs = [
-        square,
-        quotient_presheaf(square, swap, "swapquot")[0],
-        boundary(3, qs)[0],
-    ]
-    for X in objs:
-        for k in range(min(dim, X.N) + 1):
+    swapquot = quotient_presheaf(square, SubgroupSpec.full(2), "swapquot")[0]
+    for X in (square, swapquot, boundary(3, qs)[0]):
+        for k in range(dim + 1):
             r = verify_skeletal_pushout(X, k)
             rep.check(f"sk{k} square for {X.name}", r.ok, r.summary())
+        for k in range(min(dim, X.N)):
+            rep.check(f"sk{k} of {X.name} extends from its {k}-truncation",
+                      verify_restriction_roundtrip(X, k))
+    # the extension by EZ pairs against the extension as a coend
+    for X in (representable(1, qs), boundary(2, qs)[0], representable(2, SiteTag.Q)):
+        if X.N < dim:
+            rep.check(f"extension routes agree on {X.name} [{X.site}] at level "
+                      f"{X.N + 1}", extension_methods_agree(X, X.N + 1))
     return rep
 
 
@@ -516,23 +574,13 @@ def _suite_homotopy(dim: int) -> Report:
     rep = Report("homotopy")
     qs = SiteTag.QSIGMA
     for n in range(1, min(dim + 1, 4) + 1):
-        _, r = contraction_H(n)
-        rep.check(f"contraction of the {n}-cube", r.ok)
-    pt = representable(0, qs)
-    base = pt.level(0)[0]
-    interval = representable(1, qs)
-    f = PresheafMap(pt, interval, {0: {base: "(0):0->1"}})
-    g = PresheafMap(pt, interval, {0: {base: "(1):0->1"}})
-    h = find_homotopy(f, g, 1)
+        rep.check(f"contraction of the {n}-cube", contraction_H(n)[1].ok)
+    ends = ("(0):0->1", "(1):0->1")
+    h = _vertex_homotopy(representable(1, qs), *ends, 1)
     rep.check("interval endpoints homotopic", h is not None and h.verify())
-    bd1 = boundary(1, qs)[0]
-    f = PresheafMap(pt, bd1, {0: {base: "(0):0->1"}})
-    g = PresheafMap(pt, bd1, {0: {base: "(1):0->1"}})
-    rep.check(
-        "separated endpoints not homotopic",
-        find_homotopy(f, g, 1) is None,
-    )
-    fib = is_fibrant(pt, min(dim, 2))
+    rep.check("separated endpoints not homotopic",
+              _vertex_homotopy(boundary(1, qs)[0], *ends, 1) is None)
+    fib = is_fibrant(representable(0, qs), min(dim, 2))
     rep.check("the point fills every cap", fib.ok, fib.summary())
     return rep
 
@@ -540,6 +588,7 @@ def _suite_homotopy(dim: int) -> Report:
 def _cmd_verify_all(args) -> int:
     dim = args.dim
     suites = [
+        _suite_normal_forms(dim),
         verify_relations(dim + 1),
         verify_ez(dim),
         verify_split_pushouts(dim + 1),
@@ -555,19 +604,11 @@ def _cmd_verify_all(args) -> int:
     ]
     overall = Report(f"verify-all at dimension {dim}")
     for suite in suites:
-        overall.check(
-            suite.name,
-            suite.ok,
-            f"{len(suite.entries) - len(suite.failures)}/{len(suite.entries)}",
-        )
+        overall.check(suite.name, suite.ok)
     if args.json:
-        _print_json(
-            {
-                "name": overall.name,
-                "ok": overall.ok,
-                "suites": [s.to_json() for s in suites],
-            }
-        )
+        _print_json({"name": overall.name, "ok": overall.ok, "suites": [
+            dict(s.to_json(), labels=[e.label for e in s.entries]) for s in suites
+        ]})
     else:
         print(overall.summary())
         for suite in suites:

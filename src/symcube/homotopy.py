@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, SymcubeError
-from .monoidal import ConvolutionResult, _class_map, convolve
+from .errors import InputError
+from .monoidal import ConvolutionResult, convolve
 from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
@@ -35,7 +35,6 @@ from .site import (
     delta,
     endpoint,
     identity,
-    tensor,
 )
 
 
@@ -171,24 +170,6 @@ def find_homotopy(f: PresheafMap, g: PresheafMap, n: int = 1):
     cr, e0, e1 = cylinder(f.src, n)
     hs = hom_presheaf(cr.product, f.dst, [(e0, f), (e1, g)])
     return Homotopy(n, hs[0], f, g, e0, e1) if hs else None
-
-
-def projection_homotopy(f: PresheafMap, n: int = 1) -> Homotopy:
-    """The constant homotopy from f to itself: collapse the cube factor
-    with the projection, then apply f."""
-    cr, e0, e1 = cylinder(f.src, n)
-    ye = f.dst.extend_to(cr.product.N)
-
-    def value(key):
-        g, i, x, j, _ = key
-        drop = tensor(identity(i), constant([], j))
-        return ye.act(compose(drop, g), f.mapping[i][x])
-
-    h = _class_map(cr, ye, value)
-    out = Homotopy(n, h, f, f, e0, e1)
-    if not out.verify():
-        raise SymcubeError("projection homotopy does not restrict to its map")
-    return out
 
 
 # -- the contracting conjunction ---------------------------------------------

@@ -164,24 +164,16 @@ def unit_comparison(CR: ConvolutionResult) -> PresheafMap:
 
 def braiding_comparison(CR_XY: ConvolutionResult,
                         CR_YX: ConvolutionResult) -> PresheafMap:
-    """X (x) Y -> Y (x) X by precomposing with the block swap."""
+    """X (x) Y -> Y (x) X by precomposing with the block swap, an arrow
+    of the symmetric site only."""
+    if CR_XY.product.site is not SiteTag.QSIGMA:
+        raise InputError("the braiding swaps blocks, which needs the symmetric site")
 
     def value(key):
         f, i, x, j, y = key
         return CR_YX.class_of((compose(symmetry(i, j), f), j, y, i, x))
 
     return _class_map(CR_XY, CR_YX.product, value)
-
-
-def convolve_map(u: PresheafMap, v: PresheafMap,
-                 CR: ConvolutionResult, CR2: ConvolutionResult) -> PresheafMap:
-    """The functorial action u (x) v on convolution classes."""
-
-    def value(key):
-        f, i, x, j, y = key
-        return CR2.class_of((f, i, u.mapping[i][x], j, v.mapping[j][y]))
-
-    return _class_map(CR, CR2.product, value)
 
 
 # -- the associator ----------------------------------------------------------

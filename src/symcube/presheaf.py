@@ -560,11 +560,6 @@ def skeleton(X: SkeletalPresheaf, k: int) -> tuple[SkeletalPresheaf, PresheafMap
     return S, inclusion_map(S, X)
 
 
-def truncate(X: SkeletalPresheaf, k: int) -> TruncatedPresheaf:
-    levels = {n: X.level(n) for n in range(k + 1)}
-    return restriction(X, levels, f"tr{k}_{X.name}", TruncatedPresheaf)
-
-
 def coskeleton(X: SkeletalPresheaf, k: int, up_to: int | None = None) -> TruncatedPresheaf:
     """Right Kan extension data: level r is Hom(sk_k cube(r), X)."""
     N = X.N if up_to is None else up_to
@@ -714,17 +709,6 @@ def hom_presheaf(
     return results
 
 
-def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
-    """A levelwise-bijective presheaf map X -> Y, or None (exhaustive)."""
-    X = X.extend_to(Y.N)
-    if X.N == Y.N and X.size() != Y.size():
-        return None
-    for u in hom_presheaf(X, Y):
-        if u.is_bijective():
-            return u
-    return None
-
-
 # -- colimits ----------------------------------------------------------------
 
 
@@ -813,6 +797,8 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
         tails.setdefault(sum(dims), []).extend(
             tuple(itertools.chain(*zip(dims, xs))) for xs in sections
         )
+    # a sum of dimensions with no reduced tail holds no member
+    tails = {n: block for n, block in tails.items() if block}
     for k in ks:
         size = sum(hom_count(k, n, site) * len(block) for n, block in tails.items())
         charge(size, f"coend level {k} has {size} members")
@@ -980,14 +966,7 @@ class SubgroupSpec:
 
     @classmethod
     def full(cls, n: int) -> "SubgroupSpec":
-        if n <= 1:
-            return cls.trivial(n)
-        return cls(
-            n,
-            tuple(
-                Permutation.transposition(i, i + 1, n) for i in range(1, n)
-            ),
-        )
+        return cls(n, tuple(Permutation.transposition(i, i + 1, n) for i in range(1, n)))
 
 
 def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
@@ -1021,13 +1000,6 @@ def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
         X, Qp, {n: dict(orbit_of[n]) for n in orbit_of}
     )
     return Qp, proj
-
-
-def quotient_by_group(n: int, H: SubgroupSpec, site: SiteTag = SiteTag.QSIGMA,
-                      up_to: int | None = None):
-    return quotient_presheaf(
-        representable(n, site, up_to=up_to), H, name=f"H\\cube{n}"
-    )
 
 
 def stabilizer(X: SkeletalPresheaf, n: int, x: str) -> SubgroupSpec:
@@ -1165,9 +1137,10 @@ def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
     """The EZ-pair sections biject with the coend classes, the pair of a
     section lying in its own class."""
     ids, pairs = extend_level(X, n)
-    levels, _, class_of, _ = tagged_coend([X], X.site, [n])
-    hit = {class_of.get((e, e.dst, yid)) for e, yid in pairs.values()}
-    return None not in hit and len(hit) == len(ids) == len(levels[n])
+    classes = coend_level(X, n)
+    owner = {member: i for i, members in enumerate(classes) for member in members}
+    hit = {owner.get((e, e.dst, yid)) for e, yid in pairs.values()}
+    return None not in hit and len(hit) == len(ids) == len(classes)
 
 
 def restrict_skeletal(X: SkeletalPresheaf, k: int) -> SkeletalPresheaf:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, SymcubeError, charge
-from .presheaf import PresheafMap, SkeletalPresheaf, nondegenerate_sections
+from .presheaf import SkeletalPresheaf, nondegenerate_sections
 from .report import Report
 from .site import (Conj, Const, Morphism, Permutation, SiteTag, _cosymmetry_perms,
                    compose, delta, enumerate_hom, pi)
@@ -261,25 +261,6 @@ def realize(X: SkeletalPresheaf) -> SimplicialSet:
     resource limit before it is built.
     """
     return _NormalForms(X).realization()[0]
-
-
-def realize_map(u: PresheafMap) -> SimplicialMap:
-    """Realization of a presheaf map: rename the copy, keep the simplex.
-
-    A natural map is constant on classes, so each class is sent through
-    any one of its normal forms."""
-    if not u.verify_natural():
-        raise SymcubeError(
-            f"cannot realize the non-natural map {u.src.name} -> {u.dst.name}"
-        )
-    src, dst = _NormalForms(u.src), _NormalForms(u.dst)
-    (S_src, members), (S_dst, _) = src.realization(), dst.realization()
-    mapping = {
-        k: {cid: dst.normal(n, u.mapping[n][x], s, k)[0]
-            for cid, (n, x, s) in level.items()}
-        for k, level in enumerate(members)
-    }
-    return SimplicialMap(S_src, S_dst, mapping)
 
 
 class _NormalForms:

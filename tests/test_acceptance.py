@@ -1,58 +1,26 @@
 """The acceptance gate: twelve criteria, one line each.
 
+`symcube verify-all --dim 3` decides which checks, on which inputs,
+establish each claim of the paper.  This module runs it once, without
+asserts (python -O), and reads criteria 2-4 and 6-12 from its suites by
+suite and check name, with pinned counts.  Criteria 1 and 5 and the
+worked cycle of criterion 2 are literals computed here, independently
+of the gate.
+
 Run with -s to see the lines as they are produced; each criterion is a
 single test so the pass/fail status is also visible per line in -v mode.
 """
 
-import itertools
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
 
-from symcube.homotopy import contraction_H, find_homotopy
-from symcube.monoidal import (
-    braiding_comparison,
-    convolve,
-    pairing_map,
-    pushout_product,
-    symmetrize,
-    symmetrize_comparison,
-    symmetrize_map,
-    symmetrize_structure,
-    unit_comparison,
-    verify_triangle_identities,
-)
-from symcube.presheaf import (
-    PresheafMap,
-    Permutation,
-    SubgroupSpec,
-    boundary,
-    cap,
-    extension_methods_agree,
-    pushout,
-    quotient_by_group,
-    representable,
-    skeleton,
-    terminal_map,
-    verify_skeletal_pushout,
-)
-from symcube.realize import (
-    euler_characteristic,
-    homology,
-    realize,
-    verify_cubical_monoid_delta1,
-)
-from symcube.site import (
-    SiteTag,
-    compose,
-    enumerate_factorizations,
-    enumerate_hom,
-    factor,
-    hom_count,
-    parse_morphism,
-    tensor,
-    verify_ez,
-    verify_relations,
-    verify_split_pushouts,
-    vertices_action,
-)
+import pytest
+
+from symcube.site import (Permutation, SiteTag, compose, factor, hom_count,
+                          parse_morphism, tensor)
 
 Q = SiteTag.Q
 QS = SiteTag.QSIGMA
@@ -62,6 +30,25 @@ def conclude(num: int, label: str, ok: bool):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:2d} {status}: {label}")
     assert ok, f"criterion {num} failed: {label}"
+
+
+@pytest.fixture(scope="module")
+def gate():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "symcube.cli", "--json", "verify-all",
+         "--dim", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return {suite["name"]: suite for suite in json.loads(proc.stdout)["suites"]}
+
+
+def passes(gate, name: str, checked: int, *labels: str) -> bool:
+    """The gate's suite `name` passed all of its `checked` checks, and
+    these labels are among them."""
+    suite = gate[name]
+    return (suite["ok"] and suite["checked"] == checked
+            and set(labels) <= set(suite["labels"]))
 
 
 def test_criterion_01_worked_compositions():
@@ -80,25 +67,25 @@ def test_criterion_01_worked_compositions():
     conclude(1, "worked compositions and the monoidal product example", ok)
 
 
-def test_criterion_02_normal_form():
-    ok = True
-    for m in range(4):
-        for n in range(4):
-            fs = enumerate_hom(m, n, QS)
-            ok = ok and all(factor(f).evaluate() == f for f in fs)
-            ok = ok and len(list(enumerate_factorizations(m, n))) == len(fs)
+def test_criterion_02_normal_form(gate):
+    ok = passes(gate, "normal forms", 33, *(
+        line for m in range(4) for n in range(4)
+        for line in (f"normal forms evaluate back in Hom({m},{n})",
+                     f"factorizations biject with Hom({m},{n})")))
     fac = factor(parse_morphism("(x3,1,x1^x5^x2,0):5->4"))
     ok = ok and fac.perm == Permutation.from_cycles("(1 2 4 3)", 4)
     conclude(2, "normal-form round trip, factorization count, worked cycle", ok)
 
 
-def test_criterion_03_relations():
-    rep = verify_relations(4)
-    conclude(3, "all relation instances through dimension 4", rep.ok and not rep.failures)
+def test_criterion_03_relations(gate):
+    ok = passes(gate, "relations(n<=4)", 500)
+    conclude(3, "all relation instances through dimension 4", ok)
 
 
-def test_criterion_04_ez_axioms():
-    ok = verify_ez(3).ok and verify_split_pushouts(4).ok
+def test_criterion_04_ez_axioms(gate):
+    ok = (passes(gate, "ez-axioms(objects<=3)", 64)
+          and passes(gate, "split-pushouts(n<=4)", 84)
+          and passes(gate, "ez-groupoid(cube2)", 3))
     conclude(4, "degree monotonicity, epi-mono factorization, split pushouts", ok)
 
 
@@ -110,145 +97,105 @@ def test_criterion_05_hom_cardinalities():
     conclude(5, "hom-set cardinalities by enumeration", ok)
 
 
-def test_criterion_06_vertices_not_faithful():
-    homs = enumerate_hom(2, 1, QS)
-    collisions = [
-        (f, g)
-        for f, g in itertools.combinations(homs, 2)
-        if vertices_action(f) == vertices_action(g)
-    ]
-    ok = collisions == [
-        (parse_morphism("(x1^x2):2->1"), parse_morphism("(x2^x1):2->1"))
-    ]
+def test_criterion_06_vertices_not_faithful(gate):
+    ok = passes(gate, "normal forms", 33,
+                "vertices are not faithful: one collision in Hom(2,1)")
     conclude(6, "vertex-table collision found by scanning", ok)
 
 
-def test_criterion_07_skeletal_pushouts():
-    square = representable(2, QS)
-    quot = quotient_by_group(2, SubgroupSpec.full(2))[0]
-    bd3 = boundary(3, QS)[0]
-    ok = all(
-        verify_skeletal_pushout(X, k).ok
-        for X in (square, quot, bd3)
-        for k in range(4)
-    )
+def test_criterion_07_skeletal_pushouts(gate):
+    ok = passes(gate, "skeletal pushouts", 22, *(
+        f"sk{k} square for {name}"
+        for name in ("cube2", "swapquot", "bd3") for k in range(4)
+    ), *(
+        f"sk{k} of {name} extends from its {k}-truncation"
+        for name, N in (("cube2", 2), ("swapquot", 2), ("bd3", 3)) for k in range(N)
+    ))
     conclude(7, "skeletal pushout squares at every level", ok)
 
 
-def test_criterion_08_convolution():
-    ok = True
-    for m in range(4):
-        for n in range(4 - m):
-            cr = convolve(representable(m, QS), representable(n, QS))
-            pm = pairing_map(cr, representable(m + n, QS))
-            ok = ok and pm.is_bijective() and pm.verify_natural()
-    bd1, incl = boundary(1, QS)
-    corner = pushout_product(incl, incl)
-    bd2 = boundary(2, QS, up_to=2)[0]
-    comparison = pairing_map(
-        convolve(representable(1, QS), representable(1, QS)),
-        representable(2, QS),
-    )
-    ok = ok and corner.is_injective() and corner.verify_natural()
-    for k in range(3):
-        image = {
-            comparison.mapping[k][corner.mapping[k][p]]
-            for p in corner.src.levels[k]
-        }
-        ok = ok and image == set(bd2.levels[k])
-    for X in (representable(1, QS), representable(2, QS), bd1):
-        cr = convolve(X, representable(0, QS))
-        u = unit_comparison(cr)
-        ok = ok and u.is_bijective() and u.verify_natural()
-    for X, Y in (
-        (representable(1, QS), representable(2, QS)),
-        (bd1, representable(1, QS)),
-    ):
-        br = braiding_comparison(convolve(X, Y), convolve(Y, X))
-        ok = ok and br.is_bijective() and br.verify_natural()
-    conclude(8, "convolution of cubes, boundary corner, unit, braiding", ok)
+def test_criterion_08_convolution(gate):
+    ok = passes(gate, "convolution", 22, *(
+        f"cube{m} (x) cube{n} pairs onto cube{m + n}"
+        for m in range(4) for n in range(4 - m)
+    ), *(f"unit law on {X}" for X in ("cube1", "cube2", "boundary1")), *(
+        line
+        for XY in ("cube1 (x) cube1", "cube1 (x) cube2", "boundary1 (x) cube1")
+        for line in (f"braiding on {XY}", f"{XY} acts on whole classes")
+    ),
+        "associator on cube1, cube1, cube1",
+        "associator on boundary1, cube1, boundary1",
+        "boundary1 [] boundary1 is the boundary of the square")
+    conclude(8, "convolution of cubes, boundary corner, unit, braiding, "
+             "associator", ok)
 
 
-def test_criterion_09_kan_extension():
-    ok = True
-    for n in range(4):
-        s = symmetrize_structure(representable(n, Q))
-        cmp = symmetrize_comparison(s, representable(n, QS))
-        ok = ok and cmp.is_bijective() and cmp.verify_natural()
-    for n in range(1, 4):
-        s = symmetrize_structure(boundary(n, Q)[0])
-        cmp = symmetrize_comparison(s, representable(n, QS))
-        target = boundary(n, QS)[0]
-        ok = ok and cmp.is_injective() and cmp.verify_natural()
-        ok = ok and all(
-            sorted(cmp.mapping[k].values()) == sorted(target.level(k))
-            for k in range(target.N + 1)
-        )
-    for k in (0, 1):
-        for X in (representable(2, Q), cap(2, 1, 0, Q)[0]):
-            sub, incl = skeleton(X, k)
-            lifted = symmetrize_map(incl)
-            target = skeleton(symmetrize(X), k)[0]
-            ok = ok and lifted.is_injective()
-            ok = ok and all(
-                sorted(lifted.mapping[n].values()) == sorted(target.levels[n])
-                for n in range(X.N + 1)
-            )
-    for Y, bound in (
-        (representable(1, QS), 3),
-        (representable(2, QS), 2),
-        (boundary(2, QS)[0], 2),
-    ):
-        rep = verify_triangle_identities(Y, bound)
-        ok = ok and rep.ok
-    conclude(9, "symmetrization against symmetric cubes, skeleta, triangles", ok)
+def test_criterion_09_kan_extension(gate):
+    ok = passes(gate, "symmetrization", 22, *(
+        f"transported cube{n} is the symmetric cube" for n in range(4)
+    ), *(
+        f"transported boundary{n} is the symmetric boundary" for n in range(1, 4)
+    ), *(
+        f"lifted sk{k} of {X} is the symmetric skeleton"
+        for k in (0, 1) for X in ("cube2", "the open box (2,1,0)")
+    ), *(
+        f"triangle identities on the {Y}"
+        for Y in ("interval", "square", "boundary of the square")
+    ), *(
+        f"i_! is strong monoidal on {X} (x) {X}" for X in ("cube1", "boundary1")
+    ))
+    conclude(9, "symmetrization against symmetric cubes, skeleta, triangles, "
+             "monoidality", ok)
 
 
-def test_criterion_10_homology():
-    ok = True
-    realizations = []
-    for n in range(4):
-        X = representable(n, QS)
-        ok = ok and homology(X).groups == ((1, ()),)
-        realizations.append(X)
-    bd2 = boundary(2, QS)[0]
-    bd3 = boundary(3, QS)[0]
-    ok = ok and homology(bd2).groups == ((1, ()), (1, ()))
-    ok = ok and homology(bd3).groups == ((1, ()), (0, ()), (1, ()))
-    bd1, incl = boundary(1, QS)
-    circle = pushout(incl, terminal_map(bd1))[0]
-    ok = ok and homology(circle).groups == ((1, ()), (1, ()))
-    realizations.extend([bd2, bd3, circle])
-    for X in realizations:
-        S = realize(X)
-        res = homology(X)
-        signed = sum((-1) ** k * b for k, b in enumerate(res.betti()))
-        ok = ok and euler_characteristic(S) == signed
+def test_criterion_10_homology(gate):
+    ok = passes(gate, "homology", 7, *(
+        f"cube{n} has point homology" for n in range(4)
+    ), "boundary2 is a circle", "collapsed interval is a circle",
+        "boundary3 is a sphere") and passes(gate, "smith normal form", 4)
     conclude(10, "integral homology and Euler consistency, exact integers", ok)
 
 
-def test_criterion_11_interval_monoid():
-    rep = verify_cubical_monoid_delta1(3)
-    conclude(11, "interval monoid structure at simplicial levels <= 3", rep.ok)
+def test_criterion_11_interval_monoid(gate):
+    ok = (passes(gate, "interval monoid to level 3", 5)
+          and passes(gate, "interval-power action", 2))
+    conclude(11, "interval monoid structure at simplicial levels <= 3", ok)
 
 
-def test_criterion_12_homotopy():
-    ok = all(contraction_H(n)[1].ok for n in range(1, 5))
-    pt = representable(0, QS)
-    base = pt.level(0)[0]
-    interval = representable(1, QS)
-    f = PresheafMap(pt, interval, {0: {base: "(0):0->1"}})
-    g = PresheafMap(pt, interval, {0: {base: "(1):0->1"}})
-    h = find_homotopy(f, g, 1)
-    ok = ok and h is not None and h.verify()
-    bd1 = boundary(1, QS)[0]
-    f = PresheafMap(pt, bd1, {0: {base: "(0):0->1"}})
-    g = PresheafMap(pt, bd1, {0: {base: "(1):0->1"}})
-    ok = ok and find_homotopy(f, g, 1) is None
-    for X in (
-        representable(1, QS),
-        boundary(2, QS)[0],
-        representable(2, Q),
-    ):
-        ok = ok and extension_methods_agree(X, X.N + 1)
+def test_criterion_12_homotopy(gate):
+    ok = passes(gate, "homotopy", 7, *(
+        f"contraction of the {n}-cube" for n in range(1, 5)
+    ), "interval endpoints homotopic", "separated endpoints not homotopic"
+    ) and passes(gate, "skeletal pushouts", 22,
+                 "extension routes agree on cube1 [QSigma] at level 2",
+                 "extension routes agree on bd2 [QSigma] at level 3",
+                 "extension routes agree on cube2 [Q] at level 3")
     conclude(12, "contractions, interval homotopy, refutation, dual oracles", ok)
+
+
+# -- the library holds only what the system calls ----------------------------
+
+# file-format entry points kept for callers outside the package
+ENTRY_POINTS = {"dumps_presheaf", "dumps_presheaf_json"}
+
+
+def test_no_definition_is_reached_only_from_tests():
+    """Every top-level function and class of src/symcube is referenced,
+    as a name or an attribute, from library code other than its own
+    definition and __init__.py; a slow second route that only tests
+    need lives in the tests as an oracle."""
+    defined, used = set(), set()
+    for path in Path(__file__).parents[1].glob("src/symcube/*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(own)
+            used.update(
+                name
+                for sub in ast.walk(node)
+                for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                if name not in (None, own)
+            )
+    assert sorted(defined - used - ENTRY_POINTS) == []

@@ -607,8 +607,11 @@ EVERY_SUBCOMMAND = [
     (["lift", "empty", "terminal:point"], 2),
     (["fibrant", "cube:1"], 0),
     (["homotopic", "cube:1", "(0):0->1", "(1):0->1"], 0),
+    (["verify-all", "--dim", "0"], 0),
     (["verify-all", "--dim", "1"], 0),
+    (["verify-all", "--dim", "2"], 0),
     (["verify-all", "--dim", "-1"], 2),
+    (["--limit", "1000", "verify-all", "--dim", "3"], 3),
     # a hom set over the bound is named, never printed with its size
     (["enum-hom", "0", "20000"], 3),
     (["boundary", "20000"], 3),

@@ -6,7 +6,7 @@ import pytest
 
 import symcube.presheaf as presheaf_module
 from symcube.cli import load_spec
-from symcube.errors import InputError, ResourceBound, resource_limit
+from symcube.errors import InputError, ResourceBound, SymcubeError, resource_limit
 from symcube.homotopy import (
     Homotopy,
     LiftingProblem,
@@ -14,9 +14,9 @@ from symcube.homotopy import (
     cylinder,
     find_homotopy,
     is_fibrant,
-    projection_homotopy,
     solve_lifting,
 )
+from symcube.monoidal import _class_map
 from symcube.presheaf import (
     PresheafMap,
     boundary,
@@ -33,8 +33,11 @@ from symcube.site import (
     Conj,
     SiteTag,
     compose,
+    constant,
     factor,
+    identity,
     parse_morphism,
+    tensor,
 )
 
 QS = SiteTag.QSIGMA
@@ -131,6 +134,24 @@ def test_search_finds_self_homotopy():
     assert find_homotopy(BD1S_INCL, BD1S_INCL, 1) is not None
     ident = identity_map(R1S)
     assert find_homotopy(ident, ident, 1) is not None
+
+
+def projection_homotopy(f: PresheafMap, n: int = 1) -> Homotopy:
+    """The constant homotopy from f to itself: collapse the cube factor
+    with the projection, then apply f."""
+    cr, e0, e1 = cylinder(f.src, n)
+    ye = f.dst.extend_to(cr.product.N)
+
+    def value(key):
+        g, i, x, j, _ = key
+        drop = tensor(identity(i), constant([], j))
+        return ye.act(compose(drop, g), f.mapping[i][x])
+
+    h = _class_map(cr, ye, value)
+    out = Homotopy(n, h, f, f, e0, e1)
+    if not out.verify():
+        raise SymcubeError("projection homotopy does not restrict to its map")
+    return out
 
 
 def test_projection_homotopy_restricts_to_its_map():

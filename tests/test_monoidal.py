@@ -1,5 +1,6 @@
 """Day convolution, pushout-products, and the symmetrization adjunction."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,14 @@ from symcube.errors import (
     resource_limit,
 )
 from symcube.monoidal import (
+    ConvolutionResult,
+    _class_map,
     _constant_map,
     adjunction_counit,
     adjunction_unit,
     associator_comparison,
     braiding_comparison,
     convolve,
-    convolve_map,
     monoidality_comparison,
     pairing_map,
     pushout_product,
@@ -40,7 +42,6 @@ from symcube.presheaf import (
     coproduct,
     dumps_presheaf,
     empty_presheaf,
-    find_isomorphism,
     identity_map,
     pushout,
     quotient_presheaf,
@@ -50,6 +51,7 @@ from symcube.presheaf import (
     terminal_presheaf,
 )
 from symcube.site import SiteTag, delta, hom_count, parse_morphism, sigma
+from test_presheaf import find_isomorphism
 
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
@@ -119,6 +121,14 @@ def test_braiding(X, Y):
     assert braid.is_bijective()
 
 
+def test_product_keeps_only_sums_with_tails():
+    # bd2's cells stop at level 1, so no reduced tail sums to 3 or 4
+    CR = convolve(*[boundary(2, QS)[0]] * 2)
+    assert sorted(CR.class_of.tails) == [0, 1, 2]
+    digest = hashlib.sha256(dumps_presheaf(CR.product).encode()).hexdigest()
+    assert digest == "502fea02fbe45cd1a727ebd03e1cdb98ff90c65d27e31b7653e2b792ec57f022"
+
+
 @pytest.mark.parametrize(
     "X,Y,Z",
     [(R1, R1, R1), (BD1, R1, BD1)],
@@ -138,6 +148,10 @@ def test_collapse_well_defined(CR):
 def test_convolution_site_mismatch():
     with pytest.raises(InputError):
         convolve(R1, representable(1, Q))
+    # the block swap is no arrow of Q, so the braiding refuses before a lookup
+    cap_q, r1_q = cap(2, 1, 0, Q)[0], representable(1, Q)
+    with pytest.raises(InputError):
+        braiding_comparison(convolve(cap_q, r1_q), convolve(r1_q, cap_q))
 
 
 # -- pushout-product ---------------------------------------------------------
@@ -160,6 +174,17 @@ def test_corner_of_boundary_inclusions():
             for p in corner.src.levels[n]
         }
         assert image == set(bd2.levels[n])
+
+
+def convolve_map(u: PresheafMap, v: PresheafMap,
+                 CR: ConvolutionResult, CR2: ConvolutionResult) -> PresheafMap:
+    """The functorial action u (x) v on convolution classes."""
+
+    def value(key):
+        f, i, x, j, y = key
+        return CR2.class_of((f, i, u.mapping[i][x], j, v.mapping[j][y]))
+
+    return _class_map(CR, CR2.product, value)
 
 
 def oracle_pushout_product(f, g):

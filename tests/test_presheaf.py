@@ -45,7 +45,6 @@ from symcube.presheaf import (
     empty_presheaf,
     extend_level,
     extension_methods_agree,
-    find_isomorphism,
     generator_morphisms,
     hom_presheaf,
     identity_map,
@@ -55,16 +54,15 @@ from symcube.presheaf import (
     loads_presheaf,
     nondegenerate_sections,
     pushout,
-    quotient_by_group,
     quotient_presheaf,
     representable,
     restrict_skeletal,
+    restriction,
     skeleton,
     stabilizer,
     tagged_coend,
     terminal_map,
     terminal_presheaf,
-    truncate,
     verify_ez_groupoid,
     verify_functorial,
     verify_restriction_roundtrip,
@@ -92,6 +90,30 @@ from symcube.site import (
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
 DATA = Path(__file__).parent / "data"
+
+
+# -- oracles that the library itself does not need ---------------------------
+
+
+def truncate(X: SkeletalPresheaf, k: int) -> TruncatedPresheaf:
+    levels = {n: X.level(n) for n in range(k + 1)}
+    return restriction(X, levels, f"tr{k}_{X.name}", TruncatedPresheaf)
+
+
+def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
+    """A levelwise-bijective presheaf map X -> Y, or None (exhaustive)."""
+    X = X.extend_to(Y.N)
+    if X.N == Y.N and X.size() != Y.size():
+        return None
+    for u in hom_presheaf(X, Y):
+        if u.is_bijective():
+            return u
+    return None
+
+
+def quotient_by_group(n: int, H: SubgroupSpec):
+    return quotient_presheaf(representable(n, QS), H, name=f"H\\cube{n}")
+
 
 C0 = representable(0, QS)
 C1 = representable(1, QS)
