@@ -33,7 +33,6 @@ from .monoidal import (
     pushout_product,
     restrict,
     symmetrize,
-    symmetrize_comparison,
     symmetrize_map,
     symmetrize_structure,
     unit_comparison,
@@ -476,7 +475,7 @@ def _suite_symmetrization(dim: int) -> Report:
     for n in range(dim + 1):
         s = symmetrize_structure(representable(n, SiteTag.Q))
         rep.check(f"transported cube{n} is the symmetric cube",
-                  _iso(symmetrize_comparison(s, representable(n, qs))))
+                  _iso(pairing_map(s, representable(n, qs))))
     # the boundaries and caps transported from the plain site are the
     # symmetric ones: i_! of a restriction of the cube is a restriction
     subcubes = [
@@ -490,7 +489,7 @@ def _suite_symmetrization(dim: int) -> Report:
     ]
     for what, n, build in subcubes:
         s = symmetrize_structure(build(SiteTag.Q)[0])
-        cmp = symmetrize_comparison(s, representable(n, qs))
+        cmp = pairing_map(s, representable(n, qs))
         rep.check(f"transported {what}",
                   cmp.verify_natural() and _onto(cmp, build(qs)[0]))
     for name, X in (("cube2", representable(2, SiteTag.Q)),
@@ -519,12 +518,15 @@ def _suite_homology(dim: int) -> Report:
 
     def check(name, X, groups):
         # every presheaf here is free, so its cubical chains give the
-        # groups too; the chains from normal forms are the realized ones,
+        # groups too, and the dense Smith normal form of each of their
+        # boundary matrices meets the sparse elimination; the chains from
+        # normal forms are those of the realization, a simplicial set
         # whose Euler characteristic the ranks of the groups give
         C, D, S = nondegenerate_chains(X), cubical_chains(X), realize(X)
         rep.check(name, homology_of_chains(C).groups == groups
                   and D is not None and homology_of_chains(D).groups == groups
-                  and C == normalized_chains(S)
+                  and all(verify_snf(M).ok for M in D.boundaries.values())
+                  and C == normalized_chains(S) and S.verify_identities().ok
                   and euler_characteristic(S)
                   == sum((-1) ** k * b for k, (b, _) in enumerate(groups)))
 
@@ -562,7 +564,7 @@ def _suite_skeletal(dim: int) -> Report:
         for k in range(min(dim, X.N)):
             rep.check(f"sk{k} of {X.name} extends from its {k}-truncation",
                       verify_restriction_roundtrip(X, k))
-    # the extension by EZ pairs against the extension as a coend
+    # the EZ pairs read off each extension's tables against its coend classes
     for X in (representable(1, qs), boundary(2, qs)[0], representable(2, SiteTag.Q)):
         if X.N < dim:
             rep.check(f"extension routes agree on {X.name} [{X.site}] at level "

@@ -272,10 +272,6 @@ def symmetrize_map(u: PresheafMap) -> PresheafMap:
     return _class_map(S, T.product, value)
 
 
-# (g, m, x) -> x o g, for a symmetrized subpresheaf of a representable
-symmetrize_comparison = pairing_map
-
-
 def restrict(X: SkeletalPresheaf, up_to: int) -> TruncatedPresheaf:
     """The underlying plain cubical set of a symmetric one, stored to
     the requested level (extending the input where needed)."""

@@ -4,8 +4,8 @@ A presheaf is stored as finitely many levels of opaque section ids plus
 the contravariant action of the generating morphisms; the action of an
 arbitrary morphism is derived from its normal-form generator word.  A
 SkeletalPresheaf denotes the left Kan extension of its truncation, so
-levels above the stored bound can be materialized on demand; a
-TruncatedPresheaf refuses to extend.
+levels above the stored bound can be materialized on demand, as the
+one-factor coend of tagged_coend; a TruncatedPresheaf refuses to extend.
 """
 
 from __future__ import annotations
@@ -97,20 +97,6 @@ def parse_generator_name(name: str, site: SiteTag) -> Morphism:
     raise InputError(f"bad generator name {name!r} for site {site}")
 
 
-def _least_cosymmetric(epi: Morphism, site: SiteTag) -> tuple[str, Permutation]:
-    """The least printed arrow pi(th) o epi over the site's cosymmetries
-    th of [epi.dst], and th^-1.  Over QSigma an epi's entries are distinct
-    conjunctions on disjoint symbols, so where one printed entry is a
-    prefix of another the longer goes on with a digit and the shorter
-    with "," or ")", which sort below digits: the least arrow is epi with
-    its entries sorted by printed form, and exactly one th reaches it."""
-    printed = [str(e) for e in epi.entries]
-    order = (sorted(range(epi.dst), key=printed.__getitem__)
-             if site is SiteTag.QSIGMA else range(epi.dst))
-    arrow = f"({','.join(printed[i] for i in order)}):{epi.src}->{epi.dst}"
-    return arrow, Permutation([i + 1 for i in order])
-
-
 def _take(seq, keys) -> tuple:
     """seq read at each of keys, as a tuple built in C; itemgetter needs
     a key and returns a bare item for one."""
@@ -131,8 +117,9 @@ class SkeletalPresheaf:
         self.name = name
         self._tables: dict[Morphism, dict[str, str]] = {}
         self._words: dict[tuple[Morphism, ...] | Morphism, tuple[int, ...]] = {}
-        self._ez_levels: dict[int, dict[str, tuple[Morphism, str]]] = {}
+        self._ez_pairs: dict[int, dict[str, tuple[Morphism, str]]] = {}
         self._reaches: dict[int, dict[str, tuple[str, Morphism]]] = {}
+        self._extensions: dict[int, SkeletalPresheaf] = {}
         self._check_structure()
 
     def _check_structure(self):
@@ -241,7 +228,7 @@ class SkeletalPresheaf:
         level epi.dst and act(epi)(y) = x.  A section reached as g*y,
         y with pair (e, z), has pair (e o g, z), composed once when first
         asked for; a nondegenerate one is paired with the identity."""
-        pairs = self._ez_levels.setdefault(n, {})
+        pairs = self._ez_pairs.setdefault(n, {})
         got = pairs.get(x)
         if got is None:
             reach = self._reach(n)
@@ -260,65 +247,34 @@ class SkeletalPresheaf:
     # -- skeletal extension -------------------------------------------------
 
     def extend_to(self, N2: int) -> "SkeletalPresheaf":
-        """The skeletal extension to level N2, itself when N2 <= N.  An
-        uncached level is first charged a bound on its size: its sections
-        are classes of an epi [N2] -> [m] and a nondegenerate one at m."""
-        X = self
-        while X.N < N2 and "_one_level_up" in vars(X):
-            X = X._one_level_up
-        if X.N < N2:
-            counts = [len(nondegenerate_sections(self, m)) for m in range(self.N + 1)]
-            charge(sum(hom_count(N2, m, self.site) * c for m, c in enumerate(counts) if c),
+        """The skeletal extension to level N2, itself when N2 <= N, built
+        once per N2: levels N..N2 of the one-factor coend tagged_coend([self]).
+        Level N keeps its own ids, the class of (id, N, x) read back as x,
+        and the levels above take the coend's class ids.  First charged a
+        bound on the size of level N2: its sections are classes of an epi
+        [N2] -> [m] and a nondegenerate section at m."""
+        if N2 <= self.N:
+            return self
+        got = self._extensions.get(N2)
+        if got is None:
+            N, site = self.N, self.site
+            counts = [len(nondegenerate_sections(self, m)) for m in range(N + 1)]
+            charge(sum(hom_count(N2, m, site) * c for m, c in enumerate(counts) if c),
                    f"extending {self.name} to level {N2}")
-        while X.N < N2:
-            X = X._one_level_up
-        return X
-
-    @cached_property
-    def _one_level_up(self) -> "SkeletalPresheaf":
-        return self._extend_one()
-
-    def _canonical_pair(self, epi: Morphism, x: str) -> tuple[str, tuple[Morphism, str]]:
-        """The extended section act(epi)(x), x at level epi.dst: its id,
-        the least pair "epi|nondegenerate" over the cosymmetry orbit of
-        its EZ pair (total, y), and that EZ pair."""
-        e2, y = self.ez_decompose(epi.dst, x)
-        total = compose(e2, epi)
-        arrow, th_inverse = _least_cosymmetric(total, self.site)
-        return f"{arrow}|{self.act(pi(th_inverse), y)}", (total, y)
-
-    def _extend_one(self) -> "SkeletalPresheaf":
-        """Level N+1 of the skeletal extension: the swap closure of the
-        epi generators' images of level N, each section its own EZ pair."""
-        n = self.N + 1
-        new = [g for _, g in generator_morphisms(self.site, n) if g not in self.action]
-        pairs: dict[str, tuple[Morphism, str]] = {}  # an EZ pair of each new id
-        tables = {g: {} for g in new if g.src == n}  # epi generators and swaps
-        for g, table in tables.items():
-            if g.dst < n:
-                for x in self.levels[self.N]:
-                    table[x], pair = self._canonical_pair(g, x)
-                    pairs.setdefault(table[x], pair)
-        swaps = [(s, table) for s, table in tables.items() if s.dst == n]
-        frontier = list(pairs)
-        for pid in frontier:  # grows as the swaps reach new sections
-            e, y = pairs[pid]
-            for s, table in swaps:
-                table[pid], pair = self._canonical_pair(compose(e, s), y)
-                if table[pid] not in pairs:
-                    pairs[table[pid]] = pair
-                    frontier.append(table[pid])
-        levels = {**self.levels, n: tuple(sorted(pairs))}
-        action = dict(self.action)
-        for g in new:
-            if g.src < n:  # a face, from the new level down to level N
-                action[g] = {pid: self.act(compose(pairs[pid][0], g), pairs[pid][1])
-                             for pid in levels[n]}
-            else:
-                action[g] = {x: tables[g][x] for x in levels[g.dst]}
-        X = SkeletalPresheaf(self.site, n, levels, action, self.name)
-        X._ez_levels = {**self._ez_levels, n: {pid: pairs[pid] for pid in levels[n]}}
-        return X
+            levels, action, class_of, _ = tagged_coend([self], site, range(N, N2 + 1))
+            ids = {x: class_of((identity(N), N, x)) for x in self.levels[N]}
+            own = dict(zip(ids.values(), ids))
+            tables = dict(self.action)  # the swaps of level N among them
+            for h, table in action.items():
+                if h.src > N and h.dst > N:
+                    tables[h] = table
+                elif h.dst > N:  # a face down to level N
+                    tables[h] = {c: own[v] for c, v in table.items()}
+                elif h.src > N:  # an epi generator up from level N, in its order
+                    tables[h] = {x: table[c] for x, c in ids.items()}
+            levels = {**self.levels, **{n: levels[n] for n in range(N + 1, N2 + 1)}}
+            got = self._extensions[N2] = SkeletalPresheaf(site, N2, levels, tables, self.name)
+        return got
 
     def same_data(self, other: "SkeletalPresheaf") -> bool:
         return (
@@ -389,7 +345,7 @@ def identity_map(X: SkeletalPresheaf) -> PresheafMap:
 
 def extend_map(u: PresheafMap, N: int) -> PresheafMap:
     """u between the skeletal extensions of its ends to level N: a new
-    section, the EZ pair e|x, goes to the action of e on u(x).  Raises
+    section with EZ pair (e, x) goes to the action of e on u(x).  Raises
     TruncationMismatch when an end is truncated below N or the extended
     map is not natural."""
     if u.src.N == u.dst.N == N:
@@ -961,10 +917,6 @@ class SubgroupSpec:
         return frozenset(found)
 
     @classmethod
-    def trivial(cls, n: int) -> "SubgroupSpec":
-        return cls(n, ())
-
-    @classmethod
     def full(cls, n: int) -> "SubgroupSpec":
         return cls(n, tuple(Permutation.transposition(i, i + 1, n) for i in range(1, n)))
 
@@ -1103,44 +1055,19 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
     return report
 
 
-# -- skeletal extension, both routes -----------------------------------------
-
-
-def extend_level(X: SkeletalPresheaf, n: int):
-    """The level-n sections of the skeletal extension, via EZ pairs.
-
-    Returns (ids, pair map) where ids are canonical "epi|nondegenerate"
-    strings and the pairs are read from the extension's EZ table.
-    coend_level is the other route.
-    """
-    if n <= X.N:
-        raise BadDimension(f"level {n} is already stored")
-    Y = X.extend_to(n)
-    return Y.level(n), dict(Y._ez_level(n))
-
-
-def coend_level(X: SkeletalPresheaf, n: int) -> list[frozenset]:
-    """Level n of the left Kan extension as a colimit of members (g, m, x)
-    with g: [n] -> [m], x in X_m, modulo naturality; returns the classes
-    in id order, each as its reduced members, those with x
-    nondegenerate."""
-    if X.truncated:
-        raise TruncationMismatch(f"{X.name} is truncated")
-    levels, _, class_of, _ = tagged_coend([X], X.site, [n])
-    members: dict[str, set] = {cid: set() for cid in levels[n]}
-    for member, cid in class_of.items():
-        members[cid].add(member)
-    return [frozenset(members[cid]) for cid in levels[n]]
+# -- skeletal extension, checked against the coend ---------------------------
 
 
 def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
-    """The EZ-pair sections biject with the coend classes, the pair of a
-    section lying in its own class."""
-    ids, pairs = extend_level(X, n)
-    classes = coend_level(X, n)
-    owner = {member: i for i, members in enumerate(classes) for member in members}
-    hit = {owner.get((e, e.dst, yid)) for e, yid in pairs.values()}
-    return None not in hit and len(hit) == len(ids) == len(classes)
+    """Above the stored levels, up to n, the EZ pair that ez_decompose
+    reads off the extension's generator tables lies in the coend class
+    of its own section."""
+    if n <= X.N:
+        raise BadDimension(f"level {n} is already stored")
+    Y, ks = X.extend_to(n), range(X.N + 1, n + 1)
+    class_of = tagged_coend([X], X.site, ks)[2]
+    return all(class_of.get((e, e.dst, y)) == x
+               for k in ks for x in Y.level(k) for e, y in [Y.ez_decompose(k, x)])
 
 
 def restrict_skeletal(X: SkeletalPresheaf, k: int) -> SkeletalPresheaf:

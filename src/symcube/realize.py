@@ -28,7 +28,6 @@ verify_snf's route.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -155,9 +154,6 @@ class SimplicialSet:
     def nondegenerate(self, k: int) -> tuple:
         return tuple(s for s in self.levels[k] if not self.is_degenerate(k, s))
 
-    def size(self) -> dict:
-        return {k: len(self.levels[k]) for k in range(self.K + 1)}
-
     def verify_identities(self) -> Report:
         """The five simplicial identity families at stored levels."""
         report = Report(f"simplicial identities for {self.name}")
@@ -222,9 +218,6 @@ class SimplicialMap:
     src: SimplicialSet
     dst: SimplicialSet
     mapping: dict[int, dict[str, str]]
-
-    def is_injective(self) -> bool:
-        return all(len(set(m.values())) == len(m) for m in self.mapping.values())
 
     def verify_simplicial(self) -> bool:
         K = min(self.src.K, self.dst.K)
@@ -715,9 +708,6 @@ class HomologyResult:
 
     groups: tuple  # of (betti, (torsion, ...))
 
-    def betti(self) -> tuple:
-        return tuple(b for b, _ in self.groups)
-
     def pretty(self) -> str:
         lines = []
         for k, (b, torsion) in enumerate(self.groups):
@@ -733,9 +723,6 @@ class HomologyResult:
     def records(self) -> list:
         return [{"degree": k, "betti": b, "torsion": list(t)}
                 for k, (b, t) in enumerate(self.groups)]
-
-    def to_json(self) -> str:
-        return json.dumps(self.records())
 
 
 def homology_of_chains(C: ChainComplex) -> HomologyResult:

@@ -779,10 +779,6 @@ class SplitPushout:
     tau2: Morphism
     witness: SplitWitness | None
 
-    @property
-    def apex(self) -> CubeObject:
-        return self.tau1.dst
-
 
 def _as_epi_generator(f: Morphism):
     """('sigma', i) or ('gamma', i) when f is a single epi generator, else None."""

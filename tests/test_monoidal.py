@@ -26,7 +26,6 @@ from symcube.monoidal import (
     pushout_product,
     restrict,
     symmetrize,
-    symmetrize_comparison,
     symmetrize_map,
     symmetrize_structure,
     unit_comparison,
@@ -249,7 +248,7 @@ def test_corner_needs_injective_legs():
 def test_corner_orbit_form_with_trivial_groups():
     # trivial coordinate groups give identity quotients, so the orbit
     # form of the corner comparison reduces to the plain one
-    quot, proj = quotient_presheaf(R2, SubgroupSpec.trivial(2))
+    quot, proj = quotient_presheaf(R2, SubgroupSpec(2, ()))
     assert quot.levels == R2.levels
     assert proj.is_bijective()
 
@@ -290,7 +289,7 @@ def test_constant_map_rejects_non_constant_value():
 @pytest.mark.parametrize("n", range(4))
 def test_symmetrize_representable(n):
     S = symmetrize_structure(representable(n, Q))
-    comparison = symmetrize_comparison(S, representable(n, QS))
+    comparison = pairing_map(S, representable(n, QS))
     assert comparison.verify_natural()
     assert comparison.is_bijective()
 
@@ -298,7 +297,7 @@ def test_symmetrize_representable(n):
 @pytest.mark.parametrize("n", range(1, 4))
 def test_symmetrize_boundary(n):
     S = symmetrize_structure(boundary(n, Q)[0])
-    comparison = symmetrize_comparison(S, boundary(n, QS)[0])
+    comparison = pairing_map(S, boundary(n, QS)[0])
     assert comparison.verify_natural()
     assert comparison.is_bijective()
 
@@ -306,7 +305,7 @@ def test_symmetrize_boundary(n):
 def test_symmetrize_cap_regression():
     S = symmetrize_structure(cap(2, 1, 0, Q)[0])
     assert [len(S.product.levels[n]) for n in range(3)] == [4, 7, 16]
-    comparison = symmetrize_comparison(S, R2)
+    comparison = pairing_map(S, R2)
     assert comparison.verify_natural()
     assert comparison.is_injective()
     # the six symmetric squares that need the missing face
@@ -326,7 +325,7 @@ def test_transported_cap_is_the_symmetric_cap(n, j, eps):
     # i_! of the plain cap lands in the symmetric cube on exactly the
     # restriction that fibrancy questions are posed against
     S = symmetrize_structure(cap(n, j, eps, Q)[0])
-    comparison = symmetrize_comparison(S, representable(n, QS))
+    comparison = pairing_map(S, representable(n, QS))
     target = cap(n, j, eps, QS)[0]
     assert comparison.is_injective()
     assert comparison.verify_natural()
@@ -425,7 +424,7 @@ def test_unit_is_the_arrow_inclusion(n):
     # comparison returns each arrow unchanged
     X = representable(n, Q)
     S = symmetrize_structure(X)
-    comparison = symmetrize_comparison(S, representable(n, QS))
+    comparison = pairing_map(S, representable(n, QS))
     eta = adjunction_unit(X, n)
     for m in range(n + 1):
         for x in X.levels[m]:

@@ -34,16 +34,13 @@ from symcube.presheaf import (
     SubgroupSpec,
     TruncatedPresheaf,
     _cosymmetry_perms,
-    _least_cosymmetric,
     boundary,
     cap,
-    coend_level,
     coproduct,
     coskeleton,
     dumps_presheaf,
     dumps_presheaf_json,
     empty_presheaf,
-    extend_level,
     extension_methods_agree,
     generator_morphisms,
     hom_presheaf,
@@ -70,7 +67,6 @@ from symcube.presheaf import (
 )
 from symcube.report import Report
 from symcube.site import (
-    Conj,
     Morphism,
     Permutation,
     SiteTag,
@@ -672,29 +668,33 @@ EXTENDED = [C1, C2, BD2, QUOT, cap(2, 1, 0, Q)[0], boundary(3, Q)[0],
             restrict_skeletal(restrict(representable(2, QS), 4), 4)]
 
 
-@pytest.mark.parametrize("X", EXTENDED, ids=lambda x: x.name)
+@pytest.mark.parametrize("X", [
+    *(pytest.param(X, id=X.name) for X in EXTENDED),
+    *(pytest.param(load_spec(spec, QS), id=spec)
+      for spec in ("quotient:3:(1 2 3)", "quotient:2:(1 2)")),
+])
 def test_extension_hands_over_its_ez_table(X):
-    # each section of an extended level is its own EZ pair; the handed
-    # table agrees with one built afresh from the stored generators, up
-    # to the cosymmetry that a stabilizer leaves free
+    # the hom-set route names each new section by its least pair (e, y);
+    # sending it to e*y in the coend's extension is a natural bijection,
+    # and the EZ pairs read off the extension's generator tables are
+    # pairs of the sections they decompose
+    oracle, pairs = oracle_extend_one(*oracle_extend_one(X, {}))
     ext = X.extend_to(X.N + 2)
-    fresh = SkeletalPresheaf(ext.site, ext.N, ext.levels, ext.action, "fresh")
-    for n in range(ext.N + 1):
-        handed, built = ext._ez_levels[n], fresh._ez_level(n)
-        assert handed.keys() == built.keys()
-        for x, (e1, y1) in handed.items():
-            e2, y2 = built[x]
-            for e, y in ((e1, y1), (e2, y2)):
-                assert classify(e).is_epi and ext.act(e, y) == x
-            assert e1.dst == e2.dst
-            assert y2 in {
-                ext.act(pi(th), y1) for th in _cosymmetry_perms(ext.site, e1.dst)
-            }
-            _assert_ez_pair(ext, n, x, (e1, y1))
-    # the hom-set route names, orders and acts alike, byte for byte
-    oracle, _ = oracle_extend_one(*oracle_extend_one(X, {}))
-    assert dumps_presheaf(ext) == dumps_presheaf(oracle)
-    assert dumps_presheaf_json(ext) == dumps_presheaf_json(oracle)
+    mapping = {n: {x: x for x in X.level(n)} for n in range(X.N + 1)}
+    for n in range(X.N + 1, ext.N + 1):
+        mapping[n] = {pid: ext.act(e, y) for pid, (e, y) in pairs[n].items()}
+        for x in ext.level(n):
+            _assert_ez_pair(ext, n, x, ext.ez_decompose(n, x))
+    u = PresheafMap(oracle, ext, mapping)
+    assert u.is_bijective() and u.verify_natural()
+
+
+def test_extension_is_built_once_per_level_and_extends_further_alike():
+    for X in (C1, BD2, QUOT, cap(2, 1, 0, Q)[0]):
+        ext = X.extend_to(X.N + 2)
+        assert X.extend_to(X.N + 2) is ext and X.extend_to(X.N) is X
+        assert X.extend_to(X.N + 1).extend_to(X.N + 2).same_data(ext)
+        assert ext.extend_to(X.N + 3).same_data(X.extend_to(X.N + 3))
 
 
 def test_nondegenerate_counts():
@@ -978,7 +978,7 @@ def test_coproduct_contracts_hold_without_asserts():
 
 
 def test_subgroup_closure():
-    assert len(SubgroupSpec.trivial(3).members) == 1
+    assert len(SubgroupSpec(3, ()).members) == 1
     assert len(SubgroupSpec.full(3).members) == 6
     rot = SubgroupSpec(3, (Permutation.from_cycles("(1 2 3)", 3),))
     assert len(rot.members) == 3
@@ -1102,53 +1102,6 @@ def test_skeletal_pushout_boundary_cube(k):
 # -- extension ---------------------------------------------------------------
 
 
-@st.composite
-def qsigma_epis(draw):
-    """An epi [n] -> [m] of QSigma, n <= 12 so that two-digit symbols
-    meet one-digit ones, m <= 5: m disjoint nonempty conjunctions that
-    cut the first `used` symbols of a shuffle of x1..xn."""
-    m = draw(st.integers(0, 5))
-    n = draw(st.integers(max(m, 1), 12))
-    symbols = draw(st.permutations(range(1, n + 1)))
-    used = draw(st.integers(m, n))
-    cuts = sorted(draw(st.sets(st.integers(1, used - 1), min_size=m - 1, max_size=m - 1))
-                  if m > 1 else [])
-    bounds = list(zip([0, *cuts], [*cuts, used]))[:m]
-    return Morphism(n, m, [Conj(symbols[a:b]) for a, b in bounds])
-
-
-@given(qsigma_epis())
-@settings(max_examples=300, deadline=None)
-@example(parse_morphism("(x12^x3,x1,x10,x2):12->4"))
-def test_sorted_entries_are_the_least_arrow_of_the_orbit(epi):
-    assert classify(epi).is_epi
-    arrow, th_inverse = _least_cosymmetric(epi, QS)
-    printed = {th: str(compose(pi(th), epi)) for th in _cosymmetry_perms(QS, epi.dst)}
-    assert arrow == min(printed.values())
-    assert [th for th, a in printed.items() if a == arrow] == [th_inverse.inverse()]
-
-
-def test_canonical_ids_match_the_orbit_oracle(monkeypatch):
-    # every name the extension makes, on fresh copies so that no level is
-    # cached, equals the one found by printing the whole orbit
-    named = []
-    canonical_pair = SkeletalPresheaf._canonical_pair
-
-    def checked(X, epi, x):
-        got = canonical_pair(X, epi, x)
-        assert got == oracle_canonical_pair(X, epi, x)
-        named.append(got[0])
-        return got
-
-    monkeypatch.setattr(SkeletalPresheaf, "_canonical_pair", checked)
-    corpus = [*EXTENSION_CORPUS, *((X, X.N + 2) for X in EXTENDED),
-              (representable(3, QS), 4),
-              (quotient_by_group(3, SubgroupSpec.full(3))[0], 4)]
-    for X, n in corpus:
-        SkeletalPresheaf(X.site, X.N, X.levels, X.action, X.name).extend_to(n)
-    assert len(named) > 10000
-
-
 def test_extension_charges_its_nondegenerate_sections():
     # the one nondegenerate section of the point sits at level 0, so its
     # truncation at 6 extends under a limit of 10; a stored level without
@@ -1165,11 +1118,18 @@ def test_extension_charges_its_nondegenerate_sections():
 
 
 def test_extend_interval_to_level_two():
-    ids, pairs = extend_level(C1, 2)
-    assert len(ids) == 6
-    for pid in ids:
-        e, yid = pairs[pid]
+    # each section is named by the least member of its coend class: an
+    # arrow [2] -> [m], then m and a nondegenerate section at level m
+    ext = C1.extend_to(2)
+    assert ext.level(2) == (
+        "():2->0&0&(0):0->1", "():2->0&0&(1):0->1",
+        "(x1):2->1&1&(x1):1->1", "(x1^x2):2->1&1&(x1):1->1",
+        "(x2):2->1&1&(x1):1->1", "(x2^x1):2->1&1&(x1):1->1",
+    )
+    for pid in ext.level(2):
+        e, y = ext.ez_decompose(2, pid)
         assert classify(e).is_epi and e.src == 2
+        assert pid == f"{e}&{e.dst}&{y}"
 
 
 def test_extend_two_points():
@@ -1217,8 +1177,8 @@ def test_extension_sizes_match_full_coend_oracle():
 
 
 def test_coend_level_of_interval():
-    classes = coend_level(C1, 2)
-    assert len(classes) == 6
+    levels, _, _, _ = tagged_coend([C1], QS, [2])
+    assert levels[2] == C1.extend_to(2).level(2)
 
 
 @pytest.mark.parametrize(
@@ -1428,9 +1388,9 @@ def test_class_of_is_a_view_of_the_reduced_members(name, factors, site):
 
 def test_extend_level_guards():
     with pytest.raises(BadDimension):
-        extend_level(C1, 1)
+        extension_methods_agree(C1, 1)
     with pytest.raises(TruncationMismatch):
-        extend_level(truncate(C1, 1), 2)
+        extension_methods_agree(truncate(C1, 1), 2)
 
 
 def test_restriction_roundtrip_corpus():

@@ -2,7 +2,6 @@
 homology, and the interval monoid."""
 
 import importlib
-import json
 import time
 from fractions import Fraction
 
@@ -184,7 +183,7 @@ def test_realize_point():
 
 
 def test_realize_interval_is_delta1():
-    assert INTERVAL.size() == {0: 2, 1: 3, 2: 4}
+    assert [len(INTERVAL.levels[k]) for k in range(INTERVAL.K + 1)] == [2, 3, 4]
     assert [len(INTERVAL.nondegenerate(k)) for k in range(3)] == [2, 1, 0]
     assert INTERVAL.verify_identities().ok
     D = delta1_power(1, 2)
@@ -234,7 +233,7 @@ def test_realize_functorial_inclusion():
     bd2, incl = boundary(2, QS)
     rm = realize_map(incl)
     assert rm.verify_simplicial()
-    assert rm.is_injective()
+    assert all(len(set(m.values())) == len(m) for m in rm.mapping.values())
 
 
 def test_realize_preserves_pushouts():
@@ -265,7 +264,8 @@ def test_realize_after_symmetrize_matches():
     for X in [representable(2, Q), cap(2, 1, 0, Q)[0], boundary(2, Q)[0]]:
         plain = realize(X)
         extended = realize(symmetrize(X))
-        assert plain.size() == extended.size()
+        assert plain.K == extended.K and all(
+            len(plain.levels[k]) == len(extended.levels[k]) for k in range(plain.K + 1))
         assert [len(plain.nondegenerate(k)) for k in range(plain.K + 1)] == \
             [len(extended.nondegenerate(k)) for k in range(extended.K + 1)]
 
@@ -774,7 +774,7 @@ def cubical_betti(X):
         "boundary:3", "cap:2:1:0", "cap:3:2:1"])
 def test_homology_matches_cubical_chains_over_q(make):
     X = make()
-    assert homology(X).betti() == cubical_betti(X)
+    assert tuple(b for b, _ in homology(X).groups) == cubical_betti(X)
 
 
 # -- cellular chains on cosymmetry orbits ------------------------------------
@@ -1060,8 +1060,7 @@ def test_homology_torsion_presentation():
 def test_homology_pretty_and_json():
     H = homology_of_chains(normalized_chains(SBD3))
     assert H.pretty() == "H_0 = Z\nH_1 = 0\nH_2 = Z"
-    parsed = json.loads(H.to_json())
-    assert parsed == [
+    assert H.records() == [
         {"degree": 0, "betti": 1, "torsion": []},
         {"degree": 1, "betti": 0, "torsion": []},
         {"degree": 2, "betti": 1, "torsion": []},

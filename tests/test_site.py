@@ -704,7 +704,7 @@ def test_split_pushout_order_conflict_collapses():
     a1 = parse_morphism("(x1^x2):2->1")
     a2 = parse_morphism("(x2^x1):2->1")
     po = split_pushout(a1, a2)
-    assert po.apex == 0
+    assert po.tau1.dst == 0
     assert compose(po.tau1, a1) == compose(po.tau2, a2)
 
 
