@@ -1059,14 +1059,21 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
 
 
 def extension_methods_agree(X: SkeletalPresheaf, n: int) -> bool:
-    """Above the stored levels, up to n, the EZ pair that ez_decompose
-    reads off the extension's generator tables lies in the coend class
-    of its own section."""
+    """Above the stored levels, up to n, the EZ pair (e, y) that
+    ez_decompose reads off the extension's generator tables lies in the
+    coend class of its own section x, and each face d sends x to the
+    section that (e o d, y) names: X's own at level N, a class above."""
     if n <= X.N:
         raise BadDimension(f"level {n} is already stored")
     Y, ks = X.extend_to(n), range(X.N + 1, n + 1)
     class_of = tagged_coend([X], X.site, ks)[2]
-    return all(class_of.get((e, e.dst, y)) == x
+
+    def named(f: Morphism, y: str) -> str | None:
+        return X.act(f, y) if f.src == X.N else class_of.get((f, f.dst, y))
+
+    faces = [d for _, d in generator_morphisms(X.site, n) if X.N < d.dst > d.src]
+    return all(named(e, y) == x
+               and all(named(compose(e, d), y) == Y.act(d, x) for d in faces if d.dst == k)
                for k in ks for x in Y.level(k) for e, y in [Y.ez_decompose(k, x)])
 
 

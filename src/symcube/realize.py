@@ -781,14 +781,20 @@ def verify_cubical_monoid_delta1(up_to_level: int) -> Report:
     # the multiplication is the action of (x1^x2):2->1, checked to the
     # level its degeneracies from level up_to_level reach
     top = up_to_level + 1
-    natural = _action_map(Morphism(2, 1, [Conj((1, 2))]), delta1_power(2, top),
-                          delta1_power(1, top)).verify_simplicial()
+    point, line, square = (delta1_power(m, top) for m in range(3))
+    product = _action_map(Morphism(2, 1, [Conj((1, 2))]), square, line)
+    # the collapse to the point is a monoid map: it collapses a product
+    # as it does the square, and the unit endpoint onto the point
+    collapse = _action_map(Morphism(1, 0, []), line, point).mapping
+    flat = _action_map(Morphism(2, 0, []), square, point).mapping
+    unit_at = _action_map(Morphism(0, 1, [Const(1)]), point, line).mapping
+    monoid_map = all(
+        all(collapse[k][product.mapping[k][s]] == flat[k][s] for s in square.levels[k])
+        and all(collapse[k][unit_at[k][p]] == p for p in point.levels[k])
+        for k in range(top + 1))
     report.check("multiplication associative", assoc)
     report.check("endpoint 1 a two-sided unit", unit)
     report.check("endpoint 0 absorbing", absorb)
-    report.check("multiplication is simplicial", natural)
-    # the collapse to the point is a monoid map: both composites land
-    # on the unique simplex, so the square commutes by finality
-    report.check("collapse to the point is a monoid map", True,
-                 "both composites factor through the unique simplex")
+    report.check("multiplication is simplicial", product.verify_simplicial())
+    report.check("collapse to the point is a monoid map", monoid_map)
     return report

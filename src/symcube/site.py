@@ -769,9 +769,8 @@ class SplitWitness:
 class SplitPushout:
     """An absolute pushout cocone for a cospan of epis with common source.
 
-    tau1 o sigma1 = tau2 o sigma2; witness sections satisfy the five
-    split-pushout relations (None only for composite inputs where no
-    single witness triple exists)."""
+    tau1 o sigma1 = tau2 o sigma2; the witness sections satisfy the
+    five split-pushout relations (None when no section triple does)."""
 
     sigma1: Morphism
     sigma2: Morphism
@@ -780,32 +779,23 @@ class SplitPushout:
     witness: SplitWitness | None
 
 
-def _as_epi_generator(f: Morphism):
-    """('sigma', i) or ('gamma', i) when f is a single epi generator, else None."""
-    fac = factor(f)
-    if fac.faces or not fac.perm.is_identity():
-        return None
-    if len(fac.degens) == 1 and not fac.conjs:
-        return ("sigma", fac.degens[0])
-    if len(fac.conjs) == 1 and not fac.degens:
-        return ("gamma", fac.conjs[0])
-    return None
-
-
 def sections_of(e: Morphism) -> list[Morphism]:
-    """All sections of an epi, in canonical order.
-
-    Single sigma/gamma generators have exactly two, produced in closed
-    form; composites fall back to hom-set search."""
-    kind = _as_epi_generator(e)
-    n = e.dst
-    if kind and kind[0] == "sigma":
-        return [delta(kind[1], 0, n), delta(kind[1], 1, n)]
-    if kind and kind[0] == "gamma":
-        return [delta(kind[1], 1, n), delta(kind[1] + 1, 1, n)]
+    """All sections of an epi, in canonical order, read off its entries:
+    a section puts x_j on one symbol of e's j-th entry and 1 on the
+    others, and a constant on each symbol that e omits."""
     if not classify(e).is_epi:
         raise NotEpi(f"{e} is not an epimorphism")
-    return [s for s in enumerate_hom(e.dst, e.src) if compose(e, s) == identity(n)]
+    used = e.symbols()
+    free = [s for s in range(1, e.src + 1) if s not in used]
+    sections = []
+    for carriers in itertools.product(*e.entries):
+        for bits in itertools.product((ZERO, ONE), repeat=len(free)):
+            entries = dict.fromkeys(used, ONE)
+            entries.update(zip(free, bits))
+            entries.update((s, Conj((j,))) for j, s in enumerate(carriers, start=1))
+            row = tuple(entries[s] for s in range(1, e.src + 1))
+            sections.append(_arrow(e.dst, e.src, row))
+    return sorted(sections, key=Morphism.key)
 
 
 def check_split_witness(
@@ -832,78 +822,6 @@ def check_split_witness(
     return report
 
 
-def _witness_table(a1: Morphism, a2: Morphism):
-    """The pinned cocone and sections for the generator orientations proved
-    case by case; returns (p1, p2, d0, d1, d2prime) or None when (a1, a2)
-    is a mirrored orientation."""
-    g1, g2 = _as_epi_generator(a1), _as_epi_generator(a2)
-    if g1 is None or g2 is None:
-        return None
-    N = a1.src  # both epis [N] -> [N-1]
-    k1, i = g1
-    k2, j = g2
-    if k1 == "sigma" and k2 == "sigma" and i < j:
-        return (
-            sigma(i, N - 2),
-            sigma(j - 1, N - 2),
-            delta(j - 1, 0, N - 2),
-            delta(j, 0, N - 1),
-            delta(i, 0, N - 1),
-        )
-    if k1 == "gamma" and k2 == "gamma" and j == i + 1:
-        return (
-            gamma(i, N - 2),
-            gamma(i, N - 2),
-            delta(i + 1, 1, N - 2),
-            delta(i + 2, 1, N - 1),
-            delta(i, 1, N - 1),
-        )
-    if k1 == "gamma" and k2 == "gamma" and j > i + 1:
-        return (
-            gamma(i, N - 2),
-            gamma(j - 1, N - 2),
-            delta(j - 1, 1, N - 2),
-            delta(j, 1, N - 1),
-            delta(i, 1, N - 1),
-        )
-    if k1 == "sigma" and k2 == "gamma" and j > i:
-        # top sigma^j', left gamma^i' with i' > j' in the source's labels
-        jj, ii = i, j
-        return (
-            sigma(jj, N - 2),
-            gamma(ii - 1, N - 2),
-            delta(ii - 1, 1, N - 2),
-            delta(ii, 1, N - 1),
-            delta(jj, 1, N - 1),
-        )
-    if k1 == "gamma" and k2 == "sigma":
-        if i == j:
-            return (
-                sigma(i, N - 2),
-                sigma(i, N - 2),
-                delta(i, 0, N - 2),
-                delta(i, 0, N - 1),
-                delta(i + 1, 1, N - 1),
-            )
-        if j == i + 1:
-            return (
-                sigma(i, N - 2),
-                sigma(i, N - 2),
-                delta(i, 0, N - 2),
-                delta(j, 0, N - 1),
-                delta(i, 1, N - 1),
-            )
-        if j > i + 1:
-            return (
-                gamma(i, N - 2),
-                sigma(j - 1, N - 2),
-                delta(j - 1, 0, N - 2),
-                delta(j, 0, N - 1),
-                delta(i, 1, N - 1),
-            )
-    return None
-
-
 def _search_witness(a1, a2, p1, p2):
     """First section triple (canonical order) satisfying all five relations."""
     for d0 in sections_of(p2):
@@ -914,20 +832,6 @@ def _search_witness(a1, a2, p1, p2):
     return None
 
 
-def _generator_pushout(a1: Morphism, a2: Morphism) -> SplitPushout:
-    table = _witness_table(a1, a2)
-    if table is not None:
-        p1, p2, d0, d1, d2p = table
-        return SplitPushout(a1, a2, p2, p1, SplitWitness(d0, d1, d2p))
-    # mirrored orientation: flip the square, keep the pinned cocone
-    flipped = _witness_table(a2, a1)
-    if flipped is None:
-        raise SymcubeError(f"no pinned split pushout for {a1} and {a2}")
-    fp1, fp2, *_ = flipped
-    p1, p2 = fp2, fp1
-    return SplitPushout(a1, a2, p2, p1, _search_witness(a1, a2, p1, p2))
-
-
 def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
     """A commuting cocone on the join of the two block partitions.
 
@@ -935,8 +839,8 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
     blocks.  Coordinates of the pushout are join classes of symbols,
     except that a class dies if it meets a symbol deleted on either
     side, if the two block orders impose conflicting adjacencies, or if
-    the adjacency links close a cycle.  Reproduces the generator tables
-    exactly and terminates on arbitrary composite epis.
+    the adjacency links close a cycle.  Terminates on any two epis,
+    equal, generator or composite.
     """
     N = a1.src
     uf = _UnionFind(N)  # symbol s is number s - 1
@@ -995,12 +899,9 @@ def _join_cocone(a1: Morphism, a2: Morphism) -> tuple[Morphism, Morphism]:
 
 
 def split_pushout(sigma1: Morphism, sigma2: Morphism) -> SplitPushout:
-    """The absolute pushout of a cospan of epis with common source.
-
-    Single sigma/gamma generator pairs return the pinned split witness;
-    equal epis return the identity cocone; composite epis get the
-    partition-join cocone and a witness by search when one exists.
-    """
+    """The absolute pushout of a span of epis with common source: the
+    partition-join cocone, with the first witness that a search of the
+    sections in canonical order finds (None when there is none)."""
     if sigma1.src != sigma2.src:
         raise CompositionMismatch(
             f"{sigma1} and {sigma2} do not share a source"
@@ -1009,19 +910,6 @@ def split_pushout(sigma1: Morphism, sigma2: Morphism) -> SplitPushout:
         raise NotEpi(f"{sigma1} is not an epimorphism")
     if not classify(sigma2).is_epi:
         raise NotEpi(f"{sigma2} is not an epimorphism")
-    if sigma1 == sigma2:
-        ident = identity(sigma1.dst)
-        sect = (
-            ident
-            if sigma1 == identity(sigma1.src)
-            else sections_of(sigma1)[0]
-        )
-        return SplitPushout(
-            sigma1, sigma2, ident, ident, SplitWitness(ident, sect, sect)
-        )
-    g1, g2 = _as_epi_generator(sigma1), _as_epi_generator(sigma2)
-    if g1 and g2:
-        return _generator_pushout(sigma1, sigma2)
     tau1, tau2 = _join_cocone(sigma1, sigma2)
     return SplitPushout(
         sigma1, sigma2, tau1, tau2, _search_witness(sigma1, sigma2, tau2, tau1)
@@ -1126,7 +1014,10 @@ def verify_ez(n_max: int = 3) -> Report:
             epis = [f for f in homs if flags[f].is_epi]
             report.check(
                 f"all epis split Hom({m},{n})",
-                all(sections_of(f) for f in epis),
+                all(
+                    ss and all(compose(f, s) == identity(n) for s in ss)
+                    for f, ss in zip(epis, map(sections_of, epis))
+                ),
                 f"{len(epis)} epis",
             )
             fac_ok = True
@@ -1176,9 +1067,8 @@ def verify_ez(n_max: int = 3) -> Report:
 
 
 def verify_split_pushouts(n_max: int = 4) -> Report:
-    """Split-pushout witnesses for every ordered pair of epi generators
-    with common source [n], n <= n_max, plus agreement of the table
-    cocone with the partition-join construction."""
+    """Split-pushout witnesses and epi legs for every ordered pair of
+    epi generators with common source [n], n <= n_max."""
     if n_max < 0:
         raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"split-pushouts(n<={n_max})")
@@ -1197,16 +1087,6 @@ def verify_split_pushouts(n_max: int = 4) -> Report:
             checks = check_split_witness(
                 g1, g2, po.tau2, po.tau1, w.d0, w.d1, w.d2prime
             )
-            legs_epi = classify(po.tau1).is_epi and classify(po.tau2).is_epi
-            join_legs = (
-                (identity(g1.dst), identity(g2.dst))
-                if g1 == g2
-                else _join_cocone(g1, g2)
-            )
-            agree = (po.tau1, po.tau2) == join_legs
-            report.check(
-                label,
-                checks.ok and legs_epi and agree,
-                "" if checks.ok and legs_epi and agree else str(checks),
-            )
+            ok = checks.ok and classify(po.tau1).is_epi and classify(po.tau2).is_epi
+            report.check(label, ok, "" if ok else str(checks))
     return report

@@ -578,6 +578,7 @@ EVERY_SUBCOMMAND = [
     (["verify-ez", "--dim", "2"], 0),
     (["verify-ez", "--dim", "-1"], 2),
     (["verify-pushouts", "--dim", "2"], 0),
+    (["verify-pushouts", "--dim", "6"], 0),
     (["verify-pushouts", "--dim", "-1"], 2),
     (["--limit", "1000", "verify-pushouts", "--dim", "24"], 3),
     (["--limit", "1000", "verify-pushouts", "--dim", "8"], 0),

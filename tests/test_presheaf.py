@@ -1386,6 +1386,19 @@ def test_class_of_is_a_view_of_the_reduced_members(name, factors, site):
     assert all(class_of(m) == cid for m, cid in class_of.items())
 
 
+def test_extension_methods_agree_reads_the_face_tables():
+    # a copy of the interval whose level-2 extension has its face tables
+    # down to level 1 reversed; ez_decompose reads none of them
+    X = representable(1, QS)
+    bad = SkeletalPresheaf(X.site, X.N, X.levels, X.action, X.name)
+    Y = bad.extend_to(2)
+    action = {g: dict(zip(table, reversed(table.values())))
+              if g.src == 1 and g.dst == 2 else table for g, table in Y.action.items()}
+    bad._extensions[2] = SkeletalPresheaf(Y.site, 2, Y.levels, action, Y.name)
+    assert extension_methods_agree(X, 2)
+    assert not extension_methods_agree(bad, 2)
+
+
 def test_extend_level_guards():
     with pytest.raises(BadDimension):
         extension_methods_agree(C1, 1)

@@ -31,6 +31,7 @@ from symcube.site import (
     Morphism,
     Permutation,
     SiteTag,
+    check_split_witness,
     classify,
     compose,
     delta,
@@ -630,6 +631,22 @@ def test_verify_ez_passes():
     assert report.ok, str(report)
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda e: [],
+        lambda e: [Morphism(e.dst, e.src, [Const(0)] * e.src)],
+    ],
+    ids=["no-section", "constant-section"],
+)
+def test_verify_ez_composes_the_sections(monkeypatch, wrong):
+    monkeypatch.setattr(site, "sections_of", wrong)
+    report = verify_ez(2)
+    failed = {entry.label for entry in report.failures}
+    assert "all epis split Hom(2,1)" in failed
+    assert not any("split" not in label for label in failed)
+
+
 def test_verify_ez_charges_its_pairings():
     # the pairs of factorizations are charged before they are compared,
     # so the bound stops the suite in Hom(3,4), long before Hom(4,4)
@@ -650,13 +667,100 @@ def test_sections_of_generators():
         sections_of(delta(1, 0, 1))
 
 
+@given(morphisms(max_src=4, max_dst=4))
+def test_sections_of_match_the_hom_set_search(e):
+    if not classify(e).is_epi:
+        with pytest.raises(NotEpi):
+            sections_of(e)
+        return
+    expected = [s for s in enumerate_hom(e.dst, e.src)
+                if compose(e, s) == identity(e.dst)]
+    assert sections_of(e) == expected
+
+
+def test_sections_and_pushouts_enumerate_no_hom_set():
+    # 286 is the pair count verify_split_pushouts(6) charges itself; a
+    # section read off by search would charge Hom(2, 5) = 512 arrows
+    with resource_limit(286):
+        assert verify_split_pushouts(6).ok
+        sections = sections_of(parse_morphism("(x3^x1,x4):5->2"))
+    assert len(sections) == 8
+    assert str(sections[0]) == "(1,0,x1,x2,0):2->5"
+    assert str(sections[-1]) == "(x1,1,1,x2,1):2->5"
+
+
 # -- split pushouts ----------------------------------------------------------
+
+
+def oracle_witness_table(g1, g2, N):
+    """The split pushout of two epi generators [N] -> [N-1], proved case
+    by case: g1 and g2 are ("sigma", i) or ("gamma", i).  Returns (p1,
+    p2, d0, d1, d2prime), p2 the leg after g1, or None for an equal pair
+    or a mirrored orientation, whose flipped pair has the entry."""
+    (k1, i), (k2, j) = g1, g2
+    if k1 == "sigma" and k2 == "sigma" and i < j:
+        return (sigma(i, N - 2), sigma(j - 1, N - 2), delta(j - 1, 0, N - 2),
+                delta(j, 0, N - 1), delta(i, 0, N - 1))
+    if k1 == "gamma" and k2 == "gamma" and j == i + 1:
+        return (gamma(i, N - 2), gamma(i, N - 2), delta(i + 1, 1, N - 2),
+                delta(i + 2, 1, N - 1), delta(i, 1, N - 1))
+    if k1 == "gamma" and k2 == "gamma" and j > i + 1:
+        return (gamma(i, N - 2), gamma(j - 1, N - 2), delta(j - 1, 1, N - 2),
+                delta(j, 1, N - 1), delta(i, 1, N - 1))
+    if k1 == "sigma" and k2 == "gamma" and j > i:
+        return (sigma(i, N - 2), gamma(j - 1, N - 2), delta(j - 1, 1, N - 2),
+                delta(j, 1, N - 1), delta(i, 1, N - 1))
+    if k1 == "gamma" and k2 == "sigma" and i == j:
+        return (sigma(i, N - 2), sigma(i, N - 2), delta(i, 0, N - 2),
+                delta(i, 0, N - 1), delta(i + 1, 1, N - 1))
+    if k1 == "gamma" and k2 == "sigma" and j == i + 1:
+        return (sigma(i, N - 2), sigma(i, N - 2), delta(i, 0, N - 2),
+                delta(j, 0, N - 1), delta(i, 1, N - 1))
+    if k1 == "gamma" and k2 == "sigma" and j > i + 1:
+        return (gamma(i, N - 2), sigma(j - 1, N - 2), delta(j - 1, 0, N - 2),
+                delta(j, 0, N - 1), delta(i, 1, N - 1))
+    return None
+
+
+def test_split_pushout_legs_match_the_case_table():
+    build = {"sigma": sigma, "gamma": gamma}
+    count = 0
+    for N in range(1, 6):
+        gens = [("sigma", i) for i in range(1, N + 1)]
+        gens += [("gamma", i) for i in range(1, N)]
+        for g1, g2 in itertools.product(gens, repeat=2):
+            a1, a2 = (build[k](i, N - 1) for k, i in (g1, g2))
+            po = split_pushout(a1, a2)
+            count += 1
+            if g1 == g2:
+                assert (po.tau1, po.tau2) == (identity(N - 1), identity(N - 1))
+                continue
+            table = oracle_witness_table(g1, g2, N)
+            if table is not None:
+                p1, p2, *w = table
+                assert check_split_witness(a1, a2, p1, p2, *w).ok
+            else:  # the mirrored orientation: the flipped square's legs
+                p2, p1, *w = oracle_witness_table(g2, g1, N)
+                assert check_split_witness(a2, a1, p2, p1, *w).ok
+            assert (po.tau1, po.tau2) == (p2, p1), (a1, a2)
+    assert count == 165
 
 
 def test_split_pushout_equal_pair():
     po = split_pushout(sigma(1, 1), sigma(1, 1))
     assert po.tau1 == identity(1) and po.tau2 == identity(1)
     assert po.witness is not None
+
+
+def test_split_pushout_equal_composite_pair():
+    # the join cocone orders the classes [[1,2],[3]], so both legs are the
+    # same swap rather than the identity; the pushout is still absolute
+    e = parse_morphism("(x3,x1^x2):3->2")
+    po = split_pushout(e, e)
+    assert po.tau1 == po.tau2 == parse_morphism("(x2,x1):2->2")
+    assert compose(po.tau1, e) == compose(po.tau2, e)
+    w = po.witness
+    assert check_split_witness(e, e, po.tau2, po.tau1, w.d0, w.d1, w.d2prime).ok
 
 
 def test_split_pushout_sigma_sigma_pinned():
