@@ -231,8 +231,7 @@ def pushout_product(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     CR = convolve(f.dst, g.dst)
     in_A = {(n, x) for n, row in f.mapping.items() for x in row.values()}
     in_K = {(n, y) for n, row in g.mapping.items() for y in row.values()}
-    hit = {cid for (_, i, x, j, y), cid in CR.class_of.items()
-           if (i, x) in in_A or (j, y) in in_K}
+    hit = CR.class_of.holding(lambda tail: tail[:2] in in_A or tail[2:] in in_K)
     P = CR.product
     levels = {n: tuple(c for c in P.levels[n] if c in hit) for n in P.levels}
     corner = restriction(P, levels, f"{f.src.name}[]{g.src.name}")

@@ -44,6 +44,7 @@ from .site import (
     hom_count,
     hom_rank,
     identity,
+    mediator,
     pi,
     postcompose_table,
     precompose_table,
@@ -119,6 +120,8 @@ class SkeletalPresheaf:
         self._words: dict[tuple[Morphism, ...] | Morphism, tuple[int, ...]] = {}
         self._ez_pairs: dict[int, dict[str, tuple[Morphism, str]]] = {}
         self._reaches: dict[int, dict[str, tuple[str, Morphism]]] = {}
+        self._nondegenerate: dict[int, tuple[str, ...]] = {}
+        self._orbits: dict[int, dict[str, tuple[str, tuple[Permutation, ...]]]] = {}
         self._extensions: dict[int, SkeletalPresheaf] = {}
         self._check_structure()
 
@@ -243,6 +246,62 @@ class SkeletalPresheaf:
 
     def is_nondegenerate(self, n: int, x: str) -> bool:
         return x not in self._reach(n)
+
+    @staticmethod
+    @cache
+    def _cosymmetry_walk(site: SiteTag, n: int) -> tuple[tuple[Permutation, ...], tuple]:
+        """The cosymmetries of [n] in canonical order, and per th after
+        the identity a move (k, j): s o th = perms[k] comes earlier, s the
+        swap of j + 1 and j + 2.  As pi(s o th) = pi(s) o pi(th), the y
+        with pi(th)*y = z is s*y' for the y' with pi(s o th)*y' = z."""
+        perms = tuple(_cosymmetry_perms(site, n))
+        index = {th.one_line: k for k, th in enumerate(perms)}
+        moves = []
+        for th in perms[1:]:
+            line, j = list(th.one_line), 0
+            while line.index(j + 1) < line.index(j + 2):  # th has j + 2 before j + 1
+                j += 1
+            a, b = line.index(j + 1), line.index(j + 2)
+            line[a], line[b] = j + 2, j + 1
+            moves.append((index[tuple(line)], j))
+        return perms, tuple(moves)
+
+    def orbits(self, n: int) -> dict[str, tuple[str, tuple[Permutation, ...]]]:
+        """Per nondegenerate section x of level n: the least id in x's
+        cosymmetry orbit, and the cosymmetries th with pi(th)*x equal to
+        it in canonical order, |Stab(x)| of them, the identity alone over
+        Q.  Built once per level with a nondegenerate section, following
+        _cosymmetry_walk through the swap tables."""
+        got = self._orbits.get(n)
+        if got is None:
+            xs = nondegenerate_sections(self, n)
+            perms, moves = self._cosymmetry_walk(self.site, n) if xs else ((), ())
+            # with no swap, as over Q, each section is its own orbit
+            got = self._orbits[n] = {} if moves else {x: (x, perms) for x in xs}
+            swaps = [self.action[pi(Permutation.transposition(i, i + 1, n))]
+                     for i in range(1, n)] if moves else []
+
+            def meeting(z: str) -> list[str]:
+                """The section y with pi(th)*y = z, for each th."""
+                ys = [z]
+                for k, j in moves:
+                    ys.append(swaps[j][ys[k]])
+                return ys
+
+            singles = [(th,) for th in perms]
+            for x in xs:
+                if x not in got:
+                    ys = meeting(x)
+                    if (least := min(ys)) != x:  # else x's own walk serves
+                        ys = meeting(least)
+                    if len(set(ys)) == len(ys):  # a free orbit: one th each
+                        got.update(zip(ys, zip(itertools.repeat(least), singles)))
+                        continue
+                    to_least: dict[str, list[Permutation]] = {}
+                    for th, y in zip(perms, ys):
+                        to_least.setdefault(y, []).append(th)
+                    got.update((y, (least, tuple(ths))) for y, ths in to_least.items())
+        return got
 
     # -- skeletal extension -------------------------------------------------
 
@@ -555,9 +614,13 @@ def _map_id(u: PresheafMap) -> str:
 
 
 def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[str]:
-    """The ids of the nondegenerate sections of level k, in level order."""
-    reach = X._reach(k)
-    return [x for x in X.level(k) if x not in reach]
+    """The ids of the nondegenerate sections of level k, in level order,
+    filtered once per level."""
+    got = X._nondegenerate.get(k)
+    if got is None:
+        reach = X._reach(k)
+        got = X._nondegenerate[k] = tuple([x for x in X.level(k) if x not in reach])
+    return list(got)
 
 
 # -- hom-sets ----------------------------------------------------------------
@@ -698,6 +761,15 @@ class CoendClasses(Mapping):
 
     def __iter__(self):
         return (member for member, _ in self.items())
+
+    def holding(self, keep) -> set[str]:
+        """The ids of the classes that hold a reduced member whose tail
+        keep accepts, each tail tested once."""
+        kept = {n: [t for t, tail in enumerate(block) if keep(tail)]
+                for n, block in self.tails.items()}
+        return {ids[parent[start[n][r] + t]]
+                for order, start, parent, ids in self.built.values()
+                for _, n, r in order for t in kept[n]}
 
     def __len__(self) -> int:
         return sum(len(parent) for _, _, parent, _ in self.built.values())
@@ -954,37 +1026,32 @@ def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
     return Qp, proj
 
 
-def stabilizer(X: SkeletalPresheaf, n: int, x: str) -> SubgroupSpec:
-    """The cosymmetries of level n fixing the section x under the
-    presheaf's own action."""
-    fixers = tuple(th for th in _cosymmetry_perms(X.site, n) if X.act(pi(th), x) == x)
-    return SubgroupSpec(n, fixers)
-
-
 # -- the orbit cellular model ------------------------------------------------
 
 
 def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
     """Attaching the isomorphism classes of nondegenerate k-sections
     along stabilizer quotients of the boundary turns sk_{k-1} X into
-    sk_k X; checks the pushout comparison levelwise."""
+    sk_k X; checks the pushout comparison levelwise.  A class is named
+    by the least id of its orbit in X.orbits(k), whose cosymmetries
+    there, carrying it to itself, are its stabilizer."""
     report = Report(f"skeletal-pushout({X.name},k={k})")
     sk_k, _ = skeleton(X, k)
     prev, _ = skeleton(X, k - 1)
-
     # above the stored range a skeletal presheaf has no nondegenerate
     # sections, so there is nothing to attach
-    nd = nondegenerate_sections(X, k) if k <= X.N else []
-    reps, seen = [], set()
-    for x in sorted(nd):  # the least of each orbit comes first
-        if x not in seen:
-            reps.append(x)
-            seen |= {X.act(pi(th), x) for th in _cosymmetry_perms(X.site, k)}
+    orbits = X.orbits(k) if k <= X.N else {}
+    reps = sorted({least for least, _ in orbits.values()})
+    if not reps:
+        for n in range(X.N + 1):
+            report.check(f"level {n} bijection", set(prev.level(n)) == set(sk_k.level(n)),
+                         "no cells to attach")
+        return report
 
     parts_A, parts_B, values = [], [], []
     cell_cache: dict = {}
     for rep in reps:
-        S = stabilizer(X, k, rep)
+        S = SubgroupSpec(k, orbits[rep][1])
         if S.members not in cell_cache:
             # cosymmetries keep the boundary: its orbits are the cube's in it
             cube, arrows = _cube(k, X.site, X.N)
@@ -999,59 +1066,31 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
         # arrow into the k-cube; the boundary quotient's ids are among these
         values.append({x: X.act(arrows[x], rep) for _, x in QB.sections()})
 
-    if reps:
-        A, _ = coproduct(parts_A)
-        B, _ = coproduct(parts_B)
-        f_map = inclusion_map(A, B)
-        g_map = PresheafMap(
-            A,
-            prev,
-            {
-                n: {
-                    f"{i}:{sid}": values[i][sid]
-                    for i, QA in enumerate(parts_A)
-                    for sid in QA.level(n)
-                }
-                for n in range(X.N + 1)
-            },
-        )
-        report.check("attaching map is natural", g_map.verify_natural())
-        report.check(
-            "boundary quotient inclusion injective", f_map.is_injective()
-        )
-        P, into_B, into_C = pushout(f_map, g_map)
-        # comparison P -> sk_k X
-        cmp_val = {n: {} for n in range(X.N + 1)}
-        ok_welldef = True
-        for n in range(X.N + 1):
-            for i, QB in enumerate(parts_B):
-                for sid in QB.level(n):
-                    pid = into_B.mapping[n][f"{i}:{sid}"]
-                    val = values[i][sid]
-                    if cmp_val[n].setdefault(pid, val) != val:
-                        ok_welldef = False
-            for sid in prev.level(n):
-                pid = into_C.mapping[n][sid]
-                if cmp_val[n].setdefault(pid, sid) != sid:
-                    ok_welldef = False
-        report.check("comparison well-defined", ok_welldef)
-        for n in range(X.N + 1):
-            values = list(cmp_val[n].values())
-            total = set(P.level(n)) == set(cmp_val[n])
-            inj = len(set(values)) == len(values)
-            surj = set(values) == set(sk_k.level(n))
-            report.check(
-                f"level {n} bijection",
-                total and inj and surj,
-                f"|P|={len(P.level(n))} |sk|={len(sk_k.level(n))}",
-            )
-    else:
-        for n in range(X.N + 1):
-            report.check(
-                f"level {n} bijection",
-                set(prev.level(n)) == set(sk_k.level(n)),
-                "no cells to attach",
-            )
+    A, _ = coproduct(parts_A)
+    B, _ = coproduct(parts_B)
+    f_map = inclusion_map(A, B)
+    g_map = PresheafMap(A, prev, {n: {f"{i}:{sid}": values[i][sid]
+                                      for i, QA in enumerate(parts_A) for sid in QA.level(n)}
+                                  for n in range(X.N + 1)})
+    report.check("attaching map is natural", g_map.verify_natural())
+    report.check("boundary quotient inclusion injective", f_map.is_injective())
+    P, into_B, into_C = pushout(f_map, g_map)
+    # comparison P -> sk_k X, sending the class of each section of B or
+    # of sk_{k-1} X to its value there
+    cmp_val: dict[int, dict] = {n: {} for n in range(X.N + 1)}
+    ok_welldef = True
+    for n, got in cmp_val.items():
+        sent = [(into_B.mapping[n][f"{i}:{sid}"], values[i][sid])
+                for i, QB in enumerate(parts_B) for sid in QB.level(n)]
+        for pid, val in sent + [(into_C.mapping[n][sid], sid) for sid in prev.level(n)]:
+            ok_welldef &= got.setdefault(pid, val) == val
+    report.check("comparison well-defined", ok_welldef)
+    for n, got in cmp_val.items():
+        vals = list(got.values())
+        bijective = (set(P.level(n)) == set(got) and len(set(vals)) == len(vals)
+                     and set(vals) == set(sk_k.level(n)))
+        report.check(f"level {n} bijection", bijective,
+                     f"|P|={len(P.level(n))} |sk|={len(sk_k.level(n))}")
     return report
 
 
@@ -1098,39 +1137,27 @@ def verify_restriction_roundtrip(X: SkeletalPresheaf, k: int) -> bool:
 
 
 def verify_ez_groupoid(X: SkeletalPresheaf) -> Report:
-    """Any two (epi, nondegenerate) decompositions of a section, at
-    levels up to 3, are related by exactly one cosymmetry."""
+    """Any two (epi, nondegenerate) decompositions (s1, y1), (s2, y2) of
+    a section, at levels up to 3, are related by exactly one cosymmetry:
+    the th that mediator reads off with th o s1 = s2, which must carry y2
+    to y1, and over Q must be the identity."""
     report = Report(f"ez-groupoid({X.name})")
     top = min(3, X.N)
     for r in range(top + 1):
-        nd_by_level = {m: nondegenerate_sections(X, m) for m in range(r + 1)}
-        decomps: dict[str, list[tuple[Morphism, str]]] = {
-            x: [] for x in X.level(r)
-        }
+        decomps: dict[str, list[tuple[Morphism, str]]] = {x: [] for x in X.level(r)}
         for m in range(r + 1):
             for e in enumerate_hom(r, m, X.site):
-                if in_boundary(e):
-                    continue
-                table = X.table(e)
-                for y in nd_by_level[m]:
-                    decomps[table[y]].append((e, y))
-        ok = True
-        for x, ds in decomps.items():
-            for (s1, y1), (s2, y2) in itertools.product(ds, repeat=2):
-                if s1.dst != s2.dst:
-                    ok = False
-                    break
-                count = sum(
-                    1
-                    for th in _cosymmetry_perms(X.site, s1.dst)
-                    if compose(pi(th), s1) == s2
-                    and X.act(pi(th), y2) == y1
-                )
-                if count != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
+                if not in_boundary(e):  # an epi
+                    table = X.table(e)
+                    for y in nondegenerate_sections(X, m):
+                        decomps[table[y]].append((e, y))
+        ok = all(
+            (th := mediator(s1, s2)) is not None
+            and (X.site is SiteTag.QSIGMA or th == identity(th.src))
+            and X.act(th, y2) == y1
+            for ds in decomps.values()
+            for (s1, y1), (s2, y2) in itertools.product(ds, repeat=2)
+        )
         report.check(f"level {r} decompositions connected uniquely", ok)
     return report
 

@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InputError, SymcubeError, charge
 from .presheaf import SkeletalPresheaf, nondegenerate_sections
 from .report import Report
-from .site import (Conj, Const, Morphism, Permutation, SiteTag, _cosymmetry_perms,
-                   compose, delta, enumerate_hom, pi)
+from .site import Conj, Const, Morphism, SiteTag, compose, delta, enumerate_hom
 
 
 # -- the interval-power action -----------------------------------------------
@@ -263,7 +263,8 @@ class _NormalForms:
     k-simplex s of its interval power.  Every class holds members
     (m, y, t) with y nondegenerate and t free of constants, unique up to
     the cosymmetries of [m]; they are the members of least dimension, so
-    the least of them is the least member of the class.
+    the least of them is the least member of the class, which only the
+    cosymmetries in X.orbits reach.
     """
 
     def __init__(self, X: SkeletalPresheaf):
@@ -272,21 +273,6 @@ class _NormalForms:
         self.nondegenerate = {n: ys for n in range(X.N + 1)
                               if (ys := nondegenerate_sections(X, n))}
         self._faces: dict[tuple, Morphism] = {}
-        # per nondegenerate (m, y): the least id in the cosymmetry orbit
-        # of y, and the zero-based one-lines of the cosymmetries th with
-        # pi(th)*y equal to it.  (m, pi(th)*y, (t[th(1)], ..., t[th(m)]))
-        # ~ (m, y, t), so only these can reach the least member.
-        self._cosets: dict[tuple, tuple] = {}
-        for m, ys in self.nondegenerate.items():
-            orbit = [
-                (X.table(pi(th)), tuple(i - 1 for i in th.one_line))
-                for th in _cosymmetry_perms(X.site, m)
-            ]
-            for y in ys:
-                least = min(tab[y] for tab, _ in orbit)
-                self._cosets[m, y] = (
-                    least, [line for tab, line in orbit if tab[y] == least]
-                )
 
     def realization(self) -> tuple[SimplicialSet, list[dict]]:
         """realize(X), and the {class id: least member} of each level."""
@@ -329,8 +315,9 @@ class _NormalForms:
         """(class id, least member) of the member (n, x, s) of level k:
         pull the constant coordinates of s out through the face they
         define, push s through the EZ epi of the section, and take the
-        least member over the cosymmetries that carry the section to
-        the least id of its orbit."""
+        least member over the cosymmetries th that carry the section to
+        the least id of its orbit, X.orbits: (n, pi(th)*x, (s[th(1)],
+        ..., s[th(n)])) ~ (n, x, s), so only these reach the least member."""
         top = k + 1
         if 0 in s or top in s:
             d = self._face(tuple(1 if t == 0 else 0 if t == top else None
@@ -341,8 +328,8 @@ class _NormalForms:
         if not self.X.is_nondegenerate(n, x):
             epi, x = self.X.ez_decompose(n, x)
             s, n = act_on_cube(epi, k)(s), epi.dst
-        least, lines = self._cosets[n, x]
-        best = min(tuple(s[i] for i in line) for line in lines)
+        least, ths = self.X.orbits(n)[x]
+        best = min(tuple(s[i - 1] for i in th.one_line) for th in ths)
         return f"{least}@{_threshold_id(best)}", (n, least, best)
 
 
@@ -438,6 +425,12 @@ def nondegenerate_chains(X: SkeletalPresheaf) -> ChainComplex:
     return _chain_complex(bases, boundary, f"|{X.name}|")
 
 
+@cache
+def _sign(one_line: tuple) -> int:
+    """The sign of a permutation, the parity of its inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(one_line, 2))
+
+
 def cubical_chains(X: SkeletalPresheaf) -> ChainComplex | None:
     """The cellular chains of |X| on the cosymmetry orbits of its
     nondegenerate sections, or None when an orbit is not free.
@@ -448,31 +441,24 @@ def cubical_chains(X: SkeletalPresheaf) -> ChainComplex | None:
     (Massey, *Singular Homology Theory*, 1980, ch. 2): theta*x stands for
     sign(theta) x, and x has boundary sum_i (-1)^i (delta(i,1)*x -
     delta(i,0)*x) less its degenerate faces, connections included.  The
-    swap tables walk each orbit, which is free when it reaches n!
-    members (one over Q), each then with one sign.  A short orbit's
-    cell is the cube divided by its stabilizer, which this basis
-    misses: quotient:3:(1 2 3) would get H_2 = Z/3.  Levels go top
-    first, each charging its nondegenerate sections before its walk.
+    orbit table X.orbits gives each section one cosymmetry, carrying it
+    to the least id of its orbit, exactly when the orbit is free (always
+    over Q); the least ids are the basis, and a member stands for its
+    least id times the sign of its cosymmetry.  A short orbit's cell is
+    the cube divided by its stabilizer, which this basis misses:
+    quotient:3:(1 2 3) would get H_2 = Z/3.  Levels go top first, each
+    charging its nondegenerate sections before its orbit table.
     """
-    bases: dict[int, list] = {n: [] for n in range(X.N + 1)}
+    bases: dict[int, tuple] = dict.fromkeys(range(X.N + 1), ())
     cells: dict[int, dict] = {}  # per level: member -> (basis element, sign)
     for n in reversed(bases):
         xs = nondegenerate_sections(X, n)
         charge(len(xs), f"cubical chain level {n} has {len(xs)} sections")
-        swaps = [X.action[pi(Permutation.transposition(i, i + 1, n))]
-                 for i in range(1, n)] if X.site is SiteTag.QSIGMA else []
-        cells[n] = level = {}
-        for x in xs:
-            if x not in level:
-                level[x], orbit = (x, 1), [x]
-                for y in orbit:  # grows as the swaps reach new members
-                    for tab in swaps:
-                        if tab[y] not in level:
-                            level[tab[y]] = (x, -level[y][1])
-                            orbit.append(tab[y])
-                if len(orbit) != (math.factorial(n) if swaps else 1):
-                    return None
-                bases[n].append(x)
+        orbits = X.orbits(n)
+        if any(len(ths) != 1 for _, ths in orbits.values()):
+            return None
+        cells[n] = {x: (least, _sign(th.one_line)) for x, (least, (th,)) in orbits.items()}
+        bases[n] = tuple(dict.fromkeys(least for least, _ in orbits.values()))
     faces = {n: [(X.action[delta(i, eps, n - 1)], (-1) ** (i + eps + 1))
                  for i in range(1, n + 1) for eps in (0, 1)] for n in range(1, X.N + 1)}
 
@@ -481,7 +467,7 @@ def cubical_chains(X: SkeletalPresheaf) -> ChainComplex | None:
             if (hit := cells[n - 1].get(tab[x])) is not None:
                 yield hit[0], sign * hit[1]
 
-    return _chain_complex({n: tuple(b) for n, b in bases.items()}, boundary, f"|{X.name}|")
+    return _chain_complex(bases, boundary, f"|{X.name}|")
 
 
 def smith_normal_form(M: list) -> tuple:
@@ -741,10 +727,10 @@ def homology_of_chains(C: ChainComplex) -> HomologyResult:
 
 
 def homology(X: SkeletalPresheaf) -> HomologyResult:
-    """The integral homology of |X|, by cubical_chains when every
-    nondegenerate section has a trivial stabilizer (always over Q), else
-    by nondegenerate_chains.  Widen the rule to odd stabilizers only
-    with a proof: a cell divided by one is not a cube."""
+    """The integral homology of |X|, by cubical_chains when each orbit
+    of X.orbits is free (always over Q), else by nondegenerate_chains.
+    Widen the rule to odd stabilizers only with a proof: a cell divided
+    by one is not a cube."""
     C = cubical_chains(X)
     return homology_of_chains(C if C is not None else nondegenerate_chains(X))
 

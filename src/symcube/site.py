@@ -669,17 +669,14 @@ def is_box_arrow(f: Morphism) -> bool:
 
 
 def classify(f: Morphism) -> Flags:
-    fac = factor(f)
-    in_plus = not fac.conjs and not fac.degens
-    in_minus = not fac.faces
-    return Flags(
-        in_Q=is_box_arrow(f),
-        in_plus=in_plus,
-        in_minus=in_minus,
-        is_mono=in_plus,
-        is_epi=in_minus,
-        is_iso=in_plus and in_minus,
-    )
+    """The flags read off the entries: f is epi when no entry is a
+    constant, and mono when every entry is a constant or a bare symbol
+    and every symbol is used."""
+    is_epi = not any(type(e) is Const for e in f.entries)
+    is_mono = (all(type(e) is Const or len(e) == 1 for e in f.entries)
+               and len(f.symbols()) == f.src)
+    return Flags(in_Q=is_box_arrow(f), in_plus=is_mono, in_minus=is_epi,
+                 is_mono=is_mono, is_epi=is_epi, is_iso=is_mono and is_epi)
 
 
 def vertices_action(f: Morphism) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -695,15 +692,26 @@ def vertices_action(f: Morphism) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 
 def ez_factor(f: Morphism) -> tuple[Morphism, Morphism]:
-    """Split f as (epi, mono) with mono o epi = f, epi in the minus
-    subcategory and mono a face word."""
-    fac = factor(f)
-    q = fac.ell - len(fac.conjs)
-    epi = Factorization((), fac.conjs, fac.perm, fac.degens, f.src, q).evaluate()
-    mono = Factorization(
-        fac.faces, (), Permutation.identity(q), (), q, f.dst
-    ).evaluate()
-    return epi, mono
+    """Split f as (epi, mono) with mono o epi = f, read off the entries:
+    the epi keeps f's non-constant entries in order, and the mono, a
+    face word, puts the constants back."""
+    kept = tuple(e for e in f.entries if type(e) is not Const)
+    free = iter(range(1, len(kept) + 1))
+    mono = tuple(e if type(e) is Const else tuple.__new__(Conj, (next(free),))
+                 for e in f.entries)
+    return _arrow(f.src, len(kept), kept), _arrow(len(kept), f.dst, mono)
+
+
+def mediator(e1: Morphism, e2: Morphism) -> Morphism | None:
+    """The one cosymmetry th with th o e1 = e2, read off the entries: th
+    puts e1's entries, which are distinct, in e2's order.  None when no
+    cosymmetry does that."""
+    at = {e: tuple.__new__(Conj, (i,)) for i, e in enumerate(e1.entries, start=1)}
+    if len(at) < e1.dst:
+        raise InputError(f"{e1} repeats an entry, so no one cosymmetry is read off it")
+    if e1.src != e2.src or e1.dst != e2.dst or at.keys() != set(e2.entries):
+        return None
+    return _arrow(e1.dst, e1.dst, tuple(map(at.__getitem__, e2.entries)))
 
 
 # -- union-find --------------------------------------------------------------
@@ -995,7 +1003,9 @@ def verify_relations(n_max: int) -> Report:
 
 def verify_ez(n_max: int = 3) -> Report:
     """Degree behaviour of monos, split epis, epi-mono factorization and
-    the unique mediating cosymmetry, exhaustively over objects <= n_max."""
+    the unique mediating cosymmetry, exhaustively over objects <= n_max:
+    for factorizations (e1, m1), (e2, m2) of an arrow, the th = mediator(e1,
+    e2) with th o e1 = e2 and m2 o th = m1, the only one as e1 is split."""
     if n_max < 0:
         raise BadDimension(f"negative dimension bound {n_max}")
     report = Report(f"ez-axioms(objects<={n_max})")
@@ -1004,62 +1014,37 @@ def verify_ez(n_max: int = 3) -> Report:
             homs = enumerate_hom(m, n, SiteTag.QSIGMA)
             flags = {f: classify(f) for f in homs}
             monos = [f for f in homs if flags[f].is_mono]
-            report.check(
-                f"monos raise degree, preserve iff iso Hom({m},{n})",
-                all(
-                    m <= n and ((m == n) == flags[f].is_iso) for f in monos
-                ),
-                f"{len(monos)} monos",
-            )
+            report.check(f"monos raise degree, preserve iff iso Hom({m},{n})",
+                         all(m <= n and (m == n) == flags[f].is_iso for f in monos),
+                         f"{len(monos)} monos")
             epis = [f for f in homs if flags[f].is_epi]
-            report.check(
-                f"all epis split Hom({m},{n})",
-                all(
-                    ss and all(compose(f, s) == identity(n) for s in ss)
-                    for f, ss in zip(epis, map(sections_of, epis))
-                ),
-                f"{len(epis)} epis",
-            )
-            fac_ok = True
-            for f in homs:
-                e, mo = ez_factor(f)
-                if compose(mo, e) != f or not classify(e).is_epi or not classify(mo).is_mono:
-                    fac_ok = False
-                    break
-            report.check(f"epi-mono factorization Hom({m},{n})", fac_ok)
+            report.check(f"all epis split Hom({m},{n})",
+                         all(ss and all(compose(f, s) == identity(n) for s in ss)
+                             for f, ss in zip(epis, map(sections_of, epis))),
+                         f"{len(epis)} epis")
+            factors = {f: ez_factor(f) for f in homs}
+            report.check(f"epi-mono factorization Hom({m},{n})", all(
+                compose(mo, e) == f and classify(e).is_epi and classify(mo).is_mono
+                for f, (e, mo) in factors.items()))
             # all factorizations of each f, grouped by composite
             found: dict[Morphism, list[tuple[Morphism, Morphism]]] = {}
             for q in range(0, min(m, n) + 1):
-                mid_epis = [
-                    e for e in enumerate_hom(m, q, SiteTag.QSIGMA)
-                    if classify(e).is_epi
-                ]
-                mid_monos = [
-                    mo for mo in enumerate_hom(q, n, SiteTag.QSIGMA)
-                    if classify(mo).is_mono
-                ]
+                mid_epis = [e for e in enumerate_hom(m, q, SiteTag.QSIGMA)
+                            if classify(e).is_epi]
+                mid_monos = [mo for mo in enumerate_hom(q, n, SiteTag.QSIGMA)
+                             if classify(mo).is_mono]
                 pairs = len(mid_epis) * len(mid_monos)
                 charge(pairs, f"{pairs} pairs of an epi and a mono through [{q}]")
                 for e in mid_epis:
                     for mo in mid_monos:
                         found.setdefault(compose(mo, e), []).append((e, mo))
-
-            def mediator_count(e1, m1, e2, m2):
-                return sum(
-                    1
-                    for th in map(pi, _cosymmetry_perms(SiteTag.QSIGMA, e1.dst))
-                    if compose(th, e1) == e2 and compose(m2, th) == m1
-                )
-
             pairs = sum(len(fs) ** 2 for fs in found.values())
             charge(pairs, f"{pairs} pairs of factorizations in Hom({m},{n})")
             unique_ok = all(
-                ez_factor(f) in found.get(f, [])
-                and all(
-                    mediator_count(e1, m1, e2, m2) == 1
-                    for e1, m1 in found[f]
-                    for e2, m2 in found[f]
-                )
+                factors[f] in found.get(f, [])
+                and all((th := mediator(e1, e2)) is not None
+                        and compose(th, e1) == e2 and compose(m2, th) == m1
+                        for e1, m1 in found[f] for e2, m2 in found[f])
                 for f in homs
             )
             report.check(f"unique mediating cosymmetry Hom({m},{n})", unique_ok)

@@ -576,7 +576,10 @@ EVERY_SUBCOMMAND = [
     (["verify-relations", "--dim", "-1"], 2),
     (["--limit", "1000", "verify-relations", "--dim", "40"], 3),
     (["verify-ez", "--dim", "2"], 0),
+    (["verify-ez", "--dim", "3"], 0),
     (["verify-ez", "--dim", "-1"], 2),
+    # stopped by the pairs of factorizations in Hom(3,4), before any mediator
+    (["--limit", "2000", "verify-ez", "--dim", "4"], 3),
     (["verify-pushouts", "--dim", "2"], 0),
     (["verify-pushouts", "--dim", "6"], 0),
     (["verify-pushouts", "--dim", "-1"], 2),
@@ -599,6 +602,8 @@ EVERY_SUBCOMMAND = [
     (["cap", "1", "2", "0"], 2),
     (["realize", "cube:1"], 0),
     (["homology", "boundary:1"], 0),
+    # a top cell with stabilizer Sigma_2: the simplicial fallback route
+    (["homology", "quotient:2:(1 2)"], 0),
     (["homology", "cube:-1"], 2),
     (["--limit", "1", "homology", "cube:3"], 3),
     (["--limit", "1000", "homology", "cube:6"], 3),

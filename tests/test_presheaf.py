@@ -56,7 +56,6 @@ from symcube.presheaf import (
     restrict_skeletal,
     restriction,
     skeleton,
-    stabilizer,
     tagged_coend,
     terminal_map,
     terminal_presheaf,
@@ -105,6 +104,13 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
         if u.is_bijective():
             return u
     return None
+
+
+def stabilizer(X: SkeletalPresheaf, n: int, x: str) -> SubgroupSpec:
+    """The cosymmetries of level n fixing the section x under the
+    presheaf's own action, each tested by its composed arrow."""
+    fixers = tuple(th for th in _cosymmetry_perms(X.site, n) if X.act(pi(th), x) == x)
+    return SubgroupSpec(n, fixers)
 
 
 def quotient_by_group(n: int, H: SubgroupSpec):
@@ -1079,6 +1085,32 @@ def test_stabilizers():
     img = QUOT_PROJ.mapping[2]["(x1,x2):2->2"]
     assert len(stabilizer(QUOT, 2, img).members) == 2
     assert len(stabilizer(representable(2, Q), 2, "(x1,x2):2->2").members) == 1
+
+
+def test_orbit_table_matches_the_stabilizer_and_least_id_scan():
+    # every cosymmetry's arrow applied to every nondegenerate section:
+    # the least id over all of them, and those that reach it
+    from test_realize import CUBICAL_CORPUS, REALIZE_CORPUS
+
+    corpus = {**REALIZE_CORPUS, **CUBICAL_CORPUS}
+    assert {"quotient:3:(1 2 3)", "quotient:2:(1 2)"} <= set(corpus)
+    for name, make in sorted(corpus.items()):
+        X = make()
+        for n in range(X.N + 1):
+            xs = nondegenerate_sections(X, n)
+            table = X.orbits(n)
+            assert set(table) == set(xs), (name, n)
+            if not xs:
+                continue
+            acts = [(th, X.table(pi(th))) for th in _cosymmetry_perms(X.site, n)]
+            for x in xs:
+                least = min(tab[x] for _, tab in acts)
+                want = tuple(th for th, tab in acts if tab[x] == least)
+                assert table[x] == (least, want), (name, n, x)
+                # a least id's cosymmetries are its stabilizer, and any
+                # member has as many as its stabilizer has elements
+                assert table[least][1] == stabilizer(X, n, least).generators, (name, n, x)
+                assert len(want) == len(stabilizer(X, n, x).members), (name, n, x)
 
 
 # -- the orbit cellular model ------------------------------------------------

@@ -31,6 +31,7 @@ from symcube.site import (
     Morphism,
     Permutation,
     SiteTag,
+    _cosymmetry_perms,
     check_split_witness,
     classify,
     compose,
@@ -43,6 +44,8 @@ from symcube.site import (
     hom_count,
     hom_rank,
     identity,
+    is_box_arrow,
+    mediator,
     parse_morphism,
     pi,
     postcompose_table,
@@ -624,6 +627,85 @@ def test_ez_factor_examples():
     assert ez_factor(identity(3)) == (identity(3), identity(3))
     epi, mono = ez_factor(parse_morphism("(x2^x1):2->1"))
     assert str(epi) == "(x2^x1):2->1" and mono == identity(1)
+
+
+def oracle_classify(f):
+    """The flags read off the normal form, the route classify replaced."""
+    fac = factor(f)
+    in_plus = not fac.conjs and not fac.degens
+    in_minus = not fac.faces
+    return site.Flags(in_Q=is_box_arrow(f), in_plus=in_plus, in_minus=in_minus,
+                      is_mono=in_plus, is_epi=in_minus, is_iso=in_plus and in_minus)
+
+
+def oracle_ez_factor(f):
+    """The (epi, mono) split evaluated from the normal form's two halves."""
+    fac = factor(f)
+    q = fac.ell - len(fac.conjs)
+    epi = Factorization((), fac.conjs, fac.perm, fac.degens, f.src, q).evaluate()
+    mono = Factorization(fac.faces, (), Permutation.identity(q), (), q, f.dst).evaluate()
+    return epi, mono
+
+
+@given(morphisms())
+def test_classify_and_ez_factor_match_the_normal_form(f):
+    assert classify(f) == oracle_classify(f)
+    epi, mono = ez_factor(f)
+    assert (epi, mono) == oracle_ez_factor(f)
+    assert hash(epi) == hash(Morphism(epi.src, epi.dst, epi.entries))
+    assert hash(mono) == hash(Morphism(mono.src, mono.dst, mono.entries))
+
+
+def mediator_count(e1, m1, e2, m2):
+    """The cosymmetries th with th o e1 = e2 and m2 o th = m1, by search
+    over all of them: the count verify_ez took before mediator."""
+    return sum(
+        1
+        for th in map(pi, _cosymmetry_perms(QS, e1.dst))
+        if compose(th, e1) == e2 and compose(m2, th) == m1
+    )
+
+
+@st.composite
+def epis(draw, m):
+    """An epi [m] -> [q]: some symbols in some order, cut into blocks."""
+    used = draw(st.permutations(range(1, m + 1)))[:draw(st.integers(0, m))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(used) - 1)))) if len(used) > 1 else []
+    ends = list(zip([0, *cuts], [*cuts, len(used)])) if used else []
+    return Morphism(m, len(ends), [Conj(used[a:b]) for a, b in ends])
+
+
+@st.composite
+def epi_pairs(draw, max_src=5):
+    """Two epis with a common source; half the time the second has the
+    first's entries in another order."""
+    m = draw(st.integers(0, max_src))
+    e1 = draw(epis(m))
+    if draw(st.booleans()):
+        return e1, Morphism(m, e1.dst, draw(st.permutations(e1.entries)))
+    return e1, draw(epis(m))
+
+
+@given(epi_pairs())
+def test_mediator_matches_the_cosymmetry_search(pair):
+    e1, e2 = pair
+    th = mediator(e1, e2)
+    # a face after either side: m2 o th = m1 holds for th alone
+    m2 = delta(1, 0, e2.dst)
+    m1 = m2 if th is None else compose(m2, th)
+    assert mediator_count(e1, m1, e2, m2) == (th is not None)
+    if th is not None:
+        assert classify(th).is_iso and compose(th, e1) == e2
+
+
+def test_mediator_examples():
+    e1, e2 = parse_morphism("(x1^x3,x2):3->2"), parse_morphism("(x2,x1^x3):3->2")
+    assert str(mediator(e1, e2)) == "(x2,x1):2->2"
+    assert mediator(e1, e1) == identity(2)
+    assert mediator(e1, parse_morphism("(x3^x1,x2):3->2")) is None
+    assert mediator(e1, sigma(1, 2)) is None
+    with pytest.raises(InputError):
+        mediator(parse_morphism("(0,0):1->2"), parse_morphism("(0,0):1->2"))
 
 
 def test_verify_ez_passes():
