@@ -33,6 +33,7 @@ from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
     TruncatedPresheaf,
+    _constant_map,
     generator_morphisms,
     inclusion_map,
     restriction,
@@ -42,6 +43,7 @@ from .report import Report
 from .site import (
     SiteTag,
     compose,
+    enumerate_hom,
     identity,
     parse_morphism,
     symmetry,
@@ -95,16 +97,6 @@ def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> ConvolutionResult:
     return _tagged_product([X, Y], X.site, f"{X.name}(x){Y.name}")
 
 
-def _constant_map(items, fn) -> dict:
-    """Evaluate fn on every key, requiring constancy on classes."""
-    out: dict = {}
-    for key, cid in items:
-        v = fn(key)
-        if out.setdefault(cid, v) != v:
-            raise SymcubeError(f"value not constant on class {cid}")
-    return out
-
-
 def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
                fn) -> PresheafMap:
     """CR.product -> target, sending the class of each reduced member
@@ -117,23 +109,27 @@ def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
 
 def verify_convolution(CR: ConvolutionResult) -> Report:
     """Truncation bookkeeping plus well-definedness of the action on
-    every reduced member of every class, not just the chosen
-    representative."""
-    report = Report(f"convolution {CR.product.name}")
+    every reduced member (f, tail) of every class: h sends its class to
+    that of (f o h, tail), composed once per arrow f and found by rank,
+    not by the precomposition tables the action was built from."""
+    P, class_of = CR.product, CR.class_of
+    report = Report(f"convolution {P.name}")
     report.check(
         "truncation adds",
-        CR.product.N == sum(X.N for X in CR.factors),
-        f"{CR.product.N} vs {'+'.join(str(X.N) for X in CR.factors)}",
+        P.N == sum(X.N for X in CR.factors),
+        f"{P.N} vs {'+'.join(str(X.N) for X in CR.factors)}",
     )
     ok = True
-    for _, h in generator_morphisms(CR.product.site, CR.product.N):
-        tab = CR.product.action[h]
-        for key, cid in CR.class_of.items():
-            if key[0].src != h.dst:
-                continue
-            moved = CR.class_of[(compose(key[0], h), *key[1:])]
-            if moved != tab[cid]:
-                ok = False
+    for _, h in generator_morphisms(P.site, P.N):
+        cids, moved = [], []  # of each reduced member at level h.dst, and moved by h
+        for n in class_of.tails:
+            for f in enumerate_hom(h.dst, n, P.site):
+                cids += class_of.block(f)
+                moved += class_of.block(compose(f, h))
+        try:
+            ok &= P.action[h] == _constant_map(enumerate(cids), moved.__getitem__)
+        except SymcubeError:
+            ok = False
     report.check("action constant on classes", ok)
     return report
 

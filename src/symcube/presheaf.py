@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from operator import itemgetter
 
 from .errors import (
@@ -752,12 +752,18 @@ class CoendClasses(Mapping):
                 return ids[parent[start[f.dst][r] + t]]
         raise KeyError(member)
 
+    def block(self, f: Morphism) -> list[str]:
+        """The class ids of the reduced members (f, tail), f an arrow of
+        a built level, tail by tail in number order."""
+        _, start, parent, ids = self.built[f.src]
+        s = start[f.dst][hom_rank(f.src, f.dst, self.site)[f.entries]]
+        return [ids[parent[s + t]] for t in range(len(self.tails[f.dst]))]
+
     def items(self):
-        for k, (order, start, parent, ids) in self.built.items():
+        for k, (order, _, _, _) in self.built.items():
             for _, n, r in order:
-                f, s = _enumerate_hom(k, n, self.site)[r], start[n][r]
-                for t, tail in enumerate(self.tails[n]):
-                    yield (f,) + tail, ids[parent[s + t]]
+                f = _enumerate_hom(k, n, self.site)[r]
+                yield from zip([(f,) + tail for tail in self.tails[n]], self.block(f))
 
     def __iter__(self):
         return (member for member, _ in self.items())
@@ -892,49 +898,51 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     return levels, action, class_of, reps
 
 
+def _constant_map(items, fn) -> dict:
+    """Evaluate fn on every key, requiring constancy on classes."""
+    out: dict = {}
+    for key, cid in items:
+        v = fn(key)
+        if out.setdefault(cid, v) != v:
+            raise SymcubeError(f"value not constant on class {cid}")
+    return out
+
+
+def _quotient(X: SkeletalPresheaf, ids, pairs, name: str):
+    """X divided levelwise by the classes that the id pairs pairs[n]
+    generate, X's action carried over; returns (Q, projection).  ids[n]
+    is a sorted tuple holding X's level n and every id in pairs[n], so
+    the union-find roots each class at its least id, which names it."""
+    proj = {}
+    for n in range(X.N + 1):
+        number = {x: i for i, x in enumerate(ids[n])}
+        uf = _UnionFind(len(ids[n]))
+        uf.union_all((number[a], number[b]) for a, b in pairs[n])
+        proj[n] = {x: ids[n][uf.find(number[x])] for x in X.levels[n]}
+    levels = {n: tuple(sorted(set(row.values()))) for n, row in proj.items()}
+    action = {g: _constant_map(proj[g.dst].items(),
+                               lambda x, t=X.action[g], up=proj[g.src]: up[t[x]])
+              for _, g in generator_morphisms(X.site, X.N)}
+    Q = SkeletalPresheaf(X.site, X.N, levels, action, name)
+    return Q, PresheafMap(X, Q, proj)
+
+
 def pushout(f: PresheafMap, g: PresheafMap):
-    """Levelwise pushout of B <- A -> C; returns (P, B -> P, C -> P)."""
+    """Levelwise pushout of B <- A -> C, the quotient of coproduct([B, C])
+    gluing f(a) to g(a), each class named by its least id there, 0:x or
+    1:y; returns (P, B -> P, C -> P).  Legs that are not natural may
+    glue sections that act differently: then it raises SymcubeError."""
     A, B, C = f.src, f.dst, g.dst
     if g.src is not A and not g.src.same_data(A):
         raise InputError("pushout legs must share a source")
     if not (A.N == B.N == C.N) or not (A.site == B.site == C.site):
         raise TruncationMismatch("pushout needs matching sites and truncations")
-    class_of: dict[int, dict] = {}
-    levels = {}
-    for n in range(A.N + 1):
-        members = sorted(
-            [("B", x) for x in B.level(n)] + [("C", x) for x in C.level(n)]
-        )
-        number = {m: i for i, m in enumerate(members)}
-        uf = _UnionFind(len(members))
-        uf.union_all(
-            (number["B", f.mapping[n][a]], number["C", g.mapping[n][a]])
-            for a in A.level(n)
-        )
-        # each class is rooted at its least member, which names it
-        names = {root: "{}:{}".format(*members[root]) for root in uf.roots()}
-        class_of[n] = {m: names[root] for m, root in zip(members, uf.parent)}
-        levels[n] = tuple(sorted(names.values()))
-    action = {}
-    for _, gen in generator_morphisms(A.site, A.N):
-        table = {}
-        for x, cid in class_of[gen.dst].items():
-            side, sid = x
-            source = B if side == "B" else C
-            img = class_of[gen.src][(side, source.action[gen][sid])]
-            # glued sections must act compatibly; guaranteed when the
-            # legs are natural
-            if table.setdefault(cid, img) != img:
-                raise SymcubeError(f"pushout legs glue incompatibly at {x} under {gen}")
-        action[gen] = table
-    P = SkeletalPresheaf(A.site, A.N, levels, action, "pushout")
-    into_B = PresheafMap(
-        B, P, {n: {x: class_of[n][("B", x)] for x in B.level(n)} for n in levels}
-    )
-    into_C = PresheafMap(
-        C, P, {n: {x: class_of[n][("C", x)] for x in C.level(n)} for n in levels}
-    )
-    return P, into_B, into_C
+    S, (into_B, into_C) = coproduct([B, C])
+    fB, gC = f.then(into_B).mapping, g.then(into_C).mapping
+    pairs = {n: [(fB[n][a], gC[n][a]) for a in A.level(n)] for n in S.levels}
+    P, proj = _quotient(S, {n: tuple(sorted(ids)) for n, ids in S.levels.items()},
+                        pairs, "pushout")
+    return P, into_B.then(proj), into_C.then(proj)
 
 
 def coproduct(parts: list[SkeletalPresheaf]):
@@ -944,27 +952,15 @@ def coproduct(parts: list[SkeletalPresheaf]):
     site_tag, N = parts[0].site, parts[0].N
     if any(p.site != site_tag or p.N != N for p in parts):
         raise InputError("coproduct parts need matching sites and truncations")
-    levels = {
-        n: tuple(
-            f"{i}:{sid}" for i, p in enumerate(parts) for sid in p.level(n)
-        )
-        for n in range(N + 1)
-    }
-    action = {}
-    for _, g in generator_morphisms(site_tag, N):
-        action[g] = {
-            f"{i}:{sid}": f"{i}:{p.action[g][sid]}"
-            for i, p in enumerate(parts)
-            for sid in p.level(g.dst)
-        }
+    # the id i:x of each section x of the i-th part, level by level
+    tags = [{n: {sid: f"{i}:{sid}" for sid in p.level(n)} for n in range(N + 1)}
+            for i, p in enumerate(parts)]
+    levels = {n: tuple(x for tag in tags for x in tag[n].values()) for n in range(N + 1)}
+    action = {g: {tag[g.dst][sid]: tag[g.src][p.action[g][sid]]
+                  for p, tag in zip(parts, tags) for sid in p.level(g.dst)}
+              for _, g in generator_morphisms(site_tag, N)}
     X = SkeletalPresheaf(site_tag, N, levels, action, "coproduct")
-    injections = [
-        PresheafMap(
-            p, X, {n: {sid: f"{i}:{sid}" for sid in p.level(n)} for n in range(N + 1)}
-        )
-        for i, p in enumerate(parts)
-    ]
-    return X, injections
+    return X, [PresheafMap(p, X, tag) for p, tag in zip(parts, tags)]
 
 
 # -- group quotients ---------------------------------------------------------
@@ -972,21 +968,11 @@ def coproduct(parts: list[SkeletalPresheaf]):
 
 @dataclass(frozen=True)
 class SubgroupSpec:
+    """The subgroup of Sigma_n that generators generate, never listed:
+    a union-find over the generators' tables finds its orbits."""
+
     n: int
     generators: tuple[Permutation, ...]
-
-    @cached_property
-    def members(self) -> frozenset[Permutation]:
-        found = {Permutation.identity(self.n)}
-        frontier = list(found)
-        while frontier:
-            p = frontier.pop()
-            for q in self.generators:
-                r = q.after(p)
-                if r not in found:
-                    found.add(r)
-                    frontier.append(r)
-        return frozenset(found)
 
     @classmethod
     def full(cls, n: int) -> "SubgroupSpec":
@@ -995,10 +981,15 @@ class SubgroupSpec:
 
 def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
     """Orbits of the postcomposition action of H on a sub-presheaf X of
-    the symmetric H.n-cube, each named by the least of its ids over the
-    whole cube; returns (Q, projection).  X over the plain site is a
-    sub-presheaf of the cube's underlying cubical set.  Raises InputError
-    when X is not a sub-presheaf: then H need not act compatibly."""
+    the symmetric H.n-cube, the quotient gluing y to pi(h) o y for each
+    generator h over the cube's levels, so each is named by its least id
+    in the whole cube even where H does not keep X; returns (Q,
+    projection).  X over the plain site is a sub-presheaf of the cube's
+    underlying cubical set.  Raises InputError for a generator on other
+    than H.n letters, or when X is not a sub-presheaf: then H need not
+    act compatibly."""
+    if any(h.n != H.n for h in H.generators):
+        raise InputError(f"a subgroup of Sigma_{H.n} has a generator on other letters")
     for m in range(X.N + 1):  # charged as the spec that built X charged them
         enumerate_hom(m, H.n, SiteTag.QSIGMA)
     cube = _built_cube(H.n, SiteTag.QSIGMA, X.N)[0]  # truncated where X.N < H.n
@@ -1007,23 +998,10 @@ def quotient_presheaf(X: SkeletalPresheaf, H: SubgroupSpec, name="quot"):
             X.action[g].items() <= cube.action[g].items()
             for _, g in generator_morphisms(X.site, X.N))):
         raise InputError(f"{X.name} is not a sub-presheaf of the {H.n}-cube")
-    group = [pi(h) for h in H.members]
-    orbit_of = {}
-    for n in range(X.N + 1):
-        tables = [_postcompose_ids(h, n, SiteTag.QSIGMA) for h in group]
-        orbit_of[n] = {sid: min(t[sid] for t in tables) for sid in X.levels[n]}
-    levels = {n: tuple(sorted(set(seen.values()))) for n, seen in orbit_of.items()}
-    action = {}
-    for _, g in generator_morphisms(X.site, X.N):
-        table = X.action[g]
-        action[g] = {
-            orbit_of[g.dst][sid]: orbit_of[g.src][table[sid]] for sid in X.levels[g.dst]
-        }
-    Qp = SkeletalPresheaf(X.site, X.N, levels, action, name)
-    proj = PresheafMap(
-        X, Qp, {n: dict(orbit_of[n]) for n in orbit_of}
-    )
-    return Qp, proj
+    pairs = {n: [pair for h in H.generators
+                 for pair in _postcompose_ids(pi(h), n, SiteTag.QSIGMA).items()]
+             for n in cube.levels}
+    return _quotient(X, cube.levels, pairs, name)
 
 
 # -- the orbit cellular model ------------------------------------------------
@@ -1049,17 +1027,17 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
         return report
 
     parts_A, parts_B, values = [], [], []
-    cell_cache: dict = {}
+    cell_cache: dict = {}  # by stabilizer, in canonical order
     for rep in reps:
-        S = SubgroupSpec(k, orbits[rep][1])
-        if S.members not in cell_cache:
+        stab = orbits[rep][1]
+        if stab not in cell_cache:
             # cosymmetries keep the boundary: its orbits are the cube's in it
             cube, arrows = _cube(k, X.site, X.N)
-            QB, _ = quotient_presheaf(cube, S, name="SB")
+            QB, _ = quotient_presheaf(cube, SubgroupSpec(k, stab), name="SB")
             QA = restriction(QB, {n: tuple(q for q in ids if in_boundary(arrows[q]))
                                   for n, ids in QB.levels.items()}, "SA")
-            cell_cache[S.members] = (QA, QB, arrows)
-        QA, QB, arrows = cell_cache[S.members]
+            cell_cache[stab] = (QA, QB, arrows)
+        QA, QB, arrows = cell_cache[stab]
         parts_A.append(QA)
         parts_B.append(QB)
         # where the cell attached along rep sends each of its sections, an

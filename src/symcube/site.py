@@ -264,14 +264,6 @@ class Permutation:
             line[v - 1] = i
         return Permutation(line)
 
-    def after(self, other: "Permutation") -> "Permutation":
-        """The composite self o other (other applied first)."""
-        if self.n != other.n:
-            raise CompositionMismatch(
-                f"cannot compose permutations of {self.n} and {other.n} letters"
-            )
-        return Permutation(self(other(i)) for i in range(1, self.n + 1))
-
     def is_identity(self) -> bool:
         return self.one_line == tuple(range(1, self.n + 1))
 

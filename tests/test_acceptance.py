@@ -116,9 +116,10 @@ def test_criterion_07_skeletal_pushouts(gate):
 
 
 def test_criterion_08_convolution(gate):
-    ok = passes(gate, "convolution", 22, *(
-        f"cube{m} (x) cube{n} pairs onto cube{m + n}"
-        for m in range(4) for n in range(4 - m)
+    ok = passes(gate, "convolution", 30, *(
+        line for m in range(4) for n in range(4 - m)
+        for line in (f"cube{m} (x) cube{n} pairs onto cube{m + n}",
+                     f"cube{m} (x) cube{n} acts on whole classes")
     ), *(f"unit law on {X}" for X in ("cube1", "cube2", "boundary1")), *(
         line
         for XY in ("cube1 (x) cube1", "cube1 (x) cube2", "boundary1 (x) cube1")

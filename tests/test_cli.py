@@ -595,6 +595,12 @@ EVERY_SUBCOMMAND = [
     (["coskeleton", "boundary:1", "0"], 0),
     (["quotient", "cube:2", "(1 2)"], 0),
     (["quotient", "empty", "(1 2)"], 2),
+    (["quotient", "boundary:3", "(1 2 3)"], 0),
+    # the swap moves the missing face, so H does not keep the cap; its orbits are still named
+    (["quotient", "cap:3:1:0", "(1 2)"], 0),
+    # a quotient's ids are the cube's, but its action is not the cube's
+    (["quotient", "quotient:2:(1 2)", "(1 2)"], 2),
+    (["--limit", "100", "quotient", "cube:3", "(1 2 3)"], 3),
     (["boundary", "1"], 0),
     (["boundary", "0"], 2),
     (["boundary", "992"], 3),

@@ -41,6 +41,7 @@ from symcube.presheaf import (
     coproduct,
     dumps_presheaf,
     empty_presheaf,
+    generator_morphisms,
     identity_map,
     pushout,
     quotient_presheaf,
@@ -141,6 +142,20 @@ def test_associativity(X, Y, Z):
     "CR", [CR11, convolve(BD1, R1)], ids=["cube1x2", "bd1-cube1"]
 )
 def test_collapse_well_defined(CR):
+    assert verify_convolution(CR).ok
+
+
+def test_collapse_check_catches_one_redirected_entry():
+    # the first two entries of every generator's table, each redirected
+    # in turn to another class of its level, fail the check
+    CR = convolve(BD1, R1)
+    P = CR.product
+    for _, h in generator_morphisms(P.site, P.N):
+        table = P.action[h]
+        for cid, img in list(table.items())[:2]:
+            table[cid] = next(c for c in P.levels[h.src] if c != img)
+            assert not verify_convolution(CR).ok, (h, cid)
+            table[cid] = img
     assert verify_convolution(CR).ok
 
 

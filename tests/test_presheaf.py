@@ -7,6 +7,7 @@ import json
 from functools import cache
 import hashlib
 from pathlib import Path
+import re
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from symcube.errors import (
     IndexOutOfRange,
     InputError,
     ResourceBound,
+    SymcubeError,
     TruncationMismatch,
     charge,
     resource_limit,
@@ -69,6 +71,7 @@ from symcube.site import (
     Morphism,
     Permutation,
     SiteTag,
+    _UnionFind,
     classify,
     compose,
     delta,
@@ -81,6 +84,7 @@ from symcube.site import (
     sections_of,
     tensor,
 )
+from test_site import after
 
 QS = SiteTag.QSIGMA
 Q = SiteTag.Q
@@ -104,6 +108,20 @@ def find_isomorphism(X: SkeletalPresheaf, Y: SkeletalPresheaf):
         if u.is_bijective():
             return u
     return None
+
+
+def members(H: SubgroupSpec) -> frozenset[Permutation]:
+    """H closed under composition, from the identity."""
+    found = {Permutation.identity(H.n)}
+    frontier = list(found)
+    while frontier:
+        p = frontier.pop()
+        for q in H.generators:
+            r = after(q, p)
+            if r not in found:
+                found.add(r)
+                frontier.append(r)
+    return frozenset(found)
 
 
 def stabilizer(X: SkeletalPresheaf, n: int, x: str) -> SubgroupSpec:
@@ -919,6 +937,97 @@ def test_find_isomorphism():
 # -- colimits ----------------------------------------------------------------
 
 
+def oracle_pushout(f: PresheafMap, g: PresheafMap):
+    """The pushout with its own tagged union: members ("B", x) and
+    ("C", y) sorted, one union-find per level, each class named B:x or
+    C:y after its least member, and the action read class by class."""
+    A, B, C = f.src, f.dst, g.dst
+    if g.src is not A and not g.src.same_data(A):
+        raise InputError("pushout legs must share a source")
+    if not (A.N == B.N == C.N) or not (A.site == B.site == C.site):
+        raise TruncationMismatch("pushout needs matching sites and truncations")
+    class_of: dict[int, dict] = {}
+    levels = {}
+    for n in range(A.N + 1):
+        sides = sorted([("B", x) for x in B.level(n)] + [("C", x) for x in C.level(n)])
+        number = {m: i for i, m in enumerate(sides)}
+        uf = _UnionFind(len(sides))
+        uf.union_all((number["B", f.mapping[n][a]], number["C", g.mapping[n][a]])
+                     for a in A.level(n))
+        names = {root: "{}:{}".format(*sides[root]) for root in uf.roots()}
+        class_of[n] = {m: names[root] for m, root in zip(sides, uf.parent)}
+        levels[n] = tuple(sorted(names.values()))
+    action = {}
+    for _, gen in generator_morphisms(A.site, A.N):
+        table = {}
+        for (side, sid), cid in class_of[gen.dst].items():
+            source = B if side == "B" else C
+            img = class_of[gen.src][(side, source.action[gen][sid])]
+            if table.setdefault(cid, img) != img:
+                raise SymcubeError(f"pushout legs glue incompatibly at {sid} under {gen}")
+        action[gen] = table
+    P = SkeletalPresheaf(A.site, A.N, levels, action, "pushout")
+    legs = [PresheafMap(X, P, {n: {x: class_of[n][(side, x)] for x in X.level(n)}
+                               for n in levels})
+            for side, X in (("B", B), ("C", C))]
+    return P, *legs
+
+
+def as_coproduct_ids(text: str) -> str:
+    """The oracle's ids B:x and C:y, in a dump or alone, as the
+    coproduct's 0:x and 1:y."""
+    text = re.sub(r"(^| )B:", r"\g<1>0:", text, flags=re.M)
+    return re.sub(r"(^| )C:", r"\g<1>1:", text, flags=re.M)
+
+
+def assert_pushout_is_the_oracle(f: PresheafMap, g: PresheafMap):
+    P, iB, iC = pushout(f, g)
+    want, wB, wC = oracle_pushout(f, g)
+    assert dumps_presheaf(P) == as_coproduct_ids(dumps_presheaf(want))
+    for got, leg in ((iB, wB), (iC, wC)):
+        assert got.mapping == {n: {x: as_coproduct_ids(c) for x, c in row.items()}
+                               for n, row in leg.mapping.items()}
+
+
+def test_pushout_is_the_oracle_renamed():
+    bd1, incl1 = boundary(1, QS)
+    assert_pushout_is_the_oracle(incl1, boundary(1, QS)[1])  # glue
+    assert_pushout_is_the_oracle(incl1, terminal_map(bd1))  # collapse
+    assert_pushout_is_the_oracle(identity_map(bd1), incl1)  # an identity leg
+    assert_pushout_is_the_oracle(BD2_INCL, terminal_map(BD2))
+
+
+def test_pushout_of_the_grid_builders_is_the_oracle_renamed(monkeypatch):
+    import test_realize
+
+    legs = []
+
+    def spy(f, g):
+        legs.append((f, g))
+        return pushout(f, g)
+
+    monkeypatch.setattr(test_realize, "pushout", spy)
+    test_realize.torus_2x2()
+    for d in (1, 2, 11):  # eleven squares, so 10:x comes after 9:y in B's levels
+        test_realize.moore_row(d)
+    assert len(legs) == 4
+    assert list(legs[-1][0].dst.level(1)) != sorted(legs[-1][0].dst.level(1))
+    for f, g in legs:
+        assert_pushout_is_the_oracle(f, g)
+
+
+def test_pushout_of_non_natural_legs_raises():
+    # a leg that swaps the interval's vertices but fixes its edges glues
+    # each edge to one whose faces lie in other classes
+    flip = {"(0):0->1": "(1):0->1", "(1):0->1": "(0):0->1"}
+    g = PresheafMap(C1, C1, {0: flip, 1: {x: x for x in C1.level(1)}})
+    assert not g.verify_natural()
+    with pytest.raises(SymcubeError, match="not constant on class"):
+        pushout(identity_map(C1), g)
+    with pytest.raises(SymcubeError, match="glue incompatibly"):
+        oracle_pushout(identity_map(C1), g)
+
+
 def test_pushout_glue_two_intervals():
     bd1, incl1 = boundary(1, QS)
     bd1b, incl1b = boundary(1, QS)
@@ -984,10 +1093,10 @@ def test_coproduct_contracts_hold_without_asserts():
 
 
 def test_subgroup_closure():
-    assert len(SubgroupSpec(3, ()).members) == 1
-    assert len(SubgroupSpec.full(3).members) == 6
+    assert len(members(SubgroupSpec(3, ()))) == 1
+    assert len(members(SubgroupSpec.full(3))) == 6
     rot = SubgroupSpec(3, (Permutation.from_cycles("(1 2 3)", 3),))
-    assert len(rot.members) == 3
+    assert len(members(rot)) == 3
 
 
 def test_quotient_sizes_and_orbits():
@@ -1012,7 +1121,7 @@ def test_quotient_of_boundary_includes_injectively():
 def oracle_quotient_presheaf(X, H, name="quot"):
     """The quotient by parsing every id, composing it with every member of
     H and printing the composites, the least naming the orbit."""
-    group = [pi(h) for h in H.members]
+    group = [pi(h) for h in members(H)]
     orbit_of = {n: {sid: min(str(compose(h, parse_morphism(sid))) for h in group)
                     for sid in X.level(n)} for n in range(X.N + 1)}
     levels = {n: tuple(sorted(set(seen.values()))) for n, seen in orbit_of.items()}
@@ -1023,10 +1132,13 @@ def oracle_quotient_presheaf(X, H, name="quot"):
     return Qp, PresheafMap(X, Qp, orbit_of)
 
 
-def _one_generator_groups(n):
-    """Every subgroup of Sigma_n generated by one permutation, and Sigma_n."""
+def _groups(n):
+    """Every subgroup of Sigma_n generated by one permutation or by two,
+    and Sigma_n by its adjacent transpositions."""
     perms = [Permutation(list(p)) for p in itertools.permutations(range(1, n + 1))]
-    return [SubgroupSpec(n, (p,)) for p in perms] + [SubgroupSpec.full(n)]
+    return ([SubgroupSpec(n, (p,)) for p in perms]
+            + [SubgroupSpec(n, pq) for pq in itertools.combinations(perms, 2)]
+            + [SubgroupSpec.full(n)])
 
 
 QUOTIENT_CORPUS = (
@@ -1041,7 +1153,7 @@ QUOTIENT_CORPUS = (
                          ids=[c[0] for c in QUOTIENT_CORPUS])
 def test_quotient_is_the_parse_and_print_quotient(n, build):
     X = build()
-    for H in _one_generator_groups(n):
+    for H in _groups(n):
         got, proj = quotient_presheaf(X, H, "q")
         want, want_proj = oracle_quotient_presheaf(X, H, "q")
         assert dumps_presheaf(got) == dumps_presheaf(want)
@@ -1069,6 +1181,13 @@ def test_quotient_refuses_a_presheaf_outside_its_cube():
     assert not proj.verify_natural()
 
 
+def test_quotient_refuses_a_generator_on_other_letters():
+    C3 = representable(3, QS)
+    for p in (Permutation.transposition(1, 2, 2), Permutation.identity(4)):
+        with pytest.raises(InputError, match="Sigma_3 has a generator on other letters"):
+            quotient_presheaf(C3, SubgroupSpec(3, (p,)))
+
+
 def test_quotient_of_a_plain_cubical_set_names_orbits_in_the_symmetric_cube():
     # the plain square is a sub-presheaf of the symmetric one's underlying
     # cubical set, so its quotient is the parse-and-print one
@@ -1081,10 +1200,10 @@ def test_quotient_of_a_plain_cubical_set_names_orbits_in_the_symmetric_cube():
 
 
 def test_stabilizers():
-    assert len(stabilizer(C2, 2, "(x1,x2):2->2").members) == 1
+    assert len(members(stabilizer(C2, 2, "(x1,x2):2->2"))) == 1
     img = QUOT_PROJ.mapping[2]["(x1,x2):2->2"]
-    assert len(stabilizer(QUOT, 2, img).members) == 2
-    assert len(stabilizer(representable(2, Q), 2, "(x1,x2):2->2").members) == 1
+    assert len(members(stabilizer(QUOT, 2, img))) == 2
+    assert len(members(stabilizer(representable(2, Q), 2, "(x1,x2):2->2"))) == 1
 
 
 def test_orbit_table_matches_the_stabilizer_and_least_id_scan():
@@ -1110,7 +1229,7 @@ def test_orbit_table_matches_the_stabilizer_and_least_id_scan():
                 # a least id's cosymmetries are its stabilizer, and any
                 # member has as many as its stabilizer has elements
                 assert table[least][1] == stabilizer(X, n, least).generators, (name, n, x)
-                assert len(want) == len(stabilizer(X, n, x).members), (name, n, x)
+                assert len(want) == len(members(stabilizer(X, n, x))), (name, n, x)
 
 
 # -- the orbit cellular model ------------------------------------------------

@@ -331,12 +331,12 @@ def test_factorization_contracts_hold_without_asserts():
     for call, error in (
         ("Factorization((), (), Permutation((1,)), (), 1, 2)",
          "InputError: malformed factorization: bad arity"),
-        ("Permutation((2, 1)).after(Permutation((1, 2, 3)))",
-         "CompositionMismatch: cannot compose permutations of 2 and 3 letters"),
+        ("compose(delta(1, 0, 1), delta(1, 0, 1))",
+         "CompositionMismatch: cannot compose (0,x1):1->2 after (0,x1):1->2"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-c",
-             f"from symcube.site import Factorization, Permutation; {call}"],
+             f"from symcube.site import Factorization, Permutation, compose, delta; {call}"],
             capture_output=True,
             text=True,
         )
@@ -345,6 +345,12 @@ def test_factorization_contracts_hold_without_asserts():
 
 
 # -- permutations ------------------------------------------------------------
+
+
+def after(p: Permutation, q: Permutation) -> Permutation:
+    """The composite p o q (q applied first); the library composes
+    cosymmetries as arrows and never needs it."""
+    return Permutation(p(q(i)) for i in range(1, p.n + 1))
 
 
 def test_cycle_parsing():
@@ -362,7 +368,7 @@ def test_permutation_composition_is_functorial():
         assert compose(pi(p), pi(p.inverse())) == identity(3)
         for q_line in itertools.permutations((1, 2, 3)):
             q = Permutation(q_line)
-            assert compose(pi(p), pi(q)) == pi(p.after(q))
+            assert compose(pi(p), pi(q)) == pi(after(p, q))
 
 
 @given(st.permutations(list(range(1, 7))))
@@ -370,7 +376,7 @@ def test_adjacent_word_recomposes(line):
     p = Permutation(line)
     acc = Permutation.identity(p.n)
     for b in p.adjacent_word():
-        acc = acc.after(Permutation.transposition(b, b + 1, p.n))
+        acc = after(acc, Permutation.transposition(b, b + 1, p.n))
     assert acc == p
 
 
