@@ -7,11 +7,12 @@ of the chosen site and x_t a section of the t-th factor, glued by
 naturality in each factor separately; site generators act by
 precomposing f.  Only the reduced members, whose sections are all
 nondegenerate, are numbered; class_of reduces any member before looking
-it up, and the comparison maps below iterate over reduced members.  A
-member holds its arrow itself, so a comparison reads f from the member
-and looks up the class of a composite directly.  Day convolution
-X (x) Y is the coend of two factors over their common site, the
-unbracketed triple product behind the associator is that of three.
+it up.  By the coend's universal property the value of a comparison map
+on (f, tail) is the tail's value moved by f, so each map below is read
+tail by tail: one column of values, one per arrow f, against the
+column of classes, and no arrow is composed per member.  Day
+convolution X (x) Y is the coend of two factors over their common site,
+the unbracketed triple product behind the associator is that of three.
 Truncating the index ranges at the stored bounds is sound because a
 stored presheaf is a colimit of representables of bounded degree.
 
@@ -27,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from .errors import InputError, SymcubeError
+from .errors import InputError
 from .presheaf import (
     CoendClasses,
     PresheafMap,
     SkeletalPresheaf,
     TruncatedPresheaf,
     _constant_map,
+    _postcompose_ids,
     generator_morphisms,
     inclusion_map,
     restriction,
@@ -61,24 +63,17 @@ class ConvolutionResult:
     class_of, a read-only view over the coend's numbering, maps every
     reduced member (f, n_1, x_1, ..., n_r, x_r), f a Morphism and each
     x_t nondegenerate, to its class id, and called on any member reduces
-    it first; reps picks the least reduced member of each class, which
-    names it.  Together they realize the quotient of the indexed
-    disjoint union, so callers can both include a member and choose a
-    witness for a class.
+    it first; its column reads the classes of one reduced tail under
+    every arrow of a level.  reps picks the least reduced member of each
+    class, which names it.  Together they realize the quotient of the
+    indexed disjoint union, so callers can both include a member and
+    choose a witness for a class.
     """
 
     product: SkeletalPresheaf
     factors: tuple
     class_of: CoendClasses
     reps: dict
-
-    @property
-    def left(self) -> SkeletalPresheaf:
-        return self.factors[0]
-
-    @property
-    def right(self) -> SkeletalPresheaf:
-        return self.factors[-1]
 
 
 def _tagged_product(factors: list, site: SiteTag, name: str) -> ConvolutionResult:
@@ -98,20 +93,31 @@ def convolve(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> ConvolutionResult:
 
 
 def _class_map(CR: ConvolutionResult, target: SkeletalPresheaf,
-               fn) -> PresheafMap:
+               column) -> PresheafMap:
     """CR.product -> target, sending the class of each reduced member
-    to fn of that member; fn must be constant on classes."""
-    values = _constant_map(CR.class_of.items(), fn)
-    P = CR.product
+    (f, tail), f: [k] -> [n], to the entry of column(k, tail) at the
+    rank of f.  SymcubeError names the first class given two values in
+    column order: level, tail block, tail, arrow rank."""
+    P, class_of = CR.product, CR.class_of
+    values = _constant_map(
+        pair for k in range(P.N + 1) for n, block in class_of.tails.items()
+        for tail in block
+        for pair in zip(class_of.column(identity(n), k, tail), column(k, tail)))
     mapping = {n: {cid: values[cid] for cid in P.levels[n]} for n in range(P.N + 1)}
     return PresheafMap(P, target, mapping)
+
+
+def _evaluation(X: SkeletalPresheaf):
+    """The column of (f, n, x, points...) -> f*x, x read in X."""
+    return lambda k, tail: [X.act(f, tail[1]) for f in enumerate_hom(k, tail[0], X.site)]
 
 
 def verify_convolution(CR: ConvolutionResult) -> Report:
     """Truncation bookkeeping plus well-definedness of the action on
     every reduced member (f, tail) of every class: h sends its class to
     that of (f o h, tail), composed once per arrow f and found by rank,
-    not by the precomposition tables the action was built from."""
+    not by the precomposition tables the action was built from.  Every
+    class has a member, so this is the action's constancy on classes."""
     P, class_of = CR.product, CR.class_of
     report = Report(f"convolution {P.name}")
     report.check(
@@ -121,15 +127,10 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
     )
     ok = True
     for _, h in generator_morphisms(P.site, P.N):
-        cids, moved = [], []  # of each reduced member at level h.dst, and moved by h
+        table = P.action[h]
         for n in class_of.tails:
             for f in enumerate_hom(h.dst, n, P.site):
-                cids += class_of.block(f)
-                moved += class_of.block(compose(f, h))
-        try:
-            ok &= P.action[h] == _constant_map(enumerate(cids), moved.__getitem__)
-        except SymcubeError:
-            ok = False
+                ok &= [table[c] for c in class_of.block(f)] == class_of.block(compose(f, h))
     report.check("action constant on classes", ok)
     return report
 
@@ -137,39 +138,41 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
 def pairing_map(CR: ConvolutionResult, target: SkeletalPresheaf) -> PresheafMap:
     """The canonical comparison (f, x_1, ..., x_r) -> (x_1 (+) ... (+)
     x_r) o f into a presheaf whose sections are printed arrows (a
-    representable or a subpresheaf of one)."""
-    arrow = cache(parse_morphism)
+    representable or a subpresheaf of one), read off the printed
+    postcomposites of the tail's tensor."""
+    arrow, site = cache(parse_morphism), CR.product.site
 
-    def value(key):
-        return str(compose(reduce(tensor, map(arrow, key[2::2])), key[0]))
+    def column(k, tail):
+        return _postcompose_ids(reduce(tensor, map(arrow, tail[1::2])), k, site).values()
 
-    return _class_map(CR, target, value)
+    return _class_map(CR, target, column)
 
 
 def unit_comparison(CR: ConvolutionResult) -> PresheafMap:
     """X (x) [0] -> X: evaluate the arrow component on the section."""
-    if CR.right.N != 0 or len(CR.right.levels[0]) != 1:
+    X, point = CR.factors[0], CR.factors[-1]
+    if point.N != 0 or len(point.levels[0]) != 1:
         raise InputError("unit comparison needs a point as right factor")
-
-    def value(key):
-        f, _, x, _, _ = key
-        return CR.left.act(f, x)
-
-    return _class_map(CR, CR.left, value)
+    return _class_map(CR, X, _evaluation(X))
 
 
 def braiding_comparison(CR_XY: ConvolutionResult,
                         CR_YX: ConvolutionResult) -> PresheafMap:
-    """X (x) Y -> Y (x) X by precomposing with the block swap, an arrow
-    of the symmetric site only."""
+    """X (x) Y -> Y (x) X by postcomposing with the block swap, an arrow
+    of the symmetric site only; CR_YX must convolve X's and Y's data in
+    the other order."""
     if CR_XY.product.site is not SiteTag.QSIGMA:
         raise InputError("the braiding swaps blocks, which needs the symmetric site")
+    swapped = CR_XY.factors[::-1]
+    if len(CR_YX.factors) != len(swapped) or not all(
+            map(SkeletalPresheaf.same_data, CR_YX.factors, swapped)):
+        raise InputError("the braiding needs the convolution of the factors swapped")
 
-    def value(key):
-        f, i, x, j, y = key
-        return CR_YX.class_of((compose(symmetry(i, j), f), j, y, i, x))
+    def column(k, tail):
+        i, x, j, y = tail
+        return CR_YX.class_of.column(symmetry(i, j), k, (j, y, i, x))
 
-    return _class_map(CR_XY, CR_YX.product, value)
+    return _class_map(CR_XY, CR_YX.product, column)
 
 
 # -- the associator ----------------------------------------------------------
@@ -189,20 +192,18 @@ def associator_comparison(X, Y, Z) -> Report:
     CR_R = convolve(X, CR_YZ.product)
     T3 = _tagged_product([X, Y, Z], X.site, f"{X.name}(x){Y.name}(x){Z.name}")
 
-    def left_value(key):
-        f, _, cxy, j, z = key
+    def left_column(k, tail):
+        _, cxy, j, z = tail
         g, i, x, m, y = CR_XY.reps[cxy]
-        flat = compose(tensor(g, identity(j)), f)
-        return T3.class_of((flat, i, x, m, y, j, z))
+        return T3.class_of.column(tensor(g, identity(j)), k, (i, x, m, y, j, z))
 
-    def right_value(key):
-        f, i, x, _, cyz = key
+    def right_column(k, tail):
+        i, x, _, cyz = tail
         g, j, y, m, z = CR_YZ.reps[cyz]
-        flat = compose(tensor(identity(i), g), f)
-        return T3.class_of((flat, i, x, j, y, m, z))
+        return T3.class_of.column(tensor(identity(i), g), k, (i, x, j, y, m, z))
 
-    left = _class_map(CR_L, T3.product, left_value)
-    right = _class_map(CR_R, T3.product, right_value)
+    left = _class_map(CR_L, T3.product, left_column)
+    right = _class_map(CR_R, T3.product, right_column)
     report.check("left bracketing flattens naturally", left.verify_natural())
     report.check("left bracketing flattens bijectively", left.is_bijective())
     report.check("right bracketing flattens naturally", right.verify_natural())
@@ -225,10 +226,12 @@ def pushout_product(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     if not (f.is_injective() and g.is_injective()):
         raise InputError("pushout-product needs injective legs")
     CR = convolve(f.dst, g.dst)
+    P, class_of = CR.product, CR.class_of
     in_A = {(n, x) for n, row in f.mapping.items() for x in row.values()}
     in_K = {(n, y) for n, row in g.mapping.items() for y in row.values()}
-    hit = CR.class_of.holding(lambda tail: tail[:2] in in_A or tail[2:] in in_K)
-    P = CR.product
+    hit = {cid for n, block in class_of.tails.items() for tail in block
+           if tail[:2] in in_A or tail[2:] in in_K
+           for k in P.levels for cid in class_of.column(identity(n), k, tail)}
     levels = {n: tuple(c for c in P.levels[n] if c in hit) for n in P.levels}
     corner = restriction(P, levels, f"{f.src.name}[]{g.src.name}")
     return inclusion_map(corner, P)
@@ -260,11 +263,12 @@ def symmetrize_map(u: PresheafMap) -> PresheafMap:
     S = symmetrize_structure(u.src)
     T = symmetrize_structure(u.dst)
 
-    def value(key):
-        g, m, x = key
-        return T.class_of((g, m, u.mapping[m][x]))
+    def column(k, tail):
+        m, x = tail
+        e, y = u.dst.ez_decompose(m, u.mapping[m][x])  # (g, m, e*y) ~ (e o g, e.dst, y)
+        return T.class_of.column(e, k, (e.dst, y))
 
-    return _class_map(S, T.product, value)
+    return _class_map(S, T.product, column)
 
 
 def restrict(X: SkeletalPresheaf, up_to: int) -> TruncatedPresheaf:
@@ -294,15 +298,9 @@ def adjunction_counit(Y: SkeletalPresheaf, up_to: int) -> PresheafMap:
     """i_!i*Y -> Y, evaluating the tagged arrow on the section."""
     if Y.site is not SiteTag.QSIGMA:
         raise InputError(f"{Y.name} is not a presheaf over the symmetric site")
-    R = restrict(Y, up_to)
-    S = symmetrize_structure(R)
+    S = symmetrize_structure(restrict(Y, up_to))
     Ye = Y.extend_to(up_to)
-
-    def value(key):
-        g, _, y = key
-        return Ye.act(g, y)
-
-    return _class_map(S, Ye, value)
+    return _class_map(S, Ye, _evaluation(Ye))
 
 
 def verify_triangle_identities(Y: SkeletalPresheaf, up_to: int) -> Report:
@@ -344,7 +342,9 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> Presheaf
     """i_!(X (x) Y) -> i_!X (x) i_!Y, the strong monoidality witness.
 
     A tagged convolution class flattens by composing its arrow
-    components; the factors are tagged with identities.
+    components; the factors are tagged with identities.  i_! keeps the
+    skeletal pushouts, so (id, x), the top cell of a nondegenerate x in
+    i_!X, is nondegenerate and the columns read reduced tails.
     """
     CQ = convolve(X, Y)
     L = symmetrize_structure(CQ.product)
@@ -352,11 +352,10 @@ def monoidality_comparison(X: SkeletalPresheaf, Y: SkeletalPresheaf) -> Presheaf
     SY = symmetrize_structure(Y)
     CS = convolve(SX.product, SY.product)
 
-    def value(key):
-        g, _, cq = key
-        f, i, x, j, y = CQ.reps[cq]
+    def column(k, tail):
+        f, i, x, j, y = CQ.reps[tail[1]]
         xi = SX.class_of((identity(i), i, x))
         yj = SY.class_of((identity(j), j, y))
-        return CS.class_of((compose(f, g), i, xi, j, yj))
+        return CS.class_of.column(f, k, (i, xi, j, yj))
 
-    return _class_map(L, CS.product, value)
+    return _class_map(L, CS.product, column)

@@ -734,9 +734,10 @@ def hom_presheaf(
 class CoendClasses(Mapping):
     """The class id of each reduced member (f, n_1, x_1, ..., n_r, x_r) of
     a tagged coend, read through its number on level f.src, from the rank
-    of f and the tail's index; any other member misses.  items() yields
-    the members level by level in number order.  Called on any member,
-    it first reduces the sections by the factors' EZ tables."""
+    of f and the tail's index; any other member misses.  Iteration yields
+    the members level by level in number order, and column reads the
+    classes of one tail under every arrow of a level at once.  Called on
+    any member, it first reduces the sections by the factors' EZ tables."""
 
     def __init__(self, factors, site, tails, number):
         self.factors, self.site, self.tails, self.number = factors, site, tails, number
@@ -759,23 +760,19 @@ class CoendClasses(Mapping):
         s = start[f.dst][hom_rank(f.src, f.dst, self.site)[f.entries]]
         return [ids[parent[s + t]] for t in range(len(self.tails[f.dst]))]
 
-    def items(self):
+    def column(self, h: Morphism, k: int, tail) -> list[str]:
+        """The class ids of the reduced members (h o f, tail), f in
+        Hom(k, h.src) by rank, k built and tail's dims summing to h.dst;
+        read through h's postcomposition table, so no arrow is composed."""
+        _, start, parent, ids = self.built[k]
+        s, t = start[h.dst], self.number[tail]
+        return [ids[parent[s[r] + t]] for r in postcompose_table(h, k, self.site)]
+
+    def __iter__(self):
         for k, (order, _, _, _) in self.built.items():
             for _, n, r in order:
                 f = _enumerate_hom(k, n, self.site)[r]
-                yield from zip([(f,) + tail for tail in self.tails[n]], self.block(f))
-
-    def __iter__(self):
-        return (member for member, _ in self.items())
-
-    def holding(self, keep) -> set[str]:
-        """The ids of the classes that hold a reduced member whose tail
-        keep accepts, each tail tested once."""
-        kept = {n: [t for t, tail in enumerate(block) if keep(tail)]
-                for n, block in self.tails.items()}
-        return {ids[parent[start[n][r] + t]]
-                for order, start, parent, ids in self.built.values()
-                for _, n, r in order for t in kept[n]}
+                yield from ((f,) + tail for tail in self.tails[n])
 
     def __len__(self) -> int:
         return sum(len(parent) for _, _, parent, _ in self.built.values())
@@ -898,11 +895,10 @@ def tagged_coend(factors: list[SkeletalPresheaf], site: SiteTag, ks):
     return levels, action, class_of, reps
 
 
-def _constant_map(items, fn) -> dict:
-    """Evaluate fn on every key, requiring constancy on classes."""
+def _constant_map(pairs) -> dict:
+    """Each class's value from (class, value) pairs, requiring one per class."""
     out: dict = {}
-    for key, cid in items:
-        v = fn(key)
+    for cid, v in pairs:
         if out.setdefault(cid, v) != v:
             raise SymcubeError(f"value not constant on class {cid}")
     return out
@@ -920,8 +916,8 @@ def _quotient(X: SkeletalPresheaf, ids, pairs, name: str):
         uf.union_all((number[a], number[b]) for a, b in pairs[n])
         proj[n] = {x: ids[n][uf.find(number[x])] for x in X.levels[n]}
     levels = {n: tuple(sorted(set(row.values()))) for n, row in proj.items()}
-    action = {g: _constant_map(proj[g.dst].items(),
-                               lambda x, t=X.action[g], up=proj[g.src]: up[t[x]])
+    action = {g: _constant_map(zip(proj[g.dst].values(),
+                                   _take(proj[g.src], _take(X.action[g], proj[g.dst]))))
               for _, g in generator_morphisms(X.site, X.N)}
     Q = SkeletalPresheaf(X.site, X.N, levels, action, name)
     return Q, PresheafMap(X, Q, proj)
@@ -1055,13 +1051,15 @@ def verify_skeletal_pushout(X: SkeletalPresheaf, k: int) -> Report:
     P, into_B, into_C = pushout(f_map, g_map)
     # comparison P -> sk_k X, sending the class of each section of B or
     # of sk_{k-1} X to its value there
-    cmp_val: dict[int, dict] = {n: {} for n in range(X.N + 1)}
-    ok_welldef = True
-    for n, got in cmp_val.items():
-        sent = [(into_B.mapping[n][f"{i}:{sid}"], values[i][sid])
-                for i, QB in enumerate(parts_B) for sid in QB.level(n)]
-        for pid, val in sent + [(into_C.mapping[n][sid], sid) for sid in prev.level(n)]:
-            ok_welldef &= got.setdefault(pid, val) == val
+    try:
+        cmp_val = {n: _constant_map(
+            [(into_B.mapping[n][f"{i}:{sid}"], values[i][sid])
+             for i, QB in enumerate(parts_B) for sid in QB.level(n)]
+            + [(into_C.mapping[n][sid], sid) for sid in prev.level(n)])
+            for n in range(X.N + 1)}
+        ok_welldef = True
+    except SymcubeError:
+        cmp_val, ok_welldef = {n: {} for n in range(X.N + 1)}, False
     report.check("comparison well-defined", ok_welldef)
     for n, got in cmp_val.items():
         vals = list(got.values())

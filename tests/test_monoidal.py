@@ -1,10 +1,13 @@
 """Day convolution, pushout-products, and the symmetrization adjunction."""
 
 import hashlib
+import itertools
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
 
+import symcube.monoidal as monoidal_module
 from symcube.errors import (
     InputError,
     ResourceBound,
@@ -14,8 +17,8 @@ from symcube.errors import (
 )
 from symcube.monoidal import (
     ConvolutionResult,
-    _class_map,
     _constant_map,
+    _tagged_product,
     adjunction_counit,
     adjunction_unit,
     associator_comparison,
@@ -50,7 +53,18 @@ from symcube.presheaf import (
     terminal_map,
     terminal_presheaf,
 )
-from symcube.site import SiteTag, delta, hom_count, parse_morphism, sigma
+from symcube.site import (
+    SiteTag,
+    compose,
+    delta,
+    enumerate_hom,
+    hom_count,
+    identity,
+    parse_morphism,
+    sigma,
+    symmetry,
+    tensor,
+)
 from test_presheaf import find_isomorphism
 
 QS = SiteTag.QSIGMA
@@ -82,7 +96,8 @@ def test_square_from_intervals():
 @pytest.mark.parametrize(
     "m,n",
     [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2),
-     (2, 1), (1, 2), (3, 0), (0, 3)],
+     (2, 1), (1, 2), (3, 0), (0, 3),
+     (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)],
 )
 def test_representable_convolutions(m, n):
     CR = convolve(representable(m, QS), representable(n, QS))
@@ -159,6 +174,17 @@ def test_collapse_check_catches_one_redirected_entry():
     assert verify_convolution(CR).ok
 
 
+def test_braiding_refuses_a_target_that_is_not_the_swap():
+    # the swapped tail (y, x) has no number in a product of X and Y in
+    # that order, so the braiding refuses before any lookup
+    for X, Y in [(R1, R2), (R1, BD1)]:
+        with pytest.raises(InputError, match="factors swapped"):
+            braiding_comparison(convolve(X, Y), convolve(X, Y))
+    # factors with the same data, built apart, are swapped factors
+    copy = SkeletalPresheaf(QS, R1.N, R1.levels, R1.action, R1.name)
+    assert braiding_comparison(convolve(R1, R2), convolve(R2, copy)).is_bijective()
+
+
 def test_convolution_site_mismatch():
     with pytest.raises(InputError):
         convolve(R1, representable(1, Q))
@@ -198,7 +224,7 @@ def convolve_map(u: PresheafMap, v: PresheafMap,
         f, i, x, j, y = key
         return CR2.class_of((f, i, u.mapping[i][x], j, v.mapping[j][y]))
 
-    return _class_map(CR, CR2.product, value)
+    return oracle_class_map(CR, CR2.product, value)
 
 
 def oracle_pushout_product(f, g):
@@ -295,7 +321,189 @@ def test_coend_ids_are_stable():
 
 def test_constant_map_rejects_non_constant_value():
     with pytest.raises(SymcubeError, match="not constant on class c"):
-        _constant_map([("a", "c"), ("b", "c")], lambda key: key)
+        _constant_map([("c", "a"), ("c", "b")])
+
+
+# -- the per-member oracle ---------------------------------------------------
+
+
+def oracle_class_map(CR: ConvolutionResult, target: SkeletalPresheaf, fn) -> PresheafMap:
+    """CR.product -> target, sending the class of each reduced member to
+    fn of that member, one member at a time; fn must be constant on
+    classes.  The comparisons read whole columns instead."""
+    values = _constant_map((cid, fn(member)) for member, cid in CR.class_of.items())
+    P = CR.product
+    mapping = {n: {cid: values[cid] for cid in P.levels[n]} for n in range(P.N + 1)}
+    return PresheafMap(P, target, mapping)
+
+
+def oracle_pairing(CR, target):
+    arrow = cache(parse_morphism)
+    return oracle_class_map(
+        CR, target, lambda key: str(compose(reduce(tensor, map(arrow, key[2::2])), key[0])))
+
+
+def oracle_unit(CR):
+    X = CR.factors[0]
+    return oracle_class_map(CR, X, lambda key: X.act(key[0], key[2]))
+
+
+def oracle_braiding(CR_XY, CR_YX):
+    def value(key):
+        f, i, x, j, y = key
+        return CR_YX.class_of((compose(symmetry(i, j), f), j, y, i, x))
+
+    return oracle_class_map(CR_XY, CR_YX.product, value)
+
+
+def oracle_associator(X, Y, Z):
+    """The left and the right bracketing flattened into the triple coend."""
+    CR_XY, CR_YZ = convolve(X, Y), convolve(Y, Z)
+    T3 = _tagged_product([X, Y, Z], X.site, f"{X.name}(x){Y.name}(x){Z.name}")
+
+    def left_value(key):
+        f, _, cxy, j, z = key
+        g, i, x, m, y = CR_XY.reps[cxy]
+        return T3.class_of((compose(tensor(g, identity(j)), f), i, x, m, y, j, z))
+
+    def right_value(key):
+        f, i, x, _, cyz = key
+        g, j, y, m, z = CR_YZ.reps[cyz]
+        return T3.class_of((compose(tensor(identity(i), g), f), i, x, j, y, m, z))
+
+    return (oracle_class_map(convolve(CR_XY.product, Z), T3.product, left_value),
+            oracle_class_map(convolve(X, CR_YZ.product), T3.product, right_value))
+
+
+def oracle_symmetrize_map(u):
+    S, T = symmetrize_structure(u.src), symmetrize_structure(u.dst)
+
+    def value(key):
+        g, m, x = key
+        return T.class_of((g, m, u.mapping[m][x]))
+
+    return oracle_class_map(S, T.product, value)
+
+
+def oracle_counit(Y, up_to):
+    S = symmetrize_structure(restrict(Y, up_to))
+    Ye = Y.extend_to(up_to)
+    return oracle_class_map(S, Ye, lambda key: Ye.act(key[0], key[2]))
+
+
+def oracle_monoidality(X, Y):
+    CQ = convolve(X, Y)
+    SX, SY = symmetrize_structure(X), symmetrize_structure(Y)
+    CS = convolve(SX.product, SY.product)
+
+    def value(key):
+        g, _, cq = key
+        f, i, x, j, y = CQ.reps[cq]
+        xi = SX.class_of((identity(i), i, x))
+        yj = SY.class_of((identity(j), j, y))
+        return CS.class_of((compose(f, g), i, xi, j, yj))
+
+    return oracle_class_map(symmetrize_structure(CQ.product), CS.product, value)
+
+
+def same_map(u: PresheafMap, v: PresheafMap) -> bool:
+    return u.mapping == v.mapping and u.dst.same_data(v.dst)
+
+
+# the comparisons that verify-all --dim 3 builds, each against the oracle
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4 - m)])
+def test_pairing_is_the_oracle(m, n):
+    CR = convolve(representable(m, QS), representable(n, QS))
+    target = representable(m + n, QS)
+    assert same_map(pairing_map(CR, target), oracle_pairing(CR, target))
+
+
+TRANSPORTED = (
+    [(f"cube{n}", n, representable(n, Q)) for n in range(4)]
+    + [(f"boundary{n}", n, boundary(n, Q)[0]) for n in range(1, 4)]
+    + [(f"cap({n},{j},{eps})", n, cap(n, j, eps, Q)[0])
+       for n in (1, 2) for j in range(1, n + 1) for eps in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("n,X", [t[1:] for t in TRANSPORTED], ids=[t[0] for t in TRANSPORTED])
+def test_transported_pairing_is_the_oracle(n, X):
+    S = symmetrize_structure(X)
+    target = representable(n, QS)
+    assert same_map(pairing_map(S, target), oracle_pairing(S, target))
+
+
+@pytest.mark.parametrize("X", [R1, R2, BD1], ids=["cube1", "cube2", "bd1"])
+def test_unit_comparison_is_the_oracle(X):
+    CR = convolve(X, R0)
+    assert same_map(unit_comparison(CR), oracle_unit(CR))
+
+
+@pytest.mark.parametrize("X,Y", [(R1, R1), (R1, R2), (BD1, R1)],
+                         ids=["cube1-cube1", "cube1-cube2", "bd1-cube1"])
+def test_braiding_is_the_oracle(X, Y):
+    CR_XY, CR_YX = convolve(X, Y), convolve(Y, X)
+    assert same_map(braiding_comparison(CR_XY, CR_YX), oracle_braiding(CR_XY, CR_YX))
+
+
+@pytest.mark.parametrize("X,Y,Z", [(R1, R1, R1), (BD1, R1, BD1)],
+                         ids=["cubes", "with-boundaries"])
+def test_associator_sides_are_the_oracle(monkeypatch, X, Y, Z):
+    # the two flattenings are built inside the report, so they are
+    # caught on their way out of _class_map
+    built, class_map = [], monoidal_module._class_map
+
+    def spy(*args):
+        built.append(class_map(*args))
+        return built[-1]
+
+    monkeypatch.setattr(monoidal_module, "_class_map", spy)
+    assert associator_comparison(X, Y, Z).ok
+    assert len(built) == 2
+    assert all(map(same_map, built, oracle_associator(X, Y, Z)))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("X", [representable(2, Q), cap(2, 1, 0, Q)[0]], ids=["cube2", "cap"])
+def test_lifted_skeleton_is_the_oracle(X, k):
+    incl = skeleton(X, k)[1]
+    assert same_map(symmetrize_map(incl), oracle_symmetrize_map(incl))
+
+
+@pytest.mark.parametrize(
+    "Y,bound", [(R1, 3), (R2, 2), (boundary(2, QS)[0], 2)],
+    ids=["cube1", "cube2", "bd2"],
+)
+def test_triangle_maps_are_the_oracle(Y, bound):
+    # the three comparisons verify_triangle_identities builds
+    eta = adjunction_unit(restrict(Y, bound), bound)
+    lifted = symmetrize_map(eta)
+    assert same_map(lifted, oracle_symmetrize_map(eta))
+    assert same_map(adjunction_counit(Y, bound), oracle_counit(Y, bound))
+    assert same_map(adjunction_counit(lifted.src, bound), oracle_counit(lifted.src, bound))
+
+
+@pytest.mark.parametrize("X", [representable(1, Q), boundary(1, Q)[0]], ids=["cube1", "bd1"])
+def test_monoidality_is_the_oracle(X):
+    assert same_map(monoidality_comparison(X, X), oracle_monoidality(X, X))
+
+
+@pytest.mark.parametrize(
+    "CR",
+    [convolve(BD1, boundary(2, QS)[0]), symmetrize_structure(cap(2, 1, 0, Q)[0]),
+     _tagged_product([R1, R1, R1], QS, "cube1^3")],
+    ids=["bd1-bd2", "i!cap", "cube1^3"],
+)
+def test_column_is_the_composed_members(CR):
+    # every fifth arrow h of each hom set into a tail's dimension
+    class_of, N = CR.class_of, CR.product.N
+    for n, block in class_of.tails.items():
+        hs = [h for m in range(N + 1) for h in enumerate_hom(m, n, QS)[::5]]
+        for tail, h, k in itertools.product(block, hs, range(N + 1)):
+            assert class_of.column(h, k, tail) == [
+                class_of((compose(h, f), *tail)) for f in enumerate_hom(k, h.src, QS)]
 
 
 # -- symmetrization ----------------------------------------------------------

@@ -1250,6 +1250,25 @@ def test_skeletal_pushout_boundary_cube(k):
     assert verify_skeletal_pushout(BD3, k).ok
 
 
+def test_skeletal_pushout_reports_an_ill_defined_comparison(monkeypatch):
+    # a pushout leg that sends both vertices of sk_0 of the interval to
+    # one class gives that class two values: the check fails, and the
+    # report keeps its checks
+    labels = [e.label for e in verify_skeletal_pushout(C1, 1).entries]
+    real = presheaf_module.pushout
+
+    def glued(f, g):
+        P, into_B, into_C = real(f, g)
+        row = into_C.mapping[0]
+        into_C.mapping[0] = dict.fromkeys(row, min(row.values()))
+        return P, into_B, into_C
+
+    monkeypatch.setattr(presheaf_module, "pushout", glued)
+    report = verify_skeletal_pushout(C1, 1)
+    assert [e.label for e in report.entries] == labels
+    assert [e.label for e in report.failures][0] == "comparison well-defined"
+
+
 # -- extension ---------------------------------------------------------------
 
 
