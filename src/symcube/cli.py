@@ -1,9 +1,9 @@
 """Command-line interface over the whole library.
 
 Exit statuses: 0 on success, 1 when a verification report has a failing
-entry, 2 on malformed input, 3 when a resource bound is hit.  All output
-is deterministic for a given invocation; --json switches every command to
-a machine-readable mirror with stable field names.
+entry or a check raises any other library error, 2 on malformed input,
+3 when a resource bound is hit.  All output is deterministic for a given
+invocation; --json switches every command to a machine-readable mirror.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .homotopy import (
     contraction_H,
     find_homotopy,
     is_fibrant,
-    solve_lifting,
 )
 from .monoidal import (
     associator_comparison,
@@ -360,20 +359,18 @@ def _cmd_lift(args) -> int:
     tops = hom_presheaf(left.src, right.src)
     bottoms = hom_presheaf(left.dst, right.dst)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
-    squares = 0
+    filled = None
     for ti, top in enumerate(tops):
         for bi, bottom in enumerate(bottoms):
             problem = LiftingProblem(left, right, top, bottom)
             if not problem.commutes():
                 continue
-            squares += 1
-            filler = solve_lifting(problem)
-            rep.check(
-                f"square top[{ti}] bottom[{bi}]",
-                filler is not None,
-                "filled" if filler is not None else "no filler",
-            )
-    rep.check("commuting squares found", True, str(squares))
+            if filled is None:  # one search of maps left.dst -> right.src for all squares
+                filled = [(problem.left.then(w).mapping, w.then(problem.right).mapping)
+                          for w in hom_presheaf(problem.left.dst, problem.right.src)]
+            ok = (problem.top.mapping, problem.bottom.mapping) in filled
+            rep.check(f"square top[{ti}] bottom[{bi}]", ok, "filled" if ok else "no filler")
+    rep.check("commuting squares found", True, str(len(rep.entries)))
     return _emit_report(args, rep)
 
 
@@ -770,6 +767,9 @@ def run(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except SymcubeError as exc:  # a contract broken inside a check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

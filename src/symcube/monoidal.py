@@ -115,9 +115,9 @@ def _evaluation(X: SkeletalPresheaf):
 def verify_convolution(CR: ConvolutionResult) -> Report:
     """Truncation bookkeeping plus well-definedness of the action on
     every reduced member (f, tail) of every class: h sends its class to
-    that of (f o h, tail), composed once per arrow f and found by rank,
-    not by the precomposition tables the action was built from.  Every
-    class has a member, so this is the action's constancy on classes."""
+    that of (f o h, tail), f's block read once and f o h composed per
+    generator h and found by rank, not by the tables the action was built
+    from.  Every class has a member, so this is constancy on classes."""
     P, class_of = CR.product, CR.class_of
     report = Report(f"convolution {P.name}")
     report.check(
@@ -126,11 +126,13 @@ def verify_convolution(CR: ConvolutionResult) -> Report:
         f"{P.N} vs {'+'.join(str(X.N) for X in CR.factors)}",
     )
     ok = True
-    for _, h in generator_morphisms(P.site, P.N):
-        table = P.action[h]
-        for n in class_of.tails:
-            for f in enumerate_hom(h.dst, n, P.site):
-                ok &= [table[c] for c in class_of.block(f)] == class_of.block(compose(f, h))
+    for m in range(P.N + 1):
+        into = [(h, P.action[h]) for _, h in generator_morphisms(P.site, P.N) if h.dst == m]
+        for n in class_of.tails if into else ():
+            for f in enumerate_hom(m, n, P.site):
+                block = class_of.block(f)  # read once per arrow
+                for h, table in into:
+                    ok &= [table[c] for c in block] == class_of.block(compose(f, h))
     report.check("action constant on classes", ok)
     return report
 

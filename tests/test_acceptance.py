@@ -177,8 +177,10 @@ def test_criterion_12_homotopy(gate):
 
 # -- the library holds only what the system calls ----------------------------
 
-# file-format entry points kept for callers outside the package
-ENTRY_POINTS = {"dumps_presheaf", "dumps_presheaf_json"}
+# entry points kept for callers outside the package: the file formats,
+# and the one-square lifting API (the lift command answers all its
+# squares from one search)
+ENTRY_POINTS = {"dumps_presheaf", "dumps_presheaf_json", "solve_lifting"}
 
 
 def _references(node, inside=()):

@@ -13,9 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.cli import _suite_symmetrization, build_parser, run
+import symcube.cli as cli_module
+from symcube.cli import _suite_symmetrization, build_parser, load_map_spec, run
+from symcube.errors import SymcubeError
+from symcube.homotopy import LiftingProblem, solve_lifting
 from symcube.presheaf import (boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf,
-                              representable, terminal_presheaf)
+                              hom_presheaf, representable, terminal_presheaf)
+from symcube.report import Report
 from symcube.site import SiteTag
 
 DATA = Path(__file__).parent / "data"
@@ -464,6 +468,41 @@ def test_lift_extends_maps_to_common_truncation(capsys):
     assert "commuting squares found  [7]" in out
 
 
+def oracle_lift_lines(left_spec, right_spec, site="QSigma"):
+    """The lift report by the route one hom set replaced: one
+    solve_lifting search per commuting square."""
+    tag = SiteTag.parse(site)
+    left, right = load_map_spec(left_spec, tag), load_map_spec(right_spec, tag)
+    rep = Report(f"right lifting property of {right_spec} against {left_spec}")
+    squares = 0
+    for ti, top in enumerate(hom_presheaf(left.src, right.src)):
+        for bi, bottom in enumerate(hom_presheaf(left.dst, right.dst)):
+            problem = LiftingProblem(left, right, top, bottom)
+            if problem.commutes():
+                squares += 1
+                filled = solve_lifting(problem) is not None
+                rep.check(f"square top[{ti}] bottom[{bi}]", filled,
+                          "filled" if filled else "no filler")
+    rep.check("commuting squares found", True, str(squares))
+    return int(not rep.ok), [rep.summary(), *(f"  {e}" for e in rep.entries)]
+
+
+@pytest.mark.parametrize("site, left, right", [
+    ("QSigma", "cap:2:1:0", "terminal:cube:2"),
+    ("QSigma", "boundary:1", "terminal:cube:2"),
+    ("QSigma", "cap:2:1:0", "boundary:2"),
+    ("QSigma", "boundary:1", "boundary:2"),
+    ("QSigma", "cap:2:1:0", "terminal:cube:1"),
+    ("Q", "cap:2:1:0", "terminal:cube:2"),
+    # one top, so the bottom alone decides: the identity of the interval
+    # does not factor through its boundary
+    ("QSigma", "empty:cube:1", "boundary:1"),
+])
+def test_lift_report_is_the_oracle(capsys, site, left, right):
+    code, out = invoke(capsys, "--site", site, "lift", left, right)
+    assert (code, out.splitlines()) == oracle_lift_lines(left, right, site)
+
+
 def test_fibrant_point(capsys):
     code, out = invoke(capsys, "fibrant", "point", "--dim", "2")
     assert code == 0
@@ -491,6 +530,16 @@ def test_fibrant_interval_fails_at_two(capsys):
 
 
 # -- verify-all --------------------------------------------------------------
+
+
+def test_library_error_in_a_check_exits_1_without_traceback(capsys, monkeypatch):
+    def broken():
+        raise SymcubeError("value not constant on class c")
+
+    monkeypatch.setattr(cli_module, "_suite_snf", broken)
+    assert run(["verify-all", "--dim", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: value not constant on class c\n")
 
 
 def test_verify_all_small(capsys):
@@ -633,15 +682,18 @@ EVERY_SUBCOMMAND = [
     (["homology", "quotient:99999999:id"], 3),
     (["--limit", "-1", "enum-hom", "1", "1"], 2),
     # the bound reaches every enumeration, with no plumbing
-    (["--limit", "1000", "fibrant", "point", "--dim", "4"], 3),
-    (["--limit", "1000", "fibrant", "point", "--dim", "5"], 3),
     (["--limit", "1000", "homotopic", "cube:1", "(0):0->1", "(1):0->1",
       "--dim", "5"], 3),
+    # fibrancy builds no cube and no cap, and the point's caps draw one
+    # value per face
+    (["--limit", "1000", "fibrant", "point", "--dim", "4"], 0),
+    (["--limit", "1000", "fibrant", "point", "--dim", "5"], 0),
     (["restrict", "cube:2", "--dim", "12"], 3),
     (["--limit", "100", "restrict", "cube:1", "--dim", "4"], 0),
     # extended levels carry their EZ table, so no Hom(m, m-1) is enumerated
     (["--limit", "1000", "restrict", "cube:1", "--dim", "5"], 0),
-    # the search for maps is charged, not only the maps it returns
+    # the face join's draws are charged, not only the maps it counts:
+    # cap(3,1,1) -> cube2 draws more than 2000 candidate values
     (["--limit", "2000", "fibrant", "cube:2", "--dim", "3"], 3),
 ]
 
