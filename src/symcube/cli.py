@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .errors import InputError, ResourceBound, SymcubeError, resource_limit
 from .homotopy import (
-    LiftingProblem,
     contraction_H,
     find_homotopy,
     is_fibrant,
@@ -43,10 +42,12 @@ from .presheaf import (
     Permutation,
     SkeletalPresheaf,
     SubgroupSpec,
+    _map_id,
     boundary,
     cap,
     coskeleton,
     empty_presheaf,
+    extend_map,
     extension_methods_agree,
     hom_presheaf,
     identity_map,
@@ -358,17 +359,20 @@ def _cmd_lift(args) -> int:
     right = load_map_spec(args.right, site)
     tops = hom_presheaf(left.src, right.src)
     bottoms = hom_presheaf(left.dst, right.dst)
+    # a map out of a skeletal presheaf is fixed by its stored levels, so a
+    # square commutes when its two corner maps left.src -> right.dst agree
+    right = extend_map(right, max(left.dst.N, right.src.N))
+    under: dict[str, list[int]] = {}
+    for bi, bottom in enumerate(bottoms):
+        under.setdefault(_map_id(left.then(bottom)), []).append(bi)
     rep = Report(f"right lifting property of {args.right} against {args.left}")
     filled = None
     for ti, top in enumerate(tops):
-        for bi, bottom in enumerate(bottoms):
-            problem = LiftingProblem(left, right, top, bottom)
-            if not problem.commutes():
-                continue
+        for bi in under.get(_map_id(top.then(right)), ()):
             if filled is None:  # one search of maps left.dst -> right.src for all squares
-                filled = [(problem.left.then(w).mapping, w.then(problem.right).mapping)
-                          for w in hom_presheaf(problem.left.dst, problem.right.src)]
-            ok = (problem.top.mapping, problem.bottom.mapping) in filled
+                filled = {(_map_id(left.then(w)), _map_id(w.then(right)))
+                          for w in hom_presheaf(left.dst, right.src)}
+            ok = (_map_id(top), _map_id(bottoms[bi])) in filled
             rep.check(f"square top[{ti}] bottom[{bi}]", ok, "filled" if ok else "no filler")
     rep.check("commuting squares found", True, str(len(rep.entries)))
     return _emit_report(args, rep)

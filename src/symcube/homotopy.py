@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, charge
+from .errors import InputError
 from .monoidal import ConvolutionResult, convolve
 from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
+    _join,
     extend_map,
     hom_presheaf,
     representable,
@@ -92,26 +93,20 @@ def _cap_maps(Y: SkeletalPresheaf, n: int, j: int, eps: int) -> int:
     sections y_(i,e), one per face, where faces (i,e), (i',e') with i < i'
     agree on their codimension-2 meet, delta(i'-1,e',n-2)* y_(i,e) =
     delta(i,e,n-2)* y_(i',e').  Faces are monos, and an arrow through two
-    faces factors through their meet, so each tuple is one map.  Each face
-    draws, charged, from the inverse index of its meet with the first, the
-    one opposite the missing face, and is checked on every earlier meet."""
+    faces factors through their meet, so each tuple is one map.  The faces
+    are the cells of a _join that only counts, the one opposite the missing
+    face first, each other face checked on its meets with the earlier ones
+    and so drawing from the inverse index of its meet with the first."""
     faces = [(j, 1 - eps)] + [(i, e) for i in range(1, n + 1) if i != j for e in (0, 1)]
     meet = {(a, b): Y.table(delta(b[0] - (b[0] > a[0]), b[1], n - 2))  # y_a to a ^ b
             for a in faces for b in faces if a[0] != b[0]}
-    joined = [(y,) for y in Y.level(n - 1)]
-    drawn, drawing = len(joined), f"candidate values for maps cap{n}_{j}_{eps} -> {Y.name}"
-    for m, a in enumerate(faces[1:], start=1):
-        index, key = {}, meet[faces[0], a]
-        for y, v in meet[a, faces[0]].items():
-            index.setdefault(v, []).append(y)
-        meets = [(meet[a, b], k, meet[b, a]) for k, b in enumerate(faces[:m]) if b[0] != a[0]]
-        grown = []
-        for ys in joined:
-            values = index.get(key[ys[0]], ())
-            charge(drawn := drawn + len(values), drawing)
-            grown += [ys + (v,) for v in values if all(t[v] == u[ys[k]] for t, k, u in meets)]
-        joined = grown
-    return len(joined)
+    cells = [(Y.level(n - 1),
+              [(meet[a, b], meet[b, a], k) for k, b in enumerate(faces[:m]) if b[0] != a[0]],
+              ())
+             for m, a in enumerate(faces)]
+    found = []  # the join's one reused tuple, appended once per map
+    _join(cells, found.append, f"candidate values for maps cap{n}_{j}_{eps} -> {Y.name}")
+    return len(found)
 
 
 def is_fibrant(X: SkeletalPresheaf, up_to_n: int) -> Report:

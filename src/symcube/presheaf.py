@@ -626,23 +626,60 @@ def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[str]:
 # -- hom-sets ----------------------------------------------------------------
 
 
+def _join(cells, emit, drawing: str) -> None:
+    """Depth-first search over tuples w, one value per cell, calling
+    emit(w) on each complete one.  Cell j is (level, checks, pins): a
+    check (t, u, p), p <= j, keeps a value v when t[v] == u[w[p]], a pin
+    (t, want) when t[v] == want.  Cell j draws from the inverse index of
+    its first check's t, built once per table over level in level order,
+    at the value u[w[p]] it reads, or all of level without a check, and
+    tests its other checks and pins with w[j] set to the draw.  The
+    running count of draws is charged as each search node ends."""
+    index: dict[int, dict] = {}
+    plan = []
+    for level, checks, pins in cells:
+        inverse = key = q = None
+        if checks:
+            t, key, q = checks[0]
+            inverse = index.setdefault(id(t), {})
+            if not inverse:
+                for v in level:
+                    inverse.setdefault(t[v], []).append(v)
+        plan.append((level, inverse, key, q, checks[1:], pins))
+    w, drawn = [None] * len(plan), 0
+
+    def search(j: int):
+        nonlocal drawn
+        if j == len(plan):
+            return emit(w)
+        level, inverse, key, q, checks, pins = plan[j]
+        values = level if inverse is None else inverse.get(key[w[q]], ())
+        for v in values:
+            w[j] = v
+            if (all(t[v] == u[w[p]] for t, u, p in checks)
+                    and all(t[v] == want for t, want in pins)):
+                search(j + 1)
+        drawn += len(values)
+        charge(drawn, drawing)
+
+    search(0)
+
+
 def hom_presheaf(
     X: SkeletalPresheaf,
     Y: SkeletalPresheaf,
     fixed: Sequence[tuple[PresheafMap, PresheafMap]] = (),
 ) -> list[PresheafMap]:
-    """All presheaf maps X -> Y that agree with a partial map, by
-    backtracking over values on the nondegenerate sections of X, with face
-    constraints for pruning and a full naturality check on each completed
-    candidate.
+    """All presheaf maps X -> Y that agree with a partial map: a _join
+    whose cells are the nondegenerate sections of X in level order, and a
+    full naturality check on each tuple it completes.
 
     Every constraint is resolved once, before the search, into tables of
-    Y and positions among the nondegenerate sections: a section e*y of X
-    takes the value table(e)[w(y)].  A section's candidate values are the
-    values of Y whose first face is the value its first face of X already
-    has, drawn from an inverse index of that face table over Y (all of Y's
-    level when it has no face); the other faces, the swaps and the
-    prescriptions are checked on those.
+    Y and cell positions: a section e*y of X takes the value
+    table(e)[w(y)].  A section's checks are its faces in generator order,
+    so it draws from the inverse index of its first face, then its swaps
+    with a mate that comes first or is itself; its pins are the
+    prescriptions.
 
     fixed is the partial map a question prescribes, as pairs (i, u) of
     maps A -> X and A -> Y: w is kept when w o i = u for every pair, and
@@ -661,70 +698,32 @@ def hom_presheaf(
         e, y = X.ez_decompose(k, x)
         return Y.table(e), at[e.dst, y]
 
-    # per nondegenerate section: where its candidates are drawn from (the
-    # inverse index of its first face over Y, that face's table and
-    # position), its other faces (Y's face, table, position), its swaps
-    # (Y's swap, position of a mate that comes first or is the section
-    # itself) and its prescriptions (table, want)
-    draw: list = [None] * len(nd)
-    faces: list[list] = [[] for _ in nd]
-    swaps: list[list] = [[] for _ in nd]
-    pins: list[list] = [[] for _ in nd]
-    for _, g in generator_morphisms(X.site, X.N):
+    cells = [(Y.level(k), [], []) for k, _ in nd]
+    for _, g in generator_morphisms(X.site, X.N):  # every face before every swap
         xg, yg = X.action[g], Y.action[g]
-        inverse: dict[str, list[str]] = {}
-        for j, (k, x) in enumerate(nd):
-            if k != g.dst:
-                continue
-            if g.src == g.dst:
-                mate = at[g.src, xg[x]]
-                if mate <= j:
-                    swaps[j].append((yg, mate))
-            elif g.src < g.dst and draw[j]:
-                faces[j].append((yg, *resolve(g.src, xg[x])))
-            elif g.src < g.dst:
-                if not inverse:
-                    for v in Y.level(g.dst):
-                        inverse.setdefault(yg[v], []).append(v)
-                draw[j] = (inverse, *resolve(g.src, xg[x]))
+        for x in nondegenerate_sections(X, g.dst):
+            j = at[g.dst, x]
+            if g.src < g.dst:
+                cells[j][1].append((yg, *resolve(g.src, xg[x])))
+            elif g.src == g.dst and at[g.src, xg[x]] <= j:
+                cells[j][1].append((yg, Y.table(identity(g.src)), at[g.src, xg[x]]))
     for i, u in fixed:
         for k, row in i.mapping.items():
             for a, x in row.items():
                 tab, j = resolve(k, x)
-                pins[j].append((tab, u.mapping[k][a]))
-    every = [
-        [(sid, *resolve(n, sid)) for sid in X.level(n)] for n in range(X.N + 1)
-    ]
+                cells[j][2].append((tab, u.mapping[k][a]))
+    every = [[(sid, *resolve(n, sid)) for sid in X.level(n)] for n in range(X.N + 1)]
     results: list[PresheafMap] = []
-    w = [""] * len(nd)  # the value on each nondegenerate section
-    drawn = 0  # candidate values, charged as each search node ends
-    drawing = f"candidate values for maps {X.name} -> {Y.name}"
 
-    def search(idx: int):
-        nonlocal drawn
-        if idx == len(nd):
-            mapping = {n: {sid: tab[w[j]] for sid, tab, j in row}
-                       for n, row in enumerate(every)}
-            u = PresheafMap(X, Y, mapping)
-            if u.verify_natural():
-                results.append(u)
-                charge(len(results), f"{len(results)} presheaf maps")
-            return
-        if draw[idx]:
-            inverse, tab, j = draw[idx]
-            values = inverse.get(tab[w[j]], ())
-        else:
-            values = Y.level(nd[idx][0])
-        for v in values:
-            w[idx] = v
-            if (all(yd[v] == tab[w[j]] for yd, tab, j in faces[idx])
-                    and all(ys[v] == w[j] for ys, j in swaps[idx])
-                    and all(tab[v] == want for tab, want in pins[idx])):
-                search(idx + 1)
-        drawn += len(values)
-        charge(drawn, drawing)
+    def emit(w: list[str]):
+        mapping = {n: {sid: tab[w[j]] for sid, tab, j in row}
+                   for n, row in enumerate(every)}
+        u = PresheafMap(X, Y, mapping)
+        if u.verify_natural():
+            results.append(u)
+            charge(len(results), f"{len(results)} presheaf maps")
 
-    search(0)
+    _join(cells, emit, f"candidate values for maps {X.name} -> {Y.name}")
     return results
 
 

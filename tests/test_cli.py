@@ -497,10 +497,41 @@ def oracle_lift_lines(left_spec, right_spec, site="QSigma"):
     # one top, so the bottom alone decides: the identity of the interval
     # does not factor through its boundary
     ("QSigma", "empty:cube:1", "boundary:1"),
+    # many bottoms per top, and ends stored to different levels
+    ("QSigma", "boundary:2", "boundary:2"),
+    ("Q", "boundary:2", "boundary:2"),
+    ("QSigma", "boundary:1", "cap:2:1:0"),
+    ("QSigma", "cap:2:1:0", "empty:cube:3"),
+    ("QSigma", "empty:cube:3", "boundary:1"),
+    ("QSigma", "terminal:boundary:2", "terminal:cube:3"),
 ])
 def test_lift_report_is_the_oracle(capsys, site, left, right):
     code, out = invoke(capsys, "--site", site, "lift", left, right)
     assert (code, out.splitlines()) == oracle_lift_lines(left, right, site)
+
+
+# the smallest --limit each search passes, recorded before the map
+# searches shared one join, with the charge that stops it one below
+SEARCH_CHARGES = [
+    (["fibrant", "cube:2", "--dim", "3"], 2170, "candidate values for maps cap3_1_1 -> cube2"),
+    (["fibrant", "boundary:2", "--dim", "3"], 1654, "candidate values for maps cap3_1_1 -> bd2"),
+    (["lift", "cap:2:1:0", "boundary:2"], 1492, "candidate values for maps cube2 -> cube2"),
+    (["lift", "cap:2:1:0", "terminal:cube:2"], 1492, "candidate values for maps cube2 -> cube2"),
+    (["homotopic", "cube:2", "(0,0):0->2", "(1,1):0->2", "--dim", "2"], 219,
+     "candidate values for maps cube0(x)cube2 -> cube2"),
+    (["coskeleton", "cube:2", "1"], 1320, "candidate values for maps sk1_cube2 -> cube2"),
+]
+
+
+@pytest.mark.parametrize("argv, limit, what", SEARCH_CHARGES,
+                         ids=[" ".join(argv) for argv, _, _ in SEARCH_CHARGES])
+def test_search_charges_are_pinned(capsys, argv, limit, what):
+    code = run(["--limit", str(limit), *argv])
+    assert code != 3
+    assert run(argv) == code
+    capsys.readouterr()
+    assert run(["--limit", str(limit - 1), *argv]) == 3
+    assert capsys.readouterr().err == f"resource bound: {what}, more than limit {limit - 1}\n"
 
 
 def test_fibrant_point(capsys):

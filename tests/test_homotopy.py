@@ -20,10 +20,13 @@ from symcube.presheaf import (
     PresheafMap,
     boundary,
     cap,
+    dumps_presheaf,
     empty_presheaf,
     extension_methods_agree,
+    generator_morphisms,
     hom_presheaf,
     identity_map,
+    loads_presheaf,
     pushout,
     representable,
     terminal_map,
@@ -39,6 +42,7 @@ from symcube.site import (
     tensor,
 )
 from test_monoidal import oracle_class_map
+from test_presheaf import oracle_hom_presheaf
 
 QS = SiteTag.QSIGMA
 
@@ -392,6 +396,29 @@ def test_fibrancy_by_yoneda_matches_cube_search(spec, up_to_n):
     assert [(e.label, e.detail) for e in rep.entries] == oracle_cap_lines(X, up_to_n)
     assert [e.ok for e in rep.entries] == [
         e.detail.endswith(" 0 without extension") for e in rep.entries]
+
+
+def test_searches_index_in_level_order_not_table_order():
+    # the dump of the square's boundary with every generator block's pairs
+    # listed last level entry first, so each action table's keys run
+    # against the level
+    lines, pairs = [], []
+    for line in dumps_presheaf(boundary(2, QS)[0]).splitlines() + [""]:
+        if line.startswith("  "):
+            pairs.append(line)
+        else:
+            lines += pairs[::-1] + [line]
+            pairs = []
+    bd = loads_presheaf("\n".join(lines), name="bd2")
+    for _, g in generator_morphisms(QS, bd.N):
+        assert list(bd.action[g]) == list(bd.level(g.dst))[::-1]
+    C2 = load_spec("cube:2", QS)
+    for X, Y in [(C2, bd), (bd, C2), (bd, bd)]:
+        got = [u.mapping for u in hom_presheaf(X, Y)]
+        assert got == [u.mapping for u in oracle_hom_presheaf(X, Y)]
+        assert got
+    rep = is_fibrant(bd, 2)
+    assert [(e.label, e.detail) for e in rep.entries] == oracle_cap_lines(bd, 2)
 
 
 def test_fibrancy_sweep_builds_each_cube_once(monkeypatch):
