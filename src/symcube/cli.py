@@ -137,9 +137,13 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
             return quotient_presheaf(cube, group)[0]
     except ValueError as exc:
         raise InputError(f"malformed presheaf spec {spec!r}: {exc}") from exc
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise InputError(f"unknown presheaf spec and no such file: {spec!r}")
+    return load_file(Path(spec))
+
+
+def load_file(path: Path) -> SkeletalPresheaf:
+    """The presheaf in the file at path, in either format, named by its stem."""
     return loads_presheaf(path.read_text(), name=path.stem)
 
 
@@ -340,8 +344,7 @@ def _cmd_realize(args) -> int:
 def _cmd_homology(args) -> int:
     if (args.spec is None) == (args.file is None):
         raise InputError("give exactly one of a presheaf spec or --file")
-    spec = args.spec if args.spec is not None else args.file
-    X = load_spec(spec, _site(args))
+    X = load_spec(args.spec, _site(args)) if args.file is None else load_file(Path(args.file))
     res = homology(X)
     if args.json:
         _print_json({"name": X.name, "groups": res.records()})

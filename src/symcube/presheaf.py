@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, reduce
+from math import factorial
 from operator import itemgetter
 
 from .errors import (
@@ -79,23 +80,6 @@ def generator_morphisms(site: SiteTag, N: int) -> tuple[tuple[str, Morphism], ..
                     (f"swap({i},{n})", pi(Permutation.transposition(i, i + 1, n)))
                 )
     return tuple(out)
-
-
-def parse_generator_name(name: str, site: SiteTag) -> Morphism:
-    try:
-        kind, rest = name.split("(", 1)
-        args = [int(a) for a in rest.rstrip(")").split(",")]
-        if kind == "delta":
-            return delta(args[0], args[1], args[2])
-        if kind == "sigma":
-            return sigma(args[0], args[1])
-        if kind == "gamma" and site is SiteTag.QSIGMA:
-            return gamma(args[0], args[1])
-        if kind == "swap" and site is SiteTag.QSIGMA:
-            return pi(Permutation.transposition(args[0], args[0] + 1, args[1]))
-    except (ValueError, IndexError, IndexOutOfRange) as exc:
-        raise InputError(f"bad generator name {name!r}: {exc}") from exc
-    raise InputError(f"bad generator name {name!r} for site {site}")
 
 
 def _take(seq, keys) -> tuple:
@@ -271,10 +255,14 @@ class SkeletalPresheaf:
         cosymmetry orbit, and the cosymmetries th with pi(th)*x equal to
         it in canonical order, |Stab(x)| of them, the identity alone over
         Q.  Built once per level with a nondegenerate section, following
-        _cosymmetry_walk through the swap tables."""
+        _cosymmetry_walk through the swap tables; over QSigma its n!
+        cosymmetries are charged first."""
         got = self._orbits.get(n)
         if got is None:
             xs = nondegenerate_sections(self, n)
+            if xs and self.site is SiteTag.QSIGMA:
+                charge(count := factorial(n),
+                       f"orbit table of {self.name} at level {n} walks {count} cosymmetries")
             perms, moves = self._cosymmetry_walk(self.site, n) if xs else ((), ())
             # with no swap, as over Q, each section is its own orbit
             got = self._orbits[n] = {} if moves else {x: (x, perms) for x in xs}
@@ -1205,69 +1193,69 @@ def dumps_presheaf_json(X: SkeletalPresheaf) -> str:
     )
 
 
-def _section_ids(ids) -> tuple[str, ...]:
-    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-        raise TypeError(f"a level must be a list of section ids, not {ids!r}")
-    return tuple(ids)
+def _read_text(text: str) -> dict:
+    """The text format read into the JSON format's dict, blocks keyed by
+    their names as written; only the syntax of each line is checked."""
+    data: dict = {"levels": {}, "action": {}}
+    current = None
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        # pairs first; of the rest only a level listing "->" holds " -> "
+        if raw[0] in " \t" and " -> " in stripped and stripped[:6] != "level ":
+            if current is None:
+                raise InputError(f"action pair outside a block: {stripped!r}")
+            x, _, v = stripped.split()  # ids hold no whitespace
+            current[x] = v
+        elif stripped.startswith("site:"):
+            data["site"] = stripped.split(":", 1)[1]
+        elif stripped.startswith("truncation:"):
+            data["truncation"] = int(stripped.split(":", 1)[1])
+        elif stripped.startswith("level "):
+            head, _, rest = stripped.partition(":")
+            data["levels"][head.split()[1]] = rest.split()
+        elif stripped.endswith(":"):
+            current = data["action"].setdefault(stripped[:-1], {})
+        else:
+            raise InputError(f"cannot parse line {stripped!r}")
+    return data
 
 
 def loads_presheaf(text: str, name: str = "loaded") -> SkeletalPresheaf:
-    """Parse the text or JSON presheaf format, validate structure and
-    the relation instances; raise InputError with the first failure."""
+    """A presheaf from its text or JSON format, raising InputError at the
+    first failure.  Text is read into the JSON format's dict, and one path
+    checks both: the types, a truncation N with N * N at most the number
+    of blocks before any generator is listed (a complete file has at least
+    3N(N+1)/2), the levels, each block's name as generator_morphisms
+    spells it, the structure and the relation instances."""
     text = text.strip()
     try:
-        if text.startswith("{"):
-            data = json.loads(text)
-            site_tag = SiteTag.parse(data["site"])
-            N = data["truncation"]
-            if type(N) is not int:  # not a float, a bool or a string
-                raise TypeError(f"a truncation must be an integer, not {N!r}")
-            levels = {int(n): _section_ids(ids) for n, ids in data["levels"].items()}
-            action = {
-                parse_generator_name(gname, site_tag): dict(table)
-                for gname, table in data["action"].items()
-            }
-            if not all(isinstance(v, str) for t in action.values() for v in t.values()):
-                raise TypeError("an action must send section ids to section ids")
-        else:
-            site_tag, N = None, None
-            levels, action = {}, {}
-            current = None
-            for raw in text.splitlines():
-                stripped = raw.strip()
-                if not stripped or stripped[0] == "#":
-                    continue
-                # pairs first; of the rest only a level listing "->" holds " -> "
-                if raw[0] in " \t" and " -> " in stripped and stripped[:6] != "level ":
-                    if current is None:
-                        raise InputError(f"action pair outside a block: {stripped!r}")
-                    x, _, v = stripped.split()  # ids hold no whitespace
-                    current[x] = v
-                elif stripped.startswith("site:"):
-                    site_tag = SiteTag.parse(stripped.split(":", 1)[1])
-                elif stripped.startswith("truncation:"):
-                    N = int(stripped.split(":", 1)[1])
-                elif stripped.startswith("level "):
-                    head, _, rest = stripped.partition(":")
-                    n = int(head.split()[1])
-                    levels[n] = tuple(rest.split())
-                elif stripped.endswith(":"):
-                    if site_tag is None:
-                        raise InputError("generator block before site header")
-                    g = parse_generator_name(stripped[:-1], site_tag)
-                    current = action.setdefault(g, {})
-                else:
-                    raise InputError(f"cannot parse line {stripped!r}")
-            if site_tag is None or N is None:
-                raise InputError("missing site or truncation header")
+        data = json.loads(text) if text.startswith("{") else _read_text(text)
+        site_tag = SiteTag.parse(data["site"])
+        N, blocks = data["truncation"], data["action"]
+        if type(N) is not int:  # not a float, a bool or a string
+            raise TypeError(f"a truncation must be an integer, not {N!r}")
+        levels = {int(n): ids for n, ids in data["levels"].items()}
+        if not all(isinstance(ids, list) and all(isinstance(x, str) for x in ids)
+                   for ids in levels.values()):
+            raise TypeError("a level must be a list of section ids")
+        if N < 0 or N * N > len(blocks):
+            raise InputError(f"malformed presheaf: truncation {N} with "
+                             f"{len(blocks)} generator blocks")
+        stray = sorted(n for n in levels if not 0 <= n <= N)
+        if stray:
+            raise InputError(f"malformed presheaf: level {stray[0]} outside truncation {N}")
+        named = dict(generator_morphisms(site_tag, N))
+        bad = [gname for gname in blocks if gname not in named]
+        if bad:
+            raise InputError(f"malformed presheaf: bad generator name {bad[0]!r} "
+                             f"for site {site_tag} at truncation {N}")
+        action = {named[gname]: dict(table) for gname, table in blocks.items()}
+        if not all(isinstance(v, str) for t in action.values() for v in t.values()):
+            raise TypeError("an action must send section ids to section ids")
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed presheaf: {type(exc).__name__}: {exc}") from exc
-    if not 0 <= N <= len(action):  # each level above 0 has its own faces
-        raise InputError(f"malformed presheaf: truncation {N} with "
-                         f"{len(action)} generator blocks")
-    stray = sorted(n for n in levels if not 0 <= n <= N)
-    if stray:
-        raise InputError(f"malformed presheaf: level {stray[0]} outside truncation {N}")
     X = SkeletalPresheaf(site_tag, N, levels, action, name)
     audit = verify_functorial(X)
     if not audit.ok:

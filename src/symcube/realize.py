@@ -290,10 +290,16 @@ class _NormalForms:
         k**n at each n, or with onto only those whose s takes every
         value, the nondegenerate simplices, len(nondegenerate[n]) *
         _onto(n, k) at each n.  Their count is charged to the resource
-        limit first."""
-        size = sum(len(xs) * (_onto(n, k) if onto else k ** n)
-                   for n, xs in self.nondegenerate.items())
-        charge(size, f"{'chain' if onto else 'realization'} level {k} has {size} members")
+        limit first, then times the largest stabilizer when that exceeds
+        one: normal minimises each member over its section's stabilizer."""
+        counted = {n: len(xs) * (_onto(n, k) if onto else k ** n)
+                   for n, xs in self.nondegenerate.items()}
+        size, what = sum(counted.values()), f"{'chain' if onto else 'realization'} level {k}"
+        charge(size, f"{what} has {size} members")
+        stab = max((len(ths) for n, c in counted.items() if c
+                    for _, ths in self.X.orbits(n).values()), default=1)
+        if stab > 1:
+            charge(size * stab, f"{what} minimises {size} members over {stab} cosymmetries")
         return dict(self.normal(n, x, s, k)
                     for n, xs in self.nondegenerate.items() if not (onto and n < k)
                     for s in itertools.product(range(1, k + 1), repeat=n)

@@ -258,6 +258,12 @@ def test_realize_boundary(capsys):
     assert lines[0] == "|bd2| 0:4 1:8 2:12 3:16"
     assert lines[1] == "nondegenerate 0:4 1:4 2:0 3:0"
     assert lines[2] == "euler 0"
+    code, out = invoke(capsys, "--json", "realize", "boundary:2")
+    data = json.loads(out)
+    assert code == 0
+    assert data["levels"] == {"0": 4, "1": 8, "2": 12, "3": 16}
+    assert data["nondegenerate"] == {"0": 4, "1": 4, "2": 0, "3": 0}
+    assert data["euler"] == 0
 
 
 # -- homology ----------------------------------------------------------------
@@ -275,6 +281,17 @@ def test_homology_from_file(tmp_path, capsys):
     code, out = invoke(capsys, "homology", "--file", str(path))
     assert code == 0
     assert out == "H_0 = Z\nH_1 = 0\nH_2 = Z\n"
+    # two components, the vertices of bd1 times the interval
+    code, out = invoke(capsys, "homology", str(DATA / "cube1_x_bd1_Q.txt"))
+    assert (code, out) == (0, "H_0 = Z^2\n")
+
+
+def test_homology_file_reads_a_file_named_like_a_builtin(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "point").write_text(dumps_presheaf(boundary(2, SiteTag.QSIGMA)[0]))
+    assert invoke(capsys, "homology", "--file", "point") == (0, "H_0 = Z\nH_1 = Z\n")
+    assert invoke(capsys, "homology", "point") == (0, "H_0 = Z\n")
+    assert invoke(capsys, "homology", "--file", "cube:2") == (2, "")
 
 
 def test_loading_an_empty_file_of_high_truncation_is_charged(tmp_path):
@@ -416,11 +433,13 @@ def _json_truncation(value):
         _json_truncation(1.9),
         _json_truncation(True),
         _json_truncation("1"),
+        # a block under a name that generator_morphisms does not write
+        lambda X: dumps_presheaf_json(X).replace('"delta(1,0,0)"', '"frob(1,0)"'),
     ],
     ids=["json-missing-key", "json-truncated", "text-bad-truncation",
          "json-string-level", "text-level-above-truncation", "json-list-image",
          "json-object-image", "json-float-truncation", "json-bool-truncation",
-         "json-string-truncation"],
+         "json-string-truncation", "json-unknown-block"],
 )
 def test_malformed_presheaf_file_is_input_error(tmp_path, capsys, spoil):
     path = tmp_path / "bad.cub"

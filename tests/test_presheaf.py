@@ -1206,6 +1206,17 @@ def test_stabilizers():
     assert len(members(stabilizer(representable(2, Q), 2, "(x1,x2):2->2"))) == 1
 
 
+def reversed_levels(X: SkeletalPresheaf) -> SkeletalPresheaf:
+    """X loaded from its dump with the ids of each level in reverse order."""
+    lines = []
+    for ln in dumps_presheaf(X).splitlines():
+        if ln.startswith("level "):
+            head, _, ids = ln.partition(": ")
+            ln = f"{head}: " + " ".join(reversed(ids.split()))
+        lines.append(ln)
+    return loads_presheaf("\n".join(lines), f"rev_{X.name}")
+
+
 def test_orbit_table_matches_the_stabilizer_and_least_id_scan():
     # every cosymmetry's arrow applied to every nondegenerate section:
     # the least id over all of them, and those that reach it
@@ -1213,6 +1224,10 @@ def test_orbit_table_matches_the_stabilizer_and_least_id_scan():
 
     corpus = {**REALIZE_CORPUS, **CUBICAL_CORPUS}
     assert {"quotient:3:(1 2 3)", "quotient:2:(1 2)"} <= set(corpus)
+    # with each level listed last first, the first section met in an orbit
+    # is not its least id
+    for name in ("cube:2:QSigma", "quotient:2:(1 2)"):
+        corpus[f"reversed {name}"] = lambda make=corpus[name]: reversed_levels(make())
     for name, make in sorted(corpus.items()):
         X = make()
         for n in range(X.N + 1):
@@ -1782,6 +1797,37 @@ def test_loader_detects_missing_block():
         out.append(ln)
     with pytest.raises(InputError, match="missing action"):
         loads_presheaf("\n".join(out))
+
+
+def test_loader_reads_a_block_before_the_headers():
+    # names are looked up once the whole file is read
+    lines = dumps_presheaf(C1).splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.endswith(":"))
+    end = next(i for i in range(first + 1, len(lines)) if not lines[i].startswith("  "))
+    moved = lines[first:end] + lines[:first] + lines[end:]
+    assert moved[0] == "delta(1,0,0):"
+    assert loads_presheaf("\n".join(moved)).same_data(C1)
+
+
+@pytest.mark.parametrize("dump", [dumps_presheaf, dumps_presheaf_json])
+@pytest.mark.parametrize("spelled", ["delta(1, 0, 0)", "delta(01,0,0)", "delta(1,0,1)",
+                                     "frob(1,0)"])
+def test_loader_looks_block_names_up_as_written(dump, spelled):
+    # a name generator_morphisms does not write at this truncation is refused
+    text = dump(C1).replace("delta(1,0,0)", spelled, 1)
+    with pytest.raises(InputError, match=re.escape(f"bad generator name {spelled!r}")):
+        loads_presheaf(text)
+
+
+def test_loader_bounds_the_truncation_before_listing_generators():
+    # N blocks cannot hold truncation N, so the cubic table of generators
+    # up to N is never built
+    N = 120
+    text = f"site: QSigma\ntruncation: {N}\n" + "".join(f"delta(1,0,{k}):\n" for k in range(N))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"truncation {N} with {N} generator blocks"):
+        loads_presheaf(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_loader_rejects_garbage():

@@ -2,6 +2,7 @@
 homology, and the interval monoid."""
 
 import importlib
+import math
 import time
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcube.cli import run
+from symcube.cli import DEFAULT_LIMIT, run
 from symcube.errors import ResourceBound, SymcubeError, resource_limit
 from symcube.monoidal import convolve, symmetrize
 from symcube.presheaf import (
     PresheafMap,
+    SkeletalPresheaf,
     SubgroupSpec,
     _cosymmetry_perms,
     _UnionFind,
@@ -889,6 +891,38 @@ def test_cubical_chains_honour_limit():
         cubical_chains(R3)
     with resource_limit(12):
         assert [len(cubical_chains(R3).bases[k]) for k in range(4)] == [8, 12, 6, 1]
+
+
+def symmetric_sphere(n: int) -> SkeletalPresheaf:
+    """S^n with one cell: a point at each level below n, and at level n
+    the point and a section x that every swap fixes and every face sends
+    to the point."""
+    levels = {m: ("p",) for m in range(n)} | {n: ("p", "x")}
+    action = {g: {y: "x" if y == "x" and g.src == n else "p" for y in levels[g.dst]}
+              for _, g in generator_morphisms(QS, n)}
+    return SkeletalPresheaf(QS, n, levels, action, f"S{n}")
+
+
+def test_symmetric_sphere_charges_its_cosymmetries():
+    # x's stabilizer is all n! cosymmetries of [n], over which each chain
+    # member of x is minimised: onto(6, 5) * 6! = 1800 * 720 at most for S^6
+    with resource_limit(719), pytest.raises(
+        ResourceBound, match="orbit table of S6 at level 6 walks 720 cosymmetries"
+    ):
+        cubical_chains(symmetric_sphere(6))
+    with resource_limit(DEFAULT_LIMIT):
+        assert homology(symmetric_sphere(5)).groups == ((1, ()),)
+        for n, k, members in [(6, 4, 1560), (7, 3, 1806), (8, 2, 254)]:
+            with pytest.raises(ResourceBound, match=(
+                f"chain level {k} minimises {members} members over {math.factorial(n)} "
+            )):
+                homology(symmetric_sphere(n))
+    with resource_limit(1800 * 720 - 1), pytest.raises(
+        ResourceBound, match="chain level 5 minimises 1800 members"
+    ):
+        homology(symmetric_sphere(6))
+    with resource_limit(1800 * 720):
+        assert homology(symmetric_sphere(6)).groups == ((1, ()),)
 
 
 # -- chains ------------------------------------------------------------------

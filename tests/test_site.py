@@ -892,12 +892,16 @@ def test_split_pushout_composite():
 
 
 def test_split_pushout_order_conflict_collapses():
-    # the two conjunction orders are incompatible, so the class dies
-    a1 = parse_morphism("(x1^x2):2->1")
-    a2 = parse_morphism("(x2^x1):2->1")
-    po = split_pushout(a1, a2)
-    assert po.tau1.dst == 0
-    assert compose(po.tau1, a1) == compose(po.tau2, a2)
+    # the two conjunction orders are incompatible, so the class dies; in
+    # the second pair x1 is followed by x2 on one side and by x3 on the other
+    for f1, f2, dim in [("(x1^x2):2->1", "(x2^x1):2->1", 1),
+                        ("(x1^x2,x3):3->2", "(x1^x3,x2):3->2", 2)]:
+        a1 = parse_morphism(f1)
+        a2 = parse_morphism(f2)
+        po = split_pushout(a1, a2)
+        assert po.tau1 == po.tau2 == parse_morphism(f"():{dim}->0")
+        assert po.witness is None
+        assert compose(po.tau1, a1) == compose(po.tau2, a2)
 
 
 # -- relations ---------------------------------------------------------------
