@@ -144,7 +144,10 @@ def load_spec(spec: str, site: SiteTag) -> SkeletalPresheaf:
 
 def load_file(path: Path) -> SkeletalPresheaf:
     """The presheaf in the file at path, in either format, named by its stem."""
-    return loads_presheaf(path.read_text(), name=path.stem)
+    try:
+        return loads_presheaf(path.read_text(encoding="utf-8"), name=path.stem)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:

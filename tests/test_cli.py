@@ -146,6 +146,15 @@ def test_bad_cycles_is_input_error(capsys):
     assert run(["quotient", "cube:2", "(1 7)"]) == 2
 
 
+@pytest.mark.parametrize("route", [["--file"], []], ids=["--file", "spec"])
+def test_file_that_is_not_utf8_is_input_error(route, tmp_path, capsys):
+    path = tmp_path / "bad.cub"
+    path.write_bytes(bytes.fromhex("fffe00626164"))
+    assert run(["homology", *route, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path} is not UTF-8 text: ") and "Traceback" not in err
+
+
 # -- verification commands ---------------------------------------------------
 
 
