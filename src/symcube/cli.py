@@ -21,6 +21,7 @@ from .homotopy import (
     contraction_H,
     find_homotopy,
     is_fibrant,
+    solve_lifting,
 )
 from .monoidal import (
     associator_comparison,
@@ -42,14 +43,11 @@ from .presheaf import (
     Permutation,
     SkeletalPresheaf,
     SubgroupSpec,
-    _map_id,
     boundary,
     cap,
     coskeleton,
     empty_presheaf,
-    extend_map,
     extension_methods_agree,
-    hom_presheaf,
     identity_map,
     loads_presheaf,
     pushout,
@@ -152,7 +150,7 @@ def load_file(path: Path) -> SkeletalPresheaf:
 
 def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:
     """A named map: boundary:N and cap:N:J:E (their inclusions into the
-    cube), identity:SPEC, terminal:SPEC, empty:SPEC."""
+    cube), identity:SPEC, terminal:SPEC, empty:SPEC (over SPEC's site)."""
     head, _, rest = spec.partition(":")
     try:
         sub = _subcube(head, rest, site)
@@ -164,8 +162,7 @@ def load_map_spec(spec: str, site: SiteTag) -> PresheafMap:
             return terminal_map(load_spec(rest, site))
         if head == "empty":
             X = load_spec(rest, site)
-            empty = empty_presheaf(site, 0)
-            return PresheafMap(empty, X, {0: {}})
+            return PresheafMap(empty_presheaf(X.site, 0), X, {0: {}})
     except ValueError as exc:
         raise InputError(f"malformed map spec {spec!r}: {exc}") from exc
     raise InputError(f"unknown map spec {spec!r}")
@@ -361,26 +358,8 @@ def _cmd_homology(args) -> int:
 
 def _cmd_lift(args) -> int:
     site = _site(args)
-    left = load_map_spec(args.left, site)
-    right = load_map_spec(args.right, site)
-    tops = hom_presheaf(left.src, right.src)
-    bottoms = hom_presheaf(left.dst, right.dst)
-    # a map out of a skeletal presheaf is fixed by its stored levels, so a
-    # square commutes when its two corner maps left.src -> right.dst agree
-    right = extend_map(right, max(left.dst.N, right.src.N))
-    under: dict[str, list[int]] = {}
-    for bi, bottom in enumerate(bottoms):
-        under.setdefault(_map_id(left.then(bottom)), []).append(bi)
-    rep = Report(f"right lifting property of {args.right} against {args.left}")
-    filled = None
-    for ti, top in enumerate(tops):
-        for bi in under.get(_map_id(top.then(right)), ()):
-            if filled is None:  # one search of maps left.dst -> right.src for all squares
-                filled = {(_map_id(left.then(w)), _map_id(w.then(right)))
-                          for w in hom_presheaf(left.dst, right.src)}
-            ok = (_map_id(top), _map_id(bottoms[bi])) in filled
-            rep.check(f"square top[{ti}] bottom[{bi}]", ok, "filled" if ok else "no filler")
-    rep.check("commuting squares found", True, str(len(rep.entries)))
+    rep = solve_lifting(load_map_spec(args.left, site), load_map_spec(args.right, site))
+    rep.name = f"right lifting property of {args.right} against {args.left}"
     return _emit_report(args, rep)
 
 

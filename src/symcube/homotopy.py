@@ -1,13 +1,14 @@
-"""Lifting problems, cap filling, and interval homotopies.
+"""Lifting properties, cap filling, and interval homotopies.
 
-The cylinder on X is the convolution X (x) cube^n with its two endpoint
+A lifting property is answered for every commuting square at once.  The
+cylinder on X is the convolution X (x) cube^n with its two endpoint
 inclusions; a homotopy is a map off the cylinder restricting to its source
 and target on the ends.  A cap is the restriction of the cube to the
 arrows through a face other than the missing one, on either site, and
 fibrancy questions are posed against the caps of the symmetric cube.
 Every search is exhaustive over the maps of a finite hom set that take
-the values the question prescribes, in a fixed order, so a None answer
-is a refutation at the stored truncation, not a timeout.
+the values the question prescribes, in a fixed order, so a missing
+filler or homotopy is a refutation at the stored truncation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .presheaf import (
     PresheafMap,
     SkeletalPresheaf,
     _join,
+    _map_id,
     extend_map,
     hom_presheaf,
     representable,
@@ -38,51 +40,36 @@ from .site import (
 )
 
 
-# -- lifting problems --------------------------------------------------------
+# -- lifting properties ------------------------------------------------------
 
 
-@dataclass
-class LiftingProblem:
-    """A commuting square: top o left-source, bottom o left, joined by right.
-
-        A --top--> X
-        |          |
-      left       right
-        |          |
-        v          v
-        B -bottom> Y
-
-    A filler is a map B -> X making both triangles commute.  The four
-    maps are brought to the largest truncation among their ends, since a
-    square commutes only where all four are stored.
-    """
-
-    left: PresheafMap
-    right: PresheafMap
-    top: PresheafMap
-    bottom: PresheafMap
-
-    def __post_init__(self):
-        maps = (self.left, self.right, self.top, self.bottom)
-        N = max(X.N for u in maps for X in (u.src, u.dst))
-        self.left, self.right, self.top, self.bottom = (
-            extend_map(u, N) for u in maps
-        )
-
-    def commutes(self) -> bool:
-        return self.top.then(self.right).mapping == self.left.then(self.bottom).mapping
-
-
-def solve_lifting(p: LiftingProblem):
-    """The first filler in the canonical order, or None after exhausting
-    every map from the lower-left corner to the upper-right one that
-    agrees with the top along left."""
-    if not p.commutes():
-        raise InputError("lifting square does not commute")
-    fillers = hom_presheaf(p.left.dst, p.right.src, [(p.left, p.top)])
-    return next(
-        (w for w in fillers if w.then(p.right).mapping == p.bottom.mapping), None
-    )
+def solve_lifting(left: PresheafMap, right: PresheafMap) -> Report:
+    """Every commuting square from left: A -> B to right: X -> Y, a pair
+    top: A -> X, bottom: B -> Y with top.then(right) = left.then(bottom),
+    and whether a map w: B -> X fills it, left.then(w) = top and
+    w.then(right) = bottom: one report line per square, tops and bottoms
+    in hom-set order, then the count.  One search of the maps B -> X,
+    made at the first square, gives the corner pairs of every filler."""
+    rep = Report(f"right lifting property of {right.src.name} -> {right.dst.name} "
+                 f"against {left.src.name} -> {left.dst.name}")
+    tops = hom_presheaf(left.src, right.src)
+    bottoms = hom_presheaf(left.dst, right.dst)
+    # a map out of a skeletal presheaf is fixed by its stored levels, so a
+    # square commutes when its two corner maps left.src -> right.dst agree
+    right = extend_map(right, max(left.dst.N, right.src.N))
+    under: dict[str, list[int]] = {}
+    for bi, bottom in enumerate(bottoms):
+        under.setdefault(_map_id(left.then(bottom)), []).append(bi)
+    filled = None
+    for ti, top in enumerate(tops):
+        for bi in under.get(_map_id(top.then(right)), ()):
+            if filled is None:
+                filled = {(_map_id(left.then(w)), _map_id(w.then(right)))
+                          for w in hom_presheaf(left.dst, right.src)}
+            ok = (_map_id(top), _map_id(bottoms[bi])) in filled
+            rep.check(f"square top[{ti}] bottom[{bi}]", ok, "filled" if ok else "no filler")
+    rep.check("commuting squares found", True, str(len(rep.entries)))
+    return rep
 
 
 # -- cap filling and fibrancy ------------------------------------------------

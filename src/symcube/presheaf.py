@@ -606,7 +606,7 @@ def _map_id(u: PresheafMap) -> str:
     return ";".join(parts)
 
 
-# -- spec-level wrappers -----------------------------------------------------
+# -- nondegenerate sections --------------------------------------------------
 
 
 def nondegenerate_sections(X: SkeletalPresheaf, k: int) -> list[str]:
@@ -684,8 +684,12 @@ def hom_presheaf(
     value must then satisfy e*w(y) = u(a); two different prescriptions
     for one section leave no map.  The maps come in the same order as
     without fixed; the resource limit bounds the maps returned, which
-    are only those that agree, and the candidate values drawn.
+    are only those that agree, and the candidate values drawn.  X and Y
+    must live over one site.
     """
+    if X.site is not Y.site:
+        raise InputError(f"no maps {X.name} [{X.site}] -> {Y.name} [{Y.site}]: "
+                         "the presheaves live over different sites")
     Y = Y.extend_to(X.N)
     nd = [(k, x) for k in range(X.N + 1) for x in nondegenerate_sections(X, k)]
     at = {section: j for j, section in enumerate(nd)}

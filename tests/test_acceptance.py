@@ -177,10 +177,8 @@ def test_criterion_12_homotopy(gate):
 
 # -- the library holds only what the system calls ----------------------------
 
-# entry points kept for callers outside the package: the file formats,
-# and the one-square lifting API (the lift command answers all its
-# squares from one search)
-ENTRY_POINTS = {"dumps_presheaf", "dumps_presheaf_json", "solve_lifting"}
+# entry points kept for callers outside the package: the file formats
+ENTRY_POINTS = {"dumps_presheaf", "dumps_presheaf_json"}
 
 
 def _references(node, inside=()):

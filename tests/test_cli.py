@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 import symcube.cli as cli_module
 from symcube.cli import _suite_symmetrization, build_parser, load_map_spec, run
 from symcube.errors import SymcubeError
-from symcube.homotopy import LiftingProblem, solve_lifting
 from symcube.presheaf import (boundary, dumps_presheaf, dumps_presheaf_json, empty_presheaf,
                               hom_presheaf, representable, terminal_presheaf)
 from symcube.report import Report
 from symcube.site import SiteTag
+from test_homotopy import LiftingProblem, oracle_solve_lifting
 
 DATA = Path(__file__).parent / "data"
 
@@ -496,9 +496,40 @@ def test_lift_extends_maps_to_common_truncation(capsys):
     assert "commuting squares found  [7]" in out
 
 
+CROSS_SITE = [
+    ["lift", "boundary:2", "identity:{q2}"],
+    ["homotopic", "{q2}", "(0,0):0->2", "(1,1):0->2", "--dim", "2"],
+    ["lift", "identity:{q2}", "boundary:2"],
+]
+
+
+@pytest.mark.parametrize("argv", CROSS_SITE, ids=[" ".join(a) for a in CROSS_SITE])
+def test_maps_between_two_sites_are_input_errors(tmp_path, capsys, argv):
+    # the 2-cube over Q, asked about against presheaves over QSigma
+    path = tmp_path / "q2.txt"
+    path.write_text(dumps_presheaf(representable(2, SiteTag.Q)))
+    code = run([a.format(q2=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "[Q]" in captured.err and "[QSigma]" in captured.err
+    assert "different sites" in captured.err
+
+
+def test_empty_map_spec_lives_over_its_target_site(tmp_path, capsys):
+    q2 = representable(2, SiteTag.Q)
+    path = tmp_path / "q2.txt"
+    path.write_text(dumps_presheaf(q2))
+    assert load_map_spec(f"empty:{path}", SiteTag.QSIGMA).src.site is SiteTag.Q
+    code, out = invoke(capsys, "lift", f"empty:{path}", f"identity:{path}")
+    squares = len(hom_presheaf(q2, q2))  # one filled square per endomap
+    assert code == 0
+    assert out.endswith(f"commuting squares found  [{squares}]\n")
+
+
 def oracle_lift_lines(left_spec, right_spec, site="QSigma"):
     """The lift report by the route one hom set replaced: one
-    solve_lifting search per commuting square."""
+    oracle_solve_lifting search per commuting square."""
     tag = SiteTag.parse(site)
     left, right = load_map_spec(left_spec, tag), load_map_spec(right_spec, tag)
     rep = Report(f"right lifting property of {right_spec} against {left_spec}")
@@ -508,7 +539,7 @@ def oracle_lift_lines(left_spec, right_spec, site="QSigma"):
             problem = LiftingProblem(left, right, top, bottom)
             if problem.commutes():
                 squares += 1
-                filled = solve_lifting(problem) is not None
+                filled = oracle_solve_lifting(problem) is not None
                 rep.check(f"square top[{ti}] bottom[{bi}]", filled,
                           "filled" if filled else "no filler")
     rep.check("commuting squares found", True, str(squares))

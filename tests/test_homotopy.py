@@ -1,5 +1,6 @@
 """Lifting, cap filling, and interval homotopies."""
 
+from dataclasses import dataclass
 from functools import cache
 
 import pytest
@@ -9,7 +10,6 @@ from symcube.cli import load_spec
 from symcube.errors import InputError, ResourceBound, SymcubeError, resource_limit
 from symcube.homotopy import (
     Homotopy,
-    LiftingProblem,
     contraction_H,
     cylinder,
     find_homotopy,
@@ -22,6 +22,7 @@ from symcube.presheaf import (
     cap,
     dumps_presheaf,
     empty_presheaf,
+    extend_map,
     extension_methods_agree,
     generator_morphisms,
     hom_presheaf,
@@ -196,9 +197,90 @@ def test_homotopy_search_respects_limit():
 # -- lifting problems --------------------------------------------------------
 
 
+@dataclass
+class LiftingProblem:
+    """A commuting square: top o left-source, bottom o left, joined by right.
+
+        A --top--> X
+        |          |
+      left       right
+        |          |
+        v          v
+        B -bottom> Y
+
+    A filler is a map B -> X making both triangles commute.  The four
+    maps are brought to the largest truncation among their ends, since a
+    square commutes only where all four are stored.
+    """
+
+    left: PresheafMap
+    right: PresheafMap
+    top: PresheafMap
+    bottom: PresheafMap
+
+    def __post_init__(self):
+        maps = (self.left, self.right, self.top, self.bottom)
+        N = max(X.N for u in maps for X in (u.src, u.dst))
+        self.left, self.right, self.top, self.bottom = (
+            extend_map(u, N) for u in maps
+        )
+
+    def commutes(self) -> bool:
+        return self.top.then(self.right).mapping == self.left.then(self.bottom).mapping
+
+
+def oracle_solve_lifting(p: LiftingProblem):
+    """One square at a time, the route solve_lifting's single search
+    replaced: the first filler in the canonical order, or None after
+    exhausting every map from the lower-left corner to the upper-right
+    one that agrees with the top along left."""
+    if not p.commutes():
+        raise InputError("lifting square does not commute")
+    fillers = hom_presheaf(p.left.dst, p.right.src, [(p.left, p.top)])
+    return next(
+        (w for w in fillers if w.then(p.right).mapping == p.bottom.mapping), None
+    )
+
+
+def square_entry(rep, left, right, top, bottom):
+    """The line of solve_lifting(left, right) on the square (top, bottom),
+    its corners found by position in their hom sets."""
+    ti = [u.mapping for u in hom_presheaf(left.src, right.src)].index(top.mapping)
+    bi = [u.mapping for u in hom_presheaf(left.dst, right.dst)].index(bottom.mapping)
+    return next(e for e in rep.entries if e.label == f"square top[{ti}] bottom[{bi}]")
+
+
+def test_solve_lifting_against_identity_fills_every_square():
+    rep = solve_lifting(BD1S_INCL, identity_map(R1S))
+    squares = len(hom_presheaf(R1S, R1S))  # the bottom fixes the top
+    assert rep.ok
+    assert [e.label for e in rep.entries[:-1]] == [
+        f"square top[{ti}] bottom[{bi}]"
+        for ti, top in enumerate(hom_presheaf(BD1S, R1S))
+        for bi, bottom in enumerate(hom_presheaf(R1S, R1S))
+        if BD1S_INCL.then(bottom).mapping == top.mapping]
+    assert str(rep.entries[-1]) == f"ok   commuting squares found  [{squares}]"
+    assert square_entry(rep, BD1S_INCL, identity_map(R1S), BD1S_INCL,
+                        identity_map(R1S)).detail == "filled"
+
+
+def test_solve_lifting_finds_no_retraction_onto_boundary():
+    rep = solve_lifting(BD1S_INCL, terminal_map(BD1S))
+    entry = square_entry(rep, BD1S_INCL, terminal_map(BD1S), identity_map(BD1S),
+                         terminal_map(R1S))
+    assert (entry.ok, entry.detail) == (False, "no filler")
+    assert not rep.ok
+
+
+def test_solve_lifting_rejects_maps_over_two_sites():
+    q1 = representable(1, SiteTag.Q)
+    with pytest.raises(InputError, match=r"bd1 \[QSigma\] -> cube1 \[Q\]"):
+        solve_lifting(BD1S_INCL, identity_map(q1))
+
+
 def test_lifting_against_identity_returns_bottom():
     p = LiftingProblem(BD1S_INCL, identity_map(R1S), BD1S_INCL, identity_map(R1S))
-    w = solve_lifting(p)
+    w = oracle_solve_lifting(p)
     assert w is not None
     assert w.mapping == identity_map(R1S).mapping
 
@@ -212,7 +294,7 @@ def test_lifting_point_under_interval():
         PresheafMap(empty_presheaf(QS, 0), R1S, {0: {}}),
         PresheafMap(R0, t.dst, {0: {PT: star}}),
     )
-    w = solve_lifting(p)
+    w = oracle_solve_lifting(p)
     assert w is not None
     # canonical order puts the zero vertex first
     assert w.mapping[0][PT] == V0
@@ -228,7 +310,7 @@ def test_lifting_cap_vertex_fills_by_a_constant():
         {0: {box.level(0)[0]: V1}, 1: {box.level(1)[0]: "(1):1->1"}},
     )
     p = LiftingProblem(incl, terminal_map(BD1S), top, terminal_map(R1S))
-    w = solve_lifting(p)
+    w = oracle_solve_lifting(p)
     assert w is not None
     assert set(w.mapping[0].values()) == {V1}
 
@@ -237,12 +319,12 @@ def test_lifting_no_retraction_onto_boundary():
     p = LiftingProblem(
         BD1S_INCL, terminal_map(BD1S), identity_map(BD1S), terminal_map(R1S)
     )
-    assert solve_lifting(p) is None
+    assert oracle_solve_lifting(p) is None
 
 
 def test_lifting_filler_is_sound():
     p = LiftingProblem(BD1S_INCL, identity_map(R1S), BD1S_INCL, identity_map(R1S))
-    w = solve_lifting(p)
+    w = oracle_solve_lifting(p)
     for n, row in BD1S_INCL.mapping.items():
         for a, b in row.items():
             assert w.mapping[n][b] == BD1S_INCL.mapping[n][a]
@@ -259,7 +341,7 @@ def test_lifting_rejects_noncommuting_square():
         identity_map(BD1S), identity_map(BD1S), identity_map(BD1S), flip
     )
     with pytest.raises(InputError):
-        solve_lifting(p)
+        oracle_solve_lifting(p)
 
 
 def test_lifting_aligns_mixed_truncations():
@@ -270,7 +352,7 @@ def test_lifting_aligns_mixed_truncations():
     bottom = hom_presheaf(incl.dst, t.dst)[0]
     p = LiftingProblem(incl, t, top, bottom)
     assert {u.src.N for u in (p.left, p.right, p.top, p.bottom)} == {2}
-    w = solve_lifting(p)
+    w = oracle_solve_lifting(p)
     assert w is not None
     assert p.left.then(w).mapping == p.top.mapping
 
@@ -281,16 +363,16 @@ def test_conflicting_prescriptions_leave_no_map():
     # both vertices of the boundary go to the point, which must go back to each
     t = terminal_map(BD1S)
     p = LiftingProblem(t, t, identity_map(BD1S), identity_map(t.dst))
-    assert solve_lifting(p) is None
+    assert oracle_solve_lifting(p) is None
 
 
 def test_lifting_respects_limit():
     p = LiftingProblem(BD1S_INCL, identity_map(R1S), BD1S_INCL, identity_map(R1S))
     # the first, unbounded call caches the EZ tables, so the bound meets
     # the maps found and not the hom sets behind them
-    assert solve_lifting(p) is not None
+    assert oracle_solve_lifting(p) is not None
     with resource_limit(0), pytest.raises(ResourceBound, match="1 presheaf maps"):
-        solve_lifting(p)
+        oracle_solve_lifting(p)
 
 
 # -- symmetric caps and fibrancy ---------------------------------------------
@@ -519,8 +601,18 @@ def test_lifting_search_matches_filtered_oracle():
         got = hom_presheaf(B, X, fixed=[(p.left, p.top)])
         assert [w.mapping for w in got] == [w.mapping for w in expected]
         first = next((w for w in expected if fills(p, w)), None)
-        w = solve_lifting(p)
+        w = oracle_solve_lifting(p)
         assert (w.mapping if w else None) == (first.mapping if first else None)
+
+
+def test_solve_lifting_reads_each_square_as_the_oracle():
+    reports = {}  # keyed by id: the list of squares keeps every map alive
+    for p in lifting_squares():
+        key = (id(p.left), id(p.right))
+        if key not in reports:
+            reports[key] = solve_lifting(p.left, p.right)
+        entry = square_entry(reports[key], p.left, p.right, p.top, p.bottom)
+        assert entry.ok == (oracle_solve_lifting(p) is not None)
 
 
 @pytest.mark.parametrize(
