@@ -13,7 +13,7 @@ import itertools
 import json
 import signal
 import sys
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 from .errors import InputError, ResourceBound, SymcubeError, resource_limit
@@ -612,8 +612,75 @@ def _cmd_verify_all(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Subcommand:
+    """A subcommand's parser, built with its arguments and handler the
+    first time the command is parsed; `symcube -h` reads only its help."""
+
+    def __init__(self, fn, arguments, **kwargs):
+        self._fn, self._arguments, self._kwargs = fn, arguments, kwargs
+
+    @cached_property
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for argument in self._arguments:
+            name, options = (argument, {}) if isinstance(argument, str) else argument
+            parser.add_argument(name, **options)
+        parser.set_defaults(fn=self._fn)
+        return parser
+
+    def __getattr__(self, name):  # argparse only calls parse_known_args
+        return getattr(self.parser, name)
+
+
+def _dim(default):
+    return ("--dim", {"type": int, "default": default})
+
+
+_INT = {"type": int}
+
+# name: (handler, help, arguments); an argument is a name or (name, options)
+_COMMANDS = {
+    "compose": (_cmd_compose, "compose two morphisms (first after second)", ("f", "g")),
+    "factor": (_cmd_factor, "canonical normal form of a morphism", ("f",)),
+    "tensor": (_cmd_tensor, "monoidal product of two morphisms", ("f", "g")),
+    "enum-hom": (_cmd_enum_hom, "list a hom set in canonical order",
+                 (("m", _INT), ("n", _INT))),
+    "verify-relations": (_cmd_verify_relations, "check the presentation relations",
+                         (_dim(4),)),
+    "verify-ez": (_cmd_verify_ez, "check the epi/mono factorization structure",
+                  (_dim(3),)),
+    "verify-pushouts": (_cmd_verify_pushouts, "check the split pushout squares",
+                        (_dim(4),)),
+    "convolve": (_cmd_convolve, "convolution product of two presheaves",
+                 ("left", "right")),
+    "symmetrize": (_cmd_symmetrize, "transport a classical presheaf", ("spec",)),
+    "restrict": (_cmd_restrict, "underlying classical presheaf", ("spec", _dim(None))),
+    "skeleton": (_cmd_skeleton, "subpresheaf generated below a level",
+                 ("spec", ("k", _INT))),
+    "coskeleton": (_cmd_coskeleton, "right adjoint to truncation", ("spec", ("k", _INT))),
+    "quotient": (_cmd_quotient, "orbit presheaf under a permutation group",
+                 ("spec", ("cycles", {"help": "cycle notation, e.g. '(1 2)'"}))),
+    "boundary": (_cmd_boundary, "union of the proper faces", (("n", _INT),)),
+    "cap": (_cmd_cap, "faces minus one, the open box",
+            (("n", _INT), ("j", _INT), ("eps", {"type": int, "choices": [0, 1]}))),
+    "realize": (_cmd_realize, "simplicial realization sizes", ("spec",)),
+    "homology": (_cmd_homology, "integral homology of the realization",
+                 (("spec", {"nargs": "?"}),
+                  ("--file", {"default": None, "help": "presheaf file to read"}))),
+    "lift": (_cmd_lift, "right lifting property over all squares",
+             (("left", {"help": "map spec, e.g. cap:2:1:0 or boundary:1"}),
+              ("right", {"help": "map spec, e.g. terminal:cube:1"}))),
+    "fibrant": (_cmd_fibrant, "cap filling report", ("spec", _dim(1))),
+    "homotopic": (_cmd_homotopic, "search for a homotopy between vertices",
+                  ("spec", "start", "end", _dim(1))),
+    "verify-all": (_cmd_verify_all, "every exhaustive suite at one bound", (_dim(3),)),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top parser, once per process; each subcommand's parser is a
+    `_Subcommand`, built from its `_COMMANDS` row when first parsed."""
     parser = argparse.ArgumentParser(
         prog="symcube",
         description="Exact computation in the classical and symmetric cube "
@@ -634,108 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compose", help="compose two morphisms (first after second)")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(fn=_cmd_compose)
-
-    p = sub.add_parser("factor", help="canonical normal form of a morphism")
-    p.add_argument("f")
-    p.set_defaults(fn=_cmd_factor)
-
-    p = sub.add_parser("tensor", help="monoidal product of two morphisms")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(fn=_cmd_tensor)
-
-    p = sub.add_parser("enum-hom", help="list a hom set in canonical order")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_enum_hom)
-
-    p = sub.add_parser("verify-relations", help="check the presentation relations")
-    p.add_argument("--dim", type=int, default=4)
-    p.set_defaults(fn=_cmd_verify_relations)
-
-    p = sub.add_parser("verify-ez", help="check the epi/mono factorization structure")
-    p.add_argument("--dim", type=int, default=3)
-    p.set_defaults(fn=_cmd_verify_ez)
-
-    p = sub.add_parser("verify-pushouts", help="check the split pushout squares")
-    p.add_argument("--dim", type=int, default=4)
-    p.set_defaults(fn=_cmd_verify_pushouts)
-
-    p = sub.add_parser("convolve", help="convolution product of two presheaves")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=_cmd_convolve)
-
-    p = sub.add_parser("symmetrize", help="transport a classical presheaf")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_symmetrize)
-
-    p = sub.add_parser("restrict", help="underlying classical presheaf")
-    p.add_argument("spec")
-    p.add_argument("--dim", type=int, default=None)
-    p.set_defaults(fn=_cmd_restrict)
-
-    p = sub.add_parser("skeleton", help="subpresheaf generated below a level")
-    p.add_argument("spec")
-    p.add_argument("k", type=int)
-    p.set_defaults(fn=_cmd_skeleton)
-
-    p = sub.add_parser("coskeleton", help="right adjoint to truncation")
-    p.add_argument("spec")
-    p.add_argument("k", type=int)
-    p.set_defaults(fn=_cmd_coskeleton)
-
-    p = sub.add_parser("quotient", help="orbit presheaf under a permutation group")
-    p.add_argument("spec")
-    p.add_argument("cycles", help="cycle notation, e.g. '(1 2)'")
-    p.set_defaults(fn=_cmd_quotient)
-
-    p = sub.add_parser("boundary", help="union of the proper faces")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_boundary)
-
-    p = sub.add_parser("cap", help="faces minus one, the open box")
-    p.add_argument("n", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("eps", type=int, choices=[0, 1])
-    p.set_defaults(fn=_cmd_cap)
-
-    p = sub.add_parser("realize", help="simplicial realization sizes")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_realize)
-
-    p = sub.add_parser("homology", help="integral homology of the realization")
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--file", default=None, help="presheaf file to read")
-    p.set_defaults(fn=_cmd_homology)
-
-    p = sub.add_parser("lift", help="right lifting property over all squares")
-    p.add_argument("left", help="map spec, e.g. cap:2:1:0 or boundary:1")
-    p.add_argument("right", help="map spec, e.g. terminal:cube:1")
-    p.set_defaults(fn=_cmd_lift)
-
-    p = sub.add_parser("fibrant", help="cap filling report")
-    p.add_argument("spec")
-    p.add_argument("--dim", type=int, default=1)
-    p.set_defaults(fn=_cmd_fibrant)
-
-    p = sub.add_parser("homotopic", help="search for a homotopy between vertices")
-    p.add_argument("spec")
-    p.add_argument("start")
-    p.add_argument("end")
-    p.add_argument("--dim", type=int, default=1)
-    p.set_defaults(fn=_cmd_homotopic)
-
-    p = sub.add_parser("verify-all", help="every exhaustive suite at one bound")
-    p.add_argument("--dim", type=int, default=3)
-    p.set_defaults(fn=_cmd_verify_all)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (fn, text, arguments) in _COMMANDS.items():
+        sub.add_parser(name, help=text, fn=fn, arguments=arguments)
     return parser
 
 

@@ -460,8 +460,12 @@ def _cube(n: int, site: SiteTag, up_to: int | None):
 @cache
 def _printed_hom(m: int, n: int, site: SiteTag) -> tuple[str, ...]:
     """The arrows of Hom([m],[n]) printed, by rank: the ids of level m of
-    the n-cube, and the only place this module prints an arrow."""
-    return tuple(map(str, _enumerate_hom(m, n, site)))
+    the n-cube, and the only place this module prints an arrow.  Each is
+    joined from texts made once per distinct entry."""
+    text = {e: str(e) for f in _enumerate_hom(m, min(n, 1), site) for e in f.entries}
+    tail = f"):{m}->{n}"
+    return tuple(["(" + ",".join(map(text.__getitem__, f.entries)) + tail
+                  for f in _enumerate_hom(m, n, site)])
 
 
 @cache

@@ -240,17 +240,22 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text: str, n: int) -> "Permutation":
-        """Parse cycle notation like ``(1 2 4 3)`` or ``(1 2)(3 4)`` or ``id``."""
+        """Parse disjoint cycles like ``(1 2 4 3)`` or ``(1 2)(3 4)`` or ``id``."""
         text = text.strip()
         if text in ("id", "()", ""):
             return cls.identity(n)
         if not re.fullmatch(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+", text):
             raise MorphismSyntaxError(f"cannot parse cycles {text!r}")
-        line = list(range(1, n + 1))
+        line, seen = list(range(1, n + 1)), set()
         for cycle in re.findall(r"\(([^()]*)\)", text):
             members = [int(s) for s in re.split(r"[\s,]+", cycle.strip())]
             if any(not 1 <= v <= n for v in members) or len(set(members)) != len(members):
                 raise MorphismSyntaxError(f"bad cycle ({cycle}) for n={n}")
+            shared = [v for v in members if v in seen]
+            if shared:
+                raise MorphismSyntaxError(
+                    f"cycles in {text!r} share the letter {shared[0]}; write disjoint cycles")
+            seen.update(members)
             for a, b in zip(members, members[1:] + members[:1]):
                 line[a - 1] = b
         return cls(line)
@@ -404,9 +409,14 @@ def _substitute(e: Entry, sub: tuple) -> Entry:
         return e
     if len(e) == 1:  # a bare symbol takes its entry as it is
         return sub[e[0] - 1]
+    return _conjoin([sub[s - 1] for s in e])
+
+
+def _conjoin(xs) -> Entry:
+    """The conjunction of the entries xs: 0 if one is 0, else their
+    symbols in order with the 1s dropped, and 1 if none is left."""
     merged = []
-    for s in e:
-        x = sub[s - 1]
+    for x in xs:
         if type(x) is Conj:
             merged.extend(x)
         elif x == 0:
@@ -578,29 +588,35 @@ def hom_count(m: CubeObject, n: CubeObject, site: SiteTag = SiteTag.QSIGMA) -> i
 
 @lru_cache(maxsize=None)
 def _enumerate_hom(m: CubeObject, n: CubeObject, site: SiteTag) -> tuple[Morphism, ...]:
-    results = []
+    """Hom([m],[n]) in canonical order, as built: entries are picked left
+    to right, each in key order from the symbols still free, so the
+    arrows come out sorted."""
+    rows = [((), tuple(range(1, m + 1)))]
+    for _ in range(n):
+        rows = [(entries + (e,), rest) for entries, free in rows
+                for e, rest in _entry_choices(free, site)]
+    return tuple([_arrow(m, n, entries) for entries, _ in rows])  # valid by construction
 
-    def build(entries, avail, last_used):
-        if len(entries) == n:  # valid by construction, so unchecked
-            results.append(_arrow(m, n, tuple(entries)))
-            return
-        build(entries + [ZERO], avail, last_used)
-        build(entries + [ONE], avail, last_used)
-        if site is SiteTag.QSIGMA:
-            for L in range(1, len(avail) + 1):
-                for chosen in itertools.permutations(avail, L):
-                    build(
-                        entries + [tuple.__new__(Conj, chosen)],
-                        avail - set(chosen),
-                        last_used,
-                    )
-        else:
-            # Q-arrows use symbols in increasing order, singly
-            for s in range(last_used + 1, m + 1):
-                build(entries + [tuple.__new__(Conj, (s,))], avail, s)
 
-    build([], frozenset(range(1, m + 1)), 0)
-    return tuple(sorted(results, key=Morphism.key))
+@lru_cache(maxsize=None)
+def _entry_choices(free: tuple[int, ...], site: SiteTag) -> tuple[tuple[Entry, tuple], ...]:
+    """Each entry writable with the symbols free, in key order (0, 1, then
+    conjunctions by symbol word, a prefix before its extensions), with
+    the symbols it leaves free.  Over Q an entry is one symbol, and only
+    larger symbols stay free."""
+    choices = [(ZERO, free), (ONE, free)]
+    if site is SiteTag.Q:
+        return (*choices, *[(tuple.__new__(Conj, (s,)), free[i + 1:])
+                            for i, s in enumerate(free)])
+
+    def extend(word, free):
+        for i, s in enumerate(free):
+            rest = free[:i] + free[i + 1:]
+            choices.append((tuple.__new__(Conj, word + (s,)), rest))
+            extend(word + (s,), rest)
+
+    extend((), free)
+    return tuple(choices)
 
 
 def enumerate_hom(m: CubeObject, n: CubeObject,
@@ -621,22 +637,36 @@ def hom_rank(m: CubeObject, n: CubeObject, site: SiteTag) -> dict[tuple, int]:
 
 
 @lru_cache(maxsize=None)
+def _hom_columns(m: CubeObject, n: CubeObject, site: SiteTag) -> tuple[tuple[Entry, ...], ...]:
+    """The n coordinate columns of Hom([m],[n]): column i holds entry i+1
+    of each arrow, by rank.  Hom([m],[0]) has one arrow and no column."""
+    return tuple(zip(*[f.entries for f in _enumerate_hom(m, n, site)]))
+
+
+@lru_cache(maxsize=None)
 def precompose_table(g: Morphism, n: CubeObject, site: SiteTag) -> tuple[int, ...]:
-    """The rank of f o g in Hom(g.src, n) for each f of Hom(g.dst, n), by rank."""
-    # the entries of arrows [g.dst] -> [n] are the arrows [g.dst] -> [1], or none if n = 0
-    image = {e: _substitute(e, g.entries)
-             for f in _enumerate_hom(g.dst, min(n, 1), site) for e in f.entries}
-    rank = hom_rank(g.src, n, site)
-    return tuple(rank[tuple(map(image.__getitem__, f.entries))]
-                 for f in _enumerate_hom(g.dst, n, site))
+    """The rank of f o g in Hom(g.src, n) for each f of Hom(g.dst, n), by
+    rank, read column by column."""
+    if n == 0:  # one arrow on each side, and no column to read
+        return (0,)
+    # the one column of Hom(g.dst, 1) holds every entry over g.dst's symbols
+    image = {e: _substitute(e, g.entries) for e in _hom_columns(g.dst, 1, site)[0]}
+    columns = [map(image.__getitem__, c) for c in _hom_columns(g.dst, n, site)]
+    return tuple(map(hom_rank(g.src, n, site).__getitem__, zip(*columns)))
 
 
 @lru_cache(maxsize=None)
 def postcompose_table(h: Morphism, k: CubeObject, site: SiteTag) -> tuple[int, ...]:
-    """The rank of h o f in Hom(k, h.dst) for each f of Hom(k, h.src), by rank."""
-    rank = hom_rank(k, h.dst, site)
-    return tuple(rank[tuple([_substitute(e, f.entries) for e in h.entries])]
-                 for f in _enumerate_hom(k, h.src, site))
+    """The rank of h o f in Hom(k, h.dst) for each f of Hom(k, h.src), by
+    rank: entry i of h o f is read off the columns of h's i-th entry."""
+    count, columns = len(_enumerate_hom(k, h.src, site)), _hom_columns(k, h.src, site)
+    if h.dst == 0:  # every h o f is the one arrow [k] -> [0]
+        return (0,) * count
+    out = [itertools.repeat(e, count) if type(e) is Const
+           else columns[e[0] - 1] if len(e) == 1
+           else map(_conjoin, zip(*[columns[s - 1] for s in e]))
+           for e in h.entries]
+    return tuple(map(hom_rank(k, h.dst, site).__getitem__, zip(*out)))
 
 
 # -- classification ----------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -112,6 +113,66 @@ def test_parser_built_once_keeps_no_state_between_runs(capsys, first, second):
     assert fresh[0][0] != fresh[1][0] or fresh[0][1] != fresh[1][1]
 
 
+COMMAND_HELP = {
+    "compose": "compose two morphisms (first after second)",
+    "factor": "canonical normal form of a morphism",
+    "tensor": "monoidal product of two morphisms",
+    "enum-hom": "list a hom set in canonical order",
+    "verify-relations": "check the presentation relations",
+    "verify-ez": "check the epi/mono factorization structure",
+    "verify-pushouts": "check the split pushout squares",
+    "convolve": "convolution product of two presheaves",
+    "symmetrize": "transport a classical presheaf",
+    "restrict": "underlying classical presheaf",
+    "skeleton": "subpresheaf generated below a level",
+    "coskeleton": "right adjoint to truncation",
+    "quotient": "orbit presheaf under a permutation group",
+    "boundary": "union of the proper faces",
+    "cap": "faces minus one, the open box",
+    "realize": "simplicial realization sizes",
+    "homology": "integral homology of the realization",
+    "lift": "right lifting property over all squares",
+    "fibrant": "cap filling report",
+    "homotopic": "search for a homotopy between vertices",
+    "verify-all": "every exhaustive suite at one bound",
+}
+
+
+def test_top_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert run(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: symcube [-h] [--site {Q,QSigma}] [--limit LIMIT] [--json]")
+    assert set(build_parser()._subparsers._group_actions[0].choices) == set(COMMAND_HELP)
+    listed = [re.fullmatch(r"    (\S+) +(\S.*)", line) for line in out.splitlines()]
+    assert dict(m.groups() for m in listed if m) == COMMAND_HELP
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_every_command_answers_help(command, capsys):
+    assert run([command, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: symcube {command} [-h]")
+    assert "show this help message and exit" in out
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["bogus"], "symcube: error: argument command: invalid choice: 'bogus' (choose from "
+     + ", ".join(f"'{c}'" for c in COMMAND_HELP) + ")"),
+    (["homology", "cube:2", "--site", "Q"], "symcube: error: unrecognized arguments: --site Q"),
+    (["--limit", "x", "homology", "cube:1"],
+     "symcube: error: argument --limit: invalid int value: 'x'"),
+])
+def test_argv_errors_exit_2_with_usage(argv, last_line, capsys):
+    """Global flags come before the subcommand; the subcommand parser
+    leaves what it does not know to the top parser."""
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: symcube [-h] [--site {Q,QSigma}] [--limit LIMIT] [--json]")
+    assert err.splitlines()[-1] == last_line
+
+
 # -- input errors ------------------------------------------------------------
 
 
@@ -144,6 +205,29 @@ def test_boundary_below_dimension_one_names_its_dimension(n, capsys):
 
 def test_bad_cycles_is_input_error(capsys):
     assert run(["quotient", "cube:2", "(1 7)"]) == 2
+
+
+@pytest.mark.parametrize("argv, letter", [
+    (["quotient", "cube:2", "(1 2)(1 2)"], 1),
+    (["quotient", "cube:3", "(1 2 3)(1 2 3)"], 1),
+    (["quotient", "cube:3", "(1 2)(2 3)"], 2),
+    (["homology", "quotient:3:(1 2)(2 3)"], 2),
+])
+def test_cycles_sharing_a_letter_are_input_errors(argv, letter, capsys):
+    """(1 2)(1 2) used to give the (1 2) quotient, and (1 2)(2 3) a
+    message about a tuple that is not a permutation."""
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    cycles = argv[-1].split(":")[-1]
+    assert out == ""
+    assert err == (f"input error: cycles in {cycles!r} share the letter {letter}; "
+                   "write disjoint cycles\n")
+
+
+def test_disjoint_cycles_name_their_product(capsys):
+    assert invoke(capsys, "quotient", "cube:2", "id")[1] == "quot [QSigma] 0:4 1:8 2:22\n"
+    assert invoke(capsys, "quotient", "cube:4", "(1 2)(3 4)") == \
+        invoke(capsys, "quotient", "cube:4", "(3 4)(1 2)")
 
 
 @pytest.mark.parametrize("route", [["--file"], []], ids=["--file", "spec"])

@@ -23,7 +23,7 @@ from symcube.errors import (
     ResourceBound,
     resource_limit,
 )
-from symcube.presheaf import generator_morphisms
+from symcube.presheaf import _printed_hom, generator_morphisms
 from symcube.site import (
     Conj,
     Const,
@@ -360,6 +360,17 @@ def test_cycle_parsing():
     assert Permutation.from_cycles("(1 2)(3 4)", 4).one_line == (2, 1, 4, 3)
     with pytest.raises(MorphismSyntaxError):
         Permutation.from_cycles("(1 5)", 3)
+    assert Permutation.from_cycles("(1 3)(2 4)", 4).one_line == (3, 4, 1, 2)
+
+
+@pytest.mark.parametrize("text, letter", [
+    ("(1 2)(1 2)", 1), ("(1 2 3)(1 2 3)", 1), ("(1 2)(2 3)", 2), ("(1 2)(3 4)(4 1)", 4),
+])
+def test_cycles_sharing_a_letter_are_refused(text, letter):
+    """Cycles are disjoint: one that reuses a letter of an earlier cycle is
+    refused by name, not read as a product or as the last cycle alone."""
+    with pytest.raises(MorphismSyntaxError, match=rf"share the letter {letter}; write disjoint"):
+        Permutation.from_cycles(text, 4)
 
 
 def test_permutation_composition_is_functorial():
@@ -433,6 +444,47 @@ def test_enumeration_is_sorted_and_q_subset():
             assert q_homs == {f for f in homs if site.is_box_arrow(f)}
 
 
+def oracle_enumerate_hom(m, n, site_tag):
+    """Hom([m],[n]) built in any order and then sorted by Morphism.key,
+    through the checked constructors."""
+    results = []
+
+    def build(entries, avail, last_used):
+        if len(entries) == n:
+            results.append(Morphism(m, n, entries))
+            return
+        build(entries + [Const(0)], avail, last_used)
+        build(entries + [Const(1)], avail, last_used)
+        if site_tag is QS:
+            for L in range(1, len(avail) + 1):
+                for chosen in itertools.permutations(avail, L):
+                    build(entries + [Conj(chosen)], avail - set(chosen), last_used)
+        else:
+            # Q-arrows use symbols in increasing order, singly
+            for s in range(last_used + 1, m + 1):
+                build(entries + [Conj((s,))], avail, s)
+
+    build([], frozenset(range(1, m + 1)), 0)
+    return tuple(sorted(results, key=Morphism.key))
+
+
+def _oracle_range(tag):
+    return [*itertools.product(range(5), repeat=2), *([(5, 3)] if tag is QS else [])]
+
+
+@pytest.mark.parametrize("tag", [QS, Q])
+def test_enumeration_is_the_sorted_oracle(tag):
+    """Hom sets come out in canonical order as they are built."""
+    for m, n in _oracle_range(tag):
+        assert enumerate_hom(m, n, tag) == oracle_enumerate_hom(m, n, tag), (m, n)
+
+
+@pytest.mark.parametrize("tag", [QS, Q])
+def test_printed_hom_prints_each_arrow(tag):
+    for m, n in _oracle_range(tag):
+        assert _printed_hom(m, n, tag) == tuple(map(str, enumerate_hom(m, n, tag))), (m, n)
+
+
 def test_entries_hash_and_order_as_printed():
     """Entries are a builtin int and tuple: every arrow and composite
     equals, and hashes as, the parse of its printed form, and hom sets
@@ -488,8 +540,8 @@ def _generators(tag, N):
 
 def test_precompose_tables_agree_with_compose():
     for tag in (QS, Q):
-        for g in _generators(tag, 3):
-            for n in range(4):
+        for g in _generators(tag, 4):
+            for n in range(5):
                 table = precompose_table(g, n, tag)
                 assert len(table) == hom_count(g.dst, n, tag)
                 homs = enumerate_hom(g.src, n, tag)
@@ -502,20 +554,38 @@ def test_postcompose_tables_agree_with_compose():
     u a face or swap generator, or an epi of its EZ pairs; a two-factor
     coend lifts with p = 0 or q = 0, a three-factor one with both."""
     for tag in (QS, Q):
-        us = [u for u in _generators(tag, 2) if u.src <= u.dst]
-        us += [e for a, b in itertools.product(range(3), repeat=2)
+        us = [u for u in _generators(tag, 3) if u.src <= u.dst]
+        us += [e for a, b in itertools.product(range(4), repeat=2)
                for e in enumerate_hom(a, b, tag) if classify(e).is_epi]
         for u in us:
-            for p, q in itertools.product(range(3), repeat=2):
+            for p, q in itertools.product(range(4), repeat=2):
                 h = tensor(tensor(identity(p), u), identity(q))
-                if max(h.src, h.dst) > 3:
+                if max(h.src, h.dst) > 4:
                     continue
-                for k in range(4):
+                for k in range(5):
                     table = postcompose_table(h, k, tag)
                     assert len(table) == hom_count(k, h.src, tag)
                     homs = enumerate_hom(k, h.dst, tag)
                     for f, r in zip(enumerate_hom(k, h.src, tag), table):
                         assert homs[r] == compose(h, f)
+
+
+@pytest.mark.parametrize("tag", [QS, Q])
+def test_composition_tables_of_dimension_zero(tag):
+    """Arrows into [0] have no entries, so a table read by column has no
+    column there: each such case is answered without one."""
+    for g in _generators(tag, 3):  # f o g for the one f: [g.dst] -> [0]
+        assert precompose_table(g, 0, tag) == (0,)
+    for m, k in itertools.product(range(4), repeat=2):
+        bang = enumerate_hom(m, 0, tag)[0]  # h.dst = 0: every h o f is [k] -> [0]
+        assert postcompose_table(bang, k, tag) == (0,) * hom_count(k, m, tag)
+    for h in enumerate_hom(0, 2, tag):  # h.src = 0: f is the one [k] -> [0]
+        for k in range(4):
+            homs = enumerate_hom(k, 2, tag)
+            assert homs[postcompose_table(h, k, tag)[0]] == compose(h, enumerate_hom(k, 0, tag)[0])
+    for g in enumerate_hom(0, 2, tag):  # g.dst = 2 from [0]: constants only
+        assert [enumerate_hom(0, 1, tag)[r] for r in precompose_table(g, 1, tag)] == [
+            compose(f, g) for f in enumerate_hom(2, 1, tag)]
 
 
 def test_hom_rank_inverts_enumeration():
